@@ -6,8 +6,8 @@ is checked by exact equality, never by floating-point tolerance.
 
 __version__ = "0.1.0"
 
-from .scalars import Rational, Scalar
-from .grading import deg_add, dot, dot_alt, signature_gl, signature_osp
+from .scalars import Scalar
+from .grading import deg_add, dot, signature_gl, signature_osp
 from .gmatrix import GradedMatrix, anticommutator, commutator, elem, graded_bracket
 from .algebras import (
     AlgebraSpec,
@@ -44,14 +44,12 @@ __all__ = [
     "Family",
     "GeneratorSet",
     "GradedMatrix",
-    "Rational",
     "RelationFamily",
     "Scalar",
     "anticommutator",
     "commutator",
     "deg_add",
     "dot",
-    "dot_alt",
     "elem",
     "expected_dim",
     "graded_bracket",

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
-from .gmatrix import GradedMatrix, elem, graded_bracket
+from .gmatrix import GradedMatrix, graded_bracket
 from .grading import Degree, Signature, deg_add, dot, signature_gl, signature_osp, trace_sign
 from .report import CheckReport
 from .scalars import ONE, ZERO, Scalar
@@ -283,20 +283,16 @@ def reduce_span(matrices: Sequence[GradedMatrix]) -> list[GradedMatrix]:
 
 # -- the two basis constructions ------------------------------------------------
 
-def s_basis(spec: AlgebraSpec) -> Basis:
-    """Spanning matrices s_ij = sum_k J_ik e_kj - u_ij sum_k J_jk e_ki,
-    reduced to an independent subset in lexicographic (i, j) order."""
-    _require_osp(spec, "s_basis")
+def s_matrices(spec: AlgebraSpec) -> Iterator[tuple[int, int, GradedMatrix]]:
+    """Every spanning matrix s_ij = sum_k J_ik e_kj - u_ij sum_k J_jk e_ki
+    as (i, j, s_ij), in lexicographic (i, j) order; J and u are built once."""
+    _require_osp(spec, "s_matrices")
     sig = spec.signature()
     m = spec.size
     j_rows: dict[int, list[tuple[int, Scalar]]] = {}
     for (r, c), v in j_matrix(spec).items():
         j_rows.setdefault(r, []).append((c, v))
     u = u_matrix(spec)
-
-    reducer = SpanReducer()
-    elements: list[GradedMatrix] = []
-    labels: list[str] = []
     for i in range(1, m + 1):
         for j in range(1, m + 1):
             entries: dict = {}
@@ -315,29 +311,20 @@ def s_basis(spec: AlgebraSpec) -> Basis:
                     entries[key] = cur
                 else:
                     entries.pop(key, None)
-            mat = GradedMatrix(sig, entries)
-            if reducer.insert(_flatten(mat)):
-                elements.append(mat)
-                labels.append(f"s[{i},{j}]")
+            yield i, j, GradedMatrix(sig, entries)
+
+
+def s_basis(spec: AlgebraSpec) -> Basis:
+    """The spanning matrices s_ij reduced to an independent subset in
+    lexicographic (i, j) order."""
+    reducer = SpanReducer()
+    elements: list[GradedMatrix] = []
+    labels: list[str] = []
+    for i, j, mat in s_matrices(spec):
+        if reducer.insert(_flatten(mat)):
+            elements.append(mat)
+            labels.append(f"s[{i},{j}]")
     return Basis(spec, elements, labels)
-
-
-def s_matrix(spec: AlgebraSpec, i: int, j: int) -> GradedMatrix:
-    """A single spanning matrix s_ij (kept for tests and exploration)."""
-    _require_osp(spec, "s_matrix")
-    sig = spec.signature()
-    m = spec.size
-    if not (1 <= i <= m and 1 <= j <= m):
-        raise IndexError(f"indices ({i}, {j}) outside 1..{m}")
-    jm = j_matrix(spec)
-    uij = u_matrix(spec).entry(i, j)
-    acc = GradedMatrix.zero(sig)
-    for (r, c), v in jm.items():
-        if r == i:
-            acc = acc + elem(sig, c, j).scale(v)
-        if r == j:
-            acc = acc - elem(sig, c, i).scale(uij * v)
-    return acc
 
 
 def _constraint_equations(spec: AlgebraSpec) -> list[Vector]:

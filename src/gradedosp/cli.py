@@ -21,7 +21,7 @@ from .algebras import (
     j_matrix,
     kernel_basis,
     membership_residual,
-    s_matrix,
+    s_matrices,
     verify_block_conditions,
     verify_closure,
     verify_jacobi,
@@ -108,6 +108,13 @@ class CliError(Exception):
     """Usage or spec error: reported on stderr with exit status 2."""
 
 
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog=TOOL,
@@ -129,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--n2", type=int, default=0)
         sp.add_argument("--output", default=None, help="output path (default: stdout)")
         sp.add_argument("--format", choices=("json", "text"), default="json")
-        sp.add_argument("--max-counterexamples", type=int, default=10)
+        sp.add_argument("--max-counterexamples", type=non_negative_int, default=10)
         sp.add_argument("--parallelism", type=int, default=1)
         sp.add_argument(
             "--force",
@@ -164,21 +171,18 @@ def _dims_numbers(spec: AlgebraSpec) -> tuple[int, int]:
 def _membership_report(spec: AlgebraSpec, max_ces: int) -> CheckReport:
     report = CheckReport("membership", spec.to_json())
     j = j_matrix(spec)
-    m = spec.size
-    for i in range(1, m + 1):
-        for jj in range(1, m + 1):
-            mat = s_matrix(spec, i, jj)
-            ok = is_member(spec, mat)
-            report.record(
-                ok,
-                None
-                if ok
-                else {
-                    "indices": [f"s[{i},{jj}]"],
-                    "residual": membership_residual(spec, mat, j).to_json(),
-                },
-                max_ces,
-            )
+    for i, jj, mat in s_matrices(spec):
+        ok = is_member(spec, mat)
+        report.record(
+            ok,
+            None
+            if ok
+            else {
+                "indices": [f"s[{i},{jj}]"],
+                "residual": membership_residual(spec, mat, j).to_json(),
+            },
+            max_ces,
+        )
     basis = kernel_basis(spec)
     for label, mat in zip(basis.labels, basis.elements):
         ok = is_member(spec, mat)

@@ -1,4 +1,4 @@
-"""Z2 x Z2 degrees, the two bilinear sign forms, and index signatures.
+"""Z2 x Z2 degrees, the bilinear sign form, and index signatures.
 
 A degree is a pair of bits labelling one of the four homogeneous
 components. A signature assigns a degree to every row/column index of a
@@ -22,15 +22,6 @@ def deg_add(a: Degree, b: Degree) -> Degree:
 def dot(a: Degree, b: Degree) -> int:
     """Symmetric form a1*b1 + a2*b2 mod 2 — the exponent in every bracket sign."""
     return (a[0] & b[0]) ^ (a[1] & b[1])
-
-
-def dot_alt(a: Degree, b: Degree) -> int:
-    """Antisymmetric form a1*b2 - a2*b1 mod 2.
-
-    Exposed for completeness only: it is the sign form of the *graded Lie
-    algebra* bracket variant, for which no algebra is constructed here.
-    """
-    return (a[0] & b[1]) ^ (a[1] & b[0])
 
 
 def trace_sign(d: Degree) -> int:

@@ -2,9 +2,12 @@
 exhaustive verification of the triple relations they satisfy.
 
 Two families of parafermions and two families of parabosons live inside
-the ospB algebras; the A-type generators live inside sl(1,0|n1,n2). Every
-relation family is checked over its complete admissible index range and
-all sign tuples, with exact matrix equality.
+the ospB algebras; the A-type generators live inside sl(1,0|n1,n2). Each
+relation is an outer bracket of an inner bracket equal to Kronecker-delta
+multiples of single generators, so `RELATION_TABLE` gives every family as
+`Block` rows and `verify_relations` runs them all through one loop, over
+complete index ranges and all sign tuples, with exact matrix equality. An
+instance count other than the closed form `declared_total` fails the check.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
-from typing import Iterator, Optional
+from typing import NamedTuple, Optional
 
 from .algebras import AlgebraSpec, Family
 from .gmatrix import GradedMatrix, anticommutator, commutator, elem, graded_bracket
@@ -21,6 +24,8 @@ from .report import CheckReport
 from .scalars import SQRT2
 
 SIGNS = (1, -1)
+_TAGS = {"parafermion": "f", "paraboson": "b", "palev": "a"}
+_KINDS = {tag: kind for kind, tag in _TAGS.items()}
 
 
 @dataclass
@@ -51,15 +56,11 @@ class GeneratorSet:
         return 1 if index <= self.family_split else 2
 
     def label(self, index: int, sign: int) -> str:
-        tag = {"parafermion": "f", "paraboson": "b", "palev": "a"}[self.kind]
-        return f"{tag}{index}{'+' if sign > 0 else '-'}"
+        return f"{_TAGS[self.kind]}{index}{'+' if sign > 0 else '-'}"
 
     def labelled(self) -> list[tuple[str, GradedMatrix]]:
-        out = []
-        for i in range(1, self.count + 1):
-            for sign in SIGNS:
-                out.append((self.label(i, sign), self.get(i, sign)))
-        return out
+        idx = range(1, self.count + 1)
+        return [(self.label(i, sign), self.get(i, sign)) for i in idx for sign in SIGNS]
 
 
 class RelationFamily(Enum):
@@ -90,11 +91,9 @@ def parafermion_ops(spec: AlgebraSpec) -> GeneratorSet:
         raise ValueError("no parafermions: m1 + m2 = 0")
     sig = spec.signature()
     mid = 2 * k + 1
-    creators = []
-    annihilators = []
-    for i in range(1, k + 1):
-        creators.append((elem(sig, mid, i) - elem(sig, k + i, mid)).scale(SQRT2))
-        annihilators.append((elem(sig, i, mid) - elem(sig, mid, k + i)).scale(SQRT2))
+    idx = range(1, k + 1)
+    creators = [(elem(sig, mid, i) - elem(sig, k + i, mid)).scale(SQRT2) for i in idx]
+    annihilators = [(elem(sig, i, mid) - elem(sig, mid, k + i)).scale(SQRT2) for i in idx]
     return GeneratorSet(spec, "parafermion", creators, annihilators, spec.m1)
 
 
@@ -112,11 +111,9 @@ def paraboson_ops(spec: AlgebraSpec) -> GeneratorSet:
         raise ValueError("no parabosons: n1 + n2 = 0")
     sig = spec.signature()
     mid = 2 * (spec.m1 + spec.m2) + 1
-    creators = []
-    annihilators = []
-    for i in range(1, n + 1):
-        creators.append((elem(sig, mid, mid + n + i) + elem(sig, mid + i, mid)).scale(SQRT2))
-        annihilators.append((elem(sig, mid, mid + i) - elem(sig, mid + n + i, mid)).scale(SQRT2))
+    rows = range(mid + 1, mid + n + 1)  # 2k+1+i for i = 1..n
+    creators = [(elem(sig, mid, r + n) + elem(sig, r, mid)).scale(SQRT2) for r in rows]
+    annihilators = [(elem(sig, mid, r) - elem(sig, r + n, mid)).scale(SQRT2) for r in rows]
     return GeneratorSet(spec, "paraboson", creators, annihilators, spec.n1)
 
 
@@ -134,236 +131,138 @@ def palev_ops(n1: int, n2: int) -> GeneratorSet:
     return GeneratorSet(spec, "palev", creators, annihilators, n1)
 
 
-def _families(split: int, count: int) -> tuple[range, range]:
-    return range(1, split + 1), range(split + 1, count + 1)
+class Block(NamedTuple):
+    """One table row: [[x_j^xi, y_k^eta]_inner, z_l^eps]_outer = rhs.
+
+    `operands` names the generator set of slots x, y, z by label tag, and
+    `ranges` their indices: "*" all, "1"/"2" the first/second family. A
+    two-slot row has no `outer`. `cases` (signs, rel, terms) run innermost;
+    a term (c, p, q) adds c times the generator in slot 3 - p - q when the
+    indices in slots p and q agree.
+    """
+
+    operands: str
+    ranges: str
+    inner: str  # "[]" commutator or "{}" anticommutator
+    outer: str
+    cases: tuple
 
 
-Instance = tuple[dict, dict, GradedMatrix, GradedMatrix]
+ABS, DIFF = "abs", "diff"
 
 
-def _ff_instances(f: GeneratorSet) -> Iterator[Instance]:
-    # All indices, both families mixed freely: taken literally as stated.
-    idx = range(1, f.count + 1)
-    for j, k, l in product(idx, idx, idx):
-        for xi, eta, eps in product(SIGNS, repeat=3):
-            lhs = commutator(commutator(f.get(j, xi), f.get(k, eta)), f.get(l, eps))
-            rhs = GradedMatrix.zero(lhs.signature)
-            if k == l and eps != eta:
-                rhs = rhs + f.get(j, xi).scale(abs(eps - eta))
-            if j == l and eps != xi:
-                rhs = rhs - f.get(k, eta).scale(abs(eps - xi))
-            yield (
-                {"j": j, "k": k, "l": l},
-                {"xi": xi, "eta": eta, "eps": eps},
-                lhs,
-                rhs,
-            )
+def _every_sign(rel: Optional[str], *terms: tuple) -> tuple:
+    """Cases for all eight sign tuples s = (xi, eta, eps); a term
+    (c, p, q, mode) has the coefficient c * |s_q - s_p| (ABS) or
+    c * (s_q - s_p) (DIFF), and is dropped where that is zero."""
+    cases = []
+    for s in product(SIGNS, repeat=3):
+        coeffs = [(c * (s[q] - s[p] if mode == DIFF else abs(s[q] - s[p])), p, q)
+                  for c, p, q, mode in terms]
+        cases.append((s, rel, tuple(term for term in coeffs if term[0])))
+    return tuple(cases)
 
 
-def _bb_same_instances(b: GeneratorSet) -> Iterator[Instance]:
-    fam1, fam2 = _families(b.family_split, b.count)
-    for fam in (fam1, fam2):
-        for j, k, l in product(fam, fam, fam):
-            for xi, eta, eps in product(SIGNS, repeat=3):
-                lhs = commutator(
-                    anticommutator(b.get(j, xi), b.get(k, eta)), b.get(l, eps)
-                )
-                rhs = GradedMatrix.zero(lhs.signature)
-                if j == l and eps != xi:
-                    rhs = rhs + b.get(k, eta).scale(eps - xi)
-                if k == l and eps != eta:
-                    rhs = rhs + b.get(j, xi).scale(eps - eta)
-                yield (
-                    {"j": j, "k": k, "l": l},
-                    {"xi": xi, "eta": eta, "eps": eps},
-                    lhs,
-                    rhs,
-                )
-
-
-def _bb_mixed_instances(b: GeneratorSet) -> Iterator[Instance]:
-    fam1, fam2 = _families(b.family_split, b.count)
-    everything = range(1, b.count + 1)
-    # Both index configurations are enumerated explicitly.
-    for js, ks in ((fam1, fam2), (fam2, fam1)):
-        for j, k, l in product(js, ks, everything):
-            for xi, eta, eps in product(SIGNS, repeat=3):
-                lhs = anticommutator(
-                    commutator(b.get(j, xi), b.get(k, eta)), b.get(l, eps)
-                )
-                rhs = GradedMatrix.zero(lhs.signature)
-                if j == l and eps != xi:
-                    rhs = rhs - b.get(k, eta).scale(eps - xi)
-                if k == l and eps != eta:
-                    rhs = rhs + b.get(j, xi).scale(eps - eta)
-                yield (
-                    {"j": j, "k": k, "l": l},
-                    {"xi": xi, "eta": eta, "eps": eps},
-                    lhs,
-                    rhs,
-                )
-
-
-def _pf_instances(f: GeneratorSet, b: GeneratorSet, family: int) -> Iterator[Instance]:
-    frange = (
-        range(1, f.family_split + 1)
-        if family == 1
-        else range(f.family_split + 1, f.count + 1)
+def _pf(fam: str, inner: str, other: str, sign: int) -> tuple[Block, ...]:
+    return (
+        Block("ffb", fam + fam + "*", "[]", "[]", _every_sign("ffb")),
+        Block("bbf", "**" + fam, "{}", "[]", _every_sign("bbf")),
+        Block("fbf", fam + "*" + fam, inner, inner, _every_sign("fbf", (sign, 0, 2, ABS))),
+        Block("fbb", fam + "**", inner, other, _every_sign("fbb", (1, 1, 2, DIFF))),
     )
-    brange = range(1, b.count + 1)
-    zero = GradedMatrix.zero(f.spec.signature())
-
-    # [[f, f], b] = 0
-    for j, k in product(frange, frange):
-        for l in brange:
-            for xi, eta, eps in product(SIGNS, repeat=3):
-                lhs = commutator(
-                    commutator(f.get(j, xi), f.get(k, eta)), b.get(l, eps)
-                )
-                yield (
-                    {"rel": "ffb", "j": j, "k": k, "l": l},
-                    {"xi": xi, "eta": eta, "eps": eps},
-                    lhs,
-                    zero,
-                )
-    # [{b, b}, f] = 0
-    for j, k in product(brange, brange):
-        for l in frange:
-            for xi, eta, eps in product(SIGNS, repeat=3):
-                lhs = commutator(
-                    anticommutator(b.get(j, xi), b.get(k, eta)), f.get(l, eps)
-                )
-                yield (
-                    {"rel": "bbf", "j": j, "k": k, "l": l},
-                    {"xi": xi, "eta": eta, "eps": eps},
-                    lhs,
-                    zero,
-                )
-    # the family-dependent mixed relations
-    for j in frange:
-        for k in brange:
-            for l in frange:
-                for xi, eta, eps in product(SIGNS, repeat=3):
-                    if family == 1:
-                        lhs = commutator(
-                            commutator(f.get(j, xi), b.get(k, eta)), f.get(l, eps)
-                        )
-                        rhs = zero
-                        if j == l and eps != xi:
-                            rhs = rhs - b.get(k, eta).scale(abs(eps - xi))
-                    else:
-                        lhs = anticommutator(
-                            anticommutator(f.get(j, xi), b.get(k, eta)), f.get(l, eps)
-                        )
-                        rhs = zero
-                        if j == l and eps != xi:
-                            rhs = rhs + b.get(k, eta).scale(abs(eps - xi))
-                    yield (
-                        {"rel": "fbf", "j": j, "k": k, "l": l},
-                        {"xi": xi, "eta": eta, "eps": eps},
-                        lhs,
-                        rhs,
-                    )
-    for j in frange:
-        for k, l in product(brange, brange):
-            for xi, eta, eps in product(SIGNS, repeat=3):
-                inner = (
-                    commutator(f.get(j, xi), b.get(k, eta))
-                    if family == 1
-                    else anticommutator(f.get(j, xi), b.get(k, eta))
-                )
-                lhs = (
-                    anticommutator(inner, b.get(l, eps))
-                    if family == 1
-                    else commutator(inner, b.get(l, eps))
-                )
-                rhs = zero
-                if k == l and eps != eta:
-                    rhs = rhs + f.get(j, xi).scale(eps - eta)
-                yield (
-                    {"rel": "fbb", "j": j, "k": k, "l": l},
-                    {"xi": xi, "eta": eta, "eps": eps},
-                    lhs,
-                    rhs,
-                )
 
 
-def _a_same_instances(a: GeneratorSet) -> Iterator[Instance]:
-    fam1, fam2 = _families(a.family_split, a.count)
-    zero = GradedMatrix.zero(a.spec.signature())
-    for fam in (fam1, fam2):
-        for sign in SIGNS:
-            for i, j in product(fam, fam):
-                lhs = anticommutator(a.get(i, sign), a.get(j, sign))
-                yield ({"rel": "aa", "i": i, "j": j, "sign": sign}, {}, lhs, zero)
-        for i, j, k in product(fam, fam, fam):
-            middle = anticommutator(a.get(i, 1), a.get(j, -1))
-            lhs = commutator(middle, a.get(k, 1))
-            rhs = zero
-            if j == k:
-                rhs = rhs + a.get(i, 1)
-            if i == j:
-                rhs = rhs - a.get(k, 1)
-            yield ({"rel": "aap", "i": i, "j": j, "k": k}, {}, lhs, rhs)
-            lhs = commutator(middle, a.get(k, -1))
-            rhs = zero
-            if i == k:
-                rhs = rhs - a.get(j, -1)
-            if i == j:
-                rhs = rhs + a.get(k, -1)
-            yield ({"rel": "aam", "i": i, "j": j, "k": k}, {}, lhs, rhs)
+def _a(ranges: str, inner: str, outer: str, aap: tuple, aam: tuple) -> tuple[Block, ...]:
+    pair = [Block("aa", ranges[:2], inner, "", (((s, s), "aa", ()),)) for s in SIGNS]
+    cases = (((1, -1, 1), "aap", aap), ((1, -1, -1), "aam", aam))
+    return (*pair, Block("aaa", ranges, inner, outer, cases))
 
 
-def _a_mixed_instances(a: GeneratorSet) -> Iterator[Instance]:
-    fam1, fam2 = _families(a.family_split, a.count)
-    everything = range(1, a.count + 1)
-    zero = GradedMatrix.zero(a.spec.signature())
-    for iis, jjs in ((fam1, fam2), (fam2, fam1)):
-        for sign in SIGNS:
-            for i, j in product(iis, jjs):
-                lhs = commutator(a.get(i, sign), a.get(j, sign))
-                yield ({"rel": "aa", "i": i, "j": j, "sign": sign}, {}, lhs, zero)
-        for i, j in product(iis, jjs):
-            middle = commutator(a.get(i, 1), a.get(j, -1))
-            for k in everything:
-                lhs = anticommutator(middle, a.get(k, 1))
-                rhs = a.get(i, 1) if j == k else zero
-                yield ({"rel": "aap", "i": i, "j": j, "k": k}, {}, lhs, rhs)
-                lhs = anticommutator(middle, a.get(k, -1))
-                rhs = a.get(j, -1) if i == k else zero
-                yield ({"rel": "aam", "i": i, "j": j, "k": k}, {}, lhs, rhs)
+# Brackets: [] commutator, {} anticommutator; d_jl is the Kronecker delta.
+RELATION_TABLE: dict[RelationFamily, tuple[Block, ...]] = {
+    # [[f_j^xi, f_k^eta], f_l^eps] = |eps-eta| d_kl f_j^xi - |eps-xi| d_jl f_k^eta
+    # over all indices, both families mixed freely: taken literally as stated.
+    RelationFamily.FF: (
+        Block("fff", "***", "[]", "[]", _every_sign(None, (1, 1, 2, ABS), (-1, 0, 2, ABS))),
+    ),
+    # [{b_j^xi, b_k^eta}, b_l^eps] = (eps-xi) d_jl b_k^eta + (eps-eta) d_kl b_j^xi,
+    # j, k, l in one family.
+    RelationFamily.BB_SAME: tuple(
+        Block("bbb", fam * 3, "{}", "[]", _every_sign(None, (1, 0, 2, DIFF), (1, 1, 2, DIFF)))
+        for fam in "12"
+    ),
+    # {[b_j^xi, b_k^eta], b_l^eps} = -(eps-xi) d_jl b_k^eta + (eps-eta) d_kl b_j^xi,
+    # j and k in different families, both configurations enumerated explicitly.
+    RelationFamily.BB_MIXED: tuple(
+        Block("bbb", fams + "*", "[]", "{}", _every_sign(None, (-1, 0, 2, DIFF), (1, 1, 2, DIFF)))
+        for fams in ("12", "21")
+    ),
+    # f of one family against all b: [[f, f], b] = [{b, b}, f] = 0, and
+    # family 1: [[f_j, b_k], f_l] = -|eps-xi| d_jl b_k, {[f_j, b_k], b_l} = (eps-eta) d_kl f_j;
+    # family 2: {{f_j, b_k}, f_l} = |eps-xi| d_jl b_k, [{f_j, b_k}, b_l] = (eps-eta) d_kl f_j.
+    RelationFamily.PF_FAMILY1: _pf("1", "[]", "{}", -1),
+    RelationFamily.PF_FAMILY2: _pf("2", "{}", "[]", 1),
+    # Per family: {a_i^s, a_j^s} = 0 for each sign s, then
+    # [{a_i^+, a_j^-}, a_k^+] = d_jk a_i^+ - d_ij a_k^+ (aap) and
+    # [{a_i^+, a_j^-}, a_k^-] = -d_ik a_j^- + d_ij a_k^- (aam).
+    RelationFamily.A_SAME: tuple(
+        row for fam in "12"
+        for row in _a(fam * 3, "{}", "[]", ((1, 1, 2), (-1, 0, 1)), ((-1, 0, 2), (1, 0, 1)))
+    ),
+    # i and j in different families, k anywhere: [a_i^s, a_j^s] = 0, then
+    # {[a_i^+, a_j^-], a_k^+} = d_jk a_i^+ (aap), {[a_i^+, a_j^-], a_k^-} = d_ik a_j^- (aam).
+    RelationFamily.A_MIXED: tuple(
+        row for fams in ("12", "21")
+        for row in _a(fams + "*", "[]", "{}", ((1, 1, 2),), ((1, 0, 2),))
+    ),
+}
+
+
+def _index_range(gens: GeneratorSet, code: str) -> range:
+    if code == "1":
+        return range(1, gens.family_split + 1)
+    if code == "2":
+        return range(gens.family_split + 1, gens.count + 1)
+    return range(1, gens.count + 1)
+
+
+def _bracket(kind: str, x: GradedMatrix, y: GradedMatrix) -> GradedMatrix:
+    # Resolved through the module names at call time, so a rebinding of
+    # `commutator`/`anticommutator` here sees every relation bracket.
+    return commutator(x, y) if kind == "[]" else anticommutator(x, y)
+
+
+def _counterexample(signed: bool, rel: Optional[str], idx: tuple, signs: tuple, residual) -> dict:
+    """Signed families name j, k, l and xi, eta, eps; the A families name
+    i, j, k and fold a two-slot row's shared sign into the indices."""
+    indices = {"rel": rel} if rel else {}
+    indices.update(zip("jkl" if signed else "ijk", idx))
+    if not signed and len(idx) == 2:
+        indices["sign"] = signs[0]
+    named = dict(zip(("xi", "eta", "eps"), signs)) if signed else {}
+    return {"indices": indices, "signs": named, "residual": residual.to_json()}
 
 
 def declared_total(family: RelationFamily, gens: GeneratorSet, partner: Optional[GeneratorSet] = None) -> int:
-    """Sign-complete instance count, computed combinatorially (not by
-    running the loops), so silently skipped cases cannot hide."""
+    """Sign-complete instance count, computed combinatorially (not from
+    the relation table), so silently skipped cases cannot hide."""
     s = 2 ** family.sign_arity
+    n = gens.count
+    n1 = gens.family_split
+    n2 = n - n1
     if family is RelationFamily.FF:
-        return gens.count ** 3 * s
+        return n ** 3 * s
     if family is RelationFamily.BB_SAME:
-        n1 = gens.family_split
-        n2 = gens.count - n1
         return (n1 ** 3 + n2 ** 3) * s
     if family is RelationFamily.BB_MIXED:
-        n1 = gens.family_split
-        n2 = gens.count - n1
-        return 2 * n1 * n2 * gens.count * s
-    if family in (RelationFamily.PF_FAMILY1, RelationFamily.PF_FAMILY2):
-        nf = (
-            gens.family_split
-            if family is RelationFamily.PF_FAMILY1
-            else gens.count - gens.family_split
-        )
-        nb = partner.count
-        return (nf * nf * nb + nb * nb * nf + nf * nb * nf + nf * nb * nb) * s
+        return 2 * n1 * n2 * n * s
     if family is RelationFamily.A_SAME:
-        n1 = gens.family_split
-        n2 = gens.count - n1
         return sum(2 * f * f + 2 * f ** 3 for f in (n1, n2))
-    # A_MIXED
-    n1 = gens.family_split
-    n2 = gens.count - n1
-    return 2 * (2 * n1 * n2) + 2 * (2 * n1 * n2 * gens.count)
+    if family is RelationFamily.A_MIXED:
+        return 2 * (2 * n1 * n2) + 2 * (2 * n1 * n2 * n)
+    nf = n1 if family is RelationFamily.PF_FAMILY1 else n2
+    nb = partner.count
+    return (nf * nf * nb + nb * nb * nf + nf * nb * nf + nf * nb * nb) * s
 
 
 def verify_relations(
@@ -372,54 +271,58 @@ def verify_relations(
     partner: Optional[GeneratorSet] = None,
     max_counterexamples: int = 10,
 ) -> CheckReport:
-    """Evaluate one relation family exhaustively: every admissible index
-    tuple, every sign tuple, exact matrix equality of both sides."""
+    """Evaluate one relation family exhaustively: every row of its table,
+    every admissible index tuple, every sign case, exact matrix equality
+    of both sides. An instance count other than `declared_total` fails
+    the check with one coverage counterexample."""
     family = RelationFamily(family)
-    if family is RelationFamily.FF:
-        if gens.kind != "parafermion":
-            raise ValueError("FF relations need a parafermion generator set")
-        instances = _ff_instances(gens)
-    elif family in (RelationFamily.BB_SAME, RelationFamily.BB_MIXED):
-        if gens.kind != "paraboson":
-            raise ValueError(f"{family.value} relations need a paraboson generator set")
-        instances = (
-            _bb_same_instances(gens)
-            if family is RelationFamily.BB_SAME
-            else _bb_mixed_instances(gens)
-        )
-    elif family in (RelationFamily.PF_FAMILY1, RelationFamily.PF_FAMILY2):
-        if gens.kind != "parafermion" or partner is None or partner.kind != "paraboson":
-            raise ValueError(
-                f"{family.value} relations need parafermion gens plus paraboson partner"
-            )
-        if gens.spec != partner.spec:
-            raise ValueError("parafermion and paraboson sets must share one spec")
-        instances = _pf_instances(
-            gens, partner, 1 if family is RelationFamily.PF_FAMILY1 else 2
-        )
-    else:
-        if gens.kind != "palev":
-            raise ValueError(f"{family.value} relations need a palev generator set")
-        instances = (
-            _a_same_instances(gens)
-            if family is RelationFamily.A_SAME
-            else _a_mixed_instances(gens)
-        )
+    blocks = RELATION_TABLE[family]
+    tags = list(dict.fromkeys(tag for block in blocks for tag in block.operands))
+    sets = dict(zip(tags, (gens, partner)))
+    kinds = [_KINDS[tag] for tag in tags]
+    if any(g is None or g.kind != kind for g, kind in zip(sets.values(), kinds)):
+        raise ValueError(f"{family.value} relations need {' plus '.join(kinds)} generators")
+    if len(sets) > 1 and gens.spec != partner.spec:
+        raise ValueError(f"{' and '.join(kinds)} sets must share one spec")
+    zero = GradedMatrix.zero(gens.spec.signature())
+    signed = family.sign_arity > 0
 
     report = CheckReport(f"relations-{family.value}", gens.spec.to_json())
-    for indices, signs, lhs, rhs in instances:
-        ok = lhs == rhs
-        report.record(
-            ok,
-            None
-            if ok
-            else {"indices": indices, "signs": signs, "residual": (lhs - rhs).to_json()},
-            max_counterexamples,
-        )
-    report.details = {
-        "declared_total": declared_total(family, gens, partner),
-        "sign_arity": family.sign_arity,
-    }
+    for block in blocks:
+        slots = [sets[tag] for tag in block.operands]
+        ranges = [_index_range(g, code) for g, code in zip(slots, block.ranges)]
+        if not all(ranges):
+            continue
+        pairs = dict.fromkeys(signs[:2] for signs, _, _ in block.cases)
+        for j, k in product(ranges[0], ranges[1]):
+            # One inner bracket per sign pair, shared by every l and eps.
+            inner = {p: _bracket(block.inner, slots[0].get(j, p[0]), slots[1].get(k, p[1]))
+                     for p in pairs}
+            for rest in product(*ranges[2:]):
+                idx = (j, k, *rest)
+                for signs, rel, terms in block.cases:
+                    lhs = inner[signs[:2]]
+                    if block.outer:
+                        lhs = _bracket(block.outer, lhs, slots[2].get(idx[2], signs[2]))
+                    rhs = zero
+                    for c, p, q in terms:
+                        if idx[p] == idx[q]:
+                            w = 3 - p - q
+                            term = slots[w].get(idx[w], signs[w])
+                            rhs = rhs + (term if c == 1 else term.scale(c))
+                    ok = lhs == rhs
+                    report.record(
+                        ok,
+                        None if ok else _counterexample(signed, rel, idx, signs, lhs - rhs),
+                        max_counterexamples,
+                    )
+    declared = declared_total(family, gens, partner)
+    if report.total != declared:
+        report.failed += 1
+        coverage = {"indices": {"enumerated": report.total, "declared_total": declared}}
+        if len(report.counterexamples) < max_counterexamples:
+            report.counterexamples.append(coverage)
+    report.details = {"declared_total": declared, "sign_arity": family.sign_arity}
     return report
 
 
@@ -431,9 +334,7 @@ def graded_bracket_consistency(
     certifying the bracket placements used in the relation tables."""
     if not gen_sets:
         raise ValueError("need at least one generator set")
-    pool: list[tuple[str, GradedMatrix]] = []
-    for gs in gen_sets:
-        pool.extend(gs.labelled())
+    pool = [item for gs in gen_sets for item in gs.labelled()]
     degrees = []
     for label, mat in pool:
         d = mat.degree_of()
@@ -443,11 +344,7 @@ def graded_bracket_consistency(
     report = CheckReport("bracket-consistency", gen_sets[0].spec.to_json())
     for ix, (lx, x) in enumerate(pool):
         for iy, (ly, y) in enumerate(pool):
-            expected = (
-                anticommutator(x, y)
-                if dot(degrees[ix], degrees[iy])
-                else commutator(x, y)
-            )
+            expected = _bracket("{}" if dot(degrees[ix], degrees[iy]) else "[]", x, y)
             actual = graded_bracket(x, y)
             ok = actual == expected
             report.record(

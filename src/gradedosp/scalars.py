@@ -9,17 +9,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-# Arbitrary-precision rational. Fraction already maintains the invariants
-# needed here: positive denominator, lowest terms, exact arithmetic.
-Rational = Fraction
-
 
 class Scalar:
     """An element rat + irr*sqrt(2) of Q(sqrt 2), both parts exact rationals."""
 
     __slots__ = ("rat", "irr")
 
-    def __init__(self, rat: Rational | int = 0, irr: Rational | int = 0):
+    def __init__(self, rat: Fraction | int = 0, irr: Fraction | int = 0):
         self.rat = rat if isinstance(rat, Fraction) else Fraction(rat)
         self.irr = irr if isinstance(irr, Fraction) else Fraction(irr)
 
@@ -86,7 +82,8 @@ class Scalar:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.rat, self.irr))
+        # Equal to a rational exactly when irr == 0, so hash as one then.
+        return hash(self.rat) if not self.irr else hash((self.rat, self.irr))
 
     # -- presentation / serialization ------------------------------------
 

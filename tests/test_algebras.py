@@ -14,7 +14,7 @@ from gradedosp.algebras import (
     rank_of,
     reduce_span,
     s_basis,
-    s_matrix,
+    s_matrices,
     u_matrix,
     verify_block_conditions,
     verify_closure,
@@ -163,7 +163,7 @@ def test_rank_of_examples():
     s = ospB(0, 0, 1, 0).signature()
     assert rank_of([elem(s, 1, 2), elem(s, 1, 2).scale(2), elem(s, 2, 1)]) == 2
     assert rank_of([]) == 0
-    mats = [s_matrix(ospB(1, 0, 0, 0), i, j) for i in range(1, 4) for j in range(1, 4)]
+    mats = [mat for _, _, mat in s_matrices(ospB(1, 0, 0, 0))]
     assert rank_of(mats) == 3
     assert rank_of(mats) == dense_rank(dense_rows(mats))
 
@@ -176,9 +176,7 @@ def test_reduce_span_keeps_first_witnesses():
 
 
 def test_span_reducer_is_deterministic():
-    spec = ospB(1, 0, 1, 0)
-    m = spec.size
-    mats = [s_matrix(spec, i, j) for i in range(1, m + 1) for j in range(1, m + 1)]
+    mats = [mat for _, _, mat in s_matrices(ospB(1, 0, 1, 0))]
     r1 = SpanReducer()
     r2 = SpanReducer()
     from gradedosp.algebras import _flatten
@@ -208,12 +206,26 @@ def test_s_ji_proportional_to_s_ij():
     # the spanning set is redundant in a structured way: s_ji = -u_ij s_ij
     spec = ospB(1, 1, 1, 1)
     u = u_matrix(spec)
-    m = spec.size
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            lhs = s_matrix(spec, j, i)
-            rhs = s_matrix(spec, i, j).scale(-u.entry(i, j))
-            assert lhs == rhs
+    s = {(i, j): mat for i, j, mat in s_matrices(spec)}
+    assert len(s) == spec.size ** 2
+    for (i, j), mat in s.items():
+        assert s[j, i] == mat.scale(-u.entry(i, j))
+
+
+def test_s_matrices_match_the_formula():
+    # s_ij = sum_k J_ik e_kj - u_ij sum_k J_jk e_ki, built entry by entry
+    spec = ospB(1, 0, 1, 1)
+    sig = spec.signature()
+    jm = j_matrix(spec)
+    u = u_matrix(spec)
+    for i, j, mat in s_matrices(spec):
+        want = GradedMatrix.zero(sig)
+        for (r, c), v in jm.items():
+            if r == i:
+                want = want + elem(sig, c, j).scale(v)
+            if r == j:
+                want = want - elem(sig, c, i).scale(u.entry(i, j) * v)
+        assert mat == want
 
 
 def test_kernel_basis_sizes():

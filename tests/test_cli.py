@@ -99,6 +99,18 @@ def test_unwritable_output(capsys):
     capsys.readouterr()
 
 
+def test_negative_max_counterexamples_exits_2(capsys):
+    argv = ["check-relations", "--algebra", "ospB", "--n1", "1", "--max-counterexamples"]
+    assert main([*argv, "-3"]) == 2
+    captured = capsys.readouterr()
+    assert "must be non-negative" in captured.err
+    assert captured.out == ""
+    assert main([*argv, "many"]) == 2
+    assert "--max-counterexamples" in capsys.readouterr().err
+    assert main([*argv, "0"]) == 0
+    capsys.readouterr()
+
+
 def test_usage_error_exits_2(capsys):
     assert main(["no-such-command"]) == 2
     assert main([]) == 2

@@ -1,4 +1,4 @@
-"""Degrees, the two sign forms, and the index signatures."""
+"""Degrees, the sign form, and the index signatures."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from gradedosp.grading import (
     DEGREES,
     deg_add,
     dot,
-    dot_alt,
     signature_gl,
     signature_osp,
 )
@@ -37,17 +36,6 @@ def test_dot_symmetric():
     for a in DEGREES:
         for b in DEGREES:
             assert dot(a, b) == dot(b, a)
-
-
-def test_dot_alt_examples():
-    assert dot_alt((1, 0), (0, 1)) == 1
-    assert dot_alt((1, 0), (1, 0)) == 0
-    assert dot_alt((0, 0), (1, 1)) == 0
-
-
-def test_dot_alt_alternating():
-    for a in DEGREES:
-        assert dot_alt(a, a) == 0
 
 
 def test_signature_gl_examples():

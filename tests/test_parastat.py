@@ -1,10 +1,17 @@
 """Generator constructions and the triple-relation verifiers."""
 
+import hashlib
+import json
+
+import jsonschema
 import pytest
 
+from gradedosp import parastat
 from gradedosp.algebras import AlgebraSpec, Family, expected_dim, is_member, rank_of
+from gradedosp.cli import REPORT_SCHEMA, main
 from gradedosp.gmatrix import anticommutator, commutator, elem, graded_bracket
 from gradedosp.parastat import (
+    GeneratorSet,
     RelationFamily,
     graded_bracket_consistency,
     palev_ops,
@@ -175,12 +182,31 @@ def test_relations_empty_range_reports_zero():
     assert report.details["declared_total"] == 0
 
 
+def test_coverage_mismatch_fails_the_check(monkeypatch, tmp_path):
+    # Drop index 2 from the l range of the FF row: "*" becomes family "1".
+    row, = parastat.RELATION_TABLE[RelationFamily.FF]
+    monkeypatch.setitem(parastat.RELATION_TABLE, RelationFamily.FF, (row._replace(ranges="**1"),))
+    report = verify_relations(RelationFamily.FF, parafermion_ops(ospB(1, 1, 0, 0)))
+    assert report.total == 2 * 2 * 1 * 8
+    assert report.details["declared_total"] == 2 ** 3 * 8
+    assert report.failed == 1
+    assert report.counterexamples == [{"indices": {"enumerated": 32, "declared_total": 64}}]
+    out = tmp_path / "report.json"
+    argv = ["check-relations", "--algebra", "ospB", "--m1", "1", "--m2", "1", "--output", str(out)]
+    assert main(argv) == 1
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    jsonschema.validate(doc, REPORT_SCHEMA)
+    assert doc["summary"]["failed"] == 1
+
+
 def test_relations_kind_mismatch():
     b = paraboson_ops(ospB(0, 0, 1, 0))
     with pytest.raises(ValueError):
         verify_relations(RelationFamily.FF, b)
     with pytest.raises(ValueError):
         verify_relations(RelationFamily.PF_FAMILY1, b)
+    with pytest.raises(ValueError):  # the paraboson partner is missing
+        verify_relations(RelationFamily.PF_FAMILY1, parafermion_ops(ospB(1, 0, 1, 0)))
     a = palev_ops(1, 1)
     with pytest.raises(ValueError):
         verify_relations(RelationFamily.BB_SAME, a)
@@ -234,3 +260,71 @@ def test_parabosons_generate_osp12():
     words += [graded_bracket(x, p) for x in gens for p in pairs]
     assert rank_of(words) == expected_dim(spec) == 5
     assert dense_rank(dense_rows(words)) == 5
+
+
+# -- pinned instance stream ------------------------------------------------------------
+
+def _planted(gens: GeneratorSet) -> GeneratorSet:
+    """A copy with the first creator doubled and the last annihilator tripled."""
+    return GeneratorSet(
+        gens.spec,
+        gens.kind,
+        [gens.creators[0].scale(2), *gens.creators[1:]],
+        [*gens.annihilators[:-1], gens.annihilators[-1].scale(3)],
+        gens.family_split,
+    )
+
+
+def _planted_cases():
+    for params in ((1, 1, 1, 1), (2, 1, 1, 2), (0, 2, 2, 0)):
+        spec = ospB(*params)
+        tag = "ospB" + "".join(map(str, params))
+        f = _planted(parafermion_ops(spec))
+        b = _planted(paraboson_ops(spec))
+        yield f"{tag}-FF", RelationFamily.FF, f, None
+        yield f"{tag}-BB_same", RelationFamily.BB_SAME, b, None
+        yield f"{tag}-BB_mixed", RelationFamily.BB_MIXED, b, None
+        yield f"{tag}-PF_family1", RelationFamily.PF_FAMILY1, f, b
+        yield f"{tag}-PF_family2", RelationFamily.PF_FAMILY2, f, b
+    for n1, n2 in ((2, 1), (2, 2)):
+        a = _planted(palev_ops(n1, n2))
+        yield f"palev{n1}{n2}-A_same", RelationFamily.A_SAME, a, None
+        yield f"palev{n1}{n2}-A_mixed", RelationFamily.A_MIXED, a, None
+
+
+def _stream_digest(family, gens, partner) -> tuple[int, int, str]:
+    """(total, failed, sha256 of the report JSON) with every counterexample kept,
+    so the digest covers each failing instance's indices, signs, residual and order."""
+    report = verify_relations(family, gens, partner, max_counterexamples=10**9)
+    text = json.dumps(report.to_json())
+    return report.total, report.failed, hashlib.sha256(text.encode()).hexdigest()
+
+
+# Recorded from the hand-written per-family loops that the relation table replaced.
+PINNED_STREAMS = {
+    "ospB1111-FF": (64, 24, "9b457e370224279ae025c21ad99c7c23092f5dbd6c638d6d53734b13b6f0842b"),
+    "ospB1111-BB_same": (16, 12, "f2346b916d59890bd83f92fe453d7c04e740c43419896ad4a67b697047dcad67"),
+    "ospB1111-BB_mixed": (32, 16, "0081d2508dcd3f0b637b5aede24441b9eaa8ea46ca5c4b5eb8930b6e99d95180"),
+    "ospB1111-PF_family1": (96, 16, "31131dac3d549581813e0a8a19d9fcd03af62caeef5a74790fd6db9f9fe8e62c"),
+    "ospB1111-PF_family2": (96, 16, "fe90987e5ebd3e9b7bb628945560db6b0b2d77cb7a8af89dfff22c8d82c9a8df"),
+    "ospB2112-FF": (216, 40, "26f8066c47f74db5dd17ec518db61ff8b82d2cd1cace07c8dcb69c57f231f469"),
+    "ospB2112-BB_same": (72, 20, "cc5a10734ec491b35a6ef49df99fd1b819f27eb1015af5f2d62905dda8348cd7"),
+    "ospB2112-BB_mixed": (96, 24, "8ed78079088aa4359f98a48eb7c9ab470976527074dc9e38c9e438342389718d"),
+    "ospB2112-PF_family1": (480, 28, "fb7bd8cbd8b37e221ce40a405ee4929fad81b2532d09bf3f1374e68c14dda375"),
+    "ospB2112-PF_family2": (192, 20, "2e7fdb649a8514cdc650009b32e96a07641e6c62f6f92fc9e38752759dcac936"),
+    "ospB0220-FF": (64, 24, "08b61f2649339c60c629f05413650cfbcc91fff9d998ae0a67d46245cd6fb309"),
+    "ospB0220-BB_same": (64, 28, "67b7fc68ce84d44754f386387608e410f0955ca3180bc53380586c4c6401f329"),
+    "ospB0220-BB_mixed": (0, 0, "51ae700f9e05beb67cfe629dd93e463b335d57769a426cff131968846c769355"),
+    "ospB0220-PF_family1": (0, 0, "c5986ae1d4a7750df951f7b55c434730f58a7571925b95cc958bbd56103fda53"),
+    "ospB0220-PF_family2": (256, 32, "a6c997f014926f5e66c3f4dd53aef1c24d59333a80c14bd4018fdab90a8fe5de"),
+    "palev21-A_same": (28, 4, "c4c314d9f7e8528f704406885ea1a2072e1c4f5fe8ea51ca9fb307f6a955227f"),
+    "palev21-A_mixed": (32, 6, "91434136117ef508bcb67d021a0d74a3df22ca7c043b8517bbe7ca21cb01b861"),
+    "palev22-A_same": (48, 8, "5ca45fc2645cf8b01a7beffe88471f32baa26598ba2649f54aeec8a6410f6202"),
+    "palev22-A_mixed": (80, 8, "1106e839af1f028007f71971186e876581d9b5cb528a41518ad0984ce5565592"),
+}
+
+
+@pytest.mark.parametrize("case", list(_planted_cases()), ids=lambda case: case[0])
+def test_planted_defect_stream_is_pinned(case):
+    name, family, gens, partner = case
+    assert _stream_digest(family, gens, partner) == PINNED_STREAMS[name]

@@ -47,6 +47,16 @@ def test_int_coercion():
     assert Scalar(5) - 5 == ZERO
 
 
+def test_hash_agrees_with_equality():
+    # Scalars equal to a rational behave as that rational in sets and dicts.
+    assert len({Scalar(1), 1}) == 1
+    assert len({Scalar(Fraction(1, 2)), Fraction(1, 2)}) == 1
+    assert {Scalar(1): "x"}.get(1) == "x"
+    assert {1: "x"}.get(Scalar(1)) == "x"
+    assert {Scalar(Fraction(3, 4)): "y"}.get(Fraction(3, 4)) == "y"
+    assert len({Scalar(1, 1), Scalar(1, 1), SQRT2, Scalar(0, 1)}) == 2
+
+
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=12)
 scalars = st.builds(Scalar, rationals, rationals)
 
