@@ -24,6 +24,7 @@ from .algebras import (
     verify_block_conditions,
     verify_closure,
     verify_jacobi,
+    verify_membership,
     verify_symmetry,
 )
 from .report import CheckReport
@@ -69,6 +70,7 @@ __all__ = [
     "verify_block_conditions",
     "verify_closure",
     "verify_jacobi",
+    "verify_membership",
     "verify_relations",
     "verify_symmetry",
 ]

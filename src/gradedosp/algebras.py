@@ -169,14 +169,18 @@ def membership_residual(spec: AlgebraSpec, mat: GradedMatrix, j: Optional[Graded
     return (mat.graded_transpose() @ j) + (j @ mat)
 
 
+def _judge(residual) -> tuple[bool, object]:
+    """(vanishes, JSON payload on failure) for a membership residual: a
+    Scalar for sl, a matrix for the orthosymplectic families, None for gl."""
+    if residual is None:
+        return True, None
+    ok = not residual if isinstance(residual, Scalar) else residual.is_zero()
+    return ok, None if ok else residual.to_json()
+
+
 def is_member(spec: AlgebraSpec, mat: GradedMatrix) -> bool:
     """Exact membership test against the spec's defining condition."""
-    residual = membership_residual(spec, mat)
-    if residual is None:
-        return True
-    if isinstance(residual, Scalar):
-        return not residual
-    return residual.is_zero()
+    return _judge(membership_residual(spec, mat))[0]
 
 
 # -- exact echelon machinery -------------------------------------------------
@@ -424,6 +428,23 @@ def expected_dim(spec: AlgebraSpec) -> int:
 
 # -- verification loops ------------------------------------------------------------
 
+def verify_membership(basis: Basis, max_counterexamples: int = 10) -> CheckReport:
+    """Test the defining condition of an orthosymplectic basis on every
+    spanning matrix s_ij, then on every element; J is built once."""
+    spec = basis.spec
+    report = CheckReport("membership", spec.to_json())
+    j = j_matrix(spec)
+    labelled = [(f"s[{i},{jj}]", mat) for i, jj, mat in s_matrices(spec)]
+    for label, mat in labelled + list(zip(basis.labels, basis.elements)):
+        ok, payload = _judge(membership_residual(spec, mat, j))
+        report.record(
+            ok,
+            None if ok else {"indices": [label], "residual": payload},
+            max_counterexamples,
+        )
+    return report
+
+
 def verify_closure(basis: Basis, max_counterexamples: int = 10) -> CheckReport:
     """Bracket every ordered pair of basis elements and re-test membership."""
     spec = basis.spec
@@ -431,14 +452,7 @@ def verify_closure(basis: Basis, max_counterexamples: int = 10) -> CheckReport:
     j = j_matrix(spec) if spec.family in _ORTHOSYMPLECTIC else None
     for la, a in zip(basis.labels, basis.elements):
         for lb, b in zip(basis.labels, basis.elements):
-            br = graded_bracket(a, b)
-            residual = membership_residual(spec, br, j)
-            if isinstance(residual, Scalar):
-                ok = not residual
-                payload = residual.to_json()
-            else:
-                ok = residual is None or residual.is_zero()
-                payload = None if residual is None else residual.to_json()
+            ok, payload = _judge(membership_residual(spec, graded_bracket(a, b), j))
             report.record(
                 ok,
                 None if ok else {"indices": [la, lb], "residual": payload},
@@ -485,7 +499,10 @@ def verify_symmetry(basis: Basis, max_counterexamples: int = 10) -> CheckReport:
 
 
 def verify_jacobi(basis: Basis, workers: int = 1, max_counterexamples: int = 10) -> CheckReport:
-    """The graded Jacobi identity over all ordered homogeneous triples."""
+    """The graded Jacobi identity over all ordered homogeneous triples.
+
+    Runs in one thread: `workers` is accepted and has no effect, since a
+    thread pool only adds overhead to pure Python under the interpreter lock."""
     degrees = _homogeneous_degrees(basis)
     elements = basis.elements
     labels = basis.labels
@@ -493,51 +510,32 @@ def verify_jacobi(basis: Basis, workers: int = 1, max_counterexamples: int = 10)
     table = [
         [graded_bracket(elements[i], elements[j]) for j in range(n)] for i in range(n)
     ]
-
-    def run_chunk(i_range):
-        chunk_total = 0
-        chunk_failed = 0
-        chunk_ces = []
-        for ia in i_range:
-            a = elements[ia]
-            da = degrees[ia]
-            row_ab = table[ia]
-            for ib in range(n):
-                ab = row_ab[ib]
-                sign = dot(da, degrees[ib])
-                row_bc = table[ib]
-                for ic in range(n):
-                    lhs = graded_bracket(a, row_bc[ic])
-                    rhs = graded_bracket(ab, elements[ic])
-                    third = graded_bracket(basis.elements[ib], row_ab[ic])
-                    rhs = rhs - third if sign else rhs + third
-                    chunk_total += 1
-                    if lhs != rhs:
-                        chunk_failed += 1
-                        if len(chunk_ces) < max_counterexamples:
-                            chunk_ces.append(
-                                {
-                                    "indices": [labels[ia], labels[ib], labels[ic]],
-                                    "residual": (lhs - rhs).to_json(),
-                                }
-                            )
-        return chunk_total, chunk_failed, chunk_ces
-
     report = CheckReport("jacobi", basis.spec.to_json())
-    if workers > 1 and n > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        chunks = [range(i, i + 1) for i in range(n)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_chunk, chunks))
-    else:
-        results = [run_chunk(range(n))]
-    for chunk_total, chunk_failed, chunk_ces in results:
-        report.total += chunk_total
-        report.failed += chunk_failed
-        for ce in chunk_ces:
-            if len(report.counterexamples) < max_counterexamples:
-                report.counterexamples.append(ce)
+    for ia in range(n):
+        a = elements[ia]
+        da = degrees[ia]
+        row_ab = table[ia]
+        for ib in range(n):
+            b = elements[ib]
+            ab = row_ab[ib]
+            sign = dot(da, degrees[ib])
+            row_bc = table[ib]
+            for ic in range(n):
+                lhs = graded_bracket(a, row_bc[ic])
+                rhs = graded_bracket(ab, elements[ic])
+                third = graded_bracket(b, row_ab[ic])
+                rhs = rhs - third if sign else rhs + third
+                ok = lhs == rhs
+                report.record(
+                    ok,
+                    None
+                    if ok
+                    else {
+                        "indices": [labels[ia], labels[ib], labels[ic]],
+                        "residual": (lhs - rhs).to_json(),
+                    },
+                    max_counterexamples,
+                )
     return report
 
 
@@ -671,19 +669,20 @@ def _relation_holds(grid: _BlockGrid, mat: GradedMatrix, rel: dict) -> bool:
     return True
 
 
-def verify_block_conditions(spec: AlgebraSpec, max_counterexamples: int = 10) -> CheckReport:
+def verify_block_conditions(basis: Basis, max_counterexamples: int = 10) -> CheckReport:
     """Adjudicate the transcribed block conditions against the normative
-    defining condition: every relation is tested on every kernel-basis
-    element, and the per-relation outcome is reported (the conditions are
-    linear, so holding on a basis settles the whole algebra).
+    defining condition: every relation is tested on every element of the
+    given basis of an ospB algebra (normally its kernel basis), and the
+    per-relation outcome is reported (the conditions are linear, so
+    holding on a basis settles the whole algebra).
 
     The two relations whose source tokens carry a malformed degree
     subscript are flagged, and the degree the subscript claims is checked
     against the signature as a separate outcome.
     """
+    spec = basis.spec
     if spec.family is not Family.OSP_B:
         raise ValueError("block conditions are defined for the ospB layout only")
-    basis = kernel_basis(spec)
     grid = _BlockGrid(spec)
     report = CheckReport("block-conditions", spec.to_json())
     rel_details = []

@@ -1,30 +1,36 @@
 """Command-line front end: build bases, run check suites, emit reports.
 
+Every check is a row of one ordered table, `CHECKS`. A `check-*`
+subcommand tests its precondition on the spec and runs its own rows;
+`report` runs every row that applies. One invocation builds the kernel
+basis at most once, and only when a row needs it.
+
 JSON is the canonical output format; the text rendering is a lossy human
-view. Identical configurations produce byte-identical JSON regardless of
-the parallelism setting.
+view. Checks run in one thread and `--parallelism` has no effect, so
+identical configurations produce byte-identical JSON.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from . import __version__
 from .algebras import (
     AlgebraSpec,
+    Basis,
     Family,
     expected_dim,
-    is_member,
-    j_matrix,
     kernel_basis,
-    membership_residual,
-    s_matrices,
     verify_block_conditions,
     verify_closure,
     verify_jacobi,
+    verify_membership,
     verify_symmetry,
 )
 from .parastat import (
@@ -159,165 +165,133 @@ def _build_spec(args) -> AlgebraSpec:
     return spec
 
 
-def _dims_numbers(spec: AlgebraSpec) -> tuple[int, int]:
-    if spec.family in (Family.OSP_B, Family.OSP_D):
-        return len(kernel_basis(spec)), expected_dim(spec)
+@dataclass
+class _Context:
+    """One invocation's spec and options; builds the kernel basis once, on first use."""
+
+    spec: AlgebraSpec
+    max_ces: int
+
+    @cached_property
+    def basis(self) -> Basis:
+        return kernel_basis(self.spec)
+
+
+def _dims(ctx: _Context) -> dict:
+    spec = ctx.spec
     m = spec.size
+    if spec.family is Family.GL:
+        computed = expected = m * m  # the whole matrix space
+    else:
+        computed = len(ctx.basis)
+        expected = m * m - 1 if spec.family is Family.SL else expected_dim(spec)
+    return {"computed": computed, "expected": expected, "match": computed == expected}
+
+
+def _dims_report(ctx: _Context) -> list[CheckReport]:
+    report = CheckReport("dims", ctx.spec.to_json())
+    report.details = _dims(ctx)
+    report.record(report.details["match"])
+    return [report]
+
+
+def _relation_reports(ctx: _Context) -> list[CheckReport]:
+    spec = ctx.spec
+    fam = RelationFamily
     if spec.family is Family.SL:
-        return len(kernel_basis(spec)), m * m - 1
-    return m * m, m * m  # gl: the whole matrix space
-
-
-def _membership_report(spec: AlgebraSpec, max_ces: int) -> CheckReport:
-    report = CheckReport("membership", spec.to_json())
-    j = j_matrix(spec)
-    for i, jj, mat in s_matrices(spec):
-        ok = is_member(spec, mat)
-        report.record(
-            ok,
-            None
-            if ok
-            else {
-                "indices": [f"s[{i},{jj}]"],
-                "residual": membership_residual(spec, mat, j).to_json(),
-            },
-            max_ces,
-        )
-    basis = kernel_basis(spec)
-    for label, mat in zip(basis.labels, basis.elements):
-        ok = is_member(spec, mat)
-        report.record(
-            ok,
-            None
-            if ok
-            else {
-                "indices": [label],
-                "residual": membership_residual(spec, mat, j).to_json(),
-            },
-            max_ces,
-        )
-    return report
-
-
-def _relation_reports(spec: AlgebraSpec, max_ces: int) -> list[CheckReport]:
-    reports: list[CheckReport] = []
-    if spec.family is Family.OSP_B:
+        gens = palev_ops(spec.n1, spec.n2)
+        sets, runs = [gens], [(fam.A_SAME, gens, None), (fam.A_MIXED, gens, None)]
+    else:
         fermions = parafermion_ops(spec) if spec.m1 + spec.m2 else None
         bosons = paraboson_ops(spec) if spec.n1 + spec.n2 else None
-        if fermions:
-            reports.append(
-                verify_relations(RelationFamily.FF, fermions, max_counterexamples=max_ces)
-            )
-        if bosons:
-            reports.append(
-                verify_relations(RelationFamily.BB_SAME, bosons, max_counterexamples=max_ces)
-            )
-            reports.append(
-                verify_relations(RelationFamily.BB_MIXED, bosons, max_counterexamples=max_ces)
-            )
-        if fermions and bosons:
-            for fam in (RelationFamily.PF_FAMILY1, RelationFamily.PF_FAMILY2):
-                reports.append(
-                    verify_relations(fam, fermions, partner=bosons, max_counterexamples=max_ces)
-                )
         sets = [g for g in (fermions, bosons) if g]
-        if sets:
-            reports.append(graded_bracket_consistency(*sets, max_counterexamples=max_ces))
-        return reports
-    if spec.family is Family.SL and spec.m1 == 1 and spec.m2 == 0 and spec.n1 + spec.n2 >= 1:
-        gens = palev_ops(spec.n1, spec.n2)
-        for fam in (RelationFamily.A_SAME, RelationFamily.A_MIXED):
-            reports.append(verify_relations(fam, gens, max_counterexamples=max_ces))
-        reports.append(graded_bracket_consistency(gens, max_counterexamples=max_ces))
-        return reports
-    raise CliError(
-        "no parastatistics generators are defined for "
-        f"{spec.family.value}({spec.m1},{spec.m2},{spec.n1},{spec.n2})"
-    )
+        runs = [(fam.FF, fermions, None)] if fermions else []
+        if bosons:
+            runs += [(fam.BB_SAME, bosons, None), (fam.BB_MIXED, bosons, None)]
+        if fermions and bosons:
+            runs += [(fam.PF_FAMILY1, fermions, bosons), (fam.PF_FAMILY2, fermions, bosons)]
+    reports = [
+        verify_relations(family, gens, partner, max_counterexamples=ctx.max_ces)
+        for family, gens, partner in runs
+    ]
+    return reports + [graded_bracket_consistency(*sets, max_counterexamples=ctx.max_ces)]
 
 
-def _dims_report(spec: AlgebraSpec) -> CheckReport:
-    computed, expected = _dims_numbers(spec)
-    report = CheckReport("dims", spec.to_json())
-    report.record(computed == expected)
-    report.details = {
-        "computed": computed,
-        "expected": expected,
-        "match": computed == expected,
-    }
-    return report
+def _is_osp(spec: AlgebraSpec) -> bool:
+    return spec.family in (Family.OSP_B, Family.OSP_D)
 
 
-def _checks_doc(spec: AlgebraSpec, checks: list[CheckReport]) -> dict:
-    total = sum(c.total for c in checks)
-    failed = sum(c.failed for c in checks)
-    return {
-        "tool": TOOL,
-        "version": __version__,
-        "spec": spec.to_json(),
-        "checks": [c.to_json() for c in checks],
-        "summary": {"total": total, "failed": failed},
-    }
+def _has_condition(spec: AlgebraSpec) -> bool:
+    return spec.family is not Family.GL
+
+
+def _has_generators(spec: AlgebraSpec) -> bool:
+    """Parafermions/parabosons on ospB, A-type generators on sl(1,0|n1,n2)."""
+    if spec.family is Family.OSP_B:
+        return spec.m1 + spec.m2 + spec.n1 + spec.n2 > 0
+    return spec.family is Family.SL and (spec.m1, spec.m2) == (1, 0) and spec.n1 + spec.n2 > 0
+
+
+# In report order: (the check subcommand that runs the row, whether the row
+# applies to a spec, runner). Runners look the library up at call time.
+CHECKS = (
+    (None, lambda spec: True, _dims_report),
+    ("check-osp", _is_osp, lambda ctx: [verify_membership(ctx.basis, ctx.max_ces)]),
+    ("check-osp", _has_condition, lambda ctx: [verify_closure(ctx.basis, ctx.max_ces)]),
+    (
+        "check-osp",
+        lambda spec: spec.family is Family.OSP_B,
+        lambda ctx: [verify_block_conditions(ctx.basis, ctx.max_ces)],
+    ),
+    (
+        "check-jacobi",
+        _has_condition,
+        lambda ctx: [verify_jacobi(ctx.basis, max_counterexamples=ctx.max_ces)],
+    ),
+    ("check-jacobi", _has_condition, lambda ctx: [verify_symmetry(ctx.basis, ctx.max_ces)]),
+    ("check-relations", _has_generators, _relation_reports),
+)
+
+# What a subcommand needs of the spec, and the message when it is missing.
+PRECONDITIONS = {
+    "basis": (_has_condition, "gl has no defining condition; basis needs sl/ospB/ospD"),
+    "check-osp": (_is_osp, "check-osp needs an orthosymplectic family"),
+    "check-jacobi": (_has_condition, "check-jacobi needs a family with a defining condition"),
+    "check-relations": (
+        _has_generators,
+        "no parastatistics generators are defined for {family}({m1},{m2},{n1},{n2})",
+    ),
+}
 
 
 def run(args) -> tuple[dict, int]:
     """Execute one subcommand; returns (document, failure count)."""
     spec = _build_spec(args)
-    max_ces = args.max_counterexamples
-    workers = max(1, args.parallelism)
-
+    ctx = _Context(spec, args.max_counterexamples)
+    if args.command in PRECONDITIONS:
+        applies, message = PRECONDITIONS[args.command]
+        if not applies(spec):
+            raise CliError(message.format(**spec.to_json()))
     if args.command == "basis":
-        if spec.family is Family.GL:
-            raise CliError("gl has no defining condition; basis needs sl/ospB/ospD")
-        return kernel_basis(spec).to_json(), 0
-
+        return ctx.basis.to_json(), 0
     if args.command == "dims":
-        computed, expected = _dims_numbers(spec)
-        doc = {"computed": computed, "expected": expected, "match": computed == expected}
+        doc = _dims(ctx)
         return doc, 0 if doc["match"] else 1
-
-    if args.command == "check-osp":
-        if spec.family not in (Family.OSP_B, Family.OSP_D):
-            raise CliError("check-osp needs an orthosymplectic family")
-        checks = [_membership_report(spec, max_ces), verify_closure(kernel_basis(spec), max_ces)]
-        if spec.family is Family.OSP_B:
-            checks.append(verify_block_conditions(spec, max_ces))
-        doc = _checks_doc(spec, checks)
-        return doc, doc["summary"]["failed"]
-
-    if args.command == "check-jacobi":
-        if spec.family is Family.GL:
-            raise CliError("check-jacobi needs a family with a defining condition")
-        basis = kernel_basis(spec)
-        checks = [
-            verify_jacobi(basis, workers=workers, max_counterexamples=max_ces),
-            verify_symmetry(basis, max_ces),
-        ]
-        doc = _checks_doc(spec, checks)
-        return doc, doc["summary"]["failed"]
-
-    if args.command == "check-relations":
-        checks = _relation_reports(spec, max_ces)
-        doc = _checks_doc(spec, checks)
-        return doc, doc["summary"]["failed"]
-
-    # report: everything applicable, bundled
-    checks = [_dims_report(spec)]
-    if spec.family in (Family.OSP_B, Family.OSP_D):
-        checks.append(_membership_report(spec, max_ces))
-    if spec.family is not Family.GL:
-        basis = kernel_basis(spec)
-        checks.append(verify_closure(basis, max_ces))
-        if spec.family is Family.OSP_B:
-            checks.append(verify_block_conditions(spec, max_ces))
-        checks.append(verify_jacobi(basis, workers=workers, max_counterexamples=max_ces))
-        checks.append(verify_symmetry(basis, max_ces))
-    try:
-        checks.extend(_relation_reports(spec, max_ces))
-    except CliError:
-        pass  # no generators for this spec: nothing to add
-    doc = _checks_doc(spec, checks)
-    return doc, doc["summary"]["failed"]
+    checks = [
+        report
+        for command, applies, runner in CHECKS
+        if args.command in ("report", command) and applies(spec)
+        for report in runner(ctx)
+    ]
+    failed = sum(c.failed for c in checks)
+    doc = {
+        "tool": TOOL,
+        "version": __version__,
+        "spec": spec.to_json(),
+        "checks": [c.to_json() for c in checks],
+        "summary": {"total": sum(c.total for c in checks), "failed": failed},
+    }
+    return doc, failed
 
 
 def _render_text(doc: dict) -> str:
@@ -338,13 +312,37 @@ def _render_text(doc: dict) -> str:
             f"computed {doc['computed']}, expected {doc['expected']}, "
             f"match {'yes' if doc['match'] else 'no'}"
         )
-    elif "elements" in doc:
+    else:
         lines.append(f"basis of size {len(doc['elements'])}")
         for element in doc["elements"]:
             lines.append(f"  {element['label']}: {len(element['entries'])} entries")
-    else:
-        lines.append(json.dumps(doc))
     return "\n".join(lines) + "\n"
+
+
+def _reserve_output(path: str) -> Optional[str]:
+    """Refuse an unwritable `path` before any check runs. Returns the file
+    beside a new or regular `path` that replaces it atomically once the
+    document is complete; None for a link, device or pipe, written in place."""
+    try:
+        if os.path.isdir(path):
+            raise IsADirectoryError("is a directory")
+        if os.path.islink(path) or os.path.exists(path) and not os.path.isfile(path):
+            return None
+        tmp = f"{path}.{os.getpid()}.tmp"
+        open(tmp, "x").close()
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}") from exc
+    return tmp
+
+
+def _write_output(tmp: Optional[str], path: str, rendered: str) -> None:
+    try:
+        with open(tmp or path, "w", encoding="utf-8") as handle:
+            handle.write(rendered)
+        if tmp:
+            os.replace(tmp, path)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}") from exc
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -353,23 +351,23 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
+    tmp = None
     try:
+        tmp = _reserve_output(args.output) if args.output else None
         doc, failed = run(args)
+        rendered = (
+            json.dumps(doc, indent=2) + "\n" if args.format == "json" else _render_text(doc)
+        )
+        if args.output:
+            _write_output(tmp, args.output, rendered)
+        else:
+            sys.stdout.write(rendered)
     except CliError as exc:
         print(f"{TOOL}: error: {exc}", file=sys.stderr)
         return 2
-    rendered = (
-        json.dumps(doc, indent=2) + "\n" if args.format == "json" else _render_text(doc)
-    )
-    if args.output:
-        try:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(rendered)
-        except OSError as exc:
-            print(f"{TOOL}: error: cannot write {args.output}: {exc}", file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.write(rendered)
+    finally:
+        if tmp is not None and os.path.exists(tmp):
+            os.unlink(tmp)
     return 0 if failed == 0 else 1
 
 

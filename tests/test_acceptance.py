@@ -234,7 +234,7 @@ def test_criterion_9_cli_golden_report(tmp_path):
 
 def test_criterion_10_block_condition_adjudication():
     golden = (GOLDEN / "block_conditions_ospB_1111.json").read_text(encoding="utf-8")
-    report = verify_block_conditions(AlgebraSpec(Family.OSP_B, 1, 1, 1, 1))
+    report = verify_block_conditions(kernel_basis(AlgebraSpec(Family.OSP_B, 1, 1, 1, 1)))
     rendered = json.dumps(report.to_json(), indent=2) + "\n"
     ok = rendered == golden and report.total == 1800
     report_line(

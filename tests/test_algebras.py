@@ -2,6 +2,7 @@
 
 import pytest
 
+from gradedosp import algebras
 from gradedosp.algebras import (
     AlgebraSpec,
     Basis,
@@ -344,8 +345,43 @@ def test_verify_jacobi_workers_agree():
     assert serial.to_json() == threaded.to_json()
 
 
+def test_planted_bracket_sign_fails_jacobi_and_symmetry(monkeypatch):
+    basis = kernel_basis(ospB(0, 1, 1, 0))
+    n = len(basis)
+    true_bracket = algebras.graded_bracket
+
+    def wrong_sign(a, b):
+        # two (1,0) elements must anticommute; this bracket commutes them
+        if a.degree_of() == b.degree_of() == (1, 0):
+            return a @ b - b @ a
+        return true_bracket(a, b)
+
+    monkeypatch.setattr(algebras, "graded_bracket", wrong_sign)
+    jac = verify_jacobi(basis)
+    sym = verify_symmetry(basis)
+    assert (jac.total, sym.total) == (n ** 3, n ** 2)
+    for report, arity in ((jac, 3), (sym, 2)):
+        assert report.failed > 0
+        assert report.counterexamples
+        for ce in report.counterexamples:
+            assert len(ce["indices"]) == arity
+            assert ce["residual"]["entries"]
+
+
+def test_block_conditions_flag_a_planted_sign(monkeypatch):
+    rows = algebras._block_relations()
+    assert rows[0]["id"] == "a[3,3]=-a[1,1]^t"
+    rows[0]["sign"] = -rows[0]["sign"]
+    monkeypatch.setattr(algebras, "_block_relations", lambda: rows)
+    report = verify_block_conditions(kernel_basis(ospB(1, 0, 0, 0)))
+    failing = [rel["id"] for rel in report.details["relations"] if not rel["holds"]]
+    assert failing == ["a[3,3]=-a[1,1]^t"]
+    assert report.failed > 0
+    assert all(ce["indices"][0] == "a[3,3]=-a[1,1]^t" for ce in report.counterexamples)
+
+
 def test_block_conditions_so3():
-    report = verify_block_conditions(ospB(1, 0, 0, 0))
+    report = verify_block_conditions(kernel_basis(ospB(1, 0, 0, 0)))
     assert report.failed == 0
     byid = {rel["id"]: rel for rel in report.details["relations"]}
     assert byid["a[3,3]=-a[1,1]^t"]["holds"]
@@ -355,14 +391,14 @@ def test_block_conditions_so3():
 
 
 def test_block_conditions_vacuous_on_zero_algebra():
-    report = verify_block_conditions(ospB(0, 0, 0, 0))
+    report = verify_block_conditions(kernel_basis(ospB(0, 0, 0, 0)))
     assert report.total == 0
     assert report.failed == 0
     assert all(rel["holds"] for rel in report.details["relations"])
 
 
 def test_block_conditions_flags_malformed_tokens():
-    report = verify_block_conditions(ospB(1, 1, 1, 1))
+    report = verify_block_conditions(kernel_basis(ospB(1, 1, 1, 1)))
     flagged = [r for r in report.details["relations"] if r["malformed_source"]]
     assert {r["id"] for r in flagged} == {"a[2,3]=-a[1,4]^t", "d[2,3]=-d[1,4]^t"}
     for rel in flagged:
@@ -371,7 +407,7 @@ def test_block_conditions_flags_malformed_tokens():
 
 def test_block_conditions_rejects_ospD():
     with pytest.raises(ValueError):
-        verify_block_conditions(ospD(1, 0, 0, 0))
+        verify_block_conditions(kernel_basis(ospD(1, 0, 0, 0)))
 
 
 # -- special cases -------------------------------------------------------------------

@@ -5,6 +5,7 @@ import json
 import jsonschema
 import pytest
 
+from gradedosp import cli
 from gradedosp.cli import REPORT_SCHEMA, main
 
 
@@ -54,9 +55,10 @@ def test_check_relations_passes(tmp_path):
 
 
 def test_check_relations_rejects_plain_sl(capsys):
-    # A-type generators are only defined on sl(1,0|n1,n2)
-    assert main(["check-relations", "--algebra", "sl", "--m1", "2", "--n1", "1"]) == 2
-    capsys.readouterr()
+    # A-type generators are only defined on sl(1,0|n1,n2); ospB(0,0,0,0) has none
+    for argv in (["--algebra", "sl", "--m1", "2", "--n1", "1"], ["--algebra", "ospB"]):
+        assert main(["check-relations", *argv]) == 2
+        assert "no parastatistics generators" in capsys.readouterr().err
 
 
 def test_check_osp_and_jacobi(tmp_path):
@@ -97,6 +99,59 @@ def test_unwritable_output(capsys):
     )
     assert code == 2
     capsys.readouterr()
+
+
+def count_kernel_basis(monkeypatch):
+    calls = []
+    build = cli.kernel_basis
+
+    def counted(spec):
+        calls.append(spec)
+        return build(spec)
+
+    monkeypatch.setattr(cli, "kernel_basis", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "command, family, builds",
+    [
+        ("report", "ospB", 1),
+        ("check-osp", "ospB", 1),
+        ("check-jacobi", "ospB", 1),
+        ("dims", "ospB", 1),
+        ("check-relations", "ospB", 0),
+        ("dims", "gl", 0),
+    ],
+)
+def test_kernel_basis_built_at_most_once(tmp_path, monkeypatch, command, family, builds):
+    calls = count_kernel_basis(monkeypatch)
+    code, _ = run_json(tmp_path, command, "--algebra", family, "--m1", "1", "--n1", "1")
+    assert code == 0
+    assert len(calls) == builds
+
+
+@pytest.mark.parametrize("where", ["missing-dir/report.json", "."])
+def test_unwritable_output_refused_before_any_check(tmp_path, monkeypatch, capsys, where):
+    calls = count_kernel_basis(monkeypatch)
+    target = tmp_path / where
+    argv = ["report", "--algebra", "ospB", "--m1", "1", "--n1", "1", "--output", str(target)]
+    assert main(argv) == 2
+    assert "cannot write" in capsys.readouterr().err
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_output_replaces_a_file_and_writes_through_a_link(tmp_path):
+    target = tmp_path / "report.json"
+    link = tmp_path / "link.json"
+    link.symlink_to(target.name)
+    for path in (target, link):
+        target.write_text("stale", encoding="utf-8")
+        assert main(["dims", "--algebra", "ospB", "--n1", "1", "--output", str(path)]) == 0
+        assert json.loads(target.read_text(encoding="utf-8"))["match"] is True
+        assert link.is_symlink()
+        assert sorted(tmp_path.iterdir()) == [link, target]
 
 
 def test_negative_max_counterexamples_exits_2(capsys):
