@@ -6,18 +6,19 @@ ospD = osp(2m1,2m2|2n1,2n2) cut out of the graded matrix algebra by
 A^T J + J A = 0 (graded supertranspose, fixed bilinear form J).
 
 Two independent basis constructions are provided: the spanning set s_ij
-reduced by exact echelon elimination, and the kernel of the defining
-linear condition. Both run over Q(sqrt 2) with zero tolerance.
+reduced by exact echelon elimination, and the kernel, the null space of
+the membership residual on the matrix units. Both are exact over Q(sqrt 2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 from typing import Iterator, Optional, Sequence
 
-from .gmatrix import GradedMatrix, graded_bracket
-from .grading import Degree, Signature, deg_add, dot, signature_gl, signature_osp, trace_sign
+from .gmatrix import GradedMatrix, elem, graded_bracket
+from .grading import Degree, Signature, deg_add, dot, signature_gl, signature_osp
 from .report import CheckReport
 from .scalars import ONE, ZERO, Scalar
 
@@ -49,7 +50,9 @@ class AlgebraSpec:
             if not isinstance(value, int) or value < 0:
                 raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
         if self.size < 1:
-            raise ValueError(f"spec {self} has matrix size 0")
+            raise ValueError(
+                f"{self.family.value}({self.m1},{self.m2},{self.n1},{self.n2}) has matrix size 0"
+            )
 
     @property
     def size(self) -> int:
@@ -333,45 +336,20 @@ def s_basis(spec: AlgebraSpec) -> Basis:
 
 def _constraint_equations(spec: AlgebraSpec) -> list[Vector]:
     """Rows of the linear system cutting the algebra out of all matrices,
-    over flattened (row-major) coordinates."""
+    over flattened (row-major) coordinates: column (p, q) is the membership
+    residual of the matrix unit e_pq, and the sl supertrace is one row."""
     sig = spec.signature()
     m = spec.size
-    if spec.family is Family.SL:
-        eq: Vector = {}
-        for i in range(1, m + 1):
-            eq[(i - 1) * m + (i - 1)] = ONE if trace_sign(sig[i - 1]) > 0 else -ONE
-        return [eq]
-
-    jm = j_matrix(spec)
-    # J is a signed permutation: one entry per row and per column.
-    row_look: dict[int, tuple[int, Scalar]] = {}
-    col_look: dict[int, tuple[int, Scalar]] = {}
-    for (r, c), v in jm.items():
-        row_look[r] = (c, v)
-        col_look[c] = (r, v)
+    j = j_matrix(spec) if spec.family in _ORTHOSYMPLECTIC else None
     equations: dict[int, Vector] = {}
-
-    def accumulate(out: int, unknown: int, coeff: Scalar) -> None:
-        row = equations.setdefault(out, {})
-        cur = row.get(unknown, ZERO) + coeff
-        if cur:
-            row[unknown] = cur
-        else:
-            row.pop(unknown, None)
-
     for p in range(1, m + 1):
-        g_row = sig[p - 1]
-        c, v = row_look[p]
-        r, w = col_look[p]
         for q in range(1, m + 1):
-            unknown = (p - 1) * m + (q - 1)
-            g = deg_add(g_row, sig[q - 1])
-            tsign = -ONE if dot(g, g_row) else ONE
-            # (e_pq)^T J lands at (q, c) with c from row p of J.
-            accumulate((q - 1) * m + (c - 1), unknown, tsign * v)
-            # J e_pq lands at (r, q) with r from column p of J.
-            accumulate((r - 1) * m + (q - 1), unknown, w)
-    return [equations[out] for out in sorted(equations) if equations[out]]
+            residual = membership_residual(spec, elem(sig, p, q), j)
+            column = {0: residual} if isinstance(residual, Scalar) else _flatten(residual)
+            for out, v in column.items():
+                if v:
+                    equations.setdefault(out, {})[(p - 1) * m + (q - 1)] = v
+    return [equations[out] for out in sorted(equations)]
 
 
 def kernel_basis(spec: AlgebraSpec) -> Basis:
@@ -541,132 +519,82 @@ def verify_jacobi(basis: Basis, workers: int = 1, max_counterexamples: int = 10)
 
 # -- block-form adjudication ---------------------------------------------------------
 
+# The transcribed block conditions of the ospB form, on the 9x9 block grid of
+# row/column groups (m1, m2, m1, m2, 1 | n1, n2, n1, n2); a, b, c and d are
+# its top-left, top-right, bottom-left and bottom-right quadrants. A row is
+# (lhs block, rhs block or None, sign, the degree claimed by a malformed
+# source subscript or None) and states lhs = sign * rhs^t. With rhs None the
+# block is compared with its own transpose: sign -1 is "skew", +1
+# "symmetric" and 0 "zero".
+_BLOCK_TABLE = (
+    (("a", 3, 3), ("a", 1, 1), -1, None),
+    (("a", 3, 4), ("a", 2, 1), -1, None),
+    (("a", 4, 3), ("a", 1, 2), -1, None),
+    (("a", 4, 4), ("a", 2, 2), -1, None),
+    (("a", 2, 3), ("a", 1, 4), -1, (1, 1)),
+    (("a", 4, 1), ("a", 3, 2), -1, None),
+    (("a", 1, 3), None, -1, None),
+    (("a", 2, 4), None, -1, None),
+    (("a", 3, 1), None, -1, None),
+    (("a", 4, 2), None, -1, None),
+    (("a", 5, 1), ("a", 3, 5), -1, None),
+    (("a", 5, 2), ("a", 4, 5), -1, None),
+    (("a", 5, 3), ("a", 1, 5), -1, None),
+    (("a", 5, 4), ("a", 2, 5), -1, None),
+    (("a", 5, 5), None, 0, None),
+    (("d", 3, 3), ("d", 1, 1), -1, None),
+    (("d", 3, 4), ("d", 2, 1), 1, None),
+    (("d", 4, 3), ("d", 1, 2), 1, None),
+    (("d", 4, 4), ("d", 2, 2), -1, None),
+    (("d", 2, 3), ("d", 1, 4), -1, (1, 1)),
+    (("d", 4, 1), ("d", 3, 2), -1, None),
+    (("d", 1, 3), None, 1, None),
+    (("d", 2, 4), None, 1, None),
+    (("d", 3, 1), None, 1, None),
+    (("d", 4, 2), None, 1, None),
+    (("c", 1, 1), ("b", 3, 3), 1, None),
+    (("c", 1, 2), ("b", 4, 3), -1, None),
+    (("c", 1, 3), ("b", 1, 3), 1, None),
+    (("c", 1, 4), ("b", 2, 3), -1, None),
+    (("c", 1, 5), ("b", 5, 3), 1, None),
+    (("c", 2, 1), ("b", 3, 4), 1, None),
+    (("c", 2, 2), ("b", 4, 4), -1, None),
+    (("c", 2, 3), ("b", 1, 4), 1, None),
+    (("c", 2, 4), ("b", 2, 4), -1, None),
+    (("c", 2, 5), ("b", 5, 4), 1, None),
+    (("c", 3, 1), ("b", 3, 1), -1, None),
+    (("c", 3, 2), ("b", 4, 1), 1, None),
+    (("c", 3, 3), ("b", 1, 1), -1, None),
+    (("c", 3, 4), ("b", 2, 1), 1, None),
+    (("c", 3, 5), ("b", 5, 1), -1, None),
+    (("c", 4, 1), ("b", 3, 2), -1, None),
+    (("c", 4, 2), ("b", 4, 2), 1, None),
+    (("c", 4, 3), ("b", 1, 2), -1, None),
+    (("c", 4, 4), ("b", 2, 2), 1, None),
+    (("c", 4, 5), ("b", 5, 2), -1, None),
+)
+
 def _block_relations() -> list[dict]:
-    """The transcribed block conditions for the ospB form, as checkable
-    relations. 'eq' means lhs = sign * rhs^t on the 9x9 block grid built
-    from row/column groups (m1, m2, m1, m2, 1 | n1, n2, n1, n2)."""
-    rels: list[dict] = []
-
-    def eq(part_l, bi_l, bj_l, part_r, bi_r, bj_r, sign, malformed=False, label=None):
-        sign_txt = "-" if sign < 0 else ""
-        rels.append(
-            {
-                "id": f"{part_l}[{bi_l},{bj_l}]={sign_txt}{part_r}[{bi_r},{bj_r}]^t",
-                "kind": "transpose_eq",
-                "lhs": (part_l, bi_l, bj_l),
-                "rhs": (part_r, bi_r, bj_r),
-                "sign": sign,
-                "malformed_source": malformed,
-                "degree_label": label,
-            }
-        )
-
-    def shaped(part, bi, bj, kind):
-        rels.append(
-            {
-                "id": f"{part}[{bi},{bj}] {kind}",
-                "kind": kind,
-                "lhs": (part, bi, bj),
-                "rhs": None,
-                "sign": 0,
-                "malformed_source": False,
-                "degree_label": None,
-            }
-        )
-
-    eq("a", 3, 3, "a", 1, 1, -1)
-    eq("a", 3, 4, "a", 2, 1, -1)
-    eq("a", 4, 3, "a", 1, 2, -1)
-    eq("a", 4, 4, "a", 2, 2, -1)
-    eq("a", 2, 3, "a", 1, 4, -1, malformed=True, label=(1, 1))
-    eq("a", 4, 1, "a", 3, 2, -1)
-    for bi, bj in ((1, 3), (2, 4), (3, 1), (4, 2)):
-        shaped("a", bi, bj, "skew")
-    eq("a", 5, 1, "a", 3, 5, -1)
-    eq("a", 5, 2, "a", 4, 5, -1)
-    eq("a", 5, 3, "a", 1, 5, -1)
-    eq("a", 5, 4, "a", 2, 5, -1)
-    shaped("a", 5, 5, "zero")
-
-    eq("d", 3, 3, "d", 1, 1, -1)
-    eq("d", 3, 4, "d", 2, 1, 1)
-    eq("d", 4, 3, "d", 1, 2, 1)
-    eq("d", 4, 4, "d", 2, 2, -1)
-    eq("d", 2, 3, "d", 1, 4, -1, malformed=True, label=(1, 1))
-    eq("d", 4, 1, "d", 3, 2, -1)
-    for bi, bj in ((1, 3), (2, 4), (3, 1), (4, 2)):
-        shaped("d", bi, bj, "symmetric")
-
-    cb = [
-        (1, 1, 3, 3, 1), (1, 2, 4, 3, -1), (1, 3, 1, 3, 1), (1, 4, 2, 3, -1), (1, 5, 5, 3, 1),
-        (2, 1, 3, 4, 1), (2, 2, 4, 4, -1), (2, 3, 1, 4, 1), (2, 4, 2, 4, -1), (2, 5, 5, 4, 1),
-        (3, 1, 3, 1, -1), (3, 2, 4, 1, 1), (3, 3, 1, 1, -1), (3, 4, 2, 1, 1), (3, 5, 5, 1, -1),
-        (4, 1, 3, 2, -1), (4, 2, 4, 2, 1), (4, 3, 1, 2, -1), (4, 4, 2, 2, 1), (4, 5, 5, 2, -1),
-    ]
-    for ci, cj, bi, bj, sign in cb:
-        eq("c", ci, cj, "b", bi, bj, sign)
+    """The rows of `_BLOCK_TABLE` as relations with their report ids."""
+    rels = []
+    for lhs, rhs, sign, claimed in _BLOCK_TABLE:
+        name = "{}[{},{}]".format(*lhs)
+        if rhs is None:
+            rel_id = f"{name} " + {-1: "skew", 1: "symmetric", 0: "zero"}[sign]
+        else:
+            rel_id = f"{name}={'-' if sign < 0 else ''}" + "{}[{},{}]^t".format(*rhs)
+        rels.append({"id": rel_id, "lhs": lhs, "rhs": rhs, "sign": sign, "degree_label": claimed})
     return rels
 
 
-class _BlockGrid:
-    """Dense access to the 9x9 block grid of an ospB-layout matrix."""
-
-    def __init__(self, spec: AlgebraSpec):
-        m1, m2, n1, n2 = spec.m1, spec.m2, spec.n1, spec.n2
-        sizes = [m1, m2, m1, m2, 1, n1, n2, n1, n2]
-        offsets = [0]
-        for s in sizes:
-            offsets.append(offsets[-1] + s)
-        self.sizes = sizes
-        self.offsets = offsets
-        self.signature = spec.signature()
-
-    def grid_index(self, part: str, bi: int, bj: int) -> tuple[int, int]:
-        row = bi if part in ("a", "b") else bi + 5
-        col = bj if part in ("a", "c") else bj + 5
-        return row, col
-
-    def block(self, mat: GradedMatrix, part: str, bi: int, bj: int) -> list[list[Scalar]]:
-        gi, gj = self.grid_index(part, bi, bj)
-        r0, nr = self.offsets[gi - 1], self.sizes[gi - 1]
-        c0, nc = self.offsets[gj - 1], self.sizes[gj - 1]
-        return [
-            [mat.entry(r0 + r + 1, c0 + c + 1) for c in range(nc)] for r in range(nr)
-        ]
-
-    def block_degree(self, part: str, bi: int, bj: int) -> Optional[Degree]:
-        """The common position degree inside a block, None when empty."""
-        gi, gj = self.grid_index(part, bi, bj)
-        if self.sizes[gi - 1] == 0 or self.sizes[gj - 1] == 0:
-            return None
-        r = self.offsets[gi - 1]
-        c = self.offsets[gj - 1]
-        return deg_add(self.signature[r], self.signature[c])
-
-
-def _relation_holds(grid: _BlockGrid, mat: GradedMatrix, rel: dict) -> bool:
-    lhs = grid.block(mat, *rel["lhs"])
-    kind = rel["kind"]
-    if kind == "zero":
-        return all(not v for row in lhs for v in row)
-    if kind == "skew":
-        return all(
-            lhs[r][c] == -lhs[c][r] for r in range(len(lhs)) for c in range(len(lhs))
-        )
-    if kind == "symmetric":
-        return all(
-            lhs[r][c] == lhs[c][r] for r in range(len(lhs)) for c in range(len(lhs))
-        )
-    rhs = grid.block(mat, *rel["rhs"])
-    sign = rel["sign"]
-    for r in range(len(lhs)):
-        for c in range(len(lhs[r]) if lhs else 0):
-            want = rhs[c][r]
-            if sign < 0:
-                want = -want
-            if lhs[r][c] != want:
-                return False
-    return True
+def _block_span(spec: AlgebraSpec, block: tuple[str, int, int]) -> tuple[range, range]:
+    """The 1-based row and column indices of a block of the ospB grid."""
+    part, bi, bj = block
+    sizes = (spec.m1, spec.m2, spec.m1, spec.m2, 1, spec.n1, spec.n2, spec.n1, spec.n2)
+    starts = list(accumulate(sizes, initial=1))
+    gi = bi + 5 if part in ("c", "d") else bi
+    gj = bj + 5 if part in ("b", "d") else bj
+    return range(starts[gi - 1], starts[gi]), range(starts[gj - 1], starts[gj])
 
 
 def verify_block_conditions(basis: Basis, max_counterexamples: int = 10) -> CheckReport:
@@ -683,30 +611,44 @@ def verify_block_conditions(basis: Basis, max_counterexamples: int = 10) -> Chec
     spec = basis.spec
     if spec.family is not Family.OSP_B:
         raise ValueError("block conditions are defined for the ospB layout only")
-    grid = _BlockGrid(spec)
+    sig = spec.signature()
     report = CheckReport("block-conditions", spec.to_json())
     rel_details = []
     for rel in _block_relations():
+        rows, cols = _block_span(spec, rel["lhs"])
+        rhs_rows, rhs_cols = _block_span(spec, rel["rhs"] or rel["lhs"])
+        # Entry (r, c) of lhs against entry (c, r) of rhs.
+        pairs = [
+            ((i, j), (rhs_rows[c], rhs_cols[r]))
+            for r, i in enumerate(rows)
+            for c, j in enumerate(cols)
+        ]
+        sign = rel["sign"]
         holds = True
         for label, mat in zip(basis.labels, basis.elements):
-            ok = _relation_holds(grid, mat, rel)
+            entry = mat.entry
+            ok = all(
+                entry(*p) == (entry(*q) if sign > 0 else -entry(*q) if sign else ZERO)
+                for p, q in pairs
+            )
             report.record(
                 ok,
                 None if ok else {"indices": [rel["id"], label], "residual": None},
                 max_counterexamples,
             )
             holds = holds and ok
-        entry = {
+        claimed = rel["degree_label"]
+        detail = {
             "id": rel["id"],
             "holds": holds,
             "checked": len(basis.elements),
-            "malformed_source": rel["malformed_source"],
+            "malformed_source": claimed is not None,
         }
-        if rel["malformed_source"]:
-            claimed = rel["degree_label"]
-            actual = grid.block_degree(*rel["lhs"])
-            entry["degree_label"] = list(claimed)
-            entry["degree_label_consistent"] = actual is None or actual == claimed
-        rel_details.append(entry)
+        if claimed is not None:
+            detail["degree_label"] = list(claimed)
+            detail["degree_label_consistent"] = (
+                not (rows and cols) or deg_add(sig[rows[0] - 1], sig[cols[0] - 1]) == claimed
+            )
+        rel_details.append(detail)
     report.details = {"relations": rel_details, "basis_size": len(basis.elements)}
     return report

@@ -69,9 +69,6 @@ class GradedMatrix:
     def is_zero(self) -> bool:
         return not self._entries
 
-    def position_degree(self, i: int, j: int) -> Degree:
-        return deg_add(self.signature[i - 1], self.signature[j - 1])
-
     def degree_of(self) -> Optional[Degree]:
         """The common degree of all nonzero entries; (0,0) for the zero
         matrix by convention; None when the matrix is not homogeneous."""

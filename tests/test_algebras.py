@@ -1,8 +1,13 @@
 """Algebra constructors, membership, the echelon engine, and the verifiers."""
 
-import pytest
+import json
+from fractions import Fraction
 
-from gradedosp import algebras
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gradedosp import algebras, cli
 from gradedosp.algebras import (
     AlgebraSpec,
     Basis,
@@ -186,6 +191,39 @@ def test_span_reducer_is_deterministic():
         r1.insert(_flatten(m))
         r2.insert(_flatten(m))
     assert r1.rows_by_pivot() == r2.rows_by_pivot()
+
+
+_FRACTIONS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+_SCALARS = st.builds(Scalar, _FRACTIONS, _FRACTIONS)
+_SIG3 = ospB(0, 0, 1, 0).signature()
+
+
+@st.composite
+def _matrix_lists(draw):
+    """A few sparse 3x3 matrices over Q(sqrt 2); some are linear
+    combinations of others, inserted at a drawn position."""
+    positions = st.tuples(st.integers(1, 3), st.integers(1, 3))
+    mats = [
+        GradedMatrix(_SIG3, draw(st.dictionaries(positions, _SCALARS, max_size=4)))
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+    for _ in range(draw(st.integers(0, 3)) if mats else 0):
+        combo = GradedMatrix.zero(_SIG3)
+        for k in draw(st.lists(st.integers(0, len(mats) - 1), min_size=1, max_size=3)):
+            combo = combo + mats[k].scale(draw(_SCALARS))
+        mats.insert(draw(st.integers(0, len(mats))), combo)
+    return mats
+
+
+@settings(max_examples=60, deadline=None)
+@given(_matrix_lists())
+def test_echelon_engine_matches_the_dense_oracle(mats):
+    assert rank_of(mats) == dense_rank(dense_rows(mats))
+    prefix_ranks = [dense_rank(dense_rows(mats[:k])) for k in range(len(mats) + 1)]
+    raises = [mat for k, mat in enumerate(mats) if prefix_ranks[k + 1] > prefix_ranks[k]]
+    kept = reduce_span(mats)
+    assert len(kept) == len(raises)
+    assert all(a is b for a, b in zip(kept, raises))
 
 
 # -- the two basis constructions ------------------------------------------------
@@ -408,6 +446,26 @@ def test_block_conditions_flags_malformed_tokens():
 def test_block_conditions_rejects_ospD():
     with pytest.raises(ValueError):
         verify_block_conditions(kernel_basis(ospD(1, 0, 0, 0)))
+
+
+def test_wrong_j_fails_the_report(monkeypatch, tmp_path):
+    # The kernel and membership read J through the same code, so a defect
+    # in J must still show: as a dimension mismatch, as residuals of the
+    # spanning matrices s_ij, and as broken block conditions.
+    real_j = algebras.j_matrix
+
+    def flipped_j(spec):
+        j = real_j(spec)
+        (pos, value), *rest = j.items()
+        return GradedMatrix(j.signature, {pos: -value, **dict(rest)})
+
+    monkeypatch.setattr(algebras, "j_matrix", flipped_j)
+    out = tmp_path / "report.json"
+    argv = ["report", "--algebra", "ospB", "--m1", "1", "--m2", "1", "--n1", "1", "--n2", "1"]
+    assert cli.main([*argv, "--output", str(out)]) == 1
+    checks = json.loads(out.read_text(encoding="utf-8"))["checks"]
+    failing = {c["check"]: (c["failed"], c["total"]) for c in checks if c["failed"]}
+    assert failing == {"dims": (1, 1), "membership": (30, 109), "block-conditions": (2, 1260)}
 
 
 # -- special cases -------------------------------------------------------------------

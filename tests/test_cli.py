@@ -84,6 +84,11 @@ def test_invalid_spec_exits_2(capsys):
     capsys.readouterr()
 
 
+def test_size_zero_spec_is_named(capsys):
+    assert main(["dims", "--algebra", "sl"]) == 2
+    assert capsys.readouterr().err == "gradedosp: error: sl(0,0,0,0) has matrix size 0\n"
+
+
 def test_size_guard(tmp_path, capsys):
     assert main(["dims", "--algebra", "gl", "--m1", "41"]) == 2
     assert "force" in capsys.readouterr().err
