@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .gmatrix import GradedMatrix, elem, graded_bracket
 from .grading import Degree, Signature, deg_add, dot, signature_gl, signature_osp
@@ -158,18 +158,31 @@ def u_matrix(spec: AlgebraSpec) -> GradedMatrix:
     return GradedMatrix(sig, entries)
 
 
-def membership_residual(spec: AlgebraSpec, mat: GradedMatrix, j: Optional[GradedMatrix] = None):
-    """What must vanish for membership: A^T J + J A for the orthosymplectic
-    families, the supertrace for sl, nothing for gl."""
-    if mat.signature != spec.signature():
-        raise ValueError("matrix signature does not match the spec")
+def membership_residual(spec: AlgebraSpec) -> Callable[[GradedMatrix], object]:
+    """The map A -> what must vanish for A to be a member: A^T J + J A for
+    the orthosymplectic families, the supertrace for sl, None for gl.
+
+    The spec's signature and J with its row index are built once here, so
+    a caller testing many matrices builds them once.
+    """
+    sig = spec.signature()
     if spec.family is Family.GL:
-        return None
-    if spec.family is Family.SL:
-        return mat.supertrace()
-    if j is None:
+        condition = lambda mat: None
+    elif spec.family is Family.SL:
+        condition = GradedMatrix.supertrace
+    else:
         j = j_matrix(spec)
-    return (mat.graded_transpose() @ j) + (j @ mat)
+        times_j = j.right_product()
+
+        def condition(mat: GradedMatrix) -> GradedMatrix:
+            return times_j(mat.graded_transpose()) + (j @ mat)
+
+    def residual(mat: GradedMatrix):
+        if mat.signature != sig:
+            raise ValueError("matrix signature does not match the spec")
+        return condition(mat)
+
+    return residual
 
 
 def _judge(residual) -> tuple[bool, object]:
@@ -183,7 +196,7 @@ def _judge(residual) -> tuple[bool, object]:
 
 def is_member(spec: AlgebraSpec, mat: GradedMatrix) -> bool:
     """Exact membership test against the spec's defining condition."""
-    return _judge(membership_residual(spec, mat))[0]
+    return _judge(membership_residual(spec)(mat))[0]
 
 
 # -- exact echelon machinery -------------------------------------------------
@@ -340,11 +353,11 @@ def _constraint_equations(spec: AlgebraSpec) -> list[Vector]:
     residual of the matrix unit e_pq, and the sl supertrace is one row."""
     sig = spec.signature()
     m = spec.size
-    j = j_matrix(spec) if spec.family in _ORTHOSYMPLECTIC else None
+    residual_of = membership_residual(spec)
     equations: dict[int, Vector] = {}
     for p in range(1, m + 1):
         for q in range(1, m + 1):
-            residual = membership_residual(spec, elem(sig, p, q), j)
+            residual = residual_of(elem(sig, p, q))
             column = {0: residual} if isinstance(residual, Scalar) else _flatten(residual)
             for out, v in column.items():
                 if v:
@@ -411,10 +424,10 @@ def verify_membership(basis: Basis, max_counterexamples: int = 10) -> CheckRepor
     spanning matrix s_ij, then on every element; J is built once."""
     spec = basis.spec
     report = CheckReport("membership", spec.to_json())
-    j = j_matrix(spec)
+    residual = membership_residual(spec)
     labelled = [(f"s[{i},{jj}]", mat) for i, jj, mat in s_matrices(spec)]
     for label, mat in labelled + list(zip(basis.labels, basis.elements)):
-        ok, payload = _judge(membership_residual(spec, mat, j))
+        ok, payload = _judge(residual(mat))
         report.record(
             ok,
             None if ok else {"indices": [label], "residual": payload},
@@ -427,10 +440,10 @@ def verify_closure(basis: Basis, max_counterexamples: int = 10) -> CheckReport:
     """Bracket every ordered pair of basis elements and re-test membership."""
     spec = basis.spec
     report = CheckReport("closure", spec.to_json())
-    j = j_matrix(spec) if spec.family in _ORTHOSYMPLECTIC else None
+    residual = membership_residual(spec)
     for la, a in zip(basis.labels, basis.elements):
         for lb, b in zip(basis.labels, basis.elements):
-            ok, payload = _judge(membership_residual(spec, graded_bracket(a, b), j))
+            ok, payload = _judge(residual(graded_bracket(a, b)))
             report.record(
                 ok,
                 None if ok else {"indices": [la, lb], "residual": payload},

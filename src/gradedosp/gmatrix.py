@@ -8,7 +8,7 @@ entries sit at positions of one degree.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .grading import Degree, Signature, deg_add, dot, trace_sign
 from .scalars import ONE, ZERO, Scalar
@@ -147,21 +147,18 @@ class GradedMatrix:
 
     def __matmul__(self, other: GradedMatrix) -> GradedMatrix:
         self._check_compatible(other)
-        rows = _rows_of(other)
-        acc: dict[Position, Scalar] = {}
-        for (i, j), v in self._entries.items():
-            hits = rows.get(j)
-            if not hits:
-                continue
-            for l, w in hits:
-                key = (i, l)
-                cur = acc.get(key)
-                s = v * w if cur is None else cur + v * w
-                if s:
-                    acc[key] = s
-                else:
-                    acc.pop(key, None)
-        return GradedMatrix._make(self.signature, acc)
+        return GradedMatrix._make(self.signature, _product(self, _rows_of(other)))
+
+    def right_product(self) -> Callable[[GradedMatrix], GradedMatrix]:
+        """The map a -> a @ self, with this matrix's row index built once
+        for callers that multiply many matrices by it."""
+        rows = _rows_of(self)
+
+        def times(a: GradedMatrix) -> GradedMatrix:
+            self._check_compatible(a)
+            return GradedMatrix._make(self.signature, _product(a, rows))
+
+        return times
 
     # -- graded operations ---------------------------------------------------
 
@@ -241,6 +238,24 @@ def _rows_of(mat: GradedMatrix) -> dict[int, list[tuple[int, Scalar]]]:
     return rows
 
 
+def _product(a: GradedMatrix, rows: dict[int, list[tuple[int, Scalar]]]) -> dict[Position, Scalar]:
+    """The nonzero entries of a @ b, given the row index of b."""
+    acc: dict[Position, Scalar] = {}
+    for (i, j), v in a._entries.items():
+        hits = rows.get(j)
+        if not hits:
+            continue
+        for l, w in hits:
+            key = (i, l)
+            cur = acc.get(key)
+            s = v * w if cur is None else cur + v * w
+            if s:
+                acc[key] = s
+            else:
+                acc.pop(key, None)
+    return acc
+
+
 def commutator(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
     """Plain AB - BA, ignoring the grading."""
     return (a @ b) - (b @ a)
@@ -260,22 +275,10 @@ def graded_bracket(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
     """
     a._check_compatible(b)
     sig = a.signature
-    acc: dict[Position, Scalar] = {}
+    if not a._entries or not b._entries:
+        return GradedMatrix._make(sig, {})
 
-    rows_b = _rows_of(b)
-    for (i, j), v in a._entries.items():
-        hits = rows_b.get(j)
-        if not hits:
-            continue
-        for l, w in hits:
-            key = (i, l)
-            cur = acc.get(key)
-            s = v * w if cur is None else cur + v * w
-            if s:
-                acc[key] = s
-            else:
-                acc.pop(key, None)
-
+    acc = _product(a, _rows_of(b))
     rows_a: dict[int, list[tuple[int, Scalar, Degree]]] = {}
     for (i, j), v in a._entries.items():
         rows_a.setdefault(i, []).append((j, v, deg_add(sig[i - 1], sig[j - 1])))

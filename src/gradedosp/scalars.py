@@ -1,67 +1,131 @@
-"""Exact scalars: rationals and the quadratic extension Q(sqrt 2).
+"""Exact scalars: the quadratic field Q(sqrt 2), held as integers.
 
 The sqrt(2) factors in the creation/annihilation generators force the
 scalar field up from Q; working in Q(sqrt 2) keeps every identity check
 exact instead of rescaling the generators.
+
+A Scalar is three Python ints (a, b, d) meaning (a + b*sqrt2)/d, kept in
+the canonical form d > 0, gcd(a, b, d) == 1. Equal elements therefore
+have equal triples, and d == 1 exactly when both parts are integers.
+The generators and the ospB/ospD kernel bases are integral, so the
+checks run almost entirely on d == 1 operands, where +, - and * are a
+few integer operations with no gcd. Denominators arise from inv(), which
+echelon elimination calls to normalize pivots (and from user input such
+as a basis with rational coefficients); an operation on such operands
+reduces its result with one three-argument gcd, and inv() divides by the
+field norm a^2 - 2*b^2.
+
+Fraction appears only at the boundary: a part given as a Fraction, the
+`rat`/`irr` properties, and the hash of a non-integral rational. The
+wire form is unchanged: [p, q, r, s] meaning p/q + (r/s)*sqrt2, each part
+in lowest terms. Floats are rejected everywhere, since no float may
+decide a check.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
+
+_new = object.__new__
 
 
 class Scalar:
-    """An element rat + irr*sqrt(2) of Q(sqrt 2), both parts exact rationals."""
+    """An element (a + b*sqrt2)/d of Q(sqrt 2): ints, d > 0, gcd(a, b, d) == 1.
 
-    __slots__ = ("rat", "irr")
+    Construct it from its two parts, Scalar(rat, irr) = rat + irr*sqrt2,
+    each an int or a Fraction.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, rat: Fraction | int = 0, irr: Fraction | int = 0):
-        self.rat = rat if isinstance(rat, Fraction) else Fraction(rat)
-        self.irr = irr if isinstance(irr, Fraction) else Fraction(irr)
+        if type(rat) is int and type(irr) is int:
+            self._a, self._b, self._d = rat, irr, 1
+            return
+        p, q = _ratio(rat)
+        r, s = _ratio(irr)
+        # Both parts are in lowest terms, so over d = lcm(q, s) the triple
+        # is already canonical.
+        d = q // gcd(q, s) * s
+        self._a, self._b, self._d = p * (d // q), r * (d // s), d
+
+    @property
+    def rat(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def irr(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     # -- ring structure -------------------------------------------------
 
     def __add__(self, other: Scalar | int | Fraction) -> Scalar:
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return Scalar(self.rat + other.rat, self.irr + other.irr)
+        if not isinstance(other, Scalar):
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        d, f = self._d, other._d
+        if d == 1 and f == 1:
+            out = _new(Scalar)
+            out._a, out._b, out._d = self._a + other._a, self._b + other._b, 1
+            return out
+        if d == f:
+            return _reduced(self._a + other._a, self._b + other._b, d)
+        return _reduced(self._a * f + other._a * d, self._b * f + other._b * d, d * f)
 
     __radd__ = __add__
 
     def __sub__(self, other: Scalar | int | Fraction) -> Scalar:
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return Scalar(self.rat - other.rat, self.irr - other.irr)
+        if not isinstance(other, Scalar):
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        d, f = self._d, other._d
+        if d == 1 and f == 1:
+            out = _new(Scalar)
+            out._a, out._b, out._d = self._a - other._a, self._b - other._b, 1
+            return out
+        if d == f:
+            return _reduced(self._a - other._a, self._b - other._b, d)
+        return _reduced(self._a * f - other._a * d, self._b * f - other._b * d, d * f)
 
     def __rsub__(self, other: Scalar | int | Fraction) -> Scalar:
         return (-self) + other
 
     def __neg__(self) -> Scalar:
-        return Scalar(-self.rat, -self.irr)
+        out = _new(Scalar)
+        out._a, out._b, out._d = -self._a, -self._b, self._d
+        return out
 
     def __mul__(self, other: Scalar | int | Fraction) -> Scalar:
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        # (a + b*sqrt2)(c + d*sqrt2) = (ac + 2bd) + (ad + bc)*sqrt2
-        return Scalar(
-            self.rat * other.rat + 2 * self.irr * other.irr,
-            self.rat * other.irr + self.irr * other.rat,
-        )
+        if not isinstance(other, Scalar):
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b, c, e = self._a, self._b, other._a, other._b
+        # (a + b*sqrt2)(c + e*sqrt2) = (ac + 2be) + (ae + bc)*sqrt2
+        if self._d == 1 and other._d == 1:
+            out = _new(Scalar)
+            out._a, out._b, out._d = a * c + 2 * b * e, a * e + b * c, 1
+            return out
+        return _reduced(a * c + 2 * b * e, a * e + b * c, self._d * other._d)
 
     __rmul__ = __mul__
 
     def inv(self) -> Scalar:
-        """Multiplicative inverse via the field norm rat^2 - 2*irr^2.
+        """Multiplicative inverse d*(a - b*sqrt2)/(a^2 - 2*b^2).
 
-        The norm vanishes only at zero, since sqrt(2) is irrational.
+        The norm a^2 - 2*b^2 vanishes only at zero, since sqrt(2) is
+        irrational.
         """
-        if not self:
+        a, b, d = self._a, self._b, self._d
+        norm = a * a - 2 * b * b
+        if not norm:
             raise ZeroDivisionError("inverse of zero in Q(sqrt 2)")
-        norm = self.rat * self.rat - 2 * self.irr * self.irr
-        return Scalar(self.rat / norm, -self.irr / norm)
+        if norm < 0:
+            return _reduced(-d * a, d * b, -norm)
+        return _reduced(d * a, -d * b, norm)
 
     def __truediv__(self, other: Scalar | int | Fraction) -> Scalar:
         other = _coerce(other)
@@ -72,18 +136,25 @@ class Scalar:
     # -- comparisons ----------------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self.rat) or bool(self.irr)
+        return self._a != 0 or self._b != 0
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Scalar):
-            return self.rat == other.rat and self.irr == other.irr
-        if isinstance(other, (int, Fraction)):
-            return self.irr == 0 and self.rat == other
+            return self._a == other._a and self._b == other._b and self._d == other._d
+        if isinstance(other, int):
+            return self._d == 1 and self._b == 0 and self._a == other
+        if isinstance(other, Fraction):
+            # With b == 0 the canonical a/d is in lowest terms.
+            return self._b == 0 and self._a == other.numerator and self._d == other.denominator
         return NotImplemented
 
     def __hash__(self) -> int:
-        # Equal to a rational exactly when irr == 0, so hash as one then.
-        return hash(self.rat) if not self.irr else hash((self.rat, self.irr))
+        # Equal to a rational exactly when b == 0, so hash as one then.
+        if self._b:
+            return hash((self._a, self._b, self._d))
+        if self._d == 1:
+            return hash(self._a)
+        return hash(Fraction(self._a, self._d))
 
     # -- presentation / serialization ------------------------------------
 
@@ -91,28 +162,52 @@ class Scalar:
         return f"Scalar({self.rat!s}, {self.irr!s})"
 
     def __str__(self) -> str:
-        if not self.irr:
-            return str(self.rat)
-        if not self.rat:
-            return f"{self.irr}*sqrt2"
-        sign = "+" if self.irr > 0 else "-"
-        return f"{self.rat} {sign} {abs(self.irr)}*sqrt2"
+        rat, irr = self.rat, self.irr
+        if not irr:
+            return str(rat)
+        if not rat:
+            return f"{irr}*sqrt2"
+        sign = "+" if irr > 0 else "-"
+        return f"{rat} {sign} {abs(irr)}*sqrt2"
 
     def to_json(self) -> list[int]:
-        """Wire form [p, q, r, s] meaning p/q + (r/s)*sqrt2, q, s > 0."""
-        return [
-            self.rat.numerator,
-            self.rat.denominator,
-            self.irr.numerator,
-            self.irr.denominator,
-        ]
+        """Wire form [p, q, r, s] meaning p/q + (r/s)*sqrt2, in lowest
+        terms with q, s > 0."""
+        a, b, d = self._a, self._b, self._d
+        if d == 1:
+            return [a, 1, b, 1]
+        g, h = gcd(a, d), gcd(b, d)
+        return [a // g, d // g, b // h, d // h]
 
     @classmethod
     def from_json(cls, data) -> Scalar:
-        p, q, r, s = (int(x) for x in data)
+        p, q, r, s = data
+        if not all(isinstance(x, int) for x in (p, q, r, s)):
+            raise TypeError(f"scalar parts must be integers: {data}")
         if q <= 0 or s <= 0:
             raise ValueError(f"scalar denominators must be positive: {data}")
-        return cls(Fraction(p, q), Fraction(r, s))
+        return _reduced(p * s, r * q, q * s)
+
+
+def _ratio(value) -> tuple[int, int]:
+    """(numerator, denominator) of an int or Fraction part; anything else,
+    a float in particular, is refused."""
+    if isinstance(value, int):
+        return int(value), 1
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
+    raise TypeError(f"a scalar part must be an int or a Fraction, got {type(value).__name__}")
+
+
+def _reduced(a: int, b: int, d: int) -> Scalar:
+    """The canonical Scalar (a + b*sqrt2)/d, for d > 0."""
+    g = gcd(a, b, d)
+    out = _new(Scalar)
+    if g == 1:
+        out._a, out._b, out._d = a, b, d
+    else:
+        out._a, out._b, out._d = a // g, b // g, d // g
+    return out
 
 
 def _coerce(value) -> Scalar | None:

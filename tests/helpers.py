@@ -1,6 +1,9 @@
-"""Test-side oracles, kept independent of the library's echelon engine."""
+"""Test-side oracles, kept independent of the library's echelon engine
+and of its integer scalar core."""
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from gradedosp.algebras import AlgebraSpec, Family, j_matrix
 from gradedosp.gmatrix import GradedMatrix, elem
@@ -95,3 +98,43 @@ def osp_grid(max_m=2, max_n=2):
                 for n2 in range(max_n + 1 - n1):
                     specs.append(AlgebraSpec(Family.OSP_B, m1, m2, n1, n2))
     return specs
+
+
+class FractionPair:
+    """Reference Q(sqrt 2) arithmetic on a pair of Fractions rat + irr*sqrt2,
+    written independently of the library's integer triple."""
+
+    def __init__(self, rat=0, irr=0):
+        self.rat = Fraction(rat)
+        self.irr = Fraction(irr)
+
+    def __add__(self, other):
+        return FractionPair(self.rat + other.rat, self.irr + other.irr)
+
+    def __sub__(self, other):
+        return FractionPair(self.rat - other.rat, self.irr - other.irr)
+
+    def __neg__(self):
+        return FractionPair(-self.rat, -self.irr)
+
+    def __mul__(self, other):
+        return FractionPair(
+            self.rat * other.rat + 2 * self.irr * other.irr,
+            self.rat * other.irr + self.irr * other.rat,
+        )
+
+    def inv(self):
+        norm = self.rat * self.rat - 2 * self.irr * self.irr
+        return FractionPair(self.rat / norm, -self.irr / norm)
+
+    def __truediv__(self, other):
+        return self * other.inv()
+
+    def __eq__(self, other):
+        return self.rat == other.rat and self.irr == other.irr
+
+    def __bool__(self):
+        return bool(self.rat or self.irr)
+
+    def __hash__(self):
+        return hash(self.rat) if not self.irr else hash((self.rat, self.irr))

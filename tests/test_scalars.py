@@ -1,11 +1,15 @@
 """Field arithmetic in Q(sqrt 2): everything exact, everything normalized."""
 
+import operator
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from gradedosp.gmatrix import GradedMatrix, elem
 from gradedosp.scalars import ONE, SQRT2, ZERO, Scalar
+from helpers import FractionPair
 
 HALF = Fraction(1, 2)
 
@@ -107,3 +111,99 @@ def test_str_forms():
     assert str(Scalar(3)) == "3"
     assert str(SQRT2) == "1*sqrt2"
     assert str(Scalar(1, -1)) == "1 - 1*sqrt2"
+
+
+def test_floats_are_refused():
+    # A float would put rounding on a path that decides a check.
+    sig = ((0, 0), (1, 1))
+    for build in (
+        lambda: Scalar(0.1),
+        lambda: Scalar(1, 0.5),
+        lambda: Scalar("1"),
+        lambda: Scalar(Fraction(1, 2), 2.0),
+        lambda: Scalar.from_json([0.5, 1, 0, 1]),
+        lambda: Scalar.from_json([1, 2, 0, 1.0]),
+        lambda: GradedMatrix(sig, {(1, 1): 0.5}),
+        lambda: elem(sig, 1, 2).scale(0.5),
+        lambda: Scalar(1) + 0.5,
+        lambda: 0.5 * SQRT2,
+        lambda: Scalar(1) / 2.0,
+    ):
+        with pytest.raises(TypeError):
+            build()
+
+
+def test_integral_paths_build_no_fraction(monkeypatch):
+    x, y = Scalar(3, -2), Scalar(-5, 7)
+    built = []
+    make = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return make(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    results = [x + y, x - y, x * y, -x, x + 1, 2 * x, x == y, x == 3, Scalar(4) == 4]
+    monkeypatch.undo()
+    assert built == []
+    assert results[:6] == [Scalar(-2, 5), Scalar(8, -9), Scalar(-43, 31), Scalar(-3, 2), Scalar(4, -2), Scalar(6, -4)]
+    assert results[6:] == [False, False, True]
+
+
+# -- differential test against the Fraction-pair reference -----------------
+
+WIDE = 2**80
+parts = st.one_of(
+    st.integers(-5, 5).map(Fraction),
+    st.fractions(min_value=-6, max_value=6, max_denominator=12),
+    st.builds(Fraction, st.integers(-WIDE, WIDE), st.integers(1, WIDE)),
+)
+pairs = st.tuples(parts, parts)
+
+
+def _canonical(x: Scalar) -> None:
+    a, b, d = x._a, x._b, x._d
+    assert all(type(v) is int for v in (a, b, d))
+    assert d > 0
+    assert gcd(a, b, d) == 1
+    assert (d == 1) == (x.rat.denominator == 1 and x.irr.denominator == 1)
+
+
+def _agrees(x: Scalar, ref: FractionPair) -> None:
+    _canonical(x)
+    assert (x.rat, x.irr) == (ref.rat, ref.irr)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs, pairs)
+def test_matches_the_fraction_pair_reference(p, q):
+    x, y = Scalar(*p), Scalar(*q)
+    rx, ry = FractionPair(*p), FractionPair(*q)
+    _agrees(x, rx)
+    for op in (operator.add, operator.sub, operator.mul):
+        _agrees(op(x, y), op(rx, ry))
+    _agrees(-x, -rx)
+    assert bool(x) == bool(rx)
+    assert (x == y) == (rx == ry)
+    assert x == Scalar(*p)
+    if y:
+        _agrees(y.inv(), ry.inv())
+        _agrees(x / y, rx / ry)
+    # Equal to a rational exactly when the reference is, with its hash.
+    if not rx.irr:
+        assert x == rx.rat and hash(x) == hash(rx.rat) == hash(rx)
+        if rx.rat.denominator == 1:
+            assert x == int(rx.rat)
+    else:
+        assert x != rx.rat
+    assert hash(x) == hash(Scalar(*p))
+
+
+@given(pairs, st.integers(1, WIDE), st.integers(1, WIDE))
+def test_json_round_trip_from_unreduced_input(p, k, l):
+    rat, irr = p
+    data = [rat.numerator * k, rat.denominator * k, irr.numerator * l, irr.denominator * l]
+    x = Scalar.from_json(data)
+    _canonical(x)
+    assert x.to_json() == [rat.numerator, rat.denominator, irr.numerator, irr.denominator]
+    assert x == Scalar(rat, irr) and hash(x) == hash(Scalar(rat, irr))
