@@ -12,6 +12,7 @@ from .gmatrix import GradedMatrix, anticommutator, commutator, elem, graded_brac
 from .algebras import (
     AlgebraSpec,
     Basis,
+    BracketTable,
     Family,
     expected_dim,
     is_member,
@@ -41,6 +42,7 @@ from .parastat import (
 __all__ = [
     "AlgebraSpec",
     "Basis",
+    "BracketTable",
     "CheckReport",
     "Family",
     "GeneratorSet",

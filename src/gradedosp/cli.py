@@ -3,7 +3,9 @@
 Every check is a row of one ordered table, `CHECKS`. A `check-*`
 subcommand tests its precondition on the spec and runs its own rows;
 `report` runs every row that applies. One invocation builds the kernel
-basis at most once, and only when a row needs it.
+basis and its bracket table at most once each, and only when a row needs
+them. `report` and `check-jacobi` refuse a Jacobi suite of more than
+`JACOBI_GUARD` basis triples without `--force`.
 
 JSON is the canonical output format; the text rendering is a lossy human
 view. Checks run in one thread and `--parallelism` has no effect, so
@@ -24,6 +26,7 @@ from . import __version__
 from .algebras import (
     AlgebraSpec,
     Basis,
+    BracketTable,
     Family,
     expected_dim,
     kernel_basis,
@@ -44,7 +47,8 @@ from .parastat import (
 from .report import CheckReport
 
 TOOL = "gradedosp"
-SIZE_GUARD = 40  # Jacobi suites are cubic in basis size
+SIZE_GUARD = 40  # largest matrix size built without --force
+JACOBI_GUARD = 10**7  # most ordered basis triples checked without --force
 
 COMMANDS = ("basis", "dims", "check-osp", "check-jacobi", "check-relations", "report")
 
@@ -147,7 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument(
             "--force",
             action="store_true",
-            help=f"allow matrix sizes above {SIZE_GUARD}",
+            help=f"allow matrix sizes above {SIZE_GUARD} and Jacobi suites "
+            f"of more than {JACOBI_GUARD:,} triples",
         )
     return parser
 
@@ -167,7 +172,8 @@ def _build_spec(args) -> AlgebraSpec:
 
 @dataclass
 class _Context:
-    """One invocation's spec and options; builds the kernel basis once, on first use."""
+    """One invocation's spec and options; builds the kernel basis and its
+    bracket table once each, on first use."""
 
     spec: AlgebraSpec
     max_ces: int
@@ -176,15 +182,24 @@ class _Context:
     def basis(self) -> Basis:
         return kernel_basis(self.spec)
 
+    @cached_property
+    def table(self) -> BracketTable:
+        return BracketTable(self.basis)
+
+
+def _expected_dim(spec: AlgebraSpec) -> int:
+    """The algebra's dimension by closed form, without building a basis."""
+    m = spec.size
+    if spec.family is Family.GL:
+        return m * m
+    return m * m - 1 if spec.family is Family.SL else expected_dim(spec)
+
 
 def _dims(ctx: _Context) -> dict:
     spec = ctx.spec
-    m = spec.size
-    if spec.family is Family.GL:
-        computed = expected = m * m  # the whole matrix space
-    else:
-        computed = len(ctx.basis)
-        expected = m * m - 1 if spec.family is Family.SL else expected_dim(spec)
+    expected = _expected_dim(spec)
+    # gl is the whole matrix space and has no kernel basis to count.
+    computed = expected if spec.family is Family.GL else len(ctx.basis)
     return {"computed": computed, "expected": expected, "match": computed == expected}
 
 
@@ -237,7 +252,11 @@ def _has_generators(spec: AlgebraSpec) -> bool:
 CHECKS = (
     (None, lambda spec: True, _dims_report),
     ("check-osp", _is_osp, lambda ctx: [verify_membership(ctx.basis, ctx.max_ces)]),
-    ("check-osp", _has_condition, lambda ctx: [verify_closure(ctx.basis, ctx.max_ces)]),
+    (
+        "check-osp",
+        _has_condition,
+        lambda ctx: [verify_closure(ctx.basis, ctx.max_ces, table=ctx.table)],
+    ),
     (
         "check-osp",
         lambda spec: spec.family is Family.OSP_B,
@@ -246,9 +265,13 @@ CHECKS = (
     (
         "check-jacobi",
         _has_condition,
-        lambda ctx: [verify_jacobi(ctx.basis, max_counterexamples=ctx.max_ces)],
+        lambda ctx: [verify_jacobi(ctx.basis, max_counterexamples=ctx.max_ces, table=ctx.table)],
     ),
-    ("check-jacobi", _has_condition, lambda ctx: [verify_symmetry(ctx.basis, ctx.max_ces)]),
+    (
+        "check-jacobi",
+        _has_condition,
+        lambda ctx: [verify_symmetry(ctx.basis, ctx.max_ces, table=ctx.table)],
+    ),
     ("check-relations", _has_generators, _relation_reports),
 )
 
@@ -272,6 +295,13 @@ def run(args) -> tuple[dict, int]:
         applies, message = PRECONDITIONS[args.command]
         if not applies(spec):
             raise CliError(message.format(**spec.to_json()))
+    if args.command in ("report", "check-jacobi") and _has_condition(spec) and not args.force:
+        triples = _expected_dim(spec) ** 3
+        if triples > JACOBI_GUARD:
+            raise CliError(
+                f"the Jacobi suite would check {triples:,} basis triples, above the "
+                f"desk-scale guard of {JACOBI_GUARD:,}; pass --force to proceed"
+            )
     if args.command == "basis":
         return ctx.basis.to_json(), 0
     if args.command == "dims":

@@ -214,12 +214,16 @@ class GradedMatrix:
 
     @classmethod
     def from_json(cls, data: dict) -> GradedMatrix:
-        signature = tuple((int(a), int(b)) for a, b in data["signature"])
-        if len(signature) != int(data["size"]):
+        size, degrees, rows = data["size"], data["signature"], data["entries"]
+        ints = [size, *(x for d in degrees for x in d), *(x for row in rows for x in row[:2])]
+        if not all(isinstance(x, int) for x in ints):
+            raise TypeError(f"size, signature and entry positions must be integers: {data}")
+        signature = tuple((a, b) for a, b in degrees)
+        if len(signature) != size:
             raise ValueError("signature length does not match size")
         entries = {}
-        for i, j, p, q, r, s in data["entries"]:
-            entries[(int(i), int(j))] = Scalar.from_json([p, q, r, s])
+        for i, j, p, q, r, s in rows:
+            entries[(i, j)] = Scalar.from_json([p, q, r, s])
         return cls(signature, entries)
 
 

@@ -32,6 +32,10 @@ class CheckReport:
             if counterexample is not None and len(self.counterexamples) < max_counterexamples:
                 self.counterexamples.append(counterexample)
 
+    def record_passes(self, count: int) -> None:
+        """Record `count` passing instances at once."""
+        self.total += count
+
     def to_json(self) -> dict:
         doc = {
             "check": self.check,

@@ -11,6 +11,7 @@ from gradedosp import algebras, cli
 from gradedosp.algebras import (
     AlgebraSpec,
     Basis,
+    BracketTable,
     Family,
     SpanReducer,
     expected_dim,
@@ -63,6 +64,16 @@ def test_spec_validation():
 def test_spec_json_round_trip():
     spec = ospB(2, 0, 1, 2)
     assert AlgebraSpec.from_json(spec.to_json()) == spec
+
+
+def test_from_json_refuses_floats():
+    # int() would truncate these to the entry (1, 2) and to ospB(1,0,0,0)
+    with pytest.raises(TypeError):
+        GradedMatrix.from_json(
+            {"size": 2, "signature": [[0, 0], [1, 1]], "entries": [[1.7, 2.2, 1, 1, 0, 1]]}
+        )
+    with pytest.raises(TypeError):
+        AlgebraSpec.from_json({"family": "ospB", "m1": 1.9, "m2": 0, "n1": 0, "n2": 0})
 
 
 # -- the defining form J ----------------------------------------------------
@@ -404,6 +415,57 @@ def test_planted_bracket_sign_fails_jacobi_and_symmetry(monkeypatch):
         for ce in report.counterexamples:
             assert len(ce["indices"]) == arity
             assert ce["residual"]["entries"]
+
+
+def test_planted_sign_bracket_leaves_the_span(monkeypatch):
+    # The bracket of the test above is not closed on the basis, so Jacobi
+    # takes the matrix path there.
+    basis = kernel_basis(ospB(0, 1, 1, 0))
+    true_bracket = algebras.graded_bracket
+
+    def wrong_sign(a, b):
+        if a.degree_of() == b.degree_of() == (1, 0):
+            return a @ b - b @ a
+        return true_bracket(a, b)
+
+    monkeypatch.setattr(algebras, "graded_bracket", wrong_sign)
+    assert BracketTable(basis).structure_constants is None
+
+
+@pytest.mark.parametrize("params, failures", [((0, 1, 1, 0), 96), ((1, 1, 1, 1), 2240)])
+def test_jacobi_paths_agree_on_a_planted_defect(monkeypatch, params, failures):
+    basis = kernel_basis(ospB(*params))
+    n = len(basis)
+    true_bracket = algebras.graded_bracket
+
+    def doubled(a, b):
+        # a multiple of the true bracket stays in the algebra, so closure
+        # holds and Jacobi runs on structure constants
+        bracket = true_bracket(a, b)
+        return bracket.scale(2) if (a.degree_of(), b.degree_of()) == ((1, 0), (0, 1)) else bracket
+
+    monkeypatch.setattr(algebras, "graded_bracket", doubled)
+    assert verify_closure(basis).passed
+    assert BracketTable(basis).structure_constants is not None
+    by_constants = verify_jacobi(basis, max_counterexamples=n ** 3)
+    assert (by_constants.total, by_constants.failed) == (n ** 3, failures)
+    assert len(by_constants.counterexamples) == failures
+
+    monkeypatch.setattr(BracketTable, "structure_constants", None)
+    by_matrices = verify_jacobi(basis, max_counterexamples=n ** 3)
+    assert json.dumps(by_constants.to_json()) == json.dumps(by_matrices.to_json())
+
+
+def test_checks_read_a_given_table(monkeypatch):
+    basis = kernel_basis(ospB(1, 0, 1, 0))
+    table = BracketTable(basis)
+    calls = []
+    monkeypatch.setattr(algebras, "graded_bracket", lambda a, b: calls.append(1))
+    for check in (verify_closure, verify_symmetry, verify_jacobi):
+        assert check(basis, table=table).passed
+    assert calls == []
+    with pytest.raises(ValueError, match="another basis"):
+        verify_closure(kernel_basis(ospB(1, 0, 1, 0)), table=table)
 
 
 def test_block_conditions_flag_a_planted_sign(monkeypatch):

@@ -136,6 +136,65 @@ def test_kernel_basis_built_at_most_once(tmp_path, monkeypatch, command, family,
     assert len(calls) == builds
 
 
+@pytest.mark.parametrize(
+    "command, family, builds",
+    [
+        ("report", "ospB", 1),
+        ("check-jacobi", "ospB", 1),
+        ("check-osp", "ospB", 1),
+        ("report", "sl", 1),
+        ("dims", "ospB", 0),
+        ("basis", "ospB", 0),
+        ("check-relations", "ospB", 0),
+    ],
+)
+def test_bracket_table_built_at_most_once(tmp_path, monkeypatch, command, family, builds):
+    tables = []
+    build = cli.BracketTable
+
+    def counted(basis):
+        tables.append(basis)
+        return build(basis)
+
+    monkeypatch.setattr(cli, "BracketTable", counted)
+    code, _ = run_json(tmp_path, command, "--algebra", family, "--m1", "1", "--n1", "1")
+    assert code == 0
+    assert len(tables) == builds
+
+
+class _Built(Exception):
+    """Raised in place of building a kernel basis."""
+
+
+def _spec_argv(*params):
+    return ["--algebra", "ospB"] + [
+        arg for name, value in zip(("--m1", "--m2", "--n1", "--n2"), params)
+        for arg in (name, str(value))
+    ]
+
+
+@pytest.mark.parametrize("command", ["report", "check-jacobi"])
+def test_jacobi_work_guard(tmp_path, monkeypatch, capsys, command):
+    calls = count_kernel_basis(monkeypatch)
+    # ospB(3,3,2,2) has dimension 218: 10,360,232 Jacobi triples
+    assert main([command, *_spec_argv(3, 3, 2, 2)]) == 2
+    err = capsys.readouterr().err
+    assert "10,360,232" in err and "--force" in err
+    assert calls == []
+    code, doc = run_json(tmp_path, "check-relations", *_spec_argv(3, 3, 2, 2))
+    assert code == 0 and doc["summary"]["failed"] == 0
+
+    def refuse(spec):
+        raise _Built(spec)
+
+    # ospB(3,2,2,2) (5,735,339 triples) and --force pass the guard and
+    # reach the basis
+    monkeypatch.setattr(cli, "kernel_basis", refuse)
+    for argv in (_spec_argv(3, 2, 2, 2), _spec_argv(3, 3, 2, 2) + ["--force"]):
+        with pytest.raises(_Built):
+            main([command, *argv])
+
+
 @pytest.mark.parametrize("where", ["missing-dir/report.json", "."])
 def test_unwritable_output_refused_before_any_check(tmp_path, monkeypatch, capsys, where):
     calls = count_kernel_basis(monkeypatch)
