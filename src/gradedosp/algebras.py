@@ -451,8 +451,9 @@ class BracketTable:
         self.rows = [[graded_bracket(a, b) for b in elements] for a in elements]
 
     @cached_property
-    def structure_constants(self) -> Optional[list[list[Vector]]]:
-        """C[a][b] = {k: c_k} with [e_a, e_b] = sum_k c_k e_k, or None as soon
+    def structure_constants(self) -> Optional[list[dict[int, Vector]]]:
+        """C[a][b] = {k: c_k} with [e_a, e_b] = sum_k c_k e_k, for each
+        nonzero bracket (a zero bracket has no key b in C[a]); None as soon
         as one bracket differs from that reconstruction (the basis is not
         closed under brackets).
 
@@ -470,12 +471,13 @@ class BracketTable:
             echelon.insert({**_flatten(mat), tag + k: ONE})
         constants = []
         for row in self.rows:
-            coords = []
-            for bracket in row:
+            coords = {}
+            for b, bracket in enumerate(row):
                 red = echelon.residual(_flatten(bracket))
                 if any(coord < tag for coord in red):
                     return None
-                coords.append({coord - tag: -v for coord, v in red.items()})
+                if red:
+                    coords[b] = {coord - tag: -v for coord, v in red.items()}
             constants.append(coords)
         return constants
 
@@ -588,7 +590,7 @@ def verify_jacobi(
     rows = table.rows
     n = len(elements)
 
-    def by_matrices(ia: int, ib: int, minus: int) -> dict[int, GradedMatrix]:
+    def by_matrices(ia: int, ib: int, odd: int) -> dict[int, GradedMatrix]:
         a, b = elements[ia], elements[ib]
         row_a, row_b = rows[ia], rows[ib]
         failures = {}
@@ -596,43 +598,44 @@ def verify_jacobi(
             lhs = graded_bracket(a, row_b[ic])
             rhs = graded_bracket(row_a[ib], elements[ic])
             third = graded_bracket(b, row_a[ic])
-            rhs = rhs - third if minus else rhs + third
+            rhs = rhs - third if odd else rhs + third
             if lhs != rhs:
                 failures[ic] = lhs - rhs
         return failures
 
-    def by_constants(ia: int, ib: int, minus: int) -> dict[int, GradedMatrix]:
-        # Terms (c, x, v): x * v adds to the coordinates of
-        # [a, [b, c]] - [[a, b], c] - (-1)^{dot(a, b)} [b, [a, c]].
+    def by_constants(ia: int, ib: int, odd: int) -> dict[int, GradedMatrix]:
+        # Terms (c, x, v) of the coordinates, for every c, of
+        # [a, [b, c]] - [[a, b], c] - (-1)^{dot(a, b)} [b, [a, c]]:
+        # x * v is added for the terms in `added`, subtracted for the rest.
         row_a, row_b = constants[ia], constants[ib]
-        terms = [(ic, x, row_a[d]) for ic, coeffs in nonzero[ib] for d, x in coeffs.items()]
-        terms += [(ic, x, vec) for d, x in row_a[ib].items() for ic, vec in negated[d]]
-        terms += [
-            (ic, x, row_b[d])
-            for ic, coeffs in (nonzero if minus else negated)[ia]
-            for d, x in coeffs.items()
+        added = [(ic, x, row_a.get(d)) for ic, coeffs in row_b.items() for d, x in coeffs.items()]
+        subtracted = [
+            (ic, x, vec) for d, x in row_a.get(ib, {}).items() for ic, vec in constants[d].items()
         ]
+        (added if odd else subtracted).extend(
+            (ic, x, row_b.get(d)) for ic, coeffs in row_a.items() for d, x in coeffs.items()
+        )
         acc: dict[int, Vector] = {}
-        for ic, x, vec in terms:
-            if vec:
-                out = acc.setdefault(ic, {})
-                for f, y in vec.items():
-                    out[f] = out[f] + x * y if f in out else x * y
+        for terms, subtract in ((added, False), (subtracted, True)):
+            for ic, x, vec in terms:
+                if vec:
+                    out = acc.setdefault(ic, {})
+                    for f, y in vec.items():
+                        p = x * y
+                        if f in out:
+                            out[f] = out[f] - p if subtract else out[f] + p
+                        else:
+                            out[f] = -p if subtract else p
         failures = {}
         for ic, coords in acc.items():
             if any(coords.values()):
+                # judged on the matrix, as the matrix loop judges it
                 residual = _combination(elements, coords)
                 if not residual.is_zero():
                     failures[ic] = residual
         return failures
 
-    if constants is None:
-        failures_of = by_matrices
-    else:
-        failures_of = by_constants
-        # Row a lists (c, C_ac) for the nonzero brackets, and its negation.
-        nonzero = [[(ic, c) for ic, c in enumerate(row) if c] for row in constants]
-        negated = [[(ic, {f: -y for f, y in c.items()}) for ic, c in row] for row in nonzero]
+    failures_of = by_matrices if constants is None else by_constants
     report = CheckReport("jacobi", basis.spec.to_json())
     for ia in range(n):
         da = degrees[ia]
