@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, product
 from typing import Callable, Iterator, Optional, Sequence
 
 from .gmatrix import GradedMatrix, elem, graded_bracket
@@ -48,7 +48,7 @@ class AlgebraSpec:
         object.__setattr__(self, "family", Family(self.family))
         for name in ("m1", "m2", "n1", "n2"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 0:
+            if type(value) is not int or value < 0:
                 raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
         if self.size < 1:
             raise ValueError(
@@ -87,7 +87,7 @@ class AlgebraSpec:
     @classmethod
     def from_json(cls, data: dict) -> AlgebraSpec:
         params = [data[name] for name in ("m1", "m2", "n1", "n2")]
-        if not all(isinstance(x, int) for x in params):
+        if not all(type(x) is int for x in params):
             raise TypeError(f"spec parameters must be integers: {params}")
         return cls(Family(data["family"]), *params)
 
@@ -199,26 +199,46 @@ def is_member(spec: AlgebraSpec, mat: GradedMatrix) -> bool:
 
 # -- exact echelon machinery -------------------------------------------------
 
-Vector = dict[int, Scalar]
+# A sparse vector over matrix positions (i, j), whose row-major order is the
+# coordinate order; positions past the matrix, (m + 1, k), are extra tags.
+Vector = dict[tuple[int, int], Scalar]
+
+
+def _axpy(out: dict, x: Scalar, vec, subtract: bool = False) -> None:
+    """out += x * vec in place (out -= x * vec with `subtract`), dropping
+    entries that cancel; `vec` is a sparse dict or a GradedMatrix."""
+    for key, v in vec.items():
+        p = x * v
+        cur = out.get(key)
+        if cur is not None:
+            p = cur - p if subtract else cur + p
+        elif subtract:
+            p = -p
+        if p:
+            out[key] = p
+        else:
+            out.pop(key, None)
 
 
 class SpanReducer:
     """Incrementally maintained reduced echelon form of sparse vectors.
 
-    Pivots are leftmost nonzero coordinates, normalized to 1; stored rows
-    are mutually reduced, so processing order of the pivots never matters.
+    Vectors are keyed by matrix position, so a matrix enters as
+    `dict(mat.items())`. Pivots are leftmost nonzero positions in row-major
+    order, normalized to 1; stored rows are mutually reduced, so processing
+    order of the pivots never matters.
     """
 
     def __init__(self):
         self._rows: list[Vector] = []
-        self._pivots: dict[int, int] = {}
+        self._pivots: dict[tuple[int, int], int] = {}
 
     @property
     def rank(self) -> int:
         return len(self._rows)
 
     @property
-    def pivots(self) -> list[int]:
+    def pivots(self) -> list[tuple[int, int]]:
         return sorted(self._pivots)
 
     def residual(self, vec: Vector) -> Vector:
@@ -228,14 +248,8 @@ class SpanReducer:
         pivots = self._pivots
         for pivot, c in vec.items():
             rix = pivots.get(pivot)
-            if rix is None or not c:
-                continue
-            for coord, val in self._rows[rix].items():
-                cur = out.get(coord, ZERO) - c * val
-                if cur:
-                    out[coord] = cur
-                else:
-                    out.pop(coord, None)
+            if rix is not None and c:
+                _axpy(out, c, self._rows[rix], subtract=True)
         return out
 
     def insert(self, vec: Vector) -> bool:
@@ -248,31 +262,14 @@ class SpanReducer:
         row = {coord: val * inv for coord, val in red.items()}
         for other in self._rows:
             c = other.get(pivot)
-            if not c:
-                continue
-            for coord, val in row.items():
-                cur = other.get(coord, ZERO) - c * val
-                if cur:
-                    other[coord] = cur
-                else:
-                    other.pop(coord, None)
+            if c:
+                _axpy(other, c, row, subtract=True)
         self._pivots[pivot] = len(self._rows)
         self._rows.append(row)
         return True
 
     def rows_by_pivot(self) -> list[Vector]:
         return [dict(self._rows[rix]) for _, rix in sorted(self._pivots.items())]
-
-
-def _flatten(mat: GradedMatrix) -> Vector:
-    m = mat.size
-    return {(i - 1) * m + (j - 1): v for (i, j), v in mat.items()}
-
-
-def _unflatten(signature: Signature, vec: Vector) -> GradedMatrix:
-    m = len(signature)
-    entries = {(coord // m + 1, coord % m + 1): v for coord, v in vec.items()}
-    return GradedMatrix(signature, entries)
 
 
 def _common_signature(matrices: Sequence[GradedMatrix]) -> Optional[Signature]:
@@ -290,7 +287,7 @@ def rank_of(matrices: Sequence[GradedMatrix]) -> int:
     _common_signature(matrices)
     reducer = SpanReducer()
     for mat in matrices:
-        reducer.insert(_flatten(mat))
+        reducer.insert(dict(mat.items()))
     return reducer.rank
 
 
@@ -299,7 +296,7 @@ def reduce_span(matrices: Sequence[GradedMatrix]) -> list[GradedMatrix]:
     increases the rank, processing in the given order."""
     _common_signature(matrices)
     reducer = SpanReducer()
-    return [mat for mat in matrices if reducer.insert(_flatten(mat))]
+    return [mat for mat in matrices if reducer.insert(dict(mat.items()))]
 
 
 # -- the two basis constructions ------------------------------------------------
@@ -310,28 +307,16 @@ def s_matrices(spec: AlgebraSpec) -> Iterator[tuple[int, int, GradedMatrix]]:
     _require_osp(spec, "s_matrices")
     sig = spec.signature()
     m = spec.size
-    j_rows: dict[int, list[tuple[int, Scalar]]] = {}
+    j_rows: dict[int, dict[int, Scalar]] = {}
     for (r, c), v in j_matrix(spec).items():
-        j_rows.setdefault(r, []).append((c, v))
+        j_rows.setdefault(r, {})[c] = v
     u = u_matrix(spec)
     for i in range(1, m + 1):
+        row_i = j_rows.get(i, {})
         for j in range(1, m + 1):
-            entries: dict = {}
-            for k, v in j_rows.get(i, ()):
-                key = (k, j)
-                cur = entries.get(key, ZERO) + v
-                if cur:
-                    entries[key] = cur
-                else:
-                    entries.pop(key, None)
-            uij = u.entry(i, j)
-            for k, v in j_rows.get(j, ()):
-                key = (k, i)
-                cur = entries.get(key, ZERO) - uij * v
-                if cur:
-                    entries[key] = cur
-                else:
-                    entries.pop(key, None)
+            entries = {(k, j): v for k, v in row_i.items()}
+            term = {(k, i): v for k, v in j_rows.get(j, {}).items()}
+            _axpy(entries, u.entry(i, j), term, subtract=True)
             yield i, j, GradedMatrix(sig, entries)
 
 
@@ -342,7 +327,7 @@ def s_basis(spec: AlgebraSpec) -> Basis:
     elements: list[GradedMatrix] = []
     labels: list[str] = []
     for i, j, mat in s_matrices(spec):
-        if reducer.insert(_flatten(mat)):
+        if reducer.insert(dict(mat.items())):
             elements.append(mat)
             labels.append(f"s[{i},{j}]")
     return Basis(spec, elements, labels)
@@ -350,27 +335,28 @@ def s_basis(spec: AlgebraSpec) -> Basis:
 
 def _constraint_equations(spec: AlgebraSpec) -> list[Vector]:
     """Rows of the linear system cutting the algebra out of all matrices,
-    over flattened (row-major) coordinates: column (p, q) is the membership
-    residual of the matrix unit e_pq, and the sl supertrace is one row."""
+    over matrix positions: column (p, q) is the membership residual of the
+    matrix unit e_pq, and the sl supertrace is the one row (0, 0)."""
     sig = spec.signature()
     m = spec.size
     residual_of = membership_residual(spec)
-    equations: dict[int, Vector] = {}
+    equations: dict[tuple[int, int], Vector] = {}
     for p in range(1, m + 1):
         for q in range(1, m + 1):
             residual = residual_of(elem(sig, p, q))
-            column = {0: residual} if isinstance(residual, Scalar) else _flatten(residual)
+            column = {(0, 0): residual} if isinstance(residual, Scalar) else residual
             for out, v in column.items():
                 if v:
-                    equations.setdefault(out, {})[(p - 1) * m + (q - 1)] = v
+                    equations.setdefault(out, {})[(p, q)] = v
     return [equations[out] for out in sorted(equations)]
 
 
 def kernel_basis(spec: AlgebraSpec) -> Basis:
     """Canonical basis of the solution space of the defining condition.
 
-    Reduced echelon over flattened coordinates: pivots normalized to 1,
-    basis rows ordered by pivot coordinate — deterministic and diff-stable.
+    Reduced echelon over matrix positions in row-major order: pivots
+    normalized to 1, basis rows ordered by pivot position and labelled by
+    it — deterministic and diff-stable.
     """
     if spec.family is Family.GL:
         raise ValueError("gl has no defining condition; kernel_basis needs sl/ospB/ospD")
@@ -383,7 +369,7 @@ def kernel_basis(spec: AlgebraSpec) -> Basis:
     rref = reducer.rows_by_pivot()
 
     canonical = SpanReducer()
-    for free in range(m * m):
+    for free in product(range(1, m + 1), repeat=2):
         if free in pivot_set:
             continue
         vec: Vector = {free: ONE}
@@ -396,21 +382,21 @@ def kernel_basis(spec: AlgebraSpec) -> Basis:
     elements: list[GradedMatrix] = []
     labels: list[str] = []
     for row in canonical.rows_by_pivot():
-        mat = _unflatten(sig, row)
-        pivot = min(row)
-        elements.append(mat)
-        labels.append(f"k[{pivot // m + 1},{pivot % m + 1}]")
+        elements.append(GradedMatrix(sig, row))
+        labels.append("k[{},{}]".format(*min(row)))
     return Basis(spec, elements, labels)
 
 
 def expected_dim(spec: AlgebraSpec) -> int:
-    """Closed-form dimension oracle, with m = m1+m2 and n = n1+n2.
-
-    The defining linear conditions match the classical orthosymplectic
-    count; the formula is validated against brute force in the tests
-    before anything else relies on it.
+    """Closed-form dimension oracle: size^2 for gl, size^2 - 1 for sl, and
+    for the orthosymplectic families, with m = m1+m2 and n = n1+n2, the
+    classical orthosymplectic count. The formula is validated against
+    brute force in the tests before anything else relies on it.
     """
-    _require_osp(spec, "expected_dim")
+    if spec.family is Family.GL:
+        return spec.size ** 2
+    if spec.family is Family.SL:
+        return spec.size ** 2 - 1
     m = spec.m1 + spec.m2
     n = spec.n1 + spec.n2
     if spec.family is Family.OSP_B:
@@ -451,33 +437,33 @@ class BracketTable:
         self.rows = [[graded_bracket(a, b) for b in elements] for a in elements]
 
     @cached_property
-    def structure_constants(self) -> Optional[list[dict[int, Vector]]]:
+    def structure_constants(self) -> Optional[list[dict[int, dict[int, Scalar]]]]:
         """C[a][b] = {k: c_k} with [e_a, e_b] = sum_k c_k e_k, for each
         nonzero bracket (a zero bracket has no key b in C[a]); None as soon
         as one bracket differs from that reconstruction (the basis is not
         closed under brackets).
 
         Coordinates come from one augmented echelon of the basis: element k
-        is flattened and tagged with a unit at coordinate m^2 + k. Reducing
-        a flattened bracket M against it leaves M - sum_k c_k e_k on the
-        matrix coordinates and -c_k on tag k, with c_k = sum_p M[p] T[p][k]
+        is tagged with a unit at the position (m + 1, k) past the matrix.
+        Reducing a bracket M against it leaves M - sum_k c_k e_k on the
+        matrix positions and -c_k on tag k, with c_k = sum_p M[p] T[p][k]
         over the pivots p. Computed on first use."""
         elements = self.basis.elements
         if not elements:
             return []
-        tag = elements[0].size ** 2
+        past = elements[0].size + 1
         echelon = SpanReducer()
         for k, mat in enumerate(elements):
-            echelon.insert({**_flatten(mat), tag + k: ONE})
+            echelon.insert({**dict(mat.items()), (past, k): ONE})
         constants = []
         for row in self.rows:
             coords = {}
             for b, bracket in enumerate(row):
-                red = echelon.residual(_flatten(bracket))
-                if any(coord < tag for coord in red):
+                red = echelon.residual(dict(bracket.items()))
+                if any(i < past for i, _ in red):
                     return None
                 if red:
-                    coords[b] = {coord - tag: -v for coord, v in red.items()}
+                    coords[b] = {k: -v for (_, k), v in red.items()}
             constants.append(coords)
         return constants
 
@@ -547,16 +533,11 @@ def verify_symmetry(
     return report
 
 
-def _combination(elements: list[GradedMatrix], coords: Vector) -> GradedMatrix:
+def _combination(elements: list[GradedMatrix], coords: dict[int, Scalar]) -> GradedMatrix:
     """sum_k coords[k] * elements[k]."""
     acc: dict = {}
     for k, c in coords.items():
-        for pos, v in elements[k].items():
-            cur = acc.get(pos, ZERO) + c * v
-            if cur:
-                acc[pos] = cur
-            else:
-                acc.pop(pos, None)
+        _axpy(acc, c, elements[k])
     return GradedMatrix(elements[0].signature, acc)
 
 
@@ -604,31 +585,30 @@ def verify_jacobi(
         return failures
 
     def by_constants(ia: int, ib: int, odd: int) -> dict[int, GradedMatrix]:
-        # Terms (c, x, v) of the coordinates, for every c, of
-        # [a, [b, c]] - [[a, b], c] - (-1)^{dot(a, b)} [b, [a, c]]:
-        # x * v is added for the terms in `added`, subtracted for the rest.
+        # The coordinates, for every c, of the residual
+        # [a, [b, c]] - [[a, b], c] - (-1)^{dot(a, b)} [b, [a, c]], summed
+        # into acc[c] over the basis index d.
         row_a, row_b = constants[ia], constants[ib]
-        added = [(ic, x, row_a.get(d)) for ic, coeffs in row_b.items() for d, x in coeffs.items()]
-        subtracted = [
-            (ic, x, vec) for d, x in row_a.get(ib, {}).items() for ic, vec in constants[d].items()
-        ]
-        (added if odd else subtracted).extend(
-            (ic, x, row_b.get(d)) for ic, coeffs in row_a.items() for d, x in coeffs.items()
-        )
-        acc: dict[int, Vector] = {}
-        for terms, subtract in ((added, False), (subtracted, True)):
-            for ic, x, vec in terms:
+        acc: dict[int, dict[int, Scalar]] = {}
+        # [a, [b, c]] = sum_d C_bc^d [a, e_d]
+        for ic, coeffs in row_b.items():
+            for d, x in coeffs.items():
+                vec = row_a.get(d)
                 if vec:
-                    out = acc.setdefault(ic, {})
-                    for f, y in vec.items():
-                        p = x * y
-                        if f in out:
-                            out[f] = out[f] - p if subtract else out[f] + p
-                        else:
-                            out[f] = -p if subtract else p
+                    _axpy(acc.setdefault(ic, {}), x, vec)
+        # [[a, b], c] = sum_d C_ab^d [e_d, c]
+        for d, x in row_a.get(ib, {}).items():
+            for ic, vec in constants[d].items():
+                _axpy(acc.setdefault(ic, {}), x, vec, subtract=True)
+        # (-1)^{dot(a, b)} [b, [a, c]] = (-1)^{dot(a, b)} sum_d C_ac^d [b, e_d]
+        for ic, coeffs in row_a.items():
+            for d, x in coeffs.items():
+                vec = row_b.get(d)
+                if vec:
+                    _axpy(acc.setdefault(ic, {}), x, vec, subtract=not odd)
         failures = {}
         for ic, coords in acc.items():
-            if any(coords.values()):
+            if coords:
                 # judged on the matrix, as the matrix loop judges it
                 residual = _combination(elements, coords)
                 if not residual.is_zero():

@@ -187,17 +187,9 @@ class _Context:
         return BracketTable(self.basis)
 
 
-def _expected_dim(spec: AlgebraSpec) -> int:
-    """The algebra's dimension by closed form, without building a basis."""
-    m = spec.size
-    if spec.family is Family.GL:
-        return m * m
-    return m * m - 1 if spec.family is Family.SL else expected_dim(spec)
-
-
 def _dims(ctx: _Context) -> dict:
     spec = ctx.spec
-    expected = _expected_dim(spec)
+    expected = expected_dim(spec)
     # gl is the whole matrix space and has no kernel basis to count.
     computed = expected if spec.family is Family.GL else len(ctx.basis)
     return {"computed": computed, "expected": expected, "match": computed == expected}
@@ -296,7 +288,7 @@ def run(args) -> tuple[dict, int]:
         if not applies(spec):
             raise CliError(message.format(**spec.to_json()))
     if args.command in ("report", "check-jacobi") and _has_condition(spec) and not args.force:
-        triples = _expected_dim(spec) ** 3
+        triples = expected_dim(spec) ** 3
         if triples > JACOBI_GUARD:
             raise CliError(
                 f"the Jacobi suite would check {triples:,} basis triples, above the "

@@ -84,16 +84,6 @@ class GradedMatrix:
                 return None
         return degree
 
-    def homogeneous_parts(self) -> dict[Degree, GradedMatrix]:
-        """Split into the four graded components (all four always present)."""
-        sig = self.signature
-        parts: dict[Degree, dict[Position, Scalar]] = {
-            (0, 0): {}, (1, 1): {}, (1, 0): {}, (0, 1): {},
-        }
-        for (i, j), v in self._entries.items():
-            parts[deg_add(sig[i - 1], sig[j - 1])][(i, j)] = v
-        return {d: GradedMatrix._make(sig, e) for d, e in parts.items()}
-
     # -- linear structure --------------------------------------------------
 
     def _check_compatible(self, other: GradedMatrix) -> None:
@@ -216,7 +206,7 @@ class GradedMatrix:
     def from_json(cls, data: dict) -> GradedMatrix:
         size, degrees, rows = data["size"], data["signature"], data["entries"]
         ints = [size, *(x for d in degrees for x in d), *(x for row in rows for x in row[:2])]
-        if not all(isinstance(x, int) for x in ints):
+        if not all(type(x) is int for x in ints):
             raise TypeError(f"size, signature and entry positions must be integers: {data}")
         signature = tuple((a, b) for a, b in degrees)
         if len(signature) != size:

@@ -52,9 +52,6 @@ class GeneratorSet:
             raise IndexError(f"generator index {index} outside 1..{self.count}")
         return self.creators[index - 1] if sign > 0 else self.annihilators[index - 1]
 
-    def family_of(self, index: int) -> int:
-        return 1 if index <= self.family_split else 2
-
     def label(self, index: int, sign: int) -> str:
         return f"{_TAGS[self.kind]}{index}{'+' if sign > 0 else '-'}"
 

@@ -182,7 +182,7 @@ class Scalar:
     @classmethod
     def from_json(cls, data) -> Scalar:
         p, q, r, s = data
-        if not all(isinstance(x, int) for x in (p, q, r, s)):
+        if not all(type(x) is int for x in (p, q, r, s)):
             raise TypeError(f"scalar parts must be integers: {data}")
         if q <= 0 or s <= 0:
             raise ValueError(f"scalar denominators must be positive: {data}")

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 from gradedosp.algebras import AlgebraSpec, Family, j_matrix
 from gradedosp.gmatrix import GradedMatrix, elem
-from gradedosp.grading import trace_sign
+from gradedosp.grading import deg_add, trace_sign
 from gradedosp.scalars import ONE, ZERO, Scalar
 
 
@@ -60,6 +60,8 @@ def bruteforce_algebra_dim(spec: AlgebraSpec) -> int:
     constraint map evaluated entrywise on matrix units (no kernel code)."""
     sig = spec.signature()
     m = spec.size
+    if spec.family is Family.GL:
+        return m * m  # no condition: every matrix is a member
     if spec.family is Family.SL:
         images = []
         for p in range(1, m + 1):
@@ -76,6 +78,16 @@ def bruteforce_algebra_dim(spec: AlgebraSpec) -> int:
             e = elem(sig, p, q)
             images.append((e.graded_transpose() @ j) + (j @ e))
     return m * m - dense_rank(dense_rows(images))
+
+
+def homogeneous_parts(mat: GradedMatrix) -> dict:
+    """Split a matrix into its four graded components (all four always
+    present), the part-by-part reference for the graded bracket."""
+    sig = mat.signature
+    parts = {(0, 0): {}, (1, 1): {}, (1, 0): {}, (0, 1): {}}
+    for (i, j), v in mat.items():
+        parts[deg_add(sig[i - 1], sig[j - 1])][(i, j)] = v
+    return {d: GradedMatrix(sig, e) for d, e in parts.items()}
 
 
 def embed_middle_zero(mat: GradedMatrix, spec_d: AlgebraSpec) -> GradedMatrix:

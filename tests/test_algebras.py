@@ -74,6 +74,17 @@ def test_from_json_refuses_floats():
         )
     with pytest.raises(TypeError):
         AlgebraSpec.from_json({"family": "ospB", "m1": 1.9, "m2": 0, "n1": 0, "n2": 0})
+    # bool is an int subclass, but true/false would echo back as JSON booleans
+    with pytest.raises(TypeError):
+        GradedMatrix.from_json(
+            {"size": 2, "signature": [[0, 0], [1, 1]], "entries": [[True, 2, 1, 1, 0, 1]]}
+        )
+    with pytest.raises(TypeError):
+        AlgebraSpec.from_json({"family": "ospB", "m1": True, "m2": 0, "n1": 0, "n2": 0})
+    with pytest.raises(ValueError):
+        AlgebraSpec(Family.OSP_B, True)
+    with pytest.raises(TypeError):
+        Scalar.from_json([True, 1, 0, 1])
 
 
 # -- the defining form J ----------------------------------------------------
@@ -196,11 +207,9 @@ def test_span_reducer_is_deterministic():
     mats = [mat for _, _, mat in s_matrices(ospB(1, 0, 1, 0))]
     r1 = SpanReducer()
     r2 = SpanReducer()
-    from gradedosp.algebras import _flatten
-
     for m in mats:
-        r1.insert(_flatten(m))
-        r2.insert(_flatten(m))
+        r1.insert(dict(m.items()))
+        r2.insert(dict(m.items()))
     assert r1.rows_by_pivot() == r2.rows_by_pivot()
 
 
@@ -321,12 +330,17 @@ def test_kernel_elements_homogeneous_members():
         (ospB(0, 0, 1, 0), 5),
         (ospD(1, 0, 0, 0), 1),
         (ospD(0, 0, 1, 1), 10),
+        (AlgebraSpec(Family.GL, 1, 0, 1, 0), 4),
+        (AlgebraSpec(Family.GL, 1, 1, 1, 1), 16),
+        (AlgebraSpec(Family.SL, 1, 0, 1, 1), 8),
+        (AlgebraSpec(Family.SL, 2, 1, 0, 1), 15),
     ],
 )
 def test_expected_dim_against_bruteforce(spec, want):
     assert expected_dim(spec) == want
     assert bruteforce_algebra_dim(spec) == want
-    assert len(kernel_basis(spec)) == want
+    if spec.family is not Family.GL:  # gl has no defining condition to solve
+        assert len(kernel_basis(spec)) == want
 
 
 @pytest.mark.parametrize("params", [(1, 0, 1, 0), (0, 1, 1, 1), (1, 1, 0, 1)])
@@ -392,6 +406,23 @@ def test_verify_jacobi_workers_agree():
     serial = verify_jacobi(basis, workers=1)
     threaded = verify_jacobi(basis, workers=3)
     assert serial.to_json() == threaded.to_json()
+
+
+@pytest.mark.parametrize("make_basis", [kernel_basis, s_basis])
+def test_structure_constants_rebuild_every_bracket(make_basis):
+    # The Jacobi contraction is quadratic in the constants, so it cannot
+    # tell C from -C; the constants are compared with the brackets here.
+    basis = make_basis(ospB(1, 0, 1, 0))
+    table = BracketTable(basis)
+    constants = table.structure_constants
+    for a, row in enumerate(table.rows):
+        for b, bracket in enumerate(row):
+            coords = constants[a].get(b, {})
+            assert bool(coords) == (not bracket.is_zero())
+            total = GradedMatrix.zero(bracket.signature)
+            for k, c in coords.items():
+                total = total + basis.elements[k].scale(c)
+            assert total == bracket
 
 
 def test_planted_bracket_sign_fails_jacobi_and_symmetry(monkeypatch):

@@ -14,6 +14,8 @@ from gradedosp.gmatrix import (
 from gradedosp.grading import deg_add, dot, signature_gl
 from gradedosp.scalars import ONE, SQRT2, ZERO, Scalar
 
+from helpers import homogeneous_parts
+
 S4 = signature_gl(1, 0, 1, 1)        # degrees (0,0), (1,0), (0,1)
 S6 = signature_gl(2, 1, 2, 1)        # 6x6 test signature, all four degrees
 
@@ -42,16 +44,16 @@ def test_degree_of():
 
 def test_homogeneous_parts():
     x = elem(S4, 1, 2)
-    parts = x.homogeneous_parts()
+    parts = homogeneous_parts(x)
     assert parts[(1, 0)] == x
     assert all(parts[d].is_zero() for d in parts if d != (1, 0))
 
     eye = GradedMatrix.identity(signature_gl(1, 1, 1, 1))
-    parts = eye.homogeneous_parts()
+    parts = homogeneous_parts(eye)
     assert parts[(0, 0)] == eye
 
     y = elem(S4, 1, 2) + elem(S4, 1, 3)
-    parts = y.homogeneous_parts()
+    parts = homogeneous_parts(y)
     assert parts[(1, 0)] == elem(S4, 1, 2)
     assert parts[(0, 1)] == elem(S4, 1, 3)
     total = GradedMatrix.zero(S4)
@@ -102,8 +104,8 @@ def test_graded_bracket_extends_bilinearly():
         a = _random_matrix(S6, rng)
         b = _random_matrix(S6, rng)
         expanded = GradedMatrix.zero(S6)
-        for pa in a.homogeneous_parts().values():
-            for pb in b.homogeneous_parts().values():
+        for pa in homogeneous_parts(a).values():
+            for pb in homogeneous_parts(b).values():
                 expanded = expanded + graded_bracket(pa, pb)
         assert graded_bracket(a, b) == expanded
 

@@ -43,7 +43,7 @@ def test_parafermion_second_family_degree():
     f = parafermion_ops(ospB(1, 1, 0, 0))
     assert f.creators[1].degree_of() == (1, 1)
     assert f.annihilators[1].degree_of() == (1, 1)
-    assert f.family_of(1) == 1 and f.family_of(2) == 2
+    assert f.family_split == 1
 
 
 def test_parabosons_osp12():
