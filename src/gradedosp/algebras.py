@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import accumulate, product
+from math import lcm
 from typing import Callable, Iterator, Optional, Sequence
 
 from .gmatrix import GradedMatrix, elem, graded_bracket
@@ -425,7 +426,8 @@ def verify_membership(basis: Basis, max_counterexamples: int = 10) -> CheckRepor
 
 class BracketTable:
     """Every graded bracket of a basis, computed once: `rows[a][b]` is
-    [e_a, e_b]. Closure, symmetry and Jacobi all read it.
+    [e_a, e_b]. Closure, symmetry and Jacobi all read it. Every zero
+    bracket is stored as one shared zero matrix, which no reader mutates.
 
     The brackets go through this module's `graded_bracket`, so a caller
     that rebinds that name sees every one of them.
@@ -434,7 +436,11 @@ class BracketTable:
     def __init__(self, basis: Basis):
         self.basis = basis
         elements = basis.elements
-        self.rows = [[graded_bracket(a, b) for b in elements] for a in elements]
+        zero = GradedMatrix.zero(elements[0].signature) if elements else None
+        self.rows = []
+        for a in elements:
+            row = [graded_bracket(a, b) for b in elements]
+            self.rows.append([zero if t.is_zero() else t for t in row])
 
     @cached_property
     def structure_constants(self) -> Optional[list[dict[int, dict[int, Scalar]]]]:
@@ -541,6 +547,56 @@ def _combination(elements: list[GradedMatrix], coords: dict[int, Scalar]) -> Gra
     return GradedMatrix(elements[0].signature, acc)
 
 
+def _by_matrices(
+    elements: list[GradedMatrix], rows: list[list[GradedMatrix]]
+) -> Callable[[int, int, int], dict[int, GradedMatrix]]:
+    """The matrix loop of `verify_jacobi`: a function of the pair (a, b)
+    and odd = dot(a, b) returning the failing residuals of the triples
+    (a, b, c) by c. Pairs must be asked for in lexicographic order.
+
+    Denominators are cleared once: the loop runs on e_a * D_a and on
+    [e_a, e_b] * D_a * D_b, D_a being the lcm of the entry denominators of
+    e_a, so its scalars are integral. The Jacobiator is trilinear, so a
+    residual comes out D_a * D_b * D_c times the true one, and is zero
+    exactly when the true one is; a failing one is unscaled.
+
+    X(a, b, c) = [e_a, [e_b, e_c]] is the first term of the triple
+    (a, b, c) and the third of (b, a, c), so both pairs are judged at
+    a <= b from one computation of X(a, b, .) and X(b, a, .), and the
+    failures of (b, a) wait in `pending` until it is asked for."""
+    clear = [lcm(*(v._d for _, v in mat.items())) for mat in elements]
+    if any(k != 1 for k in clear):
+        elements = [mat.scale(k) for mat, k in zip(elements, clear)]
+        rows = [[t.scale(ka * kb) for t, kb in zip(row, clear)] for row, ka in zip(rows, clear)]
+    pending: dict[tuple[int, int], dict[int, GradedMatrix]] = {}
+
+    def judged(ia: int, ib: int, lhs: list, third: list, odd: int) -> dict[int, GradedMatrix]:
+        # lhs[c] = [a, [b, c]] against [[a, b], c] + (-1)^odd third[c], third[c] = [b, [a, c]]
+        ab, k = rows[ia][ib], clear[ia] * clear[ib]
+        failures = {}
+        for ic, (left, t) in enumerate(zip(lhs, third)):
+            rhs = graded_bracket(ab, elements[ic])
+            rhs = rhs - t if odd else rhs + t
+            if left != rhs:
+                failures[ic] = (left - rhs).scale(ONE / (k * clear[ic]))
+        return failures
+
+    def failures_of(ia: int, ib: int, odd: int) -> dict[int, GradedMatrix]:
+        if ia > ib:
+            return pending.pop((ia, ib), {})
+        x_ab = [graded_bracket(elements[ia], t) for t in rows[ib]]
+        if ia == ib:
+            return judged(ia, ib, x_ab, x_ab, odd)
+        x_ba = [graded_bracket(elements[ib], t) for t in rows[ia]]
+        failures = judged(ia, ib, x_ab, x_ba, odd)
+        later = judged(ib, ia, x_ba, x_ab, odd)
+        if later:
+            pending[(ib, ia)] = later
+        return failures
+
+    return failures_of
+
+
 def verify_jacobi(
     basis: Basis,
     workers: int = 1,
@@ -558,8 +614,12 @@ def verify_jacobi(
     sum_d C_bc^d C_ad = sum_d C_ab^d C_dc + (-1)^{dot(a, b)} sum_d C_ac^d C_bd.
     By bilinearity the coordinate residual r maps back to the matrix
     residual sum_k r_k e_k, so outcomes and counterexamples are exactly
-    those of the matrix loop, which runs otherwise, with the inner brackets
-    read from the table.
+    those of the matrix loop, which runs otherwise. That loop reads the
+    inner brackets from the table, clears denominators once per element
+    and computes each [e_a, [e_b, e_c]] once for the triples (a, b, c) and
+    (b, a, c): 2n^3 brackets besides the table's n^2 (see `_by_matrices`).
+    Trilinearity and the unique canonical form of a scalar keep its
+    outcomes and counterexamples those of three brackets per triple.
 
     Runs in one thread: `workers` is accepted and has no effect, since a
     thread pool only adds overhead to pure Python under the interpreter lock."""
@@ -570,19 +630,6 @@ def verify_jacobi(
     labels = basis.labels
     rows = table.rows
     n = len(elements)
-
-    def by_matrices(ia: int, ib: int, odd: int) -> dict[int, GradedMatrix]:
-        a, b = elements[ia], elements[ib]
-        row_a, row_b = rows[ia], rows[ib]
-        failures = {}
-        for ic in range(n):
-            lhs = graded_bracket(a, row_b[ic])
-            rhs = graded_bracket(row_a[ib], elements[ic])
-            third = graded_bracket(b, row_a[ic])
-            rhs = rhs - third if odd else rhs + third
-            if lhs != rhs:
-                failures[ic] = lhs - rhs
-        return failures
 
     def by_constants(ia: int, ib: int, odd: int) -> dict[int, GradedMatrix]:
         # The coordinates, for every c, of the residual
@@ -615,7 +662,7 @@ def verify_jacobi(
                     failures[ic] = residual
         return failures
 
-    failures_of = by_matrices if constants is None else by_constants
+    failures_of = _by_matrices(elements, rows) if constants is None else by_constants
     report = CheckReport("jacobi", basis.spec.to_json())
     for ia in range(n):
         da = degrees[ia]

@@ -30,6 +30,8 @@ class GradedMatrix:
         if entries:
             items = entries.items() if isinstance(entries, dict) else entries
             for (i, j), value in items:
+                if type(i) is not int or type(j) is not int:
+                    raise TypeError(f"entry positions must be integers, got ({i!r}, {j!r})")
                 if not (1 <= i <= m and 1 <= j <= m):
                     raise IndexError(f"position ({i}, {j}) outside 1..{m}")
                 if not isinstance(value, Scalar):

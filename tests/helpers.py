@@ -5,9 +5,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from gradedosp import algebras
 from gradedosp.algebras import AlgebraSpec, Family, j_matrix
 from gradedosp.gmatrix import GradedMatrix, elem
-from gradedosp.grading import deg_add, trace_sign
+from gradedosp.grading import deg_add, dot, trace_sign
+from gradedosp.report import CheckReport
 from gradedosp.scalars import ONE, ZERO, Scalar
 
 
@@ -88,6 +90,31 @@ def homogeneous_parts(mat: GradedMatrix) -> dict:
     for (i, j), v in mat.items():
         parts[deg_add(sig[i - 1], sig[j - 1])][(i, j)] = v
     return {d: GradedMatrix(sig, e) for d, e in parts.items()}
+
+
+def jacobi_by_triples(basis, max_counterexamples: int = 10) -> CheckReport:
+    """The graded Jacobi identity checked the plain way, the reference for
+    `verify_jacobi`: every ordered triple on its own, three brackets of
+    freshly computed inner brackets, no table and no rescaling. Brackets
+    go through `algebras.graded_bracket`, so a planted one is seen."""
+    bracket = algebras.graded_bracket
+    report = CheckReport("jacobi", basis.spec.to_json())
+    items = list(zip(basis.labels, basis.elements))
+    for la, a in items:
+        for lb, b in items:
+            odd = dot(a.degree_of(), b.degree_of())
+            for lc, c in items:
+                lhs = bracket(a, bracket(b, c))
+                rhs = bracket(bracket(a, b), c)
+                third = bracket(b, bracket(a, c))
+                rhs = rhs - third if odd else rhs + third
+                ok = lhs == rhs
+                report.record(
+                    ok,
+                    None if ok else {"indices": [la, lb, lc], "residual": (lhs - rhs).to_json()},
+                    max_counterexamples,
+                )
+    return report
 
 
 def embed_middle_zero(mat: GradedMatrix, spec_d: AlgebraSpec) -> GradedMatrix:

@@ -32,7 +32,13 @@ from gradedosp.gmatrix import GradedMatrix, elem
 from gradedosp.grading import dot
 from gradedosp.scalars import ONE, SQRT2, Scalar
 
-from helpers import bruteforce_algebra_dim, dense_rank, dense_rows, embed_middle_zero
+from helpers import (
+    bruteforce_algebra_dim,
+    dense_rank,
+    dense_rows,
+    embed_middle_zero,
+    jacobi_by_triples,
+)
 
 
 def ospB(*params):
@@ -485,6 +491,65 @@ def test_jacobi_paths_agree_on_a_planted_defect(monkeypatch, params, failures):
     monkeypatch.setattr(BracketTable, "structure_constants", None)
     by_matrices = verify_jacobi(basis, max_counterexamples=n ** 3)
     assert json.dumps(by_constants.to_json()) == json.dumps(by_matrices.to_json())
+
+
+def _rational_subset() -> Basis:
+    """Four homogeneous elements of ospB(1,1,1,1), one per degree, each a
+    combination of two kernel elements with non-integral Q(sqrt 2)
+    coefficients: not closed under brackets, so Jacobi runs the matrix loop."""
+    canonical = kernel_basis(ospB(1, 1, 1, 1))
+    coefficients = {
+        (0, 0): (Scalar(Fraction(3, 7), Fraction(-2, 9)), Scalar(Fraction(-5, 4), Fraction(1, 3))),
+        (1, 1): (Scalar(Fraction(1, 2)), Scalar(0, Fraction(7, 5))),
+        (1, 0): (Scalar(Fraction(-8, 3), Fraction(4, 9)), Scalar(1, Fraction(-1, 6))),
+        (0, 1): (Scalar(2, 1), Scalar(Fraction(5, 11), Fraction(-3, 2))),
+    }
+    elements, labels = [], []
+    for degree, (x, y) in coefficients.items():
+        group = [m for m in canonical if m.degree_of() == degree]
+        first, second = group[0], group[-1]
+        elements.append(first.scale(x) + second.scale(y))
+        labels.append("u{}{}".format(*degree))
+    return Basis(canonical.spec, elements, labels)
+
+
+def test_matrix_loop_matches_the_triple_loop_on_a_planted_defect(monkeypatch):
+    basis = _rational_subset()
+    n = len(basis)
+    true_bracket = algebras.graded_bracket
+
+    def doubled(a, b):
+        bracket = true_bracket(a, b)
+        return bracket.scale(2) if (a.degree_of(), b.degree_of()) == ((1, 0), (0, 1)) else bracket
+
+    monkeypatch.setattr(algebras, "graded_bracket", doubled)
+    assert BracketTable(basis).structure_constants is None
+    report = verify_jacobi(basis, max_counterexamples=n ** 3)
+    assert 0 < report.failed < n ** 3
+    reference = jacobi_by_triples(basis, max_counterexamples=n ** 3)
+    assert json.dumps(report.to_json()) == json.dumps(reference.to_json())
+
+
+def test_matrix_loop_bracket_count(monkeypatch):
+    # n^2 table brackets, then X(a, b, c) and [[a, b], c] once per triple:
+    # [e_a, [e_b, e_c]] is shared by the triples (a, b, c) and (b, a, c)
+    basis = _rational_subset()
+    n = len(basis)
+    table = BracketTable(basis)
+    assert table.structure_constants is None
+    true_bracket = algebras.graded_bracket
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return true_bracket(a, b)
+
+    monkeypatch.setattr(algebras, "graded_bracket", counted)
+    assert verify_jacobi(basis).passed
+    assert len(calls) == n ** 2 + 2 * n ** 3
+    calls.clear()
+    assert verify_jacobi(basis, table=table).passed
+    assert len(calls) == 2 * n ** 3
 
 
 def test_checks_read_a_given_table(monkeypatch):

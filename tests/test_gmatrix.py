@@ -34,6 +34,13 @@ def test_elem_out_of_range():
         elem(S4, 1, 4)
 
 
+def test_constructor_refuses_non_int_positions():
+    # bool is an int subclass, but would be written out as a JSON boolean
+    for position in ((1.5, 1), (True, 2)):
+        with pytest.raises(TypeError):
+            GradedMatrix(((0, 0), (1, 1)), {position: 1})
+
+
 def test_degree_of():
     s = signature_gl(1, 0, 1, 0)
     assert GradedMatrix.zero(s).degree_of() == (0, 0)
