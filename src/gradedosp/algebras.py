@@ -549,50 +549,61 @@ def _combination(elements: list[GradedMatrix], coords: dict[int, Scalar]) -> Gra
 
 def _by_matrices(
     elements: list[GradedMatrix], rows: list[list[GradedMatrix]]
-) -> Callable[[int, int, int], dict[int, GradedMatrix]]:
+) -> Callable[[int, int, int], tuple[list[int], Callable[[int], GradedMatrix]]]:
     """The matrix loop of `verify_jacobi`: a function of the pair (a, b)
-    and odd = dot(a, b) returning the failing residuals of the triples
-    (a, b, c) by c. Pairs must be asked for in lexicographic order.
+    and odd = dot(a, b) returning the failing c of the triples (a, b, c),
+    ascending, and the map c -> residual of (a, b, c). Pairs must be asked
+    for in lexicographic order.
 
     Denominators are cleared once: the loop runs on e_a * D_a and on
     [e_a, e_b] * D_a * D_b, D_a being the lcm of the entry denominators of
     e_a, so its scalars are integral. The Jacobiator is trilinear, so a
     residual comes out D_a * D_b * D_c times the true one, and is zero
-    exactly when the true one is; a failing one is unscaled.
+    exactly when the true one is.
 
     X(a, b, c) = [e_a, [e_b, e_c]] is the first term of the triple
     (a, b, c) and the third of (b, a, c), so both pairs are judged at
     a <= b from one computation of X(a, b, .) and X(b, a, .), and the
-    failures of (b, a) wait in `pending` until it is asked for."""
+    failing c of (b, a) wait in `pending` until it is asked for. No
+    residual is held: one is computed from the unscaled elements and
+    table when asked for, which the caller does only for a counterexample
+    it keeps."""
+    original, table = elements, rows
     clear = [lcm(*(v._d for _, v in mat.items())) for mat in elements]
     if any(k != 1 for k in clear):
         elements = [mat.scale(k) for mat, k in zip(elements, clear)]
         rows = [[t.scale(ka * kb) for t, kb in zip(row, clear)] for row, ka in zip(rows, clear)]
-    pending: dict[tuple[int, int], dict[int, GradedMatrix]] = {}
+    pending: dict[tuple[int, int], list[int]] = {}
 
-    def judged(ia: int, ib: int, lhs: list, third: list, odd: int) -> dict[int, GradedMatrix]:
+    def judged(ia: int, ib: int, lhs: list, third: list, odd: int) -> list[int]:
         # lhs[c] = [a, [b, c]] against [[a, b], c] + (-1)^odd third[c], third[c] = [b, [a, c]]
-        ab, k = rows[ia][ib], clear[ia] * clear[ib]
-        failures = {}
+        ab = rows[ia][ib]
+        failing = []
         for ic, (left, t) in enumerate(zip(lhs, third)):
             rhs = graded_bracket(ab, elements[ic])
             rhs = rhs - t if odd else rhs + t
             if left != rhs:
-                failures[ic] = (left - rhs).scale(ONE / (k * clear[ic]))
-        return failures
+                failing.append(ic)
+        return failing
 
-    def failures_of(ia: int, ib: int, odd: int) -> dict[int, GradedMatrix]:
+    def failures_of(ia: int, ib: int, odd: int) -> tuple[list[int], Callable[[int], GradedMatrix]]:
+        def residual(ic: int) -> GradedMatrix:
+            rhs = graded_bracket(table[ia][ib], original[ic])
+            third = graded_bracket(original[ib], table[ia][ic])
+            rhs = rhs - third if odd else rhs + third
+            return graded_bracket(original[ia], table[ib][ic]) - rhs
+
         if ia > ib:
-            return pending.pop((ia, ib), {})
+            return pending.pop((ia, ib), []), residual
         x_ab = [graded_bracket(elements[ia], t) for t in rows[ib]]
         if ia == ib:
-            return judged(ia, ib, x_ab, x_ab, odd)
+            return judged(ia, ib, x_ab, x_ab, odd), residual
         x_ba = [graded_bracket(elements[ib], t) for t in rows[ia]]
-        failures = judged(ia, ib, x_ab, x_ba, odd)
+        failing = judged(ia, ib, x_ab, x_ba, odd)
         later = judged(ib, ia, x_ba, x_ab, odd)
         if later:
             pending[(ib, ia)] = later
-        return failures
+        return failing, residual
 
     return failures_of
 
@@ -631,7 +642,7 @@ def verify_jacobi(
     rows = table.rows
     n = len(elements)
 
-    def by_constants(ia: int, ib: int, odd: int) -> dict[int, GradedMatrix]:
+    def by_constants(ia: int, ib: int, odd: int) -> tuple[list[int], Callable[[int], GradedMatrix]]:
         # The coordinates, for every c, of the residual
         # [a, [b, c]] - [[a, b], c] - (-1)^{dot(a, b)} [b, [a, c]], summed
         # into acc[c] over the basis index d.
@@ -660,24 +671,23 @@ def verify_jacobi(
                 residual = _combination(elements, coords)
                 if not residual.is_zero():
                     failures[ic] = residual
-        return failures
+        return sorted(failures), failures.__getitem__
 
     failures_of = _by_matrices(elements, rows) if constants is None else by_constants
     report = CheckReport("jacobi", basis.spec.to_json())
     for ia in range(n):
         da = degrees[ia]
         for ib in range(n):
-            failures = failures_of(ia, ib, dot(da, degrees[ib]))
-            report.record_passes(n - len(failures))
-            for ic in sorted(failures):
-                report.record(
-                    False,
-                    {
+            failing, residual = failures_of(ia, ib, dot(da, degrees[ib]))
+            report.record_passes(n - len(failing))
+            for ic in failing:
+                kept = None
+                if report.keeps_counterexample(max_counterexamples):
+                    kept = {
                         "indices": [labels[ia], labels[ib], labels[ic]],
-                        "residual": failures[ic].to_json(),
-                    },
-                    max_counterexamples,
-                )
+                        "residual": residual(ic).to_json(),
+                    }
+                report.record(False, kept, max_counterexamples)
     return report
 
 

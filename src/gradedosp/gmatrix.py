@@ -139,16 +139,20 @@ class GradedMatrix:
 
     def __matmul__(self, other: GradedMatrix) -> GradedMatrix:
         self._check_compatible(other)
-        return GradedMatrix._make(self.signature, _product(self, _rows_of(other)))
+        acc: dict[Position, Scalar] = {}
+        _product(acc, self._entries, _rows_of(other._entries))
+        return GradedMatrix._make(self.signature, acc)
 
     def right_product(self) -> Callable[[GradedMatrix], GradedMatrix]:
         """The map a -> a @ self, with this matrix's row index built once
         for callers that multiply many matrices by it."""
-        rows = _rows_of(self)
+        rows = _rows_of(self._entries)
 
         def times(a: GradedMatrix) -> GradedMatrix:
             self._check_compatible(a)
-            return GradedMatrix._make(self.signature, _product(a, rows))
+            acc: dict[Position, Scalar] = {}
+            _product(acc, a._entries, rows)
+            return GradedMatrix._make(self.signature, acc)
 
         return times
 
@@ -227,17 +231,26 @@ def elem(signature: Signature, i: int, j: int) -> GradedMatrix:
     return GradedMatrix._make(tuple(signature), {(i, j): ONE})
 
 
-def _rows_of(mat: GradedMatrix) -> dict[int, list[tuple[int, Scalar]]]:
-    rows: dict[int, list[tuple[int, Scalar]]] = {}
-    for (k, l), w in mat._entries.items():
+Rows = dict[int, list[tuple[int, Scalar]]]
+
+
+def _rows_of(entries: dict[Position, Scalar]) -> Rows:
+    """The row index {k: [(l, w), ...]} of the matrix with these entries."""
+    rows: Rows = {}
+    for (k, l), w in entries.items():
         rows.setdefault(k, []).append((l, w))
     return rows
 
 
-def _product(a: GradedMatrix, rows: dict[int, list[tuple[int, Scalar]]]) -> dict[Position, Scalar]:
-    """The nonzero entries of a @ b, given the row index of b."""
-    acc: dict[Position, Scalar] = {}
-    for (i, j), v in a._entries.items():
+def _product(acc: dict[Position, Scalar], entries: dict[Position, Scalar], rows: Rows) -> None:
+    """Add a @ b into `acc`, given the entries of a and the row index of b.
+
+    The one product loop of the package: `@`, `right_product`,
+    `graded_bracket` and the relation kernel of `parastat` all run it. An
+    entry that sums to zero is dropped, so `acc` holds only nonzeros; a
+    minus sign rides on `entries` negated once by the caller.
+    """
+    for (i, j), v in entries.items():
         hits = rows.get(j)
         if not hits:
             continue
@@ -249,7 +262,6 @@ def _product(a: GradedMatrix, rows: dict[int, list[tuple[int, Scalar]]]) -> dict
                 acc[key] = s
             else:
                 acc.pop(key, None)
-    return acc
 
 
 def commutator(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
@@ -274,7 +286,8 @@ def graded_bracket(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
     if not a._entries or not b._entries:
         return GradedMatrix._make(sig, {})
 
-    acc = _product(a, _rows_of(b))
+    acc: dict[Position, Scalar] = {}
+    _product(acc, a._entries, _rows_of(b._entries))
     rows_a: dict[int, list[tuple[int, Scalar, Degree]]] = {}
     for (i, j), v in a._entries.items():
         rows_a.setdefault(i, []).append((j, v, deg_add(sig[i - 1], sig[j - 1])))

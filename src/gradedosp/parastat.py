@@ -6,8 +6,10 @@ the ospB algebras; the A-type generators live inside sl(1,0|n1,n2). Each
 relation is an outer bracket of an inner bracket equal to Kronecker-delta
 multiples of single generators, so `RELATION_TABLE` gives every family as
 `Block` rows and `verify_relations` runs them all through one loop, over
-complete index ranges and all sign tuples, with exact matrix equality. An
-instance count other than the closed form `declared_total` fails the check.
+complete index ranges and all sign tuples, on the sparse product kernel
+of `gmatrix`: an instance passes when its residual lhs - rhs is exactly
+zero. An instance count other than the closed form `declared_total` fails
+the check.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ from itertools import product
 from typing import NamedTuple, Optional
 
 from .algebras import AlgebraSpec, Family
-from .gmatrix import GradedMatrix, anticommutator, commutator, elem, graded_bracket
+from .gmatrix import (
+    GradedMatrix, _product, _rows_of, anticommutator, commutator, elem, graded_bracket,
+)
 from .grading import dot, signature_gl
 from .report import CheckReport
 from .scalars import SQRT2
@@ -225,8 +229,40 @@ def _index_range(gens: GeneratorSet, code: str) -> range:
 
 def _bracket(kind: str, x: GradedMatrix, y: GradedMatrix) -> GradedMatrix:
     # Resolved through the module names at call time, so a rebinding of
-    # `commutator`/`anticommutator` here sees every relation bracket.
+    # `commutator`/`anticommutator` here sees every bracket of
+    # `graded_bracket_consistency`; the relation kernel does not call them.
     return commutator(x, y) if kind == "[]" else anticommutator(x, y)
+
+
+class _Operand:
+    """A factor of the relation kernel: its entries, the same entries
+    negated (the minus sign of a commutator) and its row index."""
+
+    __slots__ = ("entries", "negated", "rows")
+
+    def __init__(self, entries: dict):
+        self.entries = entries
+        self.negated = {pos: -v for pos, v in entries.items()}
+        self.rows = _rows_of(entries)
+
+
+def _generator_table(gens: GeneratorSet, signature) -> dict[tuple[int, int], _Operand]:
+    """Every generator of the set as an operand, keyed by (sign, index)."""
+    table = {}
+    for index in range(1, gens.count + 1):
+        for sign in SIGNS:
+            mat = gens.get(index, sign)
+            if mat.signature != signature:
+                raise ValueError(f"generator {gens.label(index, sign)} has another signature")
+            table[sign, index] = _Operand(mat._entries)
+    return table
+
+
+def _bracket_into(acc: dict, kind: str, x: dict, x_rows: dict, y: _Operand) -> None:
+    """Add x y - y x ("[]") or x y + y x ("{}") into `acc`, x given by its
+    entries and row index."""
+    _product(acc, x, y.rows)
+    _product(acc, y.negated if kind == "[]" else y.entries, x_rows)
 
 
 def _counterexample(signed: bool, rel: Optional[str], idx: tuple, signs: tuple, residual) -> dict:
@@ -269,55 +305,81 @@ def verify_relations(
     max_counterexamples: int = 10,
 ) -> CheckReport:
     """Evaluate one relation family exhaustively: every row of its table,
-    every admissible index tuple, every sign case, exact matrix equality
-    of both sides. An instance count other than `declared_total` fails
-    the check with one coverage counterexample."""
+    every admissible index tuple, every sign case. An instance count other
+    than `declared_total` fails the check with one coverage counterexample.
+
+    Each generator's entries, negated entries and row index are built once
+    per call, and each inner bracket once per index pair and sign pair,
+    shared by every third index and sign. An instance fills one dict with
+    the outer bracket X z -/+ z X of its inner bracket X, then subtracts
+    its right-hand-side terms from that dict in place: the instance passes
+    exactly when the dict is left empty, every entry compared exactly over
+    Z[sqrt 2]. A failing dict is the residual lhs - rhs of its
+    counterexample, built only while the report keeps counterexamples."""
     family = RelationFamily(family)
     blocks = RELATION_TABLE[family]
     tags = list(dict.fromkeys(tag for block in blocks for tag in block.operands))
-    sets = dict(zip(tags, (gens, partner)))
     kinds = [_KINDS[tag] for tag in tags]
+    if len(tags) == 1 and partner is not None:
+        raise ValueError(
+            f"{family.value} relations need {kinds[0]} generators only, not a {partner.kind} partner"
+        )
+    sets = dict(zip(tags, (gens, partner)))
     if any(g is None or g.kind != kind for g, kind in zip(sets.values(), kinds)):
         raise ValueError(f"{family.value} relations need {' plus '.join(kinds)} generators")
     if len(sets) > 1 and gens.spec != partner.spec:
         raise ValueError(f"{' and '.join(kinds)} sets must share one spec")
-    zero = GradedMatrix.zero(gens.spec.signature())
+    sig = gens.spec.signature()
+    tables = {tag: _generator_table(g, sig) for tag, g in sets.items()}
     signed = family.sign_arity > 0
 
     report = CheckReport(f"relations-{family.value}", gens.spec.to_json())
+    passes = 0
     for block in blocks:
-        slots = [sets[tag] for tag in block.operands]
-        ranges = [_index_range(g, code) for g, code in zip(slots, block.ranges)]
+        slots = [tables[tag] for tag in block.operands]
+        ranges = [_index_range(sets[tag], code) for tag, code in zip(block.operands, block.ranges)]
         if not all(ranges):
             continue
         pairs = dict.fromkeys(signs[:2] for signs, _, _ in block.cases)
         for j, k in product(ranges[0], ranges[1]):
-            # One inner bracket per sign pair, shared by every l and eps.
-            inner = {p: _bracket(block.inner, slots[0].get(j, p[0]), slots[1].get(k, p[1]))
-                     for p in pairs}
+            inner = {}
+            for p in pairs:
+                x = slots[0][p[0], j]
+                acc: dict = {}
+                _bracket_into(acc, block.inner, x.entries, x.rows, slots[1][p[1], k])
+                inner[p] = (acc, _rows_of(acc))
             for rest in product(*ranges[2:]):
                 idx = (j, k, *rest)
                 for signs, rel, terms in block.cases:
-                    lhs = inner[signs[:2]]
-                    if block.outer:
-                        lhs = _bracket(block.outer, lhs, slots[2].get(idx[2], signs[2]))
-                    rhs = zero
+                    x, x_rows = inner[signs[:2]]
+                    acc = {}
+                    if x and block.outer:
+                        _bracket_into(acc, block.outer, x, x_rows, slots[2][signs[2], idx[2]])
+                    elif x:
+                        acc.update(x)
                     for c, p, q in terms:
                         if idx[p] == idx[q]:
                             w = 3 - p - q
-                            term = slots[w].get(idx[w], signs[w])
-                            rhs = rhs + (term if c == 1 else term.scale(c))
-                    ok = lhs == rhs
-                    report.record(
-                        ok,
-                        None if ok else _counterexample(signed, rel, idx, signs, lhs - rhs),
-                        max_counterexamples,
-                    )
+                            for pos, v in slots[w][signs[w], idx[w]].entries.items():
+                                cur = acc.get(pos)
+                                s = v * -c if cur is None else cur - v * c
+                                if s:
+                                    acc[pos] = s
+                                else:
+                                    del acc[pos]
+                    if not acc:
+                        passes += 1
+                        continue
+                    kept = None
+                    if report.keeps_counterexample(max_counterexamples):
+                        kept = _counterexample(signed, rel, idx, signs, GradedMatrix._make(sig, acc))
+                    report.record(False, kept, max_counterexamples)
+    report.record_passes(passes)
     declared = declared_total(family, gens, partner)
     if report.total != declared:
         report.failed += 1
         coverage = {"indices": {"enumerated": report.total, "declared_total": declared}}
-        if len(report.counterexamples) < max_counterexamples:
+        if report.keeps_counterexample(max_counterexamples):
             report.counterexamples.append(coverage)
     report.details = {"declared_total": declared, "sign_arity": family.sign_arity}
     return report

@@ -29,8 +29,13 @@ class CheckReport:
         self.total += 1
         if not ok:
             self.failed += 1
-            if counterexample is not None and len(self.counterexamples) < max_counterexamples:
+            if counterexample is not None and self.keeps_counterexample(max_counterexamples):
                 self.counterexamples.append(counterexample)
+
+    def keeps_counterexample(self, max_counterexamples: int = 10) -> bool:
+        """Whether `record` would keep the counterexample of the next
+        failing instance, so a caller builds it only when this is true."""
+        return len(self.counterexamples) < max_counterexamples
 
     def record_passes(self, count: int) -> None:
         """Record `count` passing instances at once."""

@@ -4,10 +4,11 @@ and of its integer scalar core."""
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
-from gradedosp import algebras
+from gradedosp import algebras, parastat
 from gradedosp.algebras import AlgebraSpec, Family, j_matrix
-from gradedosp.gmatrix import GradedMatrix, elem
+from gradedosp.gmatrix import GradedMatrix, anticommutator, commutator, elem
 from gradedosp.grading import deg_add, dot, trace_sign
 from gradedosp.report import CheckReport
 from gradedosp.scalars import ONE, ZERO, Scalar
@@ -114,6 +115,56 @@ def jacobi_by_triples(basis, max_counterexamples: int = 10) -> CheckReport:
                     None if ok else {"indices": [la, lb, lc], "residual": (lhs - rhs).to_json()},
                     max_counterexamples,
                 )
+    return report
+
+
+def relations_by_instances(family, gens, partner=None, max_counterexamples: int = 10) -> CheckReport:
+    """The triple relations checked the plain way, the reference for
+    `verify_relations`: every instance of `parastat.RELATION_TABLE` on its
+    own, both brackets freshly computed by `commutator` and
+    `anticommutator`, the right-hand side summed with `+` and `scale`, and
+    the two sides compared with `==`. No shared inner bracket, no
+    generator table and no in-place residual."""
+    family = parastat.RelationFamily(family)
+    blocks = parastat.RELATION_TABLE[family]
+    tags = dict.fromkeys(tag for block in blocks for tag in block.operands)
+    sets = dict(zip(tags, (gens, partner)))
+    bracket = {"[]": commutator, "{}": anticommutator}
+    signed = family.sign_arity > 0
+    zero = GradedMatrix.zero(gens.spec.signature())
+    report = CheckReport(f"relations-{family.value}", gens.spec.to_json())
+    for block in blocks:
+        slots = [sets[tag] for tag in block.operands]
+        ranges = []
+        for g, code in zip(slots, block.ranges):
+            first = {"1": 1, "2": g.family_split + 1, "*": 1}[code]
+            last = g.family_split if code == "1" else g.count
+            ranges.append(range(first, last + 1))
+        for idx in product(*ranges):
+            for signs, rel, terms in block.cases:
+                ops = [g.get(i, s) for g, i, s in zip(slots, idx, signs)]
+                lhs = bracket[block.inner](ops[0], ops[1])
+                if block.outer:
+                    lhs = bracket[block.outer](lhs, ops[2])
+                rhs = zero
+                for c, p, q in terms:
+                    if idx[p] == idx[q]:
+                        rhs = rhs + ops[3 - p - q].scale(c)
+                ok = lhs == rhs
+                counterexample = None
+                if not ok:
+                    indices = {"rel": rel} if rel else {}
+                    indices.update(zip("jkl" if signed else "ijk", idx))
+                    if not signed and len(idx) == 2:
+                        indices["sign"] = signs[0]
+                    counterexample = {
+                        "indices": indices,
+                        "signs": dict(zip(("xi", "eta", "eps"), signs)) if signed else {},
+                        "residual": (lhs + rhs.scale(-1)).to_json(),
+                    }
+                report.record(ok, counterexample, max_counterexamples)
+    declared = parastat.declared_total(family, gens, partner)
+    report.details = {"declared_total": declared, "sign_arity": family.sign_arity}
     return report
 
 

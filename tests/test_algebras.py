@@ -552,6 +552,31 @@ def test_matrix_loop_bracket_count(monkeypatch):
     assert len(calls) == 2 * n ** 3
 
 
+@pytest.mark.parametrize("cap", [0, 1, 10, 10**9])
+@pytest.mark.parametrize("path", ["matrices", "constants"])
+def test_jacobi_builds_only_kept_counterexamples(monkeypatch, path, cap):
+    # Under the doubled-bracket defect both paths fail more than ten
+    # triples; each kept counterexample is serialized once, no other
+    # residual is, and the report is the triple loop's at every cap.
+    basis = _rational_subset() if path == "matrices" else kernel_basis(ospB(0, 1, 1, 0))
+    true_bracket = algebras.graded_bracket
+
+    def doubled(a, b):
+        bracket = true_bracket(a, b)
+        return bracket.scale(2) if (a.degree_of(), b.degree_of()) == ((1, 0), (0, 1)) else bracket
+
+    monkeypatch.setattr(algebras, "graded_bracket", doubled)
+    assert (BracketTable(basis).structure_constants is None) == (path == "matrices")
+    reference = jacobi_by_triples(basis, max_counterexamples=cap)
+    built = []
+    to_json = GradedMatrix.to_json
+    monkeypatch.setattr(GradedMatrix, "to_json", lambda mat: built.append(1) or to_json(mat))
+    report = verify_jacobi(basis, max_counterexamples=cap)
+    assert report.failed > 10
+    assert len(built) == len(report.counterexamples) == min(cap, report.failed)
+    assert json.dumps(report.to_json()) == json.dumps(reference.to_json())
+
+
 def test_checks_read_a_given_table(monkeypatch):
     basis = kernel_basis(ospB(1, 0, 1, 0))
     table = BracketTable(basis)

@@ -3,9 +3,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gradedosp.gmatrix import (
     GradedMatrix,
+    _product,
+    _rows_of,
     anticommutator,
     commutator,
     elem,
@@ -279,3 +282,41 @@ def test_json_round_trip():
 def test_json_skips_zeros():
     a = elem(S4, 1, 2) - elem(S4, 1, 2)
     assert a.to_json()["entries"] == []
+
+
+_RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=9)
+_SCALARS = st.builds(Scalar, _RATIONALS, _RATIONALS)
+_POSITIONS = st.tuples(st.integers(1, len(S6)), st.integers(1, len(S6)))
+_SPARSE = st.dictionaries(_POSITIONS, _SCALARS, max_size=10).map(lambda e: GradedMatrix(S6, e))
+
+
+def _dense_product(a: GradedMatrix, b: GradedMatrix) -> dict:
+    m = a.size
+    out = {}
+    for i in range(1, m + 1):
+        for j in range(1, m + 1):
+            total = ZERO
+            for k in range(1, m + 1):
+                total = total + a.entry(i, k) * b.entry(k, j)
+            if total:
+                out[(i, j)] = total
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(_SPARSE, _SPARSE)
+def test_product_kernel_accumulates_products_and_brackets(a, b):
+    # Sparse Q(sqrt 2) operands with denominators; the accumulated dict
+    # holds no zero entry, so it equals the entries of the matrix it sums.
+    def accumulated(*terms):
+        acc = {}
+        for entries, right in terms:
+            _product(acc, entries, _rows_of(dict(right.items())))
+        assert all(acc.values())
+        return acc
+
+    a_entries, b_entries = dict(a.items()), dict(b.items())
+    b_negated = {pos: -v for pos, v in b_entries.items()}
+    assert accumulated((a_entries, b)) == _dense_product(a, b) == dict((a @ b).items())
+    assert accumulated((a_entries, b), (b_negated, a)) == dict(commutator(a, b).items())
+    assert accumulated((a_entries, b), (b_entries, a)) == dict(anticommutator(a, b).items())

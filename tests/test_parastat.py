@@ -6,7 +6,7 @@ import json
 import jsonschema
 import pytest
 
-from gradedosp import parastat
+from gradedosp import gmatrix, parastat
 from gradedosp.algebras import AlgebraSpec, Family, expected_dim, is_member, rank_of
 from gradedosp.cli import REPORT_SCHEMA, main
 from gradedosp.gmatrix import anticommutator, commutator, elem, graded_bracket
@@ -21,7 +21,7 @@ from gradedosp.parastat import (
 )
 from gradedosp.scalars import SQRT2
 
-from helpers import dense_rank, dense_rows
+from helpers import dense_rank, dense_rows, relations_by_instances
 
 
 def ospB(*params):
@@ -212,6 +212,19 @@ def test_relations_kind_mismatch():
         verify_relations(RelationFamily.BB_SAME, a)
 
 
+def test_relations_refuse_a_stray_partner():
+    spec = ospB(1, 1, 1, 1)
+    f = parafermion_ops(spec)
+    b = paraboson_ops(spec)
+    with pytest.raises(ValueError, match="FF relations need parafermion generators only"):
+        verify_relations(RelationFamily.FF, f, b)
+    with pytest.raises(ValueError, match="BB_same relations need paraboson generators only"):
+        verify_relations(RelationFamily.BB_SAME, b, partner=f)
+    a = palev_ops(1, 1)
+    with pytest.raises(ValueError, match="A_mixed relations need palev generators only"):
+        verify_relations(RelationFamily.A_MIXED, a, partner=a)
+
+
 def test_pf_requires_matching_specs():
     f = parafermion_ops(ospB(1, 0, 1, 0))
     b = paraboson_ops(ospB(1, 0, 1, 1))
@@ -328,3 +341,59 @@ PINNED_STREAMS = {
 def test_planted_defect_stream_is_pinned(case):
     name, family, gens, partner = case
     assert _stream_digest(family, gens, partner) == PINNED_STREAMS[name]
+
+
+# -- the relation kernel against the plain instance loop ------------------------------
+
+def _reference_cases():
+    for name, family, planted, partner in _planted_cases():
+        yield f"{name}-planted", family, planted, partner
+    for params in ((1, 1, 1, 1), (2, 1, 1, 2), (0, 2, 2, 0)):
+        spec = ospB(*params)
+        tag = "ospB" + "".join(map(str, params))
+        f, b = parafermion_ops(spec), paraboson_ops(spec)
+        for family in RelationFamily:
+            if family.value.startswith("A_"):
+                continue
+            gens = b if family.value.startswith("BB") else f
+            partner = b if family.value.startswith("PF") else None
+            yield f"{tag}-{family.value}", family, gens, partner
+    a = palev_ops(2, 1)
+    for family in (RelationFamily.A_SAME, RelationFamily.A_MIXED):
+        yield f"palev21-{family.value}", family, a, None
+
+
+@pytest.mark.parametrize("case", list(_reference_cases()), ids=lambda case: case[0])
+def test_kernel_matches_the_instance_loop(case):
+    # Byte-identical reports at every counterexample cap: the same outcomes,
+    # the same residuals and the same kept prefix of the failures.
+    _, family, gens, partner = case
+    for cap in (0, 1, 10, 10**9):
+        kernel = verify_relations(family, gens, partner, max_counterexamples=cap)
+        reference = relations_by_instances(family, gens, partner, max_counterexamples=cap)
+        assert json.dumps(kernel.to_json()) == json.dumps(reference.to_json())
+
+
+def test_relations_use_no_matrix_products(monkeypatch):
+    # Every family, on passing and on failing instances.
+    cases = list(_reference_cases())
+
+    def refused(*args):
+        raise AssertionError("relation instances must run on the product kernel")
+
+    monkeypatch.setattr(gmatrix.GradedMatrix, "__matmul__", refused)
+    monkeypatch.setattr(parastat, "commutator", refused)
+    monkeypatch.setattr(parastat, "anticommutator", refused)
+    outcomes = {verify_relations(family, gens, partner).passed for _, family, gens, partner in cases}
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("cap", [0, 1, 10])
+def test_relations_build_only_kept_counterexamples(monkeypatch, cap):
+    _, family, gens, partner = next(case for case in _planted_cases() if case[0] == "ospB2112-FF")
+    built = []
+    to_json = gmatrix.GradedMatrix.to_json
+    monkeypatch.setattr(gmatrix.GradedMatrix, "to_json", lambda mat: built.append(1) or to_json(mat))
+    report = verify_relations(family, gens, partner, max_counterexamples=cap)
+    assert report.failed == PINNED_STREAMS["ospB2112-FF"][1] > cap
+    assert len(report.counterexamples) == len(built) == cap
