@@ -184,18 +184,17 @@ def membership_residual(spec: AlgebraSpec) -> Callable[[GradedMatrix], object]:
     return residual
 
 
-def _judge(residual) -> tuple[bool, object]:
-    """(vanishes, JSON payload on failure) for a membership residual: a
-    Scalar for sl, a matrix for the orthosymplectic families, None for gl."""
+def _vanishes(residual) -> bool:
+    """Whether a membership residual vanishes: a Scalar for sl, a matrix
+    for the orthosymplectic families, None for gl."""
     if residual is None:
-        return True, None
-    ok = not residual if isinstance(residual, Scalar) else residual.is_zero()
-    return ok, None if ok else residual.to_json()
+        return True
+    return not residual if isinstance(residual, Scalar) else residual.is_zero()
 
 
 def is_member(spec: AlgebraSpec, mat: GradedMatrix) -> bool:
     """Exact membership test against the spec's defining condition."""
-    return _judge(membership_residual(spec)(mat))[0]
+    return _vanishes(membership_residual(spec)(mat))
 
 
 # -- exact echelon machinery -------------------------------------------------
@@ -407,21 +406,26 @@ def expected_dim(spec: AlgebraSpec) -> int:
 
 # -- verification loops ------------------------------------------------------------
 
-def verify_membership(basis: Basis, max_counterexamples: int = 10) -> CheckReport:
-    """Test the defining condition of an orthosymplectic basis on every
-    spanning matrix s_ij, then on every element; J is built once."""
-    spec = basis.spec
-    report = CheckReport("membership", spec.to_json())
-    residual = membership_residual(spec)
-    labelled = [(f"s[{i},{jj}]", mat) for i, jj, mat in s_matrices(spec)]
-    for label, mat in labelled + list(zip(basis.labels, basis.elements)):
-        ok, payload = _judge(residual(mat))
+def _membership_report(check: str, spec: AlgebraSpec, cases, max_counterexamples) -> CheckReport:
+    """Judge the membership residual of every (indices, matrix) case; J is
+    built once. A counterexample is the case's indices and residual."""
+    report = CheckReport(check, spec.to_json(), max_counterexamples)
+    residual_of = membership_residual(spec)
+    for indices, mat in cases:
+        residual = residual_of(mat)
         report.record(
-            ok,
-            None if ok else {"indices": [label], "residual": payload},
-            max_counterexamples,
+            _vanishes(residual), lambda: {"indices": indices, "residual": residual.to_json()}
         )
     return report
+
+
+def verify_membership(basis: Basis, max_counterexamples: int = 10) -> CheckReport:
+    """Test the defining condition of an orthosymplectic basis on every
+    spanning matrix s_ij, then on every element; a counterexample names
+    the matrix and holds its residual."""
+    cases = [([f"s[{i},{j}]"], mat) for i, j, mat in s_matrices(basis.spec)]
+    cases += [([label], mat) for label, mat in zip(basis.labels, basis.elements)]
+    return _membership_report("membership", basis.spec, cases, max_counterexamples)
 
 
 class BracketTable:
@@ -486,28 +490,23 @@ def verify_closure(
     basis: Basis, max_counterexamples: int = 10, *, table: Optional[BracketTable] = None
 ) -> CheckReport:
     """Re-test membership on the bracket of every ordered pair of basis
-    elements, read from `table` (built here when not given)."""
-    spec = basis.spec
+    elements, read from `table` (built here when not given); a
+    counterexample names the pair and holds the bracket's residual."""
     rows = _table_for(basis, table).rows
-    report = CheckReport("closure", spec.to_json())
-    residual = membership_residual(spec)
-    for la, row in zip(basis.labels, rows):
-        for lb, bracket in zip(basis.labels, row):
-            ok, payload = _judge(residual(bracket))
-            report.record(
-                ok,
-                None if ok else {"indices": [la, lb], "residual": payload},
-                max_counterexamples,
-            )
-    return report
+    labels = basis.labels
+    cases = (
+        ([la, lb], bracket) for la, row in zip(labels, rows) for lb, bracket in zip(labels, row)
+    )
+    return _membership_report("closure", basis.spec, cases, max_counterexamples)
 
 
-def _homogeneous_degrees(basis: Basis) -> list[Degree]:
+def _homogeneous_degrees(labelled, what: str = "basis element") -> list[Degree]:
+    """The degree of each (label, matrix), refusing one that is not homogeneous."""
     degrees = []
-    for label, mat in zip(basis.labels, basis.elements):
+    for label, mat in labelled:
         d = mat.degree_of()
         if d is None:
-            raise ValueError(f"basis element {label} is not homogeneous")
+            raise ValueError(f"{what} {label} is not homogeneous")
         degrees.append(d)
     return degrees
 
@@ -516,25 +515,20 @@ def verify_symmetry(
     basis: Basis, max_counterexamples: int = 10, *, table: Optional[BracketTable] = None
 ) -> CheckReport:
     """Graded antisymmetry [[x,y]] = -(-1)^{dot} [[y,x]] over all pairs,
-    comparing entries of `table` (built here when not given)."""
-    degrees = _homogeneous_degrees(basis)
+    comparing entries of `table` (built here when not given); a
+    counterexample names the pair and holds lhs - rhs."""
+    degrees = _homogeneous_degrees(zip(basis.labels, basis.elements))
     rows = _table_for(basis, table).rows
-    report = CheckReport("symmetry", basis.spec.to_json())
-    n = len(basis.elements)
+    report = CheckReport("symmetry", basis.spec.to_json(), max_counterexamples)
+    labels = basis.labels
+    n = len(labels)
     for ia in range(n):
         for ib in range(n):
             lhs = rows[ia][ib]
             rhs = rows[ib][ia] if dot(degrees[ia], degrees[ib]) else -rows[ib][ia]
-            ok = lhs == rhs
             report.record(
-                ok,
-                None
-                if ok
-                else {
-                    "indices": [basis.labels[ia], basis.labels[ib]],
-                    "residual": (lhs - rhs).to_json(),
-                },
-                max_counterexamples,
+                lhs == rhs,
+                lambda: {"indices": [labels[ia], labels[ib]], "residual": (lhs - rhs).to_json()},
             )
     return report
 
@@ -634,7 +628,7 @@ def verify_jacobi(
 
     Runs in one thread: `workers` is accepted and has no effect, since a
     thread pool only adds overhead to pure Python under the interpreter lock."""
-    degrees = _homogeneous_degrees(basis)
+    degrees = _homogeneous_degrees(zip(basis.labels, basis.elements))
     table = _table_for(basis, table)
     constants = table.structure_constants
     elements = basis.elements
@@ -674,20 +668,20 @@ def verify_jacobi(
         return sorted(failures), failures.__getitem__
 
     failures_of = _by_matrices(elements, rows) if constants is None else by_constants
-    report = CheckReport("jacobi", basis.spec.to_json())
+    report = CheckReport("jacobi", basis.spec.to_json(), max_counterexamples)
     for ia in range(n):
         da = degrees[ia]
         for ib in range(n):
             failing, residual = failures_of(ia, ib, dot(da, degrees[ib]))
             report.record_passes(n - len(failing))
             for ic in failing:
-                kept = None
-                if report.keeps_counterexample(max_counterexamples):
-                    kept = {
+                report.record(
+                    False,
+                    lambda: {
                         "indices": [labels[ia], labels[ib], labels[ic]],
                         "residual": residual(ic).to_json(),
-                    }
-                report.record(False, kept, max_counterexamples)
+                    },
+                )
     return report
 
 
@@ -780,13 +774,14 @@ def verify_block_conditions(basis: Basis, max_counterexamples: int = 10) -> Chec
 
     The two relations whose source tokens carry a malformed degree
     subscript are flagged, and the degree the subscript claims is checked
-    against the signature as a separate outcome.
+    against the signature as a separate outcome. A counterexample names
+    the relation and the element, with no residual.
     """
     spec = basis.spec
     if spec.family is not Family.OSP_B:
         raise ValueError("block conditions are defined for the ospB layout only")
     sig = spec.signature()
-    report = CheckReport("block-conditions", spec.to_json())
+    report = CheckReport("block-conditions", spec.to_json(), max_counterexamples)
     rel_details = []
     for rel in _block_relations():
         rows, cols = _block_span(spec, rel["lhs"])
@@ -805,11 +800,7 @@ def verify_block_conditions(basis: Basis, max_counterexamples: int = 10) -> Chec
                 entry(*p) == (entry(*q) if sign > 0 else -entry(*q) if sign else ZERO)
                 for p, q in pairs
             )
-            report.record(
-                ok,
-                None if ok else {"indices": [rel["id"], label], "residual": None},
-                max_counterexamples,
-            )
+            report.record(ok, lambda: {"indices": [rel["id"], label], "residual": None})
             holds = holds and ok
         claimed = rel["degree_label"]
         detail = {

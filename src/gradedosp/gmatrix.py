@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterator, Optional
 
-from .grading import Degree, Signature, deg_add, dot, trace_sign
+from .grading import Degree, Signature, check_degree, deg_add, dot, trace_sign
 from .scalars import ONE, ZERO, Scalar
 
 Position = tuple[int, int]
@@ -26,6 +26,8 @@ class GradedMatrix:
         m = len(self.signature)
         if m == 0:
             raise ValueError("signature must be nonempty")
+        for d in self.signature:
+            check_degree(d)
         cleaned: dict[Position, Scalar] = {}
         if entries:
             items = entries.items() if isinstance(entries, dict) else entries

@@ -14,6 +14,15 @@ Signature = tuple[Degree, ...]
 DEGREES: tuple[Degree, ...] = ((0, 0), (1, 1), (1, 0), (0, 1))
 
 
+def check_degree(d) -> None:
+    """Refuse anything but one of the four `DEGREES`: TypeError for a pair
+    with a component that is not an int (a bool or a float), ValueError else."""
+    if type(d) is tuple and len(d) == 2 and not all(type(x) is int for x in d):
+        raise TypeError(f"degree components must be integers, got {d!r}")
+    if d not in DEGREES:
+        raise ValueError(f"a degree is a pair of bits, got {d!r}")
+
+
 def deg_add(a: Degree, b: Degree) -> Degree:
     """Componentwise sum mod 2."""
     return ((a[0] + b[0]) & 1, (a[1] + b[1]) & 1)

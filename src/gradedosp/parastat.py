@@ -19,10 +19,8 @@ from enum import Enum
 from itertools import product
 from typing import NamedTuple, Optional
 
-from .algebras import AlgebraSpec, Family
-from .gmatrix import (
-    GradedMatrix, _product, _rows_of, anticommutator, commutator, elem, graded_bracket,
-)
+from .algebras import AlgebraSpec, Family, _homogeneous_degrees
+from .gmatrix import GradedMatrix, _product, _rows_of, elem, graded_bracket
 from .grading import dot, signature_gl
 from .report import CheckReport
 from .scalars import SQRT2
@@ -227,13 +225,6 @@ def _index_range(gens: GeneratorSet, code: str) -> range:
     return range(1, gens.count + 1)
 
 
-def _bracket(kind: str, x: GradedMatrix, y: GradedMatrix) -> GradedMatrix:
-    # Resolved through the module names at call time, so a rebinding of
-    # `commutator`/`anticommutator` here sees every bracket of
-    # `graded_bracket_consistency`; the relation kernel does not call them.
-    return commutator(x, y) if kind == "[]" else anticommutator(x, y)
-
-
 class _Operand:
     """A factor of the relation kernel: its entries, the same entries
     negated (the minus sign of a commutator) and its row index."""
@@ -265,15 +256,16 @@ def _bracket_into(acc: dict, kind: str, x: dict, x_rows: dict, y: _Operand) -> N
     _product(acc, y.negated if kind == "[]" else y.entries, x_rows)
 
 
-def _counterexample(signed: bool, rel: Optional[str], idx: tuple, signs: tuple, residual) -> dict:
-    """Signed families name j, k, l and xi, eta, eps; the A families name
-    i, j, k and fold a two-slot row's shared sign into the indices."""
+def _counterexample(signed: bool, rel: Optional[str], idx: tuple, signs: tuple, sig, acc) -> dict:
+    """The instance with residual entries `acc`. Signed families name j, k, l
+    and xi, eta, eps; the A families name i, j, k and fold a two-slot row's
+    shared sign into the indices."""
     indices = {"rel": rel} if rel else {}
     indices.update(zip("jkl" if signed else "ijk", idx))
     if not signed and len(idx) == 2:
         indices["sign"] = signs[0]
     named = dict(zip(("xi", "eta", "eps"), signs)) if signed else {}
-    return {"indices": indices, "signs": named, "residual": residual.to_json()}
+    return {"indices": indices, "signs": named, "residual": GradedMatrix._make(sig, acc).to_json()}
 
 
 def declared_total(family: RelationFamily, gens: GeneratorSet, partner: Optional[GeneratorSet] = None) -> int:
@@ -315,7 +307,7 @@ def verify_relations(
     its right-hand-side terms from that dict in place: the instance passes
     exactly when the dict is left empty, every entry compared exactly over
     Z[sqrt 2]. A failing dict is the residual lhs - rhs of its
-    counterexample, built only while the report keeps counterexamples."""
+    counterexample, which the report builds only if it keeps it."""
     family = RelationFamily(family)
     blocks = RELATION_TABLE[family]
     tags = list(dict.fromkeys(tag for block in blocks for tag in block.operands))
@@ -333,7 +325,7 @@ def verify_relations(
     tables = {tag: _generator_table(g, sig) for tag, g in sets.items()}
     signed = family.sign_arity > 0
 
-    report = CheckReport(f"relations-{family.value}", gens.spec.to_json())
+    report = CheckReport(f"relations-{family.value}", gens.spec.to_json(), max_counterexamples)
     passes = 0
     for block in blocks:
         slots = [tables[tag] for tag in block.operands]
@@ -370,17 +362,10 @@ def verify_relations(
                     if not acc:
                         passes += 1
                         continue
-                    kept = None
-                    if report.keeps_counterexample(max_counterexamples):
-                        kept = _counterexample(signed, rel, idx, signs, GradedMatrix._make(sig, acc))
-                    report.record(False, kept, max_counterexamples)
+                    report.record(False, lambda: _counterexample(signed, rel, idx, signs, sig, acc))
     report.record_passes(passes)
     declared = declared_total(family, gens, partner)
-    if report.total != declared:
-        report.failed += 1
-        coverage = {"indices": {"enumerated": report.total, "declared_total": declared}}
-        if report.keeps_counterexample(max_counterexamples):
-            report.counterexamples.append(coverage)
+    report.record_coverage(declared)
     report.details = {"declared_total": declared, "sign_arity": family.sign_arity}
     return report
 
@@ -390,27 +375,23 @@ def graded_bracket_consistency(
 ) -> CheckReport:
     """For every ordered pair of generators, the graded bracket must be the
     anticommutator when the degrees' dot is 1 and the commutator when 0 —
-    certifying the bracket placements used in the relation tables."""
+    certifying the bracket placements used in the relation tables. The
+    expected bracket runs on the relation kernel, with no `@`; a
+    counterexample names the pair and holds actual - expected."""
     if not gen_sets:
         raise ValueError("need at least one generator set")
     pool = [item for gs in gen_sets for item in gs.labelled()]
-    degrees = []
-    for label, mat in pool:
-        d = mat.degree_of()
-        if d is None:
-            raise ValueError(f"generator {label} is not homogeneous")
-        degrees.append(d)
-    report = CheckReport("bracket-consistency", gen_sets[0].spec.to_json())
-    for ix, (lx, x) in enumerate(pool):
-        for iy, (ly, y) in enumerate(pool):
-            expected = _bracket("{}" if dot(degrees[ix], degrees[iy]) else "[]", x, y)
+    degrees = _homogeneous_degrees(pool, "generator")
+    operands = [_Operand(mat._entries) for _, mat in pool]
+    report = CheckReport("bracket-consistency", gen_sets[0].spec.to_json(), max_counterexamples)
+    for (lx, x), dx, ox in zip(pool, degrees, operands):
+        for (ly, y), dy, oy in zip(pool, degrees, operands):
             actual = graded_bracket(x, y)
-            ok = actual == expected
+            acc: dict = {}
+            _bracket_into(acc, "{}" if dot(dx, dy) else "[]", ox.entries, ox.rows, oy)
+            expected = GradedMatrix._make(x.signature, acc)
             report.record(
-                ok,
-                None
-                if ok
-                else {"indices": [lx, ly], "residual": (actual - expected).to_json()},
-                max_counterexamples,
+                actual == expected,
+                lambda: {"indices": [lx, ly], "residual": (actual - expected).to_json()},
             )
     return report

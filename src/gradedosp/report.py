@@ -3,19 +3,22 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 
 @dataclass
 class CheckReport:
     """Pass/fail bookkeeping for one check over many instances.
 
-    Failures are data, not exceptions: the report keeps counts plus a
-    capped list of counterexamples in deterministic (enumeration) order.
+    Failures are data, not exceptions. `failed` counts every failure; the
+    first `max_counterexamples` counterexamples are kept, in enumeration
+    order, and no other is built: a check hands `record` a zero-argument
+    callable, which is called only for a failure that is kept.
     """
 
     check: str
     spec: Optional[dict] = None
+    max_counterexamples: int = 10
     total: int = 0
     failed: int = 0
     counterexamples: list = field(default_factory=list)
@@ -25,21 +28,26 @@ class CheckReport:
     def passed(self) -> bool:
         return self.failed == 0
 
-    def record(self, ok: bool, counterexample=None, max_counterexamples: int = 10) -> None:
+    def record(self, ok: bool, counterexample: Optional[Callable[[], object]] = None) -> None:
+        """Record one instance; `counterexample()` builds its counterexample."""
         self.total += 1
         if not ok:
-            self.failed += 1
-            if counterexample is not None and self.keeps_counterexample(max_counterexamples):
-                self.counterexamples.append(counterexample)
-
-    def keeps_counterexample(self, max_counterexamples: int = 10) -> bool:
-        """Whether `record` would keep the counterexample of the next
-        failing instance, so a caller builds it only when this is true."""
-        return len(self.counterexamples) < max_counterexamples
+            self._fail(counterexample)
 
     def record_passes(self, count: int) -> None:
         """Record `count` passing instances at once."""
         self.total += count
+
+    def record_coverage(self, declared: int) -> None:
+        """Fail the check, outside its instances, when it enumerated other
+        than `declared` instances; the counterexample names both counts."""
+        if self.total != declared:
+            self._fail(lambda: {"indices": {"enumerated": self.total, "declared_total": declared}})
+
+    def _fail(self, counterexample: Optional[Callable[[], object]]) -> None:
+        self.failed += 1
+        if counterexample is not None and len(self.counterexamples) < self.max_counterexamples:
+            self.counterexamples.append(counterexample())
 
     def to_json(self) -> dict:
         doc = {

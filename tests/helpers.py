@@ -99,7 +99,7 @@ def jacobi_by_triples(basis, max_counterexamples: int = 10) -> CheckReport:
     freshly computed inner brackets, no table and no rescaling. Brackets
     go through `algebras.graded_bracket`, so a planted one is seen."""
     bracket = algebras.graded_bracket
-    report = CheckReport("jacobi", basis.spec.to_json())
+    report = CheckReport("jacobi", basis.spec.to_json(), max_counterexamples)
     items = list(zip(basis.labels, basis.elements))
     for la, a in items:
         for lb, b in items:
@@ -109,11 +109,9 @@ def jacobi_by_triples(basis, max_counterexamples: int = 10) -> CheckReport:
                 rhs = bracket(bracket(a, b), c)
                 third = bracket(b, bracket(a, c))
                 rhs = rhs - third if odd else rhs + third
-                ok = lhs == rhs
                 report.record(
-                    ok,
-                    None if ok else {"indices": [la, lb, lc], "residual": (lhs - rhs).to_json()},
-                    max_counterexamples,
+                    lhs == rhs,
+                    lambda: {"indices": [la, lb, lc], "residual": (lhs - rhs).to_json()},
                 )
     return report
 
@@ -132,7 +130,7 @@ def relations_by_instances(family, gens, partner=None, max_counterexamples: int 
     bracket = {"[]": commutator, "{}": anticommutator}
     signed = family.sign_arity > 0
     zero = GradedMatrix.zero(gens.spec.signature())
-    report = CheckReport(f"relations-{family.value}", gens.spec.to_json())
+    report = CheckReport(f"relations-{family.value}", gens.spec.to_json(), max_counterexamples)
     for block in blocks:
         slots = [sets[tag] for tag in block.operands]
         ranges = []
@@ -150,19 +148,19 @@ def relations_by_instances(family, gens, partner=None, max_counterexamples: int 
                 for c, p, q in terms:
                     if idx[p] == idx[q]:
                         rhs = rhs + ops[3 - p - q].scale(c)
-                ok = lhs == rhs
-                counterexample = None
-                if not ok:
+
+                def counterexample():
                     indices = {"rel": rel} if rel else {}
                     indices.update(zip("jkl" if signed else "ijk", idx))
                     if not signed and len(idx) == 2:
                         indices["sign"] = signs[0]
-                    counterexample = {
+                    return {
                         "indices": indices,
                         "signs": dict(zip(("xi", "eta", "eps"), signs)) if signed else {},
                         "residual": (lhs + rhs.scale(-1)).to_json(),
                     }
-                report.record(ok, counterexample, max_counterexamples)
+
+                report.record(lhs == rhs, counterexample)
     declared = parastat.declared_total(family, gens, partner)
     report.details = {"declared_total": declared, "sign_arity": family.sign_arity}
     return report

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradedosp import algebras, cli
+from gradedosp import algebras, cli, parastat
 from gradedosp.algebras import (
     AlgebraSpec,
     Basis,
@@ -26,10 +26,12 @@ from gradedosp.algebras import (
     verify_block_conditions,
     verify_closure,
     verify_jacobi,
+    verify_membership,
     verify_symmetry,
 )
 from gradedosp.gmatrix import GradedMatrix, elem
 from gradedosp.grading import dot
+from gradedosp.report import CheckReport
 from gradedosp.scalars import ONE, SQRT2, Scalar
 
 from helpers import (
@@ -575,6 +577,72 @@ def test_jacobi_builds_only_kept_counterexamples(monkeypatch, path, cap):
     assert report.failed > 10
     assert len(built) == len(report.counterexamples) == min(cap, report.failed)
     assert json.dumps(report.to_json()) == json.dumps(reference.to_json())
+
+
+def _planted_check(monkeypatch, check: str):
+    """The check as a function of the cap, under a defect that fails more
+    than ten of its instances on ospB(1,1,1,1): an entry added to every
+    basis element, a doubled (1,0) x (0,1) bracket, or a consistency
+    bracket tripled on (1,0) operands."""
+    spec = ospB(1, 1, 1, 1)
+    basis = kernel_basis(spec)
+    shifted = Basis(spec, [mat + elem(spec.signature(), 1, 2) for mat in basis], basis.labels)
+    if check == "symmetry":
+        true_bracket = algebras.graded_bracket
+
+        def doubled(a, b):
+            bracket = true_bracket(a, b)
+            odd_pair = (a.degree_of(), b.degree_of()) == ((1, 0), (0, 1))
+            return bracket.scale(2) if odd_pair else bracket
+
+        monkeypatch.setattr(algebras, "graded_bracket", doubled)
+        return lambda cap: verify_symmetry(basis, cap)
+    if check == "bracket-consistency":
+        true_bracket = parastat.graded_bracket
+
+        def tripled(x, y):
+            bracket = true_bracket(x, y)
+            return bracket.scale(3) if x.degree_of() == (1, 0) else bracket
+
+        monkeypatch.setattr(parastat, "graded_bracket", tripled)
+        sets = (parastat.parafermion_ops(spec), parastat.paraboson_ops(spec))
+        return lambda cap: parastat.graded_bracket_consistency(*sets, max_counterexamples=cap)
+    run = {
+        "membership": verify_membership,
+        "closure": verify_closure,
+        "block-conditions": verify_block_conditions,
+    }[check]
+    return lambda cap: run(shifted, cap)
+
+
+@pytest.mark.parametrize("cap", [0, 1, 10])
+@pytest.mark.parametrize(
+    "check", ["membership", "closure", "symmetry", "block-conditions", "bracket-consistency"]
+)
+def test_checks_build_only_kept_counterexamples(monkeypatch, check, cap):
+    # Every failure is counted and the first `cap` counterexamples are kept
+    # in enumeration order; no other counterexample is built, and no other
+    # residual serialized.
+    run = _planted_check(monkeypatch, check)
+    reference = run(10**9).to_json()
+    built, serialized = [], []
+    record = CheckReport.record
+
+    def counting(report, ok, counterexample=None):
+        def build():
+            built.append(1)
+            return counterexample()
+
+        record(report, ok, counterexample and build)
+
+    to_json = GradedMatrix.to_json
+    monkeypatch.setattr(CheckReport, "record", counting)
+    monkeypatch.setattr(GradedMatrix, "to_json", lambda mat: serialized.append(1) or to_json(mat))
+    report = run(cap)
+    assert report.failed > 10
+    assert report.to_json() == {**reference, "counterexamples": reference["counterexamples"][:cap]}
+    assert len(built) == len(report.counterexamples) == min(cap, report.failed)
+    assert len(serialized) == (0 if check == "block-conditions" else len(built))
 
 
 def test_checks_read_a_given_table(monkeypatch):

@@ -44,6 +44,22 @@ def test_constructor_refuses_non_int_positions():
             GradedMatrix(((0, 0), (1, 1)), {position: 1})
 
 
+def test_constructor_refuses_bad_degrees():
+    # a degree outside {0, 1}^2 would be read mod 2 by deg_add and written back as given
+    for degree in ((3, 1), (2, 0), (0, -1), (1, 1, 0), [1, 1], 1):
+        with pytest.raises(ValueError):
+            GradedMatrix(((0, 0), degree), {(1, 2): 1})
+    for degree in ((True, 1), (1.0, 0)):
+        with pytest.raises(TypeError):
+            GradedMatrix(((0, 0), degree), {(1, 2): 1})
+    with pytest.raises(ValueError):
+        GradedMatrix.from_json(
+            {"size": 2, "signature": [[2, 0], [0, -1]], "entries": [[1, 2, 1, 1, 0, 1]]}
+        )
+    sig = ((0, 0), (1, 1), (1, 0), (0, 1))
+    assert GradedMatrix(sig, {(1, 2): 1}).signature == sig
+
+
 def test_degree_of():
     s = signature_gl(1, 0, 1, 0)
     assert GradedMatrix.zero(s).degree_of() == (0, 0)

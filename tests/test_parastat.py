@@ -261,6 +261,33 @@ def test_bracket_consistency_reports():
     assert report.failed == 0
 
 
+@pytest.mark.parametrize("params", [(1, 1, 1, 1), (2, 1, 1, 2)])
+def test_planted_bracket_fails_consistency(monkeypatch, tmp_path, params):
+    # Two (1,0) parabosons must anticommute; this bracket commutes them.
+    true_bracket = parastat.graded_bracket
+
+    def wrong_sign(x, y):
+        if x.degree_of() == y.degree_of() == (1, 0):
+            return x @ y - y @ x
+        return true_bracket(x, y)
+
+    monkeypatch.setattr(parastat, "graded_bracket", wrong_sign)
+    spec = ospB(*params)
+    b = paraboson_ops(spec)
+    report = graded_bracket_consistency(parafermion_ops(spec), b)
+    first_family = {b.label(i, s) for i in range(1, b.family_split + 1) for s in (1, -1)}
+    assert report.failed > 0
+    assert report.counterexamples
+    for ce in report.counterexamples:
+        assert set(ce["indices"]) <= first_family
+        assert ce["residual"]["entries"]
+    out = tmp_path / "report.json"
+    flags = [f"--{name}={value}" for name, value in zip(("m1", "m2", "n1", "n2"), params)]
+    assert main(["check-relations", "--algebra", "ospB", *flags, "--output", str(out)]) == 1
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert [c["check"] for c in doc["checks"] if c["failed"]] == ["bracket-consistency"]
+
+
 # -- generation ---------------------------------------------------------------------
 
 def test_parabosons_generate_osp12():
@@ -382,8 +409,8 @@ def test_relations_use_no_matrix_products(monkeypatch):
         raise AssertionError("relation instances must run on the product kernel")
 
     monkeypatch.setattr(gmatrix.GradedMatrix, "__matmul__", refused)
-    monkeypatch.setattr(parastat, "commutator", refused)
-    monkeypatch.setattr(parastat, "anticommutator", refused)
+    monkeypatch.setattr(gmatrix, "commutator", refused)
+    monkeypatch.setattr(gmatrix, "anticommutator", refused)
     outcomes = {verify_relations(family, gens, partner).passed for _, family, gens, partner in cases}
     assert outcomes == {True, False}
 
