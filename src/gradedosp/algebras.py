@@ -602,6 +602,107 @@ def _by_matrices(
     return failures_of
 
 
+def _by_constants(
+    elements: list[GradedMatrix], constants: list[dict[int, dict[int, Scalar]]], orbits: bool
+) -> Callable[[int, int, int], tuple[list[int], Callable[[int], GradedMatrix]]]:
+    """The structure-constant loop of `verify_jacobi`: like `_by_matrices`,
+    a function of the pair (a, b) and odd = dot(a, b) returning the failing
+    c, ascending, and the map c -> residual of (a, b, c). It contracts the
+    triples with c >= b when `orbits` is set, and every c otherwise.
+
+    The coordinates of the residual
+    [a, [b, c]] - [[a, b], c] - (-1)^{dot(a, b)} [b, [a, c]] of each triple
+    are summed over the basis index d; a nonzero coordinate residual r is
+    judged and reported as the matrix sum_k r_k e_k, as the matrix loop
+    would judge it."""
+
+    def failures_of(ia: int, ib: int, odd: int) -> tuple[list[int], Callable[[int], GradedMatrix]]:
+        lo = ib if orbits else 0
+        row_a, row_b = constants[ia], constants[ib]
+        acc: dict[int, dict[int, Scalar]] = {}
+        # [a, [b, c]] = sum_d C_bc^d [a, e_d]
+        for ic, coeffs in row_b.items():
+            if ic < lo:
+                continue
+            for d, x in coeffs.items():
+                vec = row_a.get(d)
+                if vec:
+                    _axpy(acc.setdefault(ic, {}), x, vec)
+        # [[a, b], c] = sum_d C_ab^d [e_d, c]
+        for d, x in row_a.get(ib, {}).items():
+            for ic, vec in constants[d].items():
+                if ic >= lo:
+                    _axpy(acc.setdefault(ic, {}), x, vec, subtract=True)
+        # (-1)^{dot(a, b)} [b, [a, c]] = (-1)^{dot(a, b)} sum_d C_ac^d [b, e_d]
+        for ic, coeffs in row_a.items():
+            if ic < lo:
+                continue
+            for d, x in coeffs.items():
+                vec = row_b.get(d)
+                if vec:
+                    _axpy(acc.setdefault(ic, {}), x, vec, subtract=not odd)
+        failures = {}
+        for ic, coords in acc.items():
+            if coords:
+                residual = _combination(elements, coords)
+                if not residual.is_zero():
+                    failures[ic] = residual
+        return sorted(failures), failures.__getitem__
+
+    return failures_of
+
+
+def _graded_antisymmetric(
+    constants: list[dict[int, dict[int, Scalar]]], degrees: list[Degree]
+) -> bool:
+    """Whether C_ab = -(-1)^{dot(a, b)} C_ba, key for key and value for
+    value, and every key d of C_ab has degree(e_d) = deg(a) + deg(b), for
+    every nonzero C_ab. Then the bracket that C defines is graded
+    antisymmetric and homogeneous, and its Jacobiator obeys the sign rules
+    of `_orbit`."""
+    for ia, row in enumerate(constants):
+        da = degrees[ia]
+        for ib, coeffs in row.items():
+            other = constants[ib].get(ia)
+            if other is None or other.keys() != coeffs.keys():
+                return False
+            db = degrees[ib]
+            degree = deg_add(da, db)
+            odd = dot(da, db)
+            for d, x in coeffs.items():
+                if degrees[d] != degree or other[d] != (x if odd else -x):
+                    return False
+    return True
+
+
+def _orbit_size(ia: int, ib: int, ic: int) -> int:
+    """How many distinct orderings a triple ia <= ib <= ic has."""
+    return 1 if ia == ic else 3 if ia == ib or ib == ic else 6
+
+
+def _orbit(
+    ia: int, ib: int, ic: int, degrees: list[Degree]
+) -> list[tuple[tuple[int, int, int], bool]]:
+    """The distinct orderings of a triple ia <= ib <= ic, in lexicographic
+    order, each with whether its Jacobiator is minus that of (ia, ib, ic).
+    Swapping the first two arguments, or the last two, multiplies the
+    Jacobiator by -(-1)^{dot} of the two swapped elements."""
+
+    def flips(x: int, y: int) -> bool:
+        return not dot(degrees[x], degrees[y])
+
+    ab, ac, bc = flips(ia, ib), flips(ia, ic), flips(ib, ic)
+    negated = {
+        (ia, ib, ic): False,
+        (ia, ic, ib): bc,
+        (ib, ia, ic): ab,
+        (ib, ic, ia): ab ^ ac,
+        (ic, ia, ib): bc ^ ac,
+        (ic, ib, ia): ab ^ ac ^ bc,
+    }
+    return sorted(negated.items())
+
+
 def verify_jacobi(
     basis: Basis,
     workers: int = 1,
@@ -619,12 +720,22 @@ def verify_jacobi(
     sum_d C_bc^d C_ad = sum_d C_ab^d C_dc + (-1)^{dot(a, b)} sum_d C_ac^d C_bd.
     By bilinearity the coordinate residual r maps back to the matrix
     residual sum_k r_k e_k, so outcomes and counterexamples are exactly
-    those of the matrix loop, which runs otherwise. That loop reads the
-    inner brackets from the table, clears denominators once per element
-    and computes each [e_a, [e_b, e_c]] once for the triples (a, b, c) and
-    (b, a, c): 2n^3 brackets besides the table's n^2 (see `_by_matrices`).
-    Trilinearity and the unique canonical form of a scalar keep its
-    outcomes and counterexamples those of three brackets per triple.
+    those of the matrix loop, which runs otherwise (see `_by_matrices`).
+
+    On that path a gate first reads two facts off C: C_ab = -(-1)^{dot(a, b)}
+    C_ba for every pair, and every key d of C_ab has the degree
+    deg(a) + deg(b). Together they make the Jacobiator J graded
+    antisymmetric in all three arguments:
+    J(b, a, c) = -(-1)^{dot(a, b)} J(a, b, c) and
+    J(a, c, b) = -(-1)^{dot(b, c)} J(a, b, c).
+    When the gate holds, only the triples a <= b <= c are contracted, and
+    each failing one is expanded to its distinct orderings with residual
+    +-R; `failed` counts the orderings, and the kept counterexamples are
+    the first in lexicographic triple order. When it does not, the same
+    contraction runs over every c. The matrix loop takes no orbits: on a
+    basis that is not closed, the antisymmetry of brackets of a table
+    entry with an element is not checked. The report ends with a coverage
+    check: the triples its instances stand for must number n^3.
 
     Runs in one thread: `workers` is accepted and has no effect, since a
     thread pool only adds overhead to pure Python under the interpreter lock."""
@@ -633,55 +744,44 @@ def verify_jacobi(
     constants = table.structure_constants
     elements = basis.elements
     labels = basis.labels
-    rows = table.rows
     n = len(elements)
-
-    def by_constants(ia: int, ib: int, odd: int) -> tuple[list[int], Callable[[int], GradedMatrix]]:
-        # The coordinates, for every c, of the residual
-        # [a, [b, c]] - [[a, b], c] - (-1)^{dot(a, b)} [b, [a, c]], summed
-        # into acc[c] over the basis index d.
-        row_a, row_b = constants[ia], constants[ib]
-        acc: dict[int, dict[int, Scalar]] = {}
-        # [a, [b, c]] = sum_d C_bc^d [a, e_d]
-        for ic, coeffs in row_b.items():
-            for d, x in coeffs.items():
-                vec = row_a.get(d)
-                if vec:
-                    _axpy(acc.setdefault(ic, {}), x, vec)
-        # [[a, b], c] = sum_d C_ab^d [e_d, c]
-        for d, x in row_a.get(ib, {}).items():
-            for ic, vec in constants[d].items():
-                _axpy(acc.setdefault(ic, {}), x, vec, subtract=True)
-        # (-1)^{dot(a, b)} [b, [a, c]] = (-1)^{dot(a, b)} sum_d C_ac^d [b, e_d]
-        for ic, coeffs in row_a.items():
-            for d, x in coeffs.items():
-                vec = row_b.get(d)
-                if vec:
-                    _axpy(acc.setdefault(ic, {}), x, vec, subtract=not odd)
-        failures = {}
-        for ic, coords in acc.items():
-            if coords:
-                # judged on the matrix, as the matrix loop judges it
-                residual = _combination(elements, coords)
-                if not residual.is_zero():
-                    failures[ic] = residual
-        return sorted(failures), failures.__getitem__
-
-    failures_of = _by_matrices(elements, rows) if constants is None else by_constants
+    orbits = constants is not None and _graded_antisymmetric(constants, degrees)
+    if constants is None:
+        failures_of = _by_matrices(elements, table.rows)
+    else:
+        failures_of = _by_constants(elements, constants, orbits)
     report = CheckReport("jacobi", basis.spec.to_json(), max_counterexamples)
+    # (triple, whether its residual is minus the computed one, c, residual of the pair)
+    failures = []
     for ia in range(n):
         da = degrees[ia]
-        for ib in range(n):
+        for ib in range(ia if orbits else 0, n):
             failing, residual = failures_of(ia, ib, dot(da, degrees[ib]))
-            report.record_passes(n - len(failing))
+            if not orbits:
+                report.record_passes(n - len(failing))
+                failures += (((ia, ib, ic), False, ic, residual) for ic in failing)
+                continue
+            # (a, b, c) for c >= b stands for its distinct orderings (index n
+            # stands for any c > b). The passes are counted apart from the
+            # expansion of the failures, so the coverage check sees a
+            # miscount in either.
+            covered = _orbit_size(ia, ib, ib) + (n - 1 - ib) * _orbit_size(ia, ib, n)
+            report.record_passes(covered - sum(_orbit_size(ia, ib, ic) for ic in failing))
             for ic in failing:
-                report.record(
-                    False,
-                    lambda: {
-                        "indices": [labels[ia], labels[ib], labels[ic]],
-                        "residual": residual(ic).to_json(),
-                    },
+                failures += (
+                    (triple, negate, ic, residual)
+                    for triple, negate in _orbit(ia, ib, ic, degrees)
                 )
+    failures.sort(key=lambda failure: failure[0])
+    for (xa, xb, xc), negate, ic, residual in failures:
+        report.record(
+            False,
+            lambda: {
+                "indices": [labels[xa], labels[xb], labels[xc]],
+                "residual": (-residual(ic) if negate else residual(ic)).to_json(),
+            },
+        )
+    report.record_coverage(n ** 3)
     return report
 
 

@@ -125,6 +125,19 @@ def non_negative_int(text: str) -> int:
     return value
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def non_empty(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog=TOOL,
@@ -144,10 +157,12 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--m2", type=int, default=0)
         sp.add_argument("--n1", type=int, default=0)
         sp.add_argument("--n2", type=int, default=0)
-        sp.add_argument("--output", default=None, help="output path (default: stdout)")
+        sp.add_argument(
+            "--output", type=non_empty, default=None, help="output path (default: stdout)"
+        )
         sp.add_argument("--format", choices=("json", "text"), default="json")
         sp.add_argument("--max-counterexamples", type=non_negative_int, default=10)
-        sp.add_argument("--parallelism", type=int, default=1)
+        sp.add_argument("--parallelism", type=positive_int, default=1)
         sp.add_argument(
             "--force",
             action="store_true",

@@ -495,6 +495,113 @@ def test_jacobi_paths_agree_on_a_planted_defect(monkeypatch, params, failures):
     assert json.dumps(by_constants.to_json()) == json.dumps(by_matrices.to_json())
 
 
+_ODD_PAIR = ((1, 0), (0, 1))
+
+
+def _plant_jacobi_defect(monkeypatch, basis: Basis, defect: str) -> None:
+    """Rebind the bracket on (1,0) x (0,1) operands. "one-sided" doubles it
+    in that order only, so graded antisymmetry fails; "two-sided" doubles
+    it in both orders. "inhomogeneous" adds x_p y_q e_k in that order and
+    -x_p y_q e_k in the other: bilinear and graded antisymmetric, but e_k
+    is a (0,0) basis element, p the first entry of a (1,0) element and q
+    that of a (0,1) one. All three stay in the span."""
+    true_bracket = algebras.graded_bracket
+    first = {mat.degree_of(): mat for mat in reversed(basis.elements)}
+    extra = first[(0, 0)]
+    p, q = (min(pos for pos, _ in first[d].items()) for d in _ODD_PAIR)
+
+    def planted(a, b):
+        bracket = true_bracket(a, b)
+        if defect == "inhomogeneous":
+            return bracket + extra.scale(a.entry(*p) * b.entry(*q) - b.entry(*p) * a.entry(*q))
+        pair = (a.degree_of(), b.degree_of())
+        if pair == _ODD_PAIR or defect == "two-sided" and pair == _ODD_PAIR[::-1]:
+            return bracket.scale(2)
+        return bracket
+
+    monkeypatch.setattr(algebras, "graded_bracket", planted)
+
+
+def _count_pairs(monkeypatch) -> list:
+    """The (a, b) pairs the structure-constant loop contracts."""
+    pairs = []
+    build = algebras._by_constants
+
+    def counted(*args):
+        failures_of = build(*args)
+
+        def counting(ia, ib, odd):
+            pairs.append((ia, ib))
+            return failures_of(ia, ib, odd)
+
+        return counting
+
+    monkeypatch.setattr(algebras, "_by_constants", counted)
+    return pairs
+
+
+@pytest.mark.parametrize("defect", ["two-sided", "one-sided", "inhomogeneous"])
+@pytest.mark.parametrize("params", [(0, 1, 1, 0), (1, 1, 1, 1)])
+def test_jacobi_orbits_match_the_triple_loop(monkeypatch, params, defect):
+    # The gate admits the two-sided defect only; the orbit path and the
+    # full contraction both give the triple loop's report at every cap.
+    basis = kernel_basis(ospB(*params))
+    n = len(basis)
+    _plant_jacobi_defect(monkeypatch, basis, defect)
+    assert verify_symmetry(basis).passed == (defect != "one-sided")
+    constants = BracketTable(basis).structure_constants
+    assert constants is not None
+    degrees = [mat.degree_of() for mat in basis]
+    orbits = defect == "two-sided"
+    assert algebras._graded_antisymmetric(constants, degrees) == orbits
+    reference = jacobi_by_triples(basis, max_counterexamples=n ** 3).to_json()
+    assert reference["failed"] > 10
+    pairs = _count_pairs(monkeypatch)
+    for cap in (0, 1, 10, n ** 3):
+        report = verify_jacobi(basis, max_counterexamples=cap)
+        expected = {**reference, "counterexamples": reference["counterexamples"][:cap]}
+        assert json.dumps(report.to_json()) == json.dumps(expected)
+    assert len(pairs) == 4 * (n * (n + 1) // 2 if orbits else n * n)
+
+
+def test_jacobi_contracts_one_pair_per_orbit_representative(monkeypatch):
+    # ospB(1,1,1,1), n = 40: the pairs a <= b on the orbit path, every
+    # ordered pair when the gate refuses
+    basis = kernel_basis(ospB(1, 1, 1, 1))
+    pairs = _count_pairs(monkeypatch)
+    assert verify_jacobi(basis).passed
+    assert len(pairs) == 820
+    pairs.clear()
+    _plant_jacobi_defect(monkeypatch, basis, "one-sided")
+    assert verify_jacobi(basis).failed == 2240
+    assert len(pairs) == 1600
+
+
+@pytest.mark.parametrize("miscount", ["passes", "failures"])
+def test_jacobi_coverage_catches_a_miscounted_orbit(monkeypatch, miscount):
+    # Drop the representatives (a, b, b): from the passes on a clean
+    # algebra, or from the expansion of the failures under the two-sided
+    # defect. Either way fewer than n^3 triples are enumerated and the
+    # coverage check fails the report.
+    basis = kernel_basis(ospB(0, 1, 1, 0))
+    n = len(basis)
+    if miscount == "passes":
+        size = algebras._orbit_size
+        dropped = lambda a, b, c: 0 if b == c else size(a, b, c)
+        monkeypatch.setattr(algebras, "_orbit_size", dropped)
+    else:
+        _plant_jacobi_defect(monkeypatch, basis, "two-sided")
+        orbit = algebras._orbit
+        dropped = lambda a, b, c, d: [] if b == c else orbit(a, b, c, d)
+        monkeypatch.setattr(algebras, "_orbit", dropped)
+    report = verify_jacobi(basis, max_counterexamples=n ** 3)
+    assert report.total < n ** 3
+    assert report.failed == len(report.counterexamples)
+    assert report.counterexamples[-1] == {
+        "indices": {"enumerated": report.total, "declared_total": n ** 3}
+    }
+
+
 def _rational_subset() -> Basis:
     """Four homogeneous elements of ospB(1,1,1,1), one per degree, each a
     combination of two kernel elements with non-integral Q(sqrt 2)
@@ -555,19 +662,13 @@ def test_matrix_loop_bracket_count(monkeypatch):
 
 
 @pytest.mark.parametrize("cap", [0, 1, 10, 10**9])
-@pytest.mark.parametrize("path", ["matrices", "constants"])
+@pytest.mark.parametrize("path", ["matrices", "constants", "orbits"])
 def test_jacobi_builds_only_kept_counterexamples(monkeypatch, path, cap):
-    # Under the doubled-bracket defect both paths fail more than ten
+    # Under a doubled-bracket defect every path fails more than ten
     # triples; each kept counterexample is serialized once, no other
     # residual is, and the report is the triple loop's at every cap.
     basis = _rational_subset() if path == "matrices" else kernel_basis(ospB(0, 1, 1, 0))
-    true_bracket = algebras.graded_bracket
-
-    def doubled(a, b):
-        bracket = true_bracket(a, b)
-        return bracket.scale(2) if (a.degree_of(), b.degree_of()) == ((1, 0), (0, 1)) else bracket
-
-    monkeypatch.setattr(algebras, "graded_bracket", doubled)
+    _plant_jacobi_defect(monkeypatch, basis, "two-sided" if path == "orbits" else "one-sided")
     assert (BracketTable(basis).structure_constants is None) == (path == "matrices")
     reference = jacobi_by_triples(basis, max_counterexamples=cap)
     built = []

@@ -230,6 +230,26 @@ def test_negative_max_counterexamples_exits_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("value", ["-3", "0"])
+def test_parallelism_below_one_exits_2(monkeypatch, capsys, value):
+    calls = count_kernel_basis(monkeypatch)
+    assert main(["report", "--algebra", "ospB", "--m1", "1", "--parallelism", value]) == 2
+    captured = capsys.readouterr()
+    assert f"--parallelism: must be at least 1, got {value}" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert calls == []
+
+
+def test_empty_output_refused_before_any_check(monkeypatch, capsys):
+    calls = count_kernel_basis(monkeypatch)
+    assert main(["report", "--algebra", "ospB", "--m1", "1", "--output", ""]) == 2
+    captured = capsys.readouterr()
+    assert "--output: must not be empty" in captured.err
+    assert captured.out == ""
+    assert calls == []
+
+
 def test_usage_error_exits_2(capsys):
     assert main(["no-such-command"]) == 2
     assert main([]) == 2
