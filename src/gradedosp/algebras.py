@@ -477,6 +477,31 @@ class BracketTable:
             constants.append(coords)
         return constants
 
+    @cached_property
+    def graded_antisymmetric(self) -> bool:
+        """Whether the structure constants exist and, for every nonzero
+        C_ab, C_ab = -(-1)^{dot(a, b)} C_ba key for key and value for value,
+        and every key d of C_ab has degree(e_d) = deg(a) + deg(b). Then the
+        bracket is graded antisymmetric and homogeneous, and its Jacobiator
+        obeys the sign rules of `_orbit`. Computed on first use."""
+        constants = self.structure_constants
+        if constants is None:
+            return False
+        degrees = _homogeneous_degrees(zip(self.basis.labels, self.basis.elements))
+        for ia, row in enumerate(constants):
+            da = degrees[ia]
+            for ib, coeffs in row.items():
+                other = constants[ib].get(ia)
+                if other is None or other.keys() != coeffs.keys():
+                    return False
+                db = degrees[ib]
+                degree = deg_add(da, db)
+                odd = dot(da, db)
+                for d, x in coeffs.items():
+                    if degrees[d] != degree or other[d] != (x if odd else -x):
+                        return False
+        return True
+
 
 def _table_for(basis: Basis, table: Optional[BracketTable]) -> BracketTable:
     if table is None:
@@ -491,13 +516,36 @@ def verify_closure(
 ) -> CheckReport:
     """Re-test membership on the bracket of every ordered pair of basis
     elements, read from `table` (built here when not given); a
-    counterexample names the pair and holds the bracket's residual."""
-    rows = _table_for(basis, table).rows
+    counterexample names the pair and holds the bracket's residual.
+
+    When the structure constants exist, [e_a, e_b] = sum_k C_ab^k e_k
+    exactly and the residual is linear, so the residual of [e_a, e_b] is
+    sum_k C_ab^k r_k, r_k that of e_k: the n r_k are computed once, and
+    each pair's sum over the nonzero ones is judged and reported (all n^2
+    pass at once when every r_k vanishes). Otherwise every entry is tested."""
+    table = _table_for(basis, table)
+    constants = table.structure_constants
     labels = basis.labels
-    cases = (
-        ([la, lb], bracket) for la, row in zip(labels, rows) for lb, bracket in zip(labels, row)
-    )
-    return _membership_report("closure", basis.spec, cases, max_counterexamples)
+    if constants is None:
+        rows = table.rows
+        cases = (
+            ([la, lb], bracket) for la, row in zip(labels, rows) for lb, bracket in zip(labels, row)
+        )
+        return _membership_report("closure", basis.spec, cases, max_counterexamples)
+    report = CheckReport("closure", basis.spec.to_json(), max_counterexamples)
+    residual_of = membership_residual(basis.spec)
+    nonzero = {k: r for k, r in enumerate(map(residual_of, basis.elements)) if not _vanishes(r)}
+    if not nonzero:
+        report.record_passes(len(labels) ** 2)
+        return report
+    for la, row in zip(labels, constants):
+        for ib, lb in enumerate(labels):
+            terms = [c * nonzero[k] for k, c in row.get(ib, {}).items() if k in nonzero]
+            residual = sum(terms[1:], terms[0]) if terms else None
+            report.record(
+                _vanishes(residual), lambda: {"indices": [la, lb], "residual": residual.to_json()}
+            )
+    return report
 
 
 def _homogeneous_degrees(labelled, what: str = "basis element") -> list[Degree]:
@@ -516,12 +564,21 @@ def verify_symmetry(
 ) -> CheckReport:
     """Graded antisymmetry [[x,y]] = -(-1)^{dot} [[y,x]] over all pairs,
     comparing entries of `table` (built here when not given); a
-    counterexample names the pair and holds lhs - rhs."""
+    counterexample names the pair and holds lhs - rhs.
+
+    When the table's `graded_antisymmetric` gate holds, C_ba = -+C_ab for
+    every pair and every bracket equals its reconstruction from C, so
+    every pair passes with no matrix compared. Otherwise the entries are
+    compared pair by pair."""
     degrees = _homogeneous_degrees(zip(basis.labels, basis.elements))
-    rows = _table_for(basis, table).rows
+    table = _table_for(basis, table)
     report = CheckReport("symmetry", basis.spec.to_json(), max_counterexamples)
     labels = basis.labels
     n = len(labels)
+    if table.graded_antisymmetric:
+        report.record_passes(n * n)
+        return report
+    rows = table.rows
     for ia in range(n):
         for ib in range(n):
             lhs = rows[ia][ib]
@@ -652,29 +709,6 @@ def _by_constants(
     return failures_of
 
 
-def _graded_antisymmetric(
-    constants: list[dict[int, dict[int, Scalar]]], degrees: list[Degree]
-) -> bool:
-    """Whether C_ab = -(-1)^{dot(a, b)} C_ba, key for key and value for
-    value, and every key d of C_ab has degree(e_d) = deg(a) + deg(b), for
-    every nonzero C_ab. Then the bracket that C defines is graded
-    antisymmetric and homogeneous, and its Jacobiator obeys the sign rules
-    of `_orbit`."""
-    for ia, row in enumerate(constants):
-        da = degrees[ia]
-        for ib, coeffs in row.items():
-            other = constants[ib].get(ia)
-            if other is None or other.keys() != coeffs.keys():
-                return False
-            db = degrees[ib]
-            degree = deg_add(da, db)
-            odd = dot(da, db)
-            for d, x in coeffs.items():
-                if degrees[d] != degree or other[d] != (x if odd else -x):
-                    return False
-    return True
-
-
 def _orbit_size(ia: int, ib: int, ic: int) -> int:
     """How many distinct orderings a triple ia <= ib <= ic has."""
     return 1 if ia == ic else 3 if ia == ib or ib == ic else 6
@@ -722,7 +756,8 @@ def verify_jacobi(
     residual sum_k r_k e_k, so outcomes and counterexamples are exactly
     those of the matrix loop, which runs otherwise (see `_by_matrices`).
 
-    On that path a gate first reads two facts off C: C_ab = -(-1)^{dot(a, b)}
+    On that path the table's `graded_antisymmetric` gate, shared with
+    `verify_symmetry`, reads two facts off C: C_ab = -(-1)^{dot(a, b)}
     C_ba for every pair, and every key d of C_ab has the degree
     deg(a) + deg(b). Together they make the Jacobiator J graded
     antisymmetric in all three arguments:
@@ -745,7 +780,7 @@ def verify_jacobi(
     elements = basis.elements
     labels = basis.labels
     n = len(elements)
-    orbits = constants is not None and _graded_antisymmetric(constants, degrees)
+    orbits = table.graded_antisymmetric
     if constants is None:
         failures_of = _by_matrices(elements, table.rows)
     else:

@@ -5,7 +5,8 @@ subcommand tests its precondition on the spec and runs its own rows;
 `report` runs every row that applies. One invocation builds the kernel
 basis and its bracket table at most once each, and only when a row needs
 them. `report` and `check-jacobi` refuse a Jacobi suite of more than
-`JACOBI_GUARD` basis triples without `--force`.
+`JACOBI_GUARD` orbit representatives without `--force`: the n(n+1)(n+2)/6
+triples a <= b <= c of n basis elements that the contraction runs over.
 
 JSON is the canonical output format; the text rendering is a lossy human
 view. Checks run in one thread and `--parallelism` has no effect, so
@@ -48,7 +49,7 @@ from .report import CheckReport
 
 TOOL = "gradedosp"
 SIZE_GUARD = 40  # largest matrix size built without --force
-JACOBI_GUARD = 10**7  # most ordered basis triples checked without --force
+JACOBI_GUARD = 10**7  # most Jacobi orbit representatives (a <= b <= c) without --force
 
 COMMANDS = ("basis", "dims", "check-osp", "check-jacobi", "check-relations", "report")
 
@@ -118,15 +119,22 @@ class CliError(Exception):
     """Usage or spec error: reported on stderr with exit status 2."""
 
 
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+
+
 def non_negative_int(text: str) -> int:
-    value = int(text)
+    value = _int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
     return value
 
 
 def positive_int(text: str) -> int:
-    value = int(text)
+    value = _int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
@@ -167,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--force",
             action="store_true",
             help=f"allow matrix sizes above {SIZE_GUARD} and Jacobi suites "
-            f"of more than {JACOBI_GUARD:,} triples",
+            f"of more than {JACOBI_GUARD:,} orbit representatives",
         )
     return parser
 
@@ -303,11 +311,12 @@ def run(args) -> tuple[dict, int]:
         if not applies(spec):
             raise CliError(message.format(**spec.to_json()))
     if args.command in ("report", "check-jacobi") and _has_condition(spec) and not args.force:
-        triples = expected_dim(spec) ** 3
-        if triples > JACOBI_GUARD:
+        n = expected_dim(spec)
+        representatives = n * (n + 1) * (n + 2) // 6
+        if representatives > JACOBI_GUARD:
             raise CliError(
-                f"the Jacobi suite would check {triples:,} basis triples, above the "
-                f"desk-scale guard of {JACOBI_GUARD:,}; pass --force to proceed"
+                f"the Jacobi suite has {representatives:,} orbit representatives a <= b <= c, "
+                f"above the desk-scale guard of {JACOBI_GUARD:,}; pass --force to proceed"
             )
     if args.command == "basis":
         return ctx.basis.to_json(), 0

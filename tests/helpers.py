@@ -116,6 +116,24 @@ def jacobi_by_triples(basis, max_counterexamples: int = 10) -> CheckReport:
     return report
 
 
+def symmetry_by_pairs(basis, max_counterexamples: int = 10) -> CheckReport:
+    """Graded antisymmetry checked the plain way, the reference for
+    `verify_symmetry`: both brackets of every ordered pair freshly computed
+    through `algebras.graded_bracket`, no table and no gate."""
+    bracket = algebras.graded_bracket
+    report = CheckReport("symmetry", basis.spec.to_json(), max_counterexamples)
+    items = list(zip(basis.labels, basis.elements))
+    for la, a in items:
+        for lb, b in items:
+            lhs = bracket(a, b)
+            rhs = bracket(b, a)
+            rhs = rhs if dot(a.degree_of(), b.degree_of()) else -rhs
+            report.record(
+                lhs == rhs, lambda: {"indices": [la, lb], "residual": (lhs - rhs).to_json()}
+            )
+    return report
+
+
 def relations_by_instances(family, gens, partner=None, max_counterexamples: int = 10) -> CheckReport:
     """The triple relations checked the plain way, the reference for
     `verify_relations`: every instance of `parastat.RELATION_TABLE` on its

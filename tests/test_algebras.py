@@ -40,6 +40,7 @@ from helpers import (
     dense_rows,
     embed_middle_zero,
     jacobi_by_triples,
+    symmetry_by_pairs,
 )
 
 
@@ -549,11 +550,10 @@ def test_jacobi_orbits_match_the_triple_loop(monkeypatch, params, defect):
     n = len(basis)
     _plant_jacobi_defect(monkeypatch, basis, defect)
     assert verify_symmetry(basis).passed == (defect != "one-sided")
-    constants = BracketTable(basis).structure_constants
-    assert constants is not None
-    degrees = [mat.degree_of() for mat in basis]
+    table = BracketTable(basis)
+    assert table.structure_constants is not None
     orbits = defect == "two-sided"
-    assert algebras._graded_antisymmetric(constants, degrees) == orbits
+    assert table.graded_antisymmetric == orbits
     reference = jacobi_by_triples(basis, max_counterexamples=n ** 3).to_json()
     assert reference["failed"] > 10
     pairs = _count_pairs(monkeypatch)
@@ -756,6 +756,85 @@ def test_checks_read_a_given_table(monkeypatch):
     assert calls == []
     with pytest.raises(ValueError, match="another basis"):
         verify_closure(kernel_basis(ospB(1, 0, 1, 0)), table=table)
+
+
+def _matrix_units(spec: AlgebraSpec, diagonal: bool) -> Basis:
+    """The gl matrix units, or the diagonal ones, on the spec's signature:
+    spans closed under brackets that leave the algebra, so closure runs on
+    structure constants with nonzero membership residuals."""
+    m = spec.size
+    pairs = [(i, j) for i in range(1, m + 1) for j in range(1, m + 1) if i == j or not diagonal]
+    elements = [elem(spec.signature(), i, j) for i, j in pairs]
+    return Basis(spec, elements, ["e[{},{}]".format(*pair) for pair in pairs])
+
+
+@pytest.mark.parametrize("anticommute", [False, True])
+@pytest.mark.parametrize("diagonal", [False, True])
+@pytest.mark.parametrize(
+    "spec", [ospB(0, 1, 1, 0), ospB(1, 0, 0, 0), AlgebraSpec(Family.SL, 1, 0, 1, 1)]
+)
+def test_closure_from_constants_matches_the_table_loop(monkeypatch, spec, diagonal, anticommute):
+    # The residual of [e_a, e_b] is summed from those of the elements; the
+    # report is the one of the loop over table entries at every cap. The
+    # units span a space closed under the graded bracket and under the
+    # plain anticommutator a b + b a, planted as the bracket.
+    basis = _matrix_units(spec, diagonal)
+    n = len(basis)
+    if anticommute:
+        monkeypatch.setattr(algebras, "graded_bracket", lambda a, b: a @ b + b @ a)
+    assert BracketTable(basis).structure_constants is not None
+    assert not all(is_member(spec, mat) for mat in basis)
+    caps = (0, 1, 10, n * n)
+    by_constants = [json.dumps(verify_closure(basis, cap).to_json()) for cap in caps]
+    monkeypatch.setattr(BracketTable, "structure_constants", None)
+    by_table = [json.dumps(verify_closure(basis, cap).to_json()) for cap in caps]
+    assert by_constants == by_table
+    # Graded brackets of diagonal units vanish, and every graded bracket
+    # has supertrace 0, so of those only the full units on ospB fail.
+    failing = anticommute or not diagonal and spec.family is Family.OSP_B
+    assert (json.loads(by_table[-1])["failed"] > 0) == failing
+
+
+def test_closure_computes_one_residual_per_element(monkeypatch):
+    basis = kernel_basis(ospB(1, 1, 1, 1))
+    table = BracketTable(basis)
+    assert table.structure_constants is not None
+    calls = []
+    build = algebras.membership_residual
+
+    def counted(spec):
+        residual = build(spec)
+        return lambda mat: calls.append(1) or residual(mat)
+
+    monkeypatch.setattr(algebras, "membership_residual", counted)
+    assert verify_closure(basis, table=table).total == 40 ** 2
+    assert len(calls) == 40
+
+
+def test_symmetry_gate_refuses_a_one_sided_defect(monkeypatch):
+    basis = kernel_basis(ospB(1, 1, 1, 1))
+    n = len(basis)
+    _plant_jacobi_defect(monkeypatch, basis, "one-sided")
+    table = BracketTable(basis)
+    assert table.structure_constants is not None and not table.graded_antisymmetric
+    for cap in (0, 1, 10, n * n):
+        report = verify_symmetry(basis, cap, table=table)
+        assert report.failed > 10
+        reference = symmetry_by_pairs(basis, cap)
+        assert json.dumps(report.to_json()) == json.dumps(reference.to_json())
+
+
+def test_symmetry_gate_admits_a_two_sided_defect(monkeypatch):
+    basis = kernel_basis(ospB(1, 1, 1, 1))
+    _plant_jacobi_defect(monkeypatch, basis, "two-sided")
+    reference = symmetry_by_pairs(basis)
+    assert reference.passed
+    compared = []
+    eq = GradedMatrix.__eq__
+    monkeypatch.setattr(GradedMatrix, "__eq__", lambda a, b: compared.append(1) or eq(a, b))
+    report = verify_symmetry(basis)
+    assert compared == []
+    assert report.to_json() == reference.to_json()
 
 
 def test_block_conditions_flag_a_planted_sign(monkeypatch):

@@ -176,21 +176,24 @@ def _spec_argv(*params):
 @pytest.mark.parametrize("command", ["report", "check-jacobi"])
 def test_jacobi_work_guard(tmp_path, monkeypatch, capsys, command):
     calls = count_kernel_basis(monkeypatch)
-    # ospB(3,3,2,2) has dimension 218: 10,360,232 Jacobi triples
-    assert main([command, *_spec_argv(3, 3, 2, 2)]) == 2
+    # ospB(4,4,3,3) has dimension 418: 12,259,940 orbit representatives
+    # a <= b <= c, n(n + 1)(n + 2)/6
+    assert main([command, *_spec_argv(4, 4, 3, 3)]) == 2
     err = capsys.readouterr().err
-    assert "10,360,232" in err and "--force" in err
+    assert "12,259,940" in err and "--force" in err
     assert calls == []
-    code, doc = run_json(tmp_path, "check-relations", *_spec_argv(3, 3, 2, 2))
+    code, doc = run_json(tmp_path, "check-relations", *_spec_argv(4, 4, 3, 3))
     assert code == 0 and doc["summary"]["failed"] == 0
 
     def refuse(spec):
         raise _Built(spec)
 
-    # ospB(3,2,2,2) (5,735,339 triples) and --force pass the guard and
-    # reach the basis
+    # ospB(3,3,2,2) (1,750,540 representatives), ospB(3,3,3,3) (5,110,664)
+    # and --force pass the guard and reach the basis
     monkeypatch.setattr(cli, "kernel_basis", refuse)
-    for argv in (_spec_argv(3, 2, 2, 2), _spec_argv(3, 3, 2, 2) + ["--force"]):
+    for argv in (
+        _spec_argv(3, 3, 2, 2), _spec_argv(3, 3, 3, 3), _spec_argv(4, 4, 3, 3) + ["--force"]
+    ):
         with pytest.raises(_Built):
             main([command, *argv])
 
@@ -228,6 +231,17 @@ def test_negative_max_counterexamples_exits_2(capsys):
     assert "--max-counterexamples" in capsys.readouterr().err
     assert main([*argv, "0"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag", ["--parallelism", "--max-counterexamples"])
+def test_non_integer_count_exits_2_with_a_plain_message(monkeypatch, capsys, flag):
+    calls = count_kernel_basis(monkeypatch)
+    assert main(["report", "--algebra", "ospB", "--m1", "1", flag, "x"]) == 2
+    captured = capsys.readouterr()
+    assert f"{flag}: expected an integer, got 'x'" in captured.err
+    assert "_int" not in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+    assert calls == []
 
 
 @pytest.mark.parametrize("value", ["-3", "0"])
