@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate, product
 from math import lcm
 from typing import Callable, Iterator, Optional, Sequence
@@ -598,13 +598,22 @@ def _combination(elements: list[GradedMatrix], coords: dict[int, Scalar]) -> Gra
     return GradedMatrix(elements[0].signature, acc)
 
 
+# A failing Jacobi triple: (a, b, c), whether its residual is minus the
+# thunk's, and the thunk that computes the residual.
+_Failure = tuple[tuple[int, int, int], bool, Callable[[], GradedMatrix]]
+
+
 def _by_matrices(
-    elements: list[GradedMatrix], rows: list[list[GradedMatrix]]
-) -> Callable[[int, int, int], tuple[list[int], Callable[[int], GradedMatrix]]]:
-    """The matrix loop of `verify_jacobi`: a function of the pair (a, b)
-    and odd = dot(a, b) returning the failing c of the triples (a, b, c),
-    ascending, and the map c -> residual of (a, b, c). Pairs must be asked
-    for in lexicographic order.
+    elements: list[GradedMatrix],
+    rows: list[list[GradedMatrix]],
+    degrees: list[Degree],
+    report: CheckReport,
+) -> list[_Failure]:
+    """The matrix loop of `verify_jacobi`, run when the table's
+    `graded_antisymmetric` gate fails: correct for any basis, closed under
+    brackets or not. It judges every ordered triple, records the passes of
+    each ordered pair (a, b) in `report`, and returns the failures as
+    (triple, False, residual thunk).
 
     Denominators are cleared once: the loop runs on e_a * D_a and on
     [e_a, e_b] * D_a * D_b, D_a being the lcm of the entry denominators of
@@ -614,99 +623,108 @@ def _by_matrices(
 
     X(a, b, c) = [e_a, [e_b, e_c]] is the first term of the triple
     (a, b, c) and the third of (b, a, c), so both pairs are judged at
-    a <= b from one computation of X(a, b, .) and X(b, a, .), and the
-    failing c of (b, a) wait in `pending` until it is asked for. No
-    residual is held: one is computed from the unscaled elements and
-    table when asked for, which the caller does only for a counterexample
-    it keeps."""
+    a <= b from one computation of X(a, b, .) and X(b, a, .). No residual
+    is held: a thunk computes it from the unscaled elements and table,
+    which the report calls only for a counterexample it keeps."""
     original, table = elements, rows
     clear = [lcm(*(v._d for _, v in mat.items())) for mat in elements]
     if any(k != 1 for k in clear):
         elements = [mat.scale(k) for mat, k in zip(elements, clear)]
         rows = [[t.scale(ka * kb) for t, kb in zip(row, clear)] for row, ka in zip(rows, clear)]
-    pending: dict[tuple[int, int], list[int]] = {}
 
-    def judged(ia: int, ib: int, lhs: list, third: list, odd: int) -> list[int]:
-        # lhs[c] = [a, [b, c]] against [[a, b], c] + (-1)^odd third[c], third[c] = [b, [a, c]]
-        ab = rows[ia][ib]
-        failing = []
-        for ic, (left, t) in enumerate(zip(lhs, third)):
-            rhs = graded_bracket(ab, elements[ic])
-            rhs = rhs - t if odd else rhs + t
-            if left != rhs:
-                failing.append(ic)
-        return failing
+    def residual(ia: int, ib: int, ic: int, odd: int) -> GradedMatrix:
+        rhs = graded_bracket(table[ia][ib], original[ic])
+        third = graded_bracket(original[ib], table[ia][ic])
+        rhs = rhs - third if odd else rhs + third
+        return graded_bracket(original[ia], table[ib][ic]) - rhs
 
-    def failures_of(ia: int, ib: int, odd: int) -> tuple[list[int], Callable[[int], GradedMatrix]]:
-        def residual(ic: int) -> GradedMatrix:
-            rhs = graded_bracket(table[ia][ib], original[ic])
-            third = graded_bracket(original[ib], table[ia][ic])
-            rhs = rhs - third if odd else rhs + third
-            return graded_bracket(original[ia], table[ib][ic]) - rhs
-
-        if ia > ib:
-            return pending.pop((ia, ib), []), residual
-        x_ab = [graded_bracket(elements[ia], t) for t in rows[ib]]
-        if ia == ib:
-            return judged(ia, ib, x_ab, x_ab, odd), residual
-        x_ba = [graded_bracket(elements[ib], t) for t in rows[ia]]
-        failing = judged(ia, ib, x_ab, x_ba, odd)
-        later = judged(ib, ia, x_ba, x_ab, odd)
-        if later:
-            pending[(ib, ia)] = later
-        return failing, residual
-
-    return failures_of
+    n = len(elements)
+    failures = []
+    for ia in range(n):
+        for ib in range(ia, n):
+            odd = dot(degrees[ia], degrees[ib])
+            x_ab = [graded_bracket(elements[ia], t) for t in rows[ib]]
+            judged = [(ia, ib, x_ab, x_ab)]
+            if ia < ib:
+                x_ba = [graded_bracket(elements[ib], t) for t in rows[ia]]
+                judged = [(ia, ib, x_ab, x_ba), (ib, ia, x_ba, x_ab)]
+            # lhs[c] = [a, [b, c]] against [[a, b], c] + (-1)^odd third[c]
+            for a, b, lhs, third in judged:
+                ab = rows[a][b]
+                failing = []
+                for ic, (left, t) in enumerate(zip(lhs, third)):
+                    rhs = graded_bracket(ab, elements[ic])
+                    rhs = rhs - t if odd else rhs + t
+                    if left != rhs:
+                        failing.append(ic)
+                report.record_passes(n - len(failing))
+                failures += (((a, b, ic), False, partial(residual, a, b, ic, odd)) for ic in failing)
+    return failures
 
 
-def _by_constants(
-    elements: list[GradedMatrix], constants: list[dict[int, dict[int, Scalar]]], orbits: bool
-) -> Callable[[int, int, int], tuple[list[int], Callable[[int], GradedMatrix]]]:
-    """The structure-constant loop of `verify_jacobi`: like `_by_matrices`,
-    a function of the pair (a, b) and odd = dot(a, b) returning the failing
-    c, ascending, and the map c -> residual of (a, b, c). It contracts the
-    triples with c >= b when `orbits` is set, and every c otherwise.
+def _by_orbits(
+    elements: list[GradedMatrix],
+    constants: list[dict[int, dict[int, Scalar]]],
+    degrees: list[Degree],
+    report: CheckReport,
+) -> list[_Failure]:
+    """The structure-constant loop of `verify_jacobi`, run when the table's
+    `graded_antisymmetric` gate holds: it contracts one triple a <= b <= c
+    per S3 orbit, records the passes of each pair a <= b in `report`, and
+    returns each failing representative expanded by `_orbit` to its
+    distinct orderings, as (triple, negated, residual thunk).
 
     The coordinates of the residual
     [a, [b, c]] - [[a, b], c] - (-1)^{dot(a, b)} [b, [a, c]] of each triple
     are summed over the basis index d; a nonzero coordinate residual r is
     judged and reported as the matrix sum_k r_k e_k, as the matrix loop
     would judge it."""
-
-    def failures_of(ia: int, ib: int, odd: int) -> tuple[list[int], Callable[[int], GradedMatrix]]:
-        lo = ib if orbits else 0
-        row_a, row_b = constants[ia], constants[ib]
-        acc: dict[int, dict[int, Scalar]] = {}
-        # [a, [b, c]] = sum_d C_bc^d [a, e_d]
-        for ic, coeffs in row_b.items():
-            if ic < lo:
-                continue
-            for d, x in coeffs.items():
-                vec = row_a.get(d)
-                if vec:
-                    _axpy(acc.setdefault(ic, {}), x, vec)
-        # [[a, b], c] = sum_d C_ab^d [e_d, c]
-        for d, x in row_a.get(ib, {}).items():
-            for ic, vec in constants[d].items():
-                if ic >= lo:
-                    _axpy(acc.setdefault(ic, {}), x, vec, subtract=True)
-        # (-1)^{dot(a, b)} [b, [a, c]] = (-1)^{dot(a, b)} sum_d C_ac^d [b, e_d]
-        for ic, coeffs in row_a.items():
-            if ic < lo:
-                continue
-            for d, x in coeffs.items():
-                vec = row_b.get(d)
-                if vec:
-                    _axpy(acc.setdefault(ic, {}), x, vec, subtract=not odd)
-        failures = {}
-        for ic, coords in acc.items():
-            if coords:
+    n = len(elements)
+    failures = []
+    for ia, row_a in enumerate(constants):
+        for ib in range(ia, n):
+            row_b = constants[ib]
+            odd = dot(degrees[ia], degrees[ib])
+            acc: dict[int, dict[int, Scalar]] = {}
+            # [a, [b, c]] = sum_d C_bc^d [a, e_d]
+            for ic, coeffs in row_b.items():
+                if ic < ib:
+                    continue
+                for d, x in coeffs.items():
+                    vec = row_a.get(d)
+                    if vec:
+                        _axpy(acc.setdefault(ic, {}), x, vec)
+            # [[a, b], c] = sum_d C_ab^d [e_d, c]
+            for d, x in row_a.get(ib, {}).items():
+                for ic, vec in constants[d].items():
+                    if ic >= ib:
+                        _axpy(acc.setdefault(ic, {}), x, vec, subtract=True)
+            # (-1)^{dot(a, b)} [b, [a, c]] = (-1)^{dot(a, b)} sum_d C_ac^d [b, e_d]
+            for ic, coeffs in row_a.items():
+                if ic < ib:
+                    continue
+                for d, x in coeffs.items():
+                    vec = row_b.get(d)
+                    if vec:
+                        _axpy(acc.setdefault(ic, {}), x, vec, subtract=not odd)
+            # (a, b, c) for c >= b stands for its distinct orderings (index n
+            # stands for any c > b). The passes are counted apart from the
+            # expansion of the failures, so the coverage check sees a
+            # miscount in either.
+            covered = _orbit_size(ia, ib, ib) + (n - 1 - ib) * _orbit_size(ia, ib, n)
+            for ic, coords in acc.items():
+                if not coords:
+                    continue
                 residual = _combination(elements, coords)
-                if not residual.is_zero():
-                    failures[ic] = residual
-        return sorted(failures), failures.__getitem__
-
-    return failures_of
+                if residual.is_zero():
+                    continue
+                covered -= _orbit_size(ia, ib, ic)
+                failures += (
+                    (triple, negated, lambda residual=residual: residual)
+                    for triple, negated in _orbit(ia, ib, ic, degrees)
+                )
+            report.record_passes(covered)
+    return failures
 
 
 def _orbit_size(ia: int, ib: int, ic: int) -> int:
@@ -748,75 +766,45 @@ def verify_jacobi(
     [a, [b, c]] = [[a, b], c] + (-1)^{dot(a, b)} [b, [a, c]]
     over all ordered triples of homogeneous basis elements.
 
-    When every bracket of `table` (built here when not given) equals its
-    reconstruction over the basis, each triple is a contraction of the
-    structure constants C:
-    sum_d C_bc^d C_ad = sum_d C_ab^d C_dc + (-1)^{dot(a, b)} sum_d C_ac^d C_bd.
-    By bilinearity the coordinate residual r maps back to the matrix
-    residual sum_k r_k e_k, so outcomes and counterexamples are exactly
-    those of the matrix loop, which runs otherwise (see `_by_matrices`).
-
-    On that path the table's `graded_antisymmetric` gate, shared with
-    `verify_symmetry`, reads two facts off C: C_ab = -(-1)^{dot(a, b)}
-    C_ba for every pair, and every key d of C_ab has the degree
-    deg(a) + deg(b). Together they make the Jacobiator J graded
+    The path is chosen by one observed fact, the `graded_antisymmetric`
+    gate of `table` (built here when not given), shared with
+    `verify_symmetry`. It holds when the structure constants C exist,
+    C_ab = -(-1)^{dot(a, b)} C_ba for every pair, and every key d of C_ab
+    has the degree deg(a) + deg(b). Then the Jacobiator J is graded
     antisymmetric in all three arguments:
     J(b, a, c) = -(-1)^{dot(a, b)} J(a, b, c) and
-    J(a, c, b) = -(-1)^{dot(b, c)} J(a, b, c).
-    When the gate holds, only the triples a <= b <= c are contracted, and
-    each failing one is expanded to its distinct orderings with residual
-    +-R; `failed` counts the orderings, and the kept counterexamples are
-    the first in lexicographic triple order. When it does not, the same
-    contraction runs over every c. The matrix loop takes no orbits: on a
-    basis that is not closed, the antisymmetry of brackets of a table
-    entry with an element is not checked. The report ends with a coverage
-    check: the triples its instances stand for must number n^3.
+    J(a, c, b) = -(-1)^{dot(b, c)} J(a, b, c),
+    and `_by_orbits` contracts only the triples a <= b <= c:
+    sum_d C_bc^d C_ad = sum_d C_ab^d C_dc + (-1)^{dot(a, b)} sum_d C_ac^d C_bd.
+    By bilinearity the coordinate residual r maps back to the matrix
+    residual sum_k r_k e_k, and each failing triple is expanded to its
+    distinct orderings with residual +-R. When the gate fails, closed
+    basis or not, `_by_matrices` judges every triple on the matrices.
+    Either way outcomes and counterexamples are those of the plain triple
+    loop: `failed` counts every failing triple, the kept counterexamples
+    are the first in lexicographic triple order, and the report ends with
+    a coverage check: the triples its instances stand for must number n^3.
 
     Runs in one thread: `workers` is accepted and has no effect, since a
     thread pool only adds overhead to pure Python under the interpreter lock."""
     degrees = _homogeneous_degrees(zip(basis.labels, basis.elements))
     table = _table_for(basis, table)
-    constants = table.structure_constants
-    elements = basis.elements
-    labels = basis.labels
-    n = len(elements)
-    orbits = table.graded_antisymmetric
-    if constants is None:
-        failures_of = _by_matrices(elements, table.rows)
-    else:
-        failures_of = _by_constants(elements, constants, orbits)
     report = CheckReport("jacobi", basis.spec.to_json(), max_counterexamples)
-    # (triple, whether its residual is minus the computed one, c, residual of the pair)
-    failures = []
-    for ia in range(n):
-        da = degrees[ia]
-        for ib in range(ia if orbits else 0, n):
-            failing, residual = failures_of(ia, ib, dot(da, degrees[ib]))
-            if not orbits:
-                report.record_passes(n - len(failing))
-                failures += (((ia, ib, ic), False, ic, residual) for ic in failing)
-                continue
-            # (a, b, c) for c >= b stands for its distinct orderings (index n
-            # stands for any c > b). The passes are counted apart from the
-            # expansion of the failures, so the coverage check sees a
-            # miscount in either.
-            covered = _orbit_size(ia, ib, ib) + (n - 1 - ib) * _orbit_size(ia, ib, n)
-            report.record_passes(covered - sum(_orbit_size(ia, ib, ic) for ic in failing))
-            for ic in failing:
-                failures += (
-                    (triple, negate, ic, residual)
-                    for triple, negate in _orbit(ia, ib, ic, degrees)
-                )
+    if table.graded_antisymmetric:
+        failures = _by_orbits(basis.elements, table.structure_constants, degrees, report)
+    else:
+        failures = _by_matrices(basis.elements, table.rows, degrees, report)
+    labels = basis.labels
     failures.sort(key=lambda failure: failure[0])
-    for (xa, xb, xc), negate, ic, residual in failures:
+    for (xa, xb, xc), negated, residual in failures:
         report.record(
             False,
             lambda: {
                 "indices": [labels[xa], labels[xb], labels[xc]],
-                "residual": (-residual(ic) if negate else residual(ic)).to_json(),
+                "residual": (-residual() if negated else residual()).to_json(),
             },
         )
-    report.record_coverage(n ** 3)
+    report.record_coverage(len(labels) ** 3)
     return report
 
 

@@ -19,7 +19,7 @@ from enum import Enum
 from itertools import product
 from typing import NamedTuple, Optional
 
-from .algebras import AlgebraSpec, Family, _homogeneous_degrees
+from .algebras import AlgebraSpec, Family, _axpy, _homogeneous_degrees
 from .gmatrix import GradedMatrix, _product, _rows_of, elem, graded_bracket
 from .grading import dot, signature_gl
 from .report import CheckReport
@@ -352,13 +352,7 @@ def verify_relations(
                     for c, p, q in terms:
                         if idx[p] == idx[q]:
                             w = 3 - p - q
-                            for pos, v in slots[w][signs[w], idx[w]].entries.items():
-                                cur = acc.get(pos)
-                                s = v * -c if cur is None else cur - v * c
-                                if s:
-                                    acc[pos] = s
-                                else:
-                                    del acc[pos]
+                            _axpy(acc, c, slots[w][signs[w], idx[w]].entries, subtract=True)
                     if not acc:
                         passes += 1
                         continue

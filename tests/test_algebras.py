@@ -1,6 +1,7 @@
 """Algebra constructors, membership, the echelon engine, and the verifiers."""
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -472,28 +473,24 @@ def test_planted_sign_bracket_leaves_the_span(monkeypatch):
     assert BracketTable(basis).structure_constants is None
 
 
-@pytest.mark.parametrize("params, failures", [((0, 1, 1, 0), 96), ((1, 1, 1, 1), 2240)])
+@pytest.mark.parametrize("params, failures", [((0, 1, 1, 0), 120), ((1, 1, 1, 1), 2304)])
 def test_jacobi_paths_agree_on_a_planted_defect(monkeypatch, params, failures):
+    # The two-sided defect stays in the algebra and passes the gate, so
+    # Jacobi takes the orbit path; with the constants hidden the gate fails
+    # and the matrix loop runs. `failures` is what `jacobi_by_triples` counts.
     basis = kernel_basis(ospB(*params))
     n = len(basis)
-    true_bracket = algebras.graded_bracket
-
-    def doubled(a, b):
-        # a multiple of the true bracket stays in the algebra, so closure
-        # holds and Jacobi runs on structure constants
-        bracket = true_bracket(a, b)
-        return bracket.scale(2) if (a.degree_of(), b.degree_of()) == ((1, 0), (0, 1)) else bracket
-
-    monkeypatch.setattr(algebras, "graded_bracket", doubled)
+    _plant_jacobi_defect(monkeypatch, basis, "two-sided")
     assert verify_closure(basis).passed
-    assert BracketTable(basis).structure_constants is not None
-    by_constants = verify_jacobi(basis, max_counterexamples=n ** 3)
-    assert (by_constants.total, by_constants.failed) == (n ** 3, failures)
-    assert len(by_constants.counterexamples) == failures
+    assert BracketTable(basis).graded_antisymmetric
+    by_orbits = verify_jacobi(basis, max_counterexamples=n ** 3)
+    assert (by_orbits.total, by_orbits.failed) == (n ** 3, failures)
+    assert len(by_orbits.counterexamples) == failures
 
     monkeypatch.setattr(BracketTable, "structure_constants", None)
+    assert not BracketTable(basis).graded_antisymmetric
     by_matrices = verify_jacobi(basis, max_counterexamples=n ** 3)
-    assert json.dumps(by_constants.to_json()) == json.dumps(by_matrices.to_json())
+    assert json.dumps(by_orbits.to_json()) == json.dumps(by_matrices.to_json())
 
 
 _ODD_PAIR = ((1, 0), (0, 1))
@@ -524,20 +521,17 @@ def _plant_jacobi_defect(monkeypatch, basis: Basis, defect: str) -> None:
 
 
 def _count_pairs(monkeypatch) -> list:
-    """The (a, b) pairs the structure-constant loop contracts."""
+    """The pass counts recorded by `CheckReport.record_passes` from here on.
+    The Jacobi loops record one per pair they judge: each pair a <= b on
+    the orbit path, each ordered pair on the matrix path."""
     pairs = []
-    build = algebras._by_constants
+    record_passes = CheckReport.record_passes
 
-    def counted(*args):
-        failures_of = build(*args)
+    def counted(report, count):
+        pairs.append(count)
+        record_passes(report, count)
 
-        def counting(ia, ib, odd):
-            pairs.append((ia, ib))
-            return failures_of(ia, ib, odd)
-
-        return counting
-
-    monkeypatch.setattr(algebras, "_by_constants", counted)
+    monkeypatch.setattr(CheckReport, "record_passes", counted)
     return pairs
 
 
@@ -545,7 +539,7 @@ def _count_pairs(monkeypatch) -> list:
 @pytest.mark.parametrize("params", [(0, 1, 1, 0), (1, 1, 1, 1)])
 def test_jacobi_orbits_match_the_triple_loop(monkeypatch, params, defect):
     # The gate admits the two-sided defect only; the orbit path and the
-    # full contraction both give the triple loop's report at every cap.
+    # matrix loop both give the triple loop's report at every cap.
     basis = kernel_basis(ospB(*params))
     n = len(basis)
     _plant_jacobi_defect(monkeypatch, basis, defect)
@@ -566,7 +560,7 @@ def test_jacobi_orbits_match_the_triple_loop(monkeypatch, params, defect):
 
 def test_jacobi_contracts_one_pair_per_orbit_representative(monkeypatch):
     # ospB(1,1,1,1), n = 40: the pairs a <= b on the orbit path, every
-    # ordered pair when the gate refuses
+    # ordered pair on the matrix loop, which runs when the gate refuses
     basis = kernel_basis(ospB(1, 1, 1, 1))
     pairs = _count_pairs(monkeypatch)
     assert verify_jacobi(basis).passed
@@ -600,6 +594,17 @@ def test_jacobi_coverage_catches_a_miscounted_orbit(monkeypatch, miscount):
     assert report.counterexamples[-1] == {
         "indices": {"enumerated": report.total, "declared_total": n ** 3}
     }
+
+
+@pytest.mark.parametrize("check", [verify_symmetry, verify_jacobi])
+def test_pair_and_triple_checks_refuse_an_inhomogeneous_element(check):
+    # k[1,1] has degree (0,0) and k[1,3] degree (1,1)
+    basis = kernel_basis(ospB(0, 1, 1, 0))
+    assert basis.labels[:2] == ["k[1,1]", "k[1,3]"]
+    elements = [basis.elements[0] + basis.elements[1], *basis.elements[1:]]
+    mixed = Basis(basis.spec, elements, basis.labels)
+    with pytest.raises(ValueError, match=re.escape("basis element k[1,1] is not homogeneous")):
+        check(mixed)
 
 
 def _rational_subset() -> Basis:
@@ -667,6 +672,8 @@ def test_jacobi_builds_only_kept_counterexamples(monkeypatch, path, cap):
     # Under a doubled-bracket defect every path fails more than ten
     # triples; each kept counterexample is serialized once, no other
     # residual is, and the report is the triple loop's at every cap.
+    # "constants" is a closed, integral basis whose constants fail the
+    # gate: the matrix loop runs on it without rescaling.
     basis = _rational_subset() if path == "matrices" else kernel_basis(ospB(0, 1, 1, 0))
     _plant_jacobi_defect(monkeypatch, basis, "two-sided" if path == "orbits" else "one-sided")
     assert (BracketTable(basis).structure_constants is None) == (path == "matrices")

@@ -1,7 +1,9 @@
 """Generator constructions and the triple-relation verifiers."""
 
+import dataclasses
 import hashlib
 import json
+import re
 
 import jsonschema
 import pytest
@@ -424,3 +426,13 @@ def test_relations_build_only_kept_counterexamples(monkeypatch, cap):
     report = verify_relations(family, gens, partner, max_counterexamples=cap)
     assert report.failed == PINNED_STREAMS["ospB2112-FF"][1] > cap
     assert len(report.counterexamples) == len(built) == cap
+
+
+def test_bracket_consistency_refuses_an_inhomogeneous_generator():
+    # f1+ has degree (1,1) on ospB(0,1,1,0); adding a (0,0) unit mixes degrees
+    gens = parafermion_ops(ospB(0, 1, 1, 0))
+    mixed = elem(gens.spec.signature(), 1, 1) + gens.creators[0]
+    assert mixed.degree_of() is None
+    gens = dataclasses.replace(gens, creators=[mixed, *gens.creators[1:]])
+    with pytest.raises(ValueError, match=re.escape("generator f1+ is not homogeneous")):
+        graded_bracket_consistency(gens)
