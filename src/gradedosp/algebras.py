@@ -449,22 +449,32 @@ class BracketTable:
     @cached_property
     def structure_constants(self) -> Optional[list[dict[int, dict[int, Scalar]]]]:
         """C[a][b] = {k: c_k} with [e_a, e_b] = sum_k c_k e_k, for each
-        nonzero bracket (a zero bracket has no key b in C[a]); None as soon
-        as one bracket differs from that reconstruction (the basis is not
-        closed under brackets).
+        nonzero bracket (a zero bracket has no key b in C[a]): the one gate
+        of the coordinate path. C is returned when the elements are
+        homogeneous and independent, every bracket equals its
+        reconstruction, C_ab = -(-1)^{dot(a, b)} C_ba key for key and value
+        for value, and every key d of C_ab has degree(e_d) = deg(a) + deg(b);
+        None otherwise. Then the bracket is graded antisymmetric and
+        homogeneous, its Jacobiator obeys the sign rules of `_orbit`, and a
+        nonzero coordinate vector is a nonzero matrix.
 
         Coordinates come from one augmented echelon of the basis: element k
-        is tagged with a unit at the position (m + 1, k) past the matrix.
-        Reducing a bracket M against it leaves M - sum_k c_k e_k on the
-        matrix positions and -c_k on tag k, with c_k = sum_p M[p] T[p][k]
-        over the pivots p. Computed on first use."""
+        is tagged with a unit at the position (m + 1, k) past the matrix, so
+        a dependent element leaves a pivot on a tag. Reducing a bracket M
+        against it leaves M - sum_k c_k e_k on the matrix positions and
+        -c_k on tag k. Computed on first use."""
         elements = self.basis.elements
         if not elements:
             return []
+        degrees = [mat.degree_of() for mat in elements]
+        if None in degrees:
+            return None
         past = elements[0].size + 1
         echelon = SpanReducer()
         for k, mat in enumerate(elements):
             echelon.insert({**dict(mat.items()), (past, k): ONE})
+        if any(i == past for i, _ in echelon.pivots):
+            return None
         constants = []
         for row in self.rows:
             coords = {}
@@ -475,32 +485,19 @@ class BracketTable:
                 if red:
                     coords[b] = {k: -v for (_, k), v in red.items()}
             constants.append(coords)
-        return constants
-
-    @cached_property
-    def graded_antisymmetric(self) -> bool:
-        """Whether the structure constants exist and, for every nonzero
-        C_ab, C_ab = -(-1)^{dot(a, b)} C_ba key for key and value for value,
-        and every key d of C_ab has degree(e_d) = deg(a) + deg(b). Then the
-        bracket is graded antisymmetric and homogeneous, and its Jacobiator
-        obeys the sign rules of `_orbit`. Computed on first use."""
-        constants = self.structure_constants
-        if constants is None:
-            return False
-        degrees = _homogeneous_degrees(zip(self.basis.labels, self.basis.elements))
         for ia, row in enumerate(constants):
             da = degrees[ia]
             for ib, coeffs in row.items():
                 other = constants[ib].get(ia)
                 if other is None or other.keys() != coeffs.keys():
-                    return False
+                    return None
                 db = degrees[ib]
                 degree = deg_add(da, db)
                 odd = dot(da, db)
                 for d, x in coeffs.items():
                     if degrees[d] != degree or other[d] != (x if odd else -x):
-                        return False
-        return True
+                        return None
+        return constants
 
 
 def _table_for(basis: Basis, table: Optional[BracketTable]) -> BracketTable:
@@ -518,11 +515,12 @@ def verify_closure(
     elements, read from `table` (built here when not given); a
     counterexample names the pair and holds the bracket's residual.
 
-    When the structure constants exist, [e_a, e_b] = sum_k C_ab^k e_k
-    exactly and the residual is linear, so the residual of [e_a, e_b] is
-    sum_k C_ab^k r_k, r_k that of e_k: the n r_k are computed once, and
-    each pair's sum over the nonzero ones is judged and reported (all n^2
-    pass at once when every r_k vanishes). Otherwise every entry is tested."""
+    When the table's `structure_constants` gate holds, [e_a, e_b] =
+    sum_k C_ab^k e_k exactly and the residual is linear, so the residual of
+    [e_a, e_b] is sum_k C_ab^k r_k, r_k that of e_k: the n r_k are computed
+    once, and each pair's sum over the nonzero ones is judged and reported
+    (all n^2 pass at once when every r_k vanishes). When the constants are
+    None every entry is tested."""
     table = _table_for(basis, table)
     constants = table.structure_constants
     labels = basis.labels
@@ -566,16 +564,16 @@ def verify_symmetry(
     comparing entries of `table` (built here when not given); a
     counterexample names the pair and holds lhs - rhs.
 
-    When the table's `graded_antisymmetric` gate holds, C_ba = -+C_ab for
+    When the table's `structure_constants` gate holds, C_ba = -+C_ab for
     every pair and every bracket equals its reconstruction from C, so
-    every pair passes with no matrix compared. Otherwise the entries are
-    compared pair by pair."""
+    every pair passes with no matrix compared. When the constants are None
+    the entries are compared pair by pair."""
     degrees = _homogeneous_degrees(zip(basis.labels, basis.elements))
     table = _table_for(basis, table)
     report = CheckReport("symmetry", basis.spec.to_json(), max_counterexamples)
     labels = basis.labels
     n = len(labels)
-    if table.graded_antisymmetric:
+    if table.structure_constants is not None:
         report.record_passes(n * n)
         return report
     rows = table.rows
@@ -598,9 +596,8 @@ def _combination(elements: list[GradedMatrix], coords: dict[int, Scalar]) -> Gra
     return GradedMatrix(elements[0].signature, acc)
 
 
-# A failing Jacobi triple: (a, b, c), whether its residual is minus the
-# thunk's, and the thunk that computes the residual.
-_Failure = tuple[tuple[int, int, int], bool, Callable[[], GradedMatrix]]
+# A failing Jacobi triple (a, b, c) and the thunk that computes its residual.
+_Failure = tuple[tuple[int, int, int], Callable[[], GradedMatrix]]
 
 
 def _by_matrices(
@@ -609,11 +606,11 @@ def _by_matrices(
     degrees: list[Degree],
     report: CheckReport,
 ) -> list[_Failure]:
-    """The matrix loop of `verify_jacobi`, run when the table's
-    `graded_antisymmetric` gate fails: correct for any basis, closed under
-    brackets or not. It judges every ordered triple, records the passes of
-    each ordered pair (a, b) in `report`, and returns the failures as
-    (triple, False, residual thunk).
+    """The matrix loop of `verify_jacobi`, run when the table's structure
+    constants are None: correct for any basis, closed under brackets or
+    not. It judges every ordered triple, records the passes of each ordered
+    pair (a, b) in `report`, and returns the failures as (triple, residual
+    thunk).
 
     Denominators are cleared once: the loop runs on e_a * D_a and on
     [e_a, e_b] * D_a * D_b, D_a being the lcm of the entry denominators of
@@ -658,8 +655,20 @@ def _by_matrices(
                     if left != rhs:
                         failing.append(ic)
                 report.record_passes(n - len(failing))
-                failures += (((a, b, ic), False, partial(residual, a, b, ic, odd)) for ic in failing)
+                failures += (((a, b, ic), partial(residual, a, b, ic, odd)) for ic in failing)
     return failures
+
+
+def _add_nested(acc: dict, row_x: dict, row_y: dict, first: int, subtract: bool = False) -> None:
+    """acc[c] += [e_x, [e_y, e_c]] = sum_d C_yc^d C_xd for each c >= first
+    (-= with `subtract`), in coordinates; row_x and row_y are C[x], C[y]."""
+    for ic, coeffs in row_y.items():
+        if ic < first:
+            continue
+        for d, x in coeffs.items():
+            vec = row_x.get(d)
+            if vec:
+                _axpy(acc.setdefault(ic, {}), x, vec, subtract)
 
 
 def _by_orbits(
@@ -669,16 +678,17 @@ def _by_orbits(
     report: CheckReport,
 ) -> list[_Failure]:
     """The structure-constant loop of `verify_jacobi`, run when the table's
-    `graded_antisymmetric` gate holds: it contracts one triple a <= b <= c
+    `structure_constants` gate holds: it contracts one triple a <= b <= c
     per S3 orbit, records the passes of each pair a <= b in `report`, and
     returns each failing representative expanded by `_orbit` to its
-    distinct orderings, as (triple, negated, residual thunk).
+    distinct orderings, as (triple, residual thunk).
 
-    The coordinates of the residual
+    The coordinates r of the residual
     [a, [b, c]] - [[a, b], c] - (-1)^{dot(a, b)} [b, [a, c]] of each triple
-    are summed over the basis index d; a nonzero coordinate residual r is
-    judged and reported as the matrix sum_k r_k e_k, as the matrix loop
-    would judge it."""
+    are summed over the basis index d, and the triple is judged on them:
+    the elements are independent, so r = 0 exactly when sum_k r_k e_k = 0.
+    The thunk builds that matrix, or its negative for an ordering whose
+    Jacobiator is minus the representative's, only for a kept counterexample."""
     n = len(elements)
     failures = []
     for ia, row_a in enumerate(constants):
@@ -686,27 +696,13 @@ def _by_orbits(
             row_b = constants[ib]
             odd = dot(degrees[ia], degrees[ib])
             acc: dict[int, dict[int, Scalar]] = {}
-            # [a, [b, c]] = sum_d C_bc^d [a, e_d]
-            for ic, coeffs in row_b.items():
-                if ic < ib:
-                    continue
-                for d, x in coeffs.items():
-                    vec = row_a.get(d)
-                    if vec:
-                        _axpy(acc.setdefault(ic, {}), x, vec)
+            _add_nested(acc, row_a, row_b, ib)
             # [[a, b], c] = sum_d C_ab^d [e_d, c]
             for d, x in row_a.get(ib, {}).items():
                 for ic, vec in constants[d].items():
                     if ic >= ib:
                         _axpy(acc.setdefault(ic, {}), x, vec, subtract=True)
-            # (-1)^{dot(a, b)} [b, [a, c]] = (-1)^{dot(a, b)} sum_d C_ac^d [b, e_d]
-            for ic, coeffs in row_a.items():
-                if ic < ib:
-                    continue
-                for d, x in coeffs.items():
-                    vec = row_b.get(d)
-                    if vec:
-                        _axpy(acc.setdefault(ic, {}), x, vec, subtract=not odd)
+            _add_nested(acc, row_b, row_a, ib, subtract=not odd)
             # (a, b, c) for c >= b stands for its distinct orderings (index n
             # stands for any c > b). The passes are counted apart from the
             # expansion of the failures, so the coverage check sees a
@@ -715,12 +711,10 @@ def _by_orbits(
             for ic, coords in acc.items():
                 if not coords:
                     continue
-                residual = _combination(elements, coords)
-                if residual.is_zero():
-                    continue
                 covered -= _orbit_size(ia, ib, ic)
+                minus = {k: -v for k, v in coords.items()}
                 failures += (
-                    (triple, negated, lambda residual=residual: residual)
+                    (triple, partial(_combination, elements, minus if negated else coords))
                     for triple, negated in _orbit(ia, ib, ic, degrees)
                 )
             report.record_passes(covered)
@@ -766,43 +760,37 @@ def verify_jacobi(
     [a, [b, c]] = [[a, b], c] + (-1)^{dot(a, b)} [b, [a, c]]
     over all ordered triples of homogeneous basis elements.
 
-    The path is chosen by one observed fact, the `graded_antisymmetric`
-    gate of `table` (built here when not given), shared with
-    `verify_symmetry`. It holds when the structure constants C exist,
-    C_ab = -(-1)^{dot(a, b)} C_ba for every pair, and every key d of C_ab
-    has the degree deg(a) + deg(b). Then the Jacobiator J is graded
+    The path is chosen by the `structure_constants` gate of `table` (built
+    here when not given). When it holds, the Jacobiator J is graded
     antisymmetric in all three arguments:
     J(b, a, c) = -(-1)^{dot(a, b)} J(a, b, c) and
     J(a, c, b) = -(-1)^{dot(b, c)} J(a, b, c),
     and `_by_orbits` contracts only the triples a <= b <= c:
-    sum_d C_bc^d C_ad = sum_d C_ab^d C_dc + (-1)^{dot(a, b)} sum_d C_ac^d C_bd.
-    By bilinearity the coordinate residual r maps back to the matrix
-    residual sum_k r_k e_k, and each failing triple is expanded to its
-    distinct orderings with residual +-R. When the gate fails, closed
-    basis or not, `_by_matrices` judges every triple on the matrices.
-    Either way outcomes and counterexamples are those of the plain triple
-    loop: `failed` counts every failing triple, the kept counterexamples
-    are the first in lexicographic triple order, and the report ends with
-    a coverage check: the triples its instances stand for must number n^3.
+    sum_d C_bc^d C_ad = sum_d C_ab^d C_dc + (-1)^{dot(a, b)} sum_d C_ac^d C_bd,
+    and judges each on its coordinate residual; each failing triple is
+    expanded to its distinct orderings with residual +-R. When the
+    constants are None, `_by_matrices` judges every triple on the
+    matrices. Either way outcomes and counterexamples are those of the
+    plain triple loop: `failed` counts every failing triple, the kept
+    counterexamples are the first in lexicographic triple order, and the
+    report ends with a coverage check: the triples its instances stand for
+    must number n^3.
 
     Runs in one thread: `workers` is accepted and has no effect, since a
     thread pool only adds overhead to pure Python under the interpreter lock."""
     degrees = _homogeneous_degrees(zip(basis.labels, basis.elements))
     table = _table_for(basis, table)
     report = CheckReport("jacobi", basis.spec.to_json(), max_counterexamples)
-    if table.graded_antisymmetric:
-        failures = _by_orbits(basis.elements, table.structure_constants, degrees, report)
-    else:
+    constants = table.structure_constants
+    if constants is None:
         failures = _by_matrices(basis.elements, table.rows, degrees, report)
+    else:
+        failures = _by_orbits(basis.elements, constants, degrees, report)
     labels = basis.labels
     failures.sort(key=lambda failure: failure[0])
-    for (xa, xb, xc), negated, residual in failures:
+    for triple, thunk in failures:
         report.record(
-            False,
-            lambda: {
-                "indices": [labels[xa], labels[xb], labels[xc]],
-                "residual": (-residual() if negated else residual()).to_json(),
-            },
+            False, lambda: {"indices": [labels[x] for x in triple], "residual": thunk().to_json()}
         )
     report.record_coverage(len(labels) ** 3)
     return report

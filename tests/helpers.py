@@ -116,6 +116,24 @@ def jacobi_by_triples(basis, max_counterexamples: int = 10) -> CheckReport:
     return report
 
 
+def closure_by_pairs(basis, max_counterexamples: int = 10) -> CheckReport:
+    """Closure checked the plain way, the reference for `verify_closure` on
+    an orthosymplectic basis: the membership residual of every ordered
+    pair's bracket, freshly computed through `algebras.graded_bracket`, no
+    table and no structure constants."""
+    bracket = algebras.graded_bracket
+    residual_of = algebras.membership_residual(basis.spec)
+    report = CheckReport("closure", basis.spec.to_json(), max_counterexamples)
+    items = list(zip(basis.labels, basis.elements))
+    for la, a in items:
+        for lb, b in items:
+            residual = residual_of(bracket(a, b))
+            report.record(
+                residual.is_zero(), lambda: {"indices": [la, lb], "residual": residual.to_json()}
+            )
+    return report
+
+
 def symmetry_by_pairs(basis, max_counterexamples: int = 10) -> CheckReport:
     """Graded antisymmetry checked the plain way, the reference for
     `verify_symmetry`: both brackets of every ordered pair freshly computed

@@ -37,6 +37,7 @@ from gradedosp.scalars import ONE, SQRT2, Scalar
 
 from helpers import (
     bruteforce_algebra_dim,
+    closure_by_pairs,
     dense_rank,
     dense_rows,
     embed_middle_zero,
@@ -476,19 +477,18 @@ def test_planted_sign_bracket_leaves_the_span(monkeypatch):
 @pytest.mark.parametrize("params, failures", [((0, 1, 1, 0), 120), ((1, 1, 1, 1), 2304)])
 def test_jacobi_paths_agree_on_a_planted_defect(monkeypatch, params, failures):
     # The two-sided defect stays in the algebra and passes the gate, so
-    # Jacobi takes the orbit path; with the constants hidden the gate fails
-    # and the matrix loop runs. `failures` is what `jacobi_by_triples` counts.
+    # Jacobi takes the orbit path; with the constants hidden the matrix loop
+    # runs. `failures` is what `jacobi_by_triples` counts.
     basis = kernel_basis(ospB(*params))
     n = len(basis)
     _plant_jacobi_defect(monkeypatch, basis, "two-sided")
     assert verify_closure(basis).passed
-    assert BracketTable(basis).graded_antisymmetric
+    assert BracketTable(basis).structure_constants is not None
     by_orbits = verify_jacobi(basis, max_counterexamples=n ** 3)
     assert (by_orbits.total, by_orbits.failed) == (n ** 3, failures)
     assert len(by_orbits.counterexamples) == failures
 
     monkeypatch.setattr(BracketTable, "structure_constants", None)
-    assert not BracketTable(basis).graded_antisymmetric
     by_matrices = verify_jacobi(basis, max_counterexamples=n ** 3)
     assert json.dumps(by_orbits.to_json()) == json.dumps(by_matrices.to_json())
 
@@ -539,23 +539,25 @@ def _count_pairs(monkeypatch) -> list:
 @pytest.mark.parametrize("params", [(0, 1, 1, 0), (1, 1, 1, 1)])
 def test_jacobi_orbits_match_the_triple_loop(monkeypatch, params, defect):
     # The gate admits the two-sided defect only; the orbit path and the
-    # matrix loop both give the triple loop's report at every cap.
+    # matrix loop both give the triple loop's report at every cap. On
+    # ospB(1,1,1,1) the matrix loop runs at cap n^3 only: its small caps are
+    # covered on ospB(0,1,1,0) and by `test_jacobi_builds_only_kept_counterexamples`.
     basis = kernel_basis(ospB(*params))
     n = len(basis)
     _plant_jacobi_defect(monkeypatch, basis, defect)
-    assert verify_symmetry(basis).passed == (defect != "one-sided")
     table = BracketTable(basis)
-    assert table.structure_constants is not None
+    assert verify_symmetry(basis, table=table).passed == (defect != "one-sided")
     orbits = defect == "two-sided"
-    assert table.graded_antisymmetric == orbits
+    assert (table.structure_constants is not None) == orbits
     reference = jacobi_by_triples(basis, max_counterexamples=n ** 3).to_json()
     assert reference["failed"] > 10
     pairs = _count_pairs(monkeypatch)
-    for cap in (0, 1, 10, n ** 3):
-        report = verify_jacobi(basis, max_counterexamples=cap)
+    caps = (0, 1, 10, n ** 3) if orbits or params == (0, 1, 1, 0) else (n ** 3,)
+    for cap in caps:
+        report = verify_jacobi(basis, max_counterexamples=cap, table=table)
         expected = {**reference, "counterexamples": reference["counterexamples"][:cap]}
         assert json.dumps(report.to_json()) == json.dumps(expected)
-    assert len(pairs) == 4 * (n * (n + 1) // 2 if orbits else n * n)
+    assert len(pairs) == len(caps) * (n * (n + 1) // 2 if orbits else n * n)
 
 
 def test_jacobi_contracts_one_pair_per_orbit_representative(monkeypatch):
@@ -672,11 +674,12 @@ def test_jacobi_builds_only_kept_counterexamples(monkeypatch, path, cap):
     # Under a doubled-bracket defect every path fails more than ten
     # triples; each kept counterexample is serialized once, no other
     # residual is, and the report is the triple loop's at every cap.
-    # "constants" is a closed, integral basis whose constants fail the
-    # gate: the matrix loop runs on it without rescaling.
+    # "constants" is a closed, integral basis whose bracket fails graded
+    # antisymmetry, so the gate refuses its constants: the matrix loop runs
+    # on it without rescaling.
     basis = _rational_subset() if path == "matrices" else kernel_basis(ospB(0, 1, 1, 0))
     _plant_jacobi_defect(monkeypatch, basis, "two-sided" if path == "orbits" else "one-sided")
-    assert (BracketTable(basis).structure_constants is None) == (path == "matrices")
+    assert (BracketTable(basis).structure_constants is None) == (path != "orbits")
     reference = jacobi_by_triples(basis, max_counterexamples=cap)
     built = []
     to_json = GradedMatrix.to_json
@@ -685,6 +688,46 @@ def test_jacobi_builds_only_kept_counterexamples(monkeypatch, path, cap):
     assert report.failed > 10
     assert len(built) == len(report.counterexamples) == min(cap, report.failed)
     assert json.dumps(report.to_json()) == json.dumps(reference.to_json())
+
+
+@pytest.mark.parametrize("cap", [0, 1, 10])
+def test_orbit_path_builds_matrices_only_for_kept_counterexamples(monkeypatch, cap):
+    # Failing representatives are judged on their coordinates; the matrix
+    # sum_k r_k e_k is built only for a counterexample the report keeps.
+    basis = kernel_basis(ospB(2, 1, 1, 1))
+    _plant_jacobi_defect(monkeypatch, basis, "two-sided")
+    table = BracketTable(basis)
+    assert table.structure_constants is not None
+    built = []
+    combination = algebras._combination
+    monkeypatch.setattr(
+        algebras, "_combination", lambda *args: built.append(1) or combination(*args)
+    )
+    report = verify_jacobi(basis, max_counterexamples=cap, table=table)
+    assert report.failed > 10
+    assert len(built) == len(report.counterexamples) == cap
+
+
+def test_dependent_basis_takes_the_matrix_path(monkeypatch):
+    # A kernel basis with one element repeated is closed under brackets,
+    # and under the two-sided defect graded antisymmetric and homogeneous,
+    # but dependent: a nonzero coordinate vector can be the zero matrix, so
+    # the gate refuses its constants and every check reads the matrices.
+    canonical = kernel_basis(ospB(0, 1, 1, 0))
+    repeated = next(m for m in canonical if m.degree_of() == _ODD_PAIR[0])
+    basis = Basis(canonical.spec, [*canonical, repeated], [*canonical.labels, "again"])
+    n = len(basis)
+    _plant_jacobi_defect(monkeypatch, basis, "two-sided")
+    assert BracketTable(canonical).structure_constants is not None
+    table = BracketTable(basis)
+    assert table.structure_constants is None
+    closure = verify_closure(basis, n * n, table=table)
+    assert closure.to_json() == closure_by_pairs(basis, n * n).to_json()
+    symmetry = verify_symmetry(basis, n * n, table=table)
+    assert symmetry.to_json() == symmetry_by_pairs(basis, n * n).to_json()
+    jacobi = verify_jacobi(basis, max_counterexamples=n ** 3, table=table)
+    assert jacobi.failed > 10
+    assert json.dumps(jacobi.to_json()) == json.dumps(jacobi_by_triples(basis, n ** 3).to_json())
 
 
 def _planted_check(monkeypatch, check: str):
@@ -784,12 +827,14 @@ def test_closure_from_constants_matches_the_table_loop(monkeypatch, spec, diagon
     # The residual of [e_a, e_b] is summed from those of the elements; the
     # report is the one of the loop over table entries at every cap. The
     # units span a space closed under the graded bracket and under the
-    # plain anticommutator a b + b a, planted as the bracket.
+    # plain anticommutator a b + b a, planted as the bracket; that one is
+    # not graded antisymmetric, so the gate refuses its constants and both
+    # runs take the table loop.
     basis = _matrix_units(spec, diagonal)
     n = len(basis)
     if anticommute:
         monkeypatch.setattr(algebras, "graded_bracket", lambda a, b: a @ b + b @ a)
-    assert BracketTable(basis).structure_constants is not None
+    assert (BracketTable(basis).structure_constants is None) == anticommute
     assert not all(is_member(spec, mat) for mat in basis)
     caps = (0, 1, 10, n * n)
     by_constants = [json.dumps(verify_closure(basis, cap).to_json()) for cap in caps]
@@ -823,7 +868,7 @@ def test_symmetry_gate_refuses_a_one_sided_defect(monkeypatch):
     n = len(basis)
     _plant_jacobi_defect(monkeypatch, basis, "one-sided")
     table = BracketTable(basis)
-    assert table.structure_constants is not None and not table.graded_antisymmetric
+    assert table.structure_constants is None
     for cap in (0, 1, 10, n * n):
         report = verify_symmetry(basis, cap, table=table)
         assert report.failed > 10
