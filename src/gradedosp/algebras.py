@@ -19,7 +19,7 @@ from itertools import accumulate, product
 from math import lcm
 from typing import Callable, Iterator, Optional, Sequence
 
-from .gmatrix import GradedMatrix, elem, graded_bracket
+from .gmatrix import GradedMatrix, _product, _rows_of, elem, graded_bracket
 from .grading import Degree, Signature, deg_add, dot, signature_gl, signature_osp
 from .report import CheckReport
 from .scalars import ONE, ZERO, Scalar
@@ -161,8 +161,8 @@ def membership_residual(spec: AlgebraSpec) -> Callable[[GradedMatrix], object]:
     """The map A -> what must vanish for A to be a member: A^T J + J A for
     the orthosymplectic families, the supertrace for sl, None for gl.
 
-    The spec's signature and J with its row index are built once here, so
-    a caller testing many matrices builds them once.
+    The signature and J's row index are built once here, for a caller
+    testing many matrices; A^T J and J A go into one dict by `_product`.
     """
     sig = spec.signature()
     if spec.family is Family.GL:
@@ -170,11 +170,14 @@ def membership_residual(spec: AlgebraSpec) -> Callable[[GradedMatrix], object]:
     elif spec.family is Family.SL:
         condition = GradedMatrix.supertrace
     else:
-        j = j_matrix(spec)
-        times_j = j.right_product()
+        j = j_matrix(spec)._entries
+        j_rows = _rows_of(j)
 
         def condition(mat: GradedMatrix) -> GradedMatrix:
-            return times_j(mat.graded_transpose()) + (j @ mat)
+            acc: dict = {}
+            _product(acc, mat.graded_transpose()._entries, j_rows)
+            _product(acc, j, _rows_of(mat._entries))
+            return GradedMatrix._make(sig, acc)
 
     def residual(mat: GradedMatrix):
         if mat.signature != sig:
@@ -272,19 +275,14 @@ class SpanReducer:
         return [dict(self._rows[rix]) for _, rix in sorted(self._pivots.items())]
 
 
-def _common_signature(matrices: Sequence[GradedMatrix]) -> Optional[Signature]:
-    sig = None
-    for mat in matrices:
-        if sig is None:
-            sig = mat.signature
-        elif mat.signature != sig:
-            raise ValueError("signature mismatch across matrices")
-    return sig
+def _check_common_signature(matrices: Sequence[GradedMatrix]) -> None:
+    if len({mat.signature for mat in matrices}) > 1:
+        raise ValueError("signature mismatch across matrices")
 
 
 def rank_of(matrices: Sequence[GradedMatrix]) -> int:
     """Rank of the span, by exact echelon reduction in input order."""
-    _common_signature(matrices)
+    _check_common_signature(matrices)
     reducer = SpanReducer()
     for mat in matrices:
         reducer.insert(dict(mat.items()))
@@ -294,7 +292,7 @@ def rank_of(matrices: Sequence[GradedMatrix]) -> int:
 def reduce_span(matrices: Sequence[GradedMatrix]) -> list[GradedMatrix]:
     """The deterministic independent subset: keep each input matrix that
     increases the rank, processing in the given order."""
-    _common_signature(matrices)
+    _check_common_signature(matrices)
     reducer = SpanReducer()
     return [mat for mat in matrices if reducer.insert(dict(mat.items()))]
 
@@ -307,15 +305,13 @@ def s_matrices(spec: AlgebraSpec) -> Iterator[tuple[int, int, GradedMatrix]]:
     _require_osp(spec, "s_matrices")
     sig = spec.signature()
     m = spec.size
-    j_rows: dict[int, dict[int, Scalar]] = {}
-    for (r, c), v in j_matrix(spec).items():
-        j_rows.setdefault(r, {})[c] = v
+    j_rows = _rows_of(j_matrix(spec)._entries)
     u = u_matrix(spec)
     for i in range(1, m + 1):
-        row_i = j_rows.get(i, {})
+        row_i = j_rows.get(i, [])
         for j in range(1, m + 1):
-            entries = {(k, j): v for k, v in row_i.items()}
-            term = {(k, i): v for k, v in j_rows.get(j, {}).items()}
+            entries = {(k, j): v for k, v in row_i}
+            term = {(k, i): v for k, v in j_rows.get(j, [])}
             _axpy(entries, u.entry(i, j), term, subtract=True)
             yield i, j, GradedMatrix(sig, entries)
 
@@ -515,35 +511,20 @@ def verify_closure(
     elements, read from `table` (built here when not given); a
     counterexample names the pair and holds the bracket's residual.
 
-    When the table's `structure_constants` gate holds, [e_a, e_b] =
-    sum_k C_ab^k e_k exactly and the residual is linear, so the residual of
-    [e_a, e_b] is sum_k C_ab^k r_k, r_k that of e_k: the n r_k are computed
-    once, and each pair's sum over the nonzero ones is judged and reported
-    (all n^2 pass at once when every r_k vanishes). When the constants are
-    None every entry is tested."""
+    When the table's `structure_constants` gate holds, every bracket is a
+    combination of the elements and the residual is linear, so when the n
+    residuals of the elements all vanish, all n^2 pairs pass at once.
+    Otherwise every table entry is tested."""
     table = _table_for(basis, table)
-    constants = table.structure_constants
     labels = basis.labels
-    if constants is None:
-        rows = table.rows
-        cases = (
-            ([la, lb], bracket) for la, row in zip(labels, rows) for lb, bracket in zip(labels, row)
-        )
-        return _membership_report("closure", basis.spec, cases, max_counterexamples)
-    report = CheckReport("closure", basis.spec.to_json(), max_counterexamples)
-    residual_of = membership_residual(basis.spec)
-    nonzero = {k: r for k, r in enumerate(map(residual_of, basis.elements)) if not _vanishes(r)}
-    if not nonzero:
-        report.record_passes(len(labels) ** 2)
-        return report
-    for la, row in zip(labels, constants):
-        for ib, lb in enumerate(labels):
-            terms = [c * nonzero[k] for k, c in row.get(ib, {}).items() if k in nonzero]
-            residual = sum(terms[1:], terms[0]) if terms else None
-            report.record(
-                _vanishes(residual), lambda: {"indices": [la, lb], "residual": residual.to_json()}
-            )
-    return report
+    if table.structure_constants is not None:
+        residual_of = membership_residual(basis.spec)
+        if all(_vanishes(residual_of(mat)) for mat in basis.elements):
+            report = CheckReport("closure", basis.spec.to_json(), max_counterexamples)
+            report.record_passes(len(labels) ** 2)
+            return report
+    cases = (([la, lb], m) for la, row in zip(labels, table.rows) for lb, m in zip(labels, row))
+    return _membership_report("closure", basis.spec, cases, max_counterexamples)
 
 
 def _homogeneous_degrees(labelled, what: str = "basis element") -> list[Degree]:

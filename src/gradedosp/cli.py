@@ -2,11 +2,13 @@
 
 Every check is a row of one ordered table, `CHECKS`. A `check-*`
 subcommand tests its precondition on the spec and runs its own rows;
-`report` runs every row that applies. One invocation builds the kernel
-basis and its bracket table at most once each, and only when a row needs
-them. `report` and `check-jacobi` refuse a Jacobi suite of more than
-`JACOBI_GUARD` orbit representatives without `--force`: the n(n+1)(n+2)/6
-triples a <= b <= c of n basis elements that the contraction runs over.
+`report` runs every row that applies, the relation suites as chosen by
+`parastat.relation_reports`. One invocation builds the kernel basis, its
+bracket table and `parastat.generator_sets` at most once each, and only
+when a row needs them. `report` and `check-jacobi` refuse a Jacobi suite
+of more than `JACOBI_GUARD` orbit representatives without `--force`: the
+n(n+1)(n+2)/6 triples a <= b <= c of n basis elements that the
+contraction runs over.
 
 JSON is the canonical output format; the text rendering is a lossy human
 view. Checks run in one thread and `--parallelism` has no effect, so
@@ -25,6 +27,7 @@ from typing import Optional
 
 from . import __version__
 from .algebras import (
+    _ORTHOSYMPLECTIC,
     AlgebraSpec,
     Basis,
     BracketTable,
@@ -37,14 +40,7 @@ from .algebras import (
     verify_membership,
     verify_symmetry,
 )
-from .parastat import (
-    RelationFamily,
-    graded_bracket_consistency,
-    palev_ops,
-    paraboson_ops,
-    parafermion_ops,
-    verify_relations,
-)
+from .parastat import GeneratorSet, generator_sets, paraboson_ops, relation_reports
 from .report import CheckReport
 
 TOOL = "gradedosp"
@@ -195,8 +191,7 @@ def _build_spec(args) -> AlgebraSpec:
 
 @dataclass
 class _Context:
-    """One invocation's spec and options; builds the kernel basis and its
-    bracket table once each, on first use."""
+    """One invocation's spec and options; builds each cached part once, on first use."""
 
     spec: AlgebraSpec
     max_ces: int
@@ -208,6 +203,12 @@ class _Context:
     @cached_property
     def table(self) -> BracketTable:
         return BracketTable(self.basis)
+
+    @cached_property
+    def generator_sets(self) -> list[GeneratorSet]:
+        # Parabosons come from this module's `paraboson_ops`, looked up at
+        # call time: the relations benchmark rebinds it to plant its defect.
+        return generator_sets(self.spec, paraboson_ops)
 
 
 def _dims(ctx: _Context) -> dict:
@@ -225,47 +226,22 @@ def _dims_report(ctx: _Context) -> list[CheckReport]:
     return [report]
 
 
-def _relation_reports(ctx: _Context) -> list[CheckReport]:
-    spec = ctx.spec
-    fam = RelationFamily
-    if spec.family is Family.SL:
-        gens = palev_ops(spec.n1, spec.n2)
-        sets, runs = [gens], [(fam.A_SAME, gens, None), (fam.A_MIXED, gens, None)]
-    else:
-        fermions = parafermion_ops(spec) if spec.m1 + spec.m2 else None
-        bosons = paraboson_ops(spec) if spec.n1 + spec.n2 else None
-        sets = [g for g in (fermions, bosons) if g]
-        runs = [(fam.FF, fermions, None)] if fermions else []
-        if bosons:
-            runs += [(fam.BB_SAME, bosons, None), (fam.BB_MIXED, bosons, None)]
-        if fermions and bosons:
-            runs += [(fam.PF_FAMILY1, fermions, bosons), (fam.PF_FAMILY2, fermions, bosons)]
-    reports = [
-        verify_relations(family, gens, partner, max_counterexamples=ctx.max_ces)
-        for family, gens, partner in runs
-    ]
-    return reports + [graded_bracket_consistency(*sets, max_counterexamples=ctx.max_ces)]
+def _is_osp(ctx: _Context) -> bool:
+    return ctx.spec.family in _ORTHOSYMPLECTIC
 
 
-def _is_osp(spec: AlgebraSpec) -> bool:
-    return spec.family in (Family.OSP_B, Family.OSP_D)
+def _has_condition(ctx: _Context) -> bool:
+    return ctx.spec.family is not Family.GL
 
 
-def _has_condition(spec: AlgebraSpec) -> bool:
-    return spec.family is not Family.GL
-
-
-def _has_generators(spec: AlgebraSpec) -> bool:
-    """Parafermions/parabosons on ospB, A-type generators on sl(1,0|n1,n2)."""
-    if spec.family is Family.OSP_B:
-        return spec.m1 + spec.m2 + spec.n1 + spec.n2 > 0
-    return spec.family is Family.SL and (spec.m1, spec.m2) == (1, 0) and spec.n1 + spec.n2 > 0
+def _has_generators(ctx: _Context) -> bool:
+    return bool(ctx.generator_sets)
 
 
 # In report order: (the check subcommand that runs the row, whether the row
-# applies to a spec, runner). Runners look the library up at call time.
+# applies to the invocation, runner). Runners look the library up at call time.
 CHECKS = (
-    (None, lambda spec: True, _dims_report),
+    (None, lambda ctx: True, _dims_report),
     ("check-osp", _is_osp, lambda ctx: [verify_membership(ctx.basis, ctx.max_ces)]),
     (
         "check-osp",
@@ -274,7 +250,7 @@ CHECKS = (
     ),
     (
         "check-osp",
-        lambda spec: spec.family is Family.OSP_B,
+        lambda ctx: ctx.spec.family is Family.OSP_B,
         lambda ctx: [verify_block_conditions(ctx.basis, ctx.max_ces)],
     ),
     (
@@ -287,7 +263,11 @@ CHECKS = (
         _has_condition,
         lambda ctx: [verify_symmetry(ctx.basis, ctx.max_ces, table=ctx.table)],
     ),
-    ("check-relations", _has_generators, _relation_reports),
+    (
+        "check-relations",
+        _has_generators,
+        lambda ctx: relation_reports(ctx.generator_sets, ctx.max_ces),
+    ),
 )
 
 # What a subcommand needs of the spec, and the message when it is missing.
@@ -308,9 +288,9 @@ def run(args) -> tuple[dict, int]:
     ctx = _Context(spec, args.max_counterexamples)
     if args.command in PRECONDITIONS:
         applies, message = PRECONDITIONS[args.command]
-        if not applies(spec):
+        if not applies(ctx):
             raise CliError(message.format(**spec.to_json()))
-    if args.command in ("report", "check-jacobi") and _has_condition(spec) and not args.force:
+    if args.command in ("report", "check-jacobi") and _has_condition(ctx) and not args.force:
         n = expected_dim(spec)
         representatives = n * (n + 1) * (n + 2) // 6
         if representatives > JACOBI_GUARD:
@@ -326,7 +306,7 @@ def run(args) -> tuple[dict, int]:
     checks = [
         report
         for command, applies, runner in CHECKS
-        if args.command in ("report", command) and applies(spec)
+        if args.command in ("report", command) and applies(ctx)
         for report in runner(ctx)
     ]
     failed = sum(c.failed for c in checks)

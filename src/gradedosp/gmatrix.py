@@ -8,7 +8,7 @@ entries sit at positions of one degree.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .grading import Degree, Signature, check_degree, deg_add, dot, trace_sign
 from .scalars import ONE, ZERO, Scalar
@@ -145,19 +145,6 @@ class GradedMatrix:
         _product(acc, self._entries, _rows_of(other._entries))
         return GradedMatrix._make(self.signature, acc)
 
-    def right_product(self) -> Callable[[GradedMatrix], GradedMatrix]:
-        """The map a -> a @ self, with this matrix's row index built once
-        for callers that multiply many matrices by it."""
-        rows = _rows_of(self._entries)
-
-        def times(a: GradedMatrix) -> GradedMatrix:
-            self._check_compatible(a)
-            acc: dict[Position, Scalar] = {}
-            _product(acc, a._entries, rows)
-            return GradedMatrix._make(self.signature, acc)
-
-        return times
-
     # -- graded operations ---------------------------------------------------
 
     def graded_transpose(self) -> GradedMatrix:
@@ -247,10 +234,10 @@ def _rows_of(entries: dict[Position, Scalar]) -> Rows:
 def _product(acc: dict[Position, Scalar], entries: dict[Position, Scalar], rows: Rows) -> None:
     """Add a @ b into `acc`, given the entries of a and the row index of b.
 
-    The one product loop of the package: `@`, `right_product`,
-    `graded_bracket` and the relation kernel of `parastat` all run it. An
-    entry that sums to zero is dropped, so `acc` holds only nonzeros; a
-    minus sign rides on `entries` negated once by the caller.
+    The one product loop of the package: `@`, `graded_bracket`,
+    `algebras.membership_residual` and the relation kernel of `parastat`
+    all run it. An entry that sums to zero is dropped, so `acc` holds only
+    nonzeros; a minus sign rides on `entries` negated once by the caller.
     """
     for (i, j), v in entries.items():
         hits = rows.get(j)

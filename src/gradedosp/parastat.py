@@ -9,7 +9,8 @@ multiples of single generators, so `RELATION_TABLE` gives every family as
 complete index ranges and all sign tuples, on the sparse product kernel
 of `gmatrix`: an instance passes when its residual lhs - rhs is exactly
 zero. An instance count other than the closed form `declared_total` fails
-the check.
+the check; `relation_reports` runs each family whose operand kinds are
+all among a spec's `generator_sets`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .algebras import AlgebraSpec, Family, _axpy, _homogeneous_degrees
 from .gmatrix import GradedMatrix, _product, _rows_of, elem, graded_bracket
@@ -290,6 +291,11 @@ def declared_total(family: RelationFamily, gens: GeneratorSet, partner: Optional
     return (nf * nf * nb + nb * nb * nf + nf * nb * nf + nf * nb * nb) * s
 
 
+def _operand_tags(family: RelationFamily) -> list[str]:
+    """The family's operand kinds, as generator tags in order of first use."""
+    return list(dict.fromkeys(tag for block in RELATION_TABLE[family] for tag in block.operands))
+
+
 def verify_relations(
     family: RelationFamily,
     gens: GeneratorSet,
@@ -309,8 +315,7 @@ def verify_relations(
     Z[sqrt 2]. A failing dict is the residual lhs - rhs of its
     counterexample, which the report builds only if it keeps it."""
     family = RelationFamily(family)
-    blocks = RELATION_TABLE[family]
-    tags = list(dict.fromkeys(tag for block in blocks for tag in block.operands))
+    tags = _operand_tags(family)
     kinds = [_KINDS[tag] for tag in tags]
     if len(tags) == 1 and partner is not None:
         raise ValueError(
@@ -327,7 +332,7 @@ def verify_relations(
 
     report = CheckReport(f"relations-{family.value}", gens.spec.to_json(), max_counterexamples)
     passes = 0
-    for block in blocks:
+    for block in RELATION_TABLE[family]:
         slots = [tables[tag] for tag in block.operands]
         ranges = [_index_range(sets[tag], code) for tag, code in zip(block.operands, block.ranges)]
         if not all(ranges):
@@ -389,3 +394,28 @@ def graded_bracket_consistency(
                 lambda: {"indices": [lx, ly], "residual": (actual - expected).to_json()},
             )
     return report
+
+
+def generator_sets(spec: AlgebraSpec, build_parabosons: Optional[Callable] = None) -> list[GeneratorSet]:
+    """The generator sets of `spec`: parafermions then parabosons on ospB
+    (each when nonempty), the A-type set on sl(1,0|n1,n2), else none.
+    `build_parabosons`, when given, stands in for `paraboson_ops`."""
+    if spec.family is Family.OSP_B:
+        bosons = build_parabosons or paraboson_ops
+        fermions = [parafermion_ops(spec)] if spec.m1 + spec.m2 else []
+        return fermions + ([bosons(spec)] if spec.n1 + spec.n2 else [])
+    if spec.family is Family.SL and (spec.m1, spec.m2) == (1, 0) and spec.n1 + spec.n2:
+        return [palev_ops(spec.n1, spec.n2)]
+    return []
+
+
+def relation_reports(sets: list[GeneratorSet], max_counterexamples: int = 10) -> list[CheckReport]:
+    """Every relation family, in enum order, whose operand kinds are all
+    among `sets`, then the bracket consistency of `sets`."""
+    by_tag = {_TAGS[gens.kind]: gens for gens in sets}
+    reports = [
+        verify_relations(family, *map(by_tag.get, tags), max_counterexamples=max_counterexamples)
+        for family, tags in zip(RelationFamily, map(_operand_tags, RelationFamily))
+        if all(tag in by_tag for tag in tags)
+    ]
+    return reports + [graded_bracket_consistency(*sets, max_counterexamples=max_counterexamples)]

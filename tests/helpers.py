@@ -95,19 +95,21 @@ def homogeneous_parts(mat: GradedMatrix) -> dict:
 
 def jacobi_by_triples(basis, max_counterexamples: int = 10) -> CheckReport:
     """The graded Jacobi identity checked the plain way, the reference for
-    `verify_jacobi`: every ordered triple on its own, three brackets of
-    freshly computed inner brackets, no table and no rescaling. Brackets
-    go through `algebras.graded_bracket`, so a planted one is seen."""
+    `verify_jacobi`: every ordered triple on its own, three outer brackets
+    of inner brackets [x, y] computed once each into a local list, no
+    table, no orbits, no coordinates and no rescaling. Brackets go
+    through `algebras.graded_bracket`, so a planted one is seen."""
     bracket = algebras.graded_bracket
     report = CheckReport("jacobi", basis.spec.to_json(), max_counterexamples)
-    items = list(zip(basis.labels, basis.elements))
-    for la, a in items:
-        for lb, b in items:
+    items = list(enumerate(zip(basis.labels, basis.elements)))
+    inner = [[bracket(x, y) for y in basis.elements] for x in basis.elements]
+    for ia, (la, a) in items:
+        for ib, (lb, b) in items:
             odd = dot(a.degree_of(), b.degree_of())
-            for lc, c in items:
-                lhs = bracket(a, bracket(b, c))
-                rhs = bracket(bracket(a, b), c)
-                third = bracket(b, bracket(a, c))
+            for ic, (lc, c) in items:
+                lhs = bracket(a, inner[ib][ic])
+                rhs = bracket(inner[ia][ib], c)
+                third = bracket(b, inner[ia][ic])
                 rhs = rhs - third if odd else rhs + third
                 report.record(
                     lhs == rhs,

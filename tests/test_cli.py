@@ -5,7 +5,7 @@ import json
 import jsonschema
 import pytest
 
-from gradedosp import cli
+from gradedosp import cli, parastat
 from gradedosp.cli import REPORT_SCHEMA, main
 
 
@@ -160,6 +160,27 @@ def test_bracket_table_built_at_most_once(tmp_path, monkeypatch, command, family
     code, _ = run_json(tmp_path, command, "--algebra", family, "--m1", "1", "--n1", "1")
     assert code == 0
     assert len(tables) == builds
+
+
+@pytest.mark.parametrize("command", ["check-relations", "report"])
+@pytest.mark.parametrize(
+    "argv, builds",
+    [
+        (["--algebra", "ospB", "--m1", "1", "--n1", "1"], ["parafermion_ops", "paraboson_ops"]),
+        (["--algebra", "sl", "--m1", "1", "--n1", "1", "--n2", "1"], ["palev_ops"]),
+    ],
+)
+def test_generator_sets_built_once(tmp_path, monkeypatch, command, argv, builds):
+    calls = []
+    for name in ("parafermion_ops", "paraboson_ops", "palev_ops"):
+        build = getattr(parastat, name)
+        counted = lambda *args, _name=name, _build=build: calls.append(_name) or _build(*args)
+        for module in (parastat, cli):
+            if getattr(module, name, None) is build:
+                monkeypatch.setattr(module, name, counted)
+    code, _ = run_json(tmp_path, command, *argv)
+    assert code == 0
+    assert calls == builds
 
 
 class _Built(Exception):

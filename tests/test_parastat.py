@@ -15,10 +15,12 @@ from gradedosp.gmatrix import anticommutator, commutator, elem, graded_bracket
 from gradedosp.parastat import (
     GeneratorSet,
     RelationFamily,
+    generator_sets,
     graded_bracket_consistency,
     palev_ops,
     paraboson_ops,
     parafermion_ops,
+    relation_reports,
     verify_relations,
 )
 from gradedosp.scalars import SQRT2
@@ -436,3 +438,42 @@ def test_bracket_consistency_refuses_an_inhomogeneous_generator():
     gens = dataclasses.replace(gens, creators=[mixed, *gens.creators[1:]])
     with pytest.raises(ValueError, match=re.escape("generator f1+ is not homogeneous")):
         graded_bracket_consistency(gens)
+
+
+# -- suites chosen per generator shape ----------------------------------------
+
+@pytest.mark.parametrize(
+    "spec, kinds, families",
+    [
+        (ospB(3, 0, 0, 0), ["parafermion"], ["FF"]),
+        (ospB(0, 0, 2, 1), ["paraboson"], ["BB_same", "BB_mixed"]),
+        (
+            ospB(1, 1, 1, 1),
+            ["parafermion", "paraboson"],
+            ["FF", "BB_same", "BB_mixed", "PF_family1", "PF_family2"],
+        ),
+        (AlgebraSpec(Family.SL, 1, 0, 3, 0), ["palev"], ["A_same", "A_mixed"]),
+        (AlgebraSpec(Family.SL, 1, 0, 1, 2), ["palev"], ["A_same", "A_mixed"]),
+    ],
+)
+def test_relation_suites_follow_the_generator_shape(spec, kinds, families):
+    sets = generator_sets(spec)
+    assert [gens.kind for gens in sets] == kinds
+    reports = relation_reports(sets, max_counterexamples=0)
+    checks = [f"relations-{family}" for family in families] + ["bracket-consistency"]
+    assert [report.check for report in reports] == checks
+    assert all(report.passed for report in reports)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        AlgebraSpec(Family.OSP_D, 1, 1, 1, 1),
+        AlgebraSpec(Family.GL, 1, 0, 1, 0),
+        AlgebraSpec(Family.SL, 2, 0, 1, 1),
+        ospB(0, 0, 0, 0),
+    ],
+)
+def test_no_generator_sets_outside_ospB_and_sl_1_0(spec):
+    assert generator_sets(spec) == []
+
