@@ -22,7 +22,7 @@ from typing import Callable, Iterator, Optional, Sequence
 from .gmatrix import GradedMatrix, _product, _rows_of, elem, graded_bracket
 from .grading import Degree, Signature, deg_add, dot, signature_gl, signature_osp
 from .report import CheckReport
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, ZERO, Scalar, as_int
 
 
 class Family(str, Enum):
@@ -207,7 +207,7 @@ def is_member(spec: AlgebraSpec, mat: GradedMatrix) -> bool:
 Vector = dict[tuple[int, int], Scalar]
 
 
-def _axpy(out: dict, x: Scalar, vec, subtract: bool = False) -> None:
+def _axpy(out: dict, x: int | Scalar, vec, subtract: bool = False) -> None:
     """out += x * vec in place (out -= x * vec with `subtract`), dropping
     entries that cancel; `vec` is a sparse dict or a GradedMatrix."""
     for key, v in vec.items():
@@ -430,12 +430,14 @@ class BracketTable:
     bracket is stored as one shared zero matrix, which no reader mutates.
 
     The brackets go through this module's `graded_bracket`, so a caller
-    that rebinds that name sees every one of them.
+    that rebinds that name sees every one of them. Each basis element is
+    `indexed()` first, so its row indexes are built once for its 2n
+    brackets; the entries of the table are not indexed.
     """
 
     def __init__(self, basis: Basis):
         self.basis = basis
-        elements = basis.elements
+        elements = [mat.indexed() for mat in basis.elements]
         zero = GradedMatrix.zero(elements[0].signature) if elements else None
         self.rows = []
         for a in elements:
@@ -443,7 +445,7 @@ class BracketTable:
             self.rows.append([zero if t.is_zero() else t for t in row])
 
     @cached_property
-    def structure_constants(self) -> Optional[list[dict[int, dict[int, Scalar]]]]:
+    def structure_constants(self) -> Optional[list[dict[int, dict[int, int | Scalar]]]]:
         """C[a][b] = {k: c_k} with [e_a, e_b] = sum_k c_k e_k, for each
         nonzero bracket (a zero bracket has no key b in C[a]): the one gate
         of the coordinate path. C is returned when the elements are
@@ -458,7 +460,11 @@ class BracketTable:
         is tagged with a unit at the position (m + 1, k) past the matrix, so
         a dependent element leaves a pivot on a tag. Reducing a bracket M
         against it leaves M - sum_k c_k e_k on the matrix positions and
-        -c_k on tag k. Computed on first use."""
+        -c_k on tag k. The echelon rows and the bracket entries are read
+        through `as_int`, so each c_k is a plain int when it is an integer,
+        as on the kernel bases, and a Scalar otherwise; the reading, the
+        gate and Jacobi's orbit loop run on them unchanged. Computed on
+        first use."""
         elements = self.basis.elements
         if not elements:
             return []
@@ -471,11 +477,14 @@ class BracketTable:
             echelon.insert({**dict(mat.items()), (past, k): ONE})
         if any(i == past for i, _ in echelon.pivots):
             return None
+        for vec in echelon._rows:
+            for key, v in vec.items():
+                vec[key] = as_int(v)
         constants = []
         for row in self.rows:
             coords = {}
             for b, bracket in enumerate(row):
-                red = echelon.residual(dict(bracket.items()))
+                red = echelon.residual({pos: as_int(v) for pos, v in bracket.items()})
                 if any(i < past for i, _ in red):
                     return None
                 if red:
@@ -569,7 +578,7 @@ def verify_symmetry(
     return report
 
 
-def _combination(elements: list[GradedMatrix], coords: dict[int, Scalar]) -> GradedMatrix:
+def _combination(elements: list[GradedMatrix], coords: dict[int, int | Scalar]) -> GradedMatrix:
     """sum_k coords[k] * elements[k]."""
     acc: dict = {}
     for k, c in coords.items():
@@ -654,7 +663,7 @@ def _add_nested(acc: dict, row_x: dict, row_y: dict, first: int, subtract: bool 
 
 def _by_orbits(
     elements: list[GradedMatrix],
-    constants: list[dict[int, dict[int, Scalar]]],
+    constants: list[dict[int, dict[int, int | Scalar]]],
     degrees: list[Degree],
     report: CheckReport,
 ) -> list[_Failure]:
@@ -676,7 +685,7 @@ def _by_orbits(
         for ib in range(ia, n):
             row_b = constants[ib]
             odd = dot(degrees[ia], degrees[ib])
-            acc: dict[int, dict[int, Scalar]] = {}
+            acc: dict[int, dict[int, int | Scalar]] = {}
             _add_nested(acc, row_a, row_b, ib)
             # [[a, b], c] = sum_d C_ab^d [e_d, c]
             for d, x in row_a.get(ib, {}).items():

@@ -17,9 +17,12 @@ Position = tuple[int, int]
 
 
 class GradedMatrix:
-    """Immutable-by-convention sparse matrix with a degree signature."""
+    """Immutable-by-convention sparse matrix with a degree signature.
 
-    __slots__ = ("signature", "_entries")
+    `_index` is None, or the pair of row indexes that `graded_bracket`
+    reads off an operand, stored once by `indexed()`."""
+
+    __slots__ = ("signature", "_entries", "_index")
 
     def __init__(self, signature: Signature, entries=None):
         self.signature = tuple(signature)
@@ -41,6 +44,7 @@ class GradedMatrix:
                 if value:
                     cleaned[(i, j)] = value
         self._entries = cleaned
+        self._index = None
 
     @classmethod
     def _make(cls, signature: Signature, entries: dict[Position, Scalar]) -> GradedMatrix:
@@ -48,6 +52,7 @@ class GradedMatrix:
         out = object.__new__(cls)
         out.signature = signature
         out._entries = entries
+        out._index = None
         return out
 
     @classmethod
@@ -72,6 +77,15 @@ class GradedMatrix:
 
     def is_zero(self) -> bool:
         return not self._entries
+
+    def indexed(self) -> GradedMatrix:
+        """Store the two row indexes `graded_bracket` builds for an operand,
+        `_rows_of` for the right one and `_tagged_rows` for the left, and
+        return self. A matrix bracketed with many others, such as a basis
+        element of a bracket table, then has them built once."""
+        if self._index is None:
+            self._index = (_rows_of(self._entries), _tagged_rows(self.signature, self._entries))
+        return self
 
     def degree_of(self) -> Optional[Degree]:
         """The common degree of all nonzero entries; (0,0) for the zero
@@ -231,6 +245,17 @@ def _rows_of(entries: dict[Position, Scalar]) -> Rows:
     return rows
 
 
+TaggedRows = dict[int, list[tuple[int, Scalar, Degree]]]
+
+
+def _tagged_rows(sig: Signature, entries: dict[Position, Scalar]) -> TaggedRows:
+    """The row index {i: [(j, v, degree of (i, j)), ...]} of these entries."""
+    rows: TaggedRows = {}
+    for (i, j), v in entries.items():
+        rows.setdefault(i, []).append((j, v, deg_add(sig[i - 1], sig[j - 1])))
+    return rows
+
+
 def _product(acc: dict[Position, Scalar], entries: dict[Position, Scalar], rows: Rows) -> None:
     """Add a @ b into `acc`, given the entries of a and the row index of b.
 
@@ -268,18 +293,19 @@ def graded_bracket(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
 
     Computed entrywise: each pair of entries contributes with the sign of
     its position degrees, which agrees with splitting both operands into
-    homogeneous parts and bracketing part by part.
+    homogeneous parts and bracketing part by part. The row index of b and
+    the degree-tagged row index of a are read from an operand's `indexed()`
+    store when it has one and built here otherwise.
     """
     a._check_compatible(b)
     sig = a.signature
     if not a._entries or not b._entries:
         return GradedMatrix._make(sig, {})
 
+    index_a, index_b = a._index, b._index
     acc: dict[Position, Scalar] = {}
-    _product(acc, a._entries, _rows_of(b._entries))
-    rows_a: dict[int, list[tuple[int, Scalar, Degree]]] = {}
-    for (i, j), v in a._entries.items():
-        rows_a.setdefault(i, []).append((j, v, deg_add(sig[i - 1], sig[j - 1])))
+    _product(acc, a._entries, index_b[0] if index_b else _rows_of(b._entries))
+    rows_a = index_a[1] if index_a else _tagged_rows(sig, a._entries)
 
     for (k, l), w in b._entries.items():
         hits = rows_a.get(l)

@@ -218,6 +218,16 @@ def _coerce(value) -> Scalar | None:
     return None
 
 
+def as_int(x: Scalar) -> int | Scalar:
+    """x as a plain int when it is an integer, else x itself.
+
+    Plain ints mix with Scalars under +, -, * and ==, so a loop fed these
+    values runs unchanged, with int arithmetic wherever both operands are
+    integers; a GradedMatrix built from them turns them back into Scalars.
+    """
+    return x._a if x._d == 1 and not x._b else x
+
+
 ZERO = Scalar(0)
 ONE = Scalar(1)
 SQRT2 = Scalar(0, 1)

@@ -1,5 +1,6 @@
 """Algebra constructors, membership, the echelon engine, and the verifiers."""
 
+import dataclasses
 import json
 import re
 from fractions import Fraction
@@ -75,6 +76,14 @@ def test_spec_validation():
 def test_spec_json_round_trip():
     spec = ospB(2, 0, 1, 2)
     assert AlgebraSpec.from_json(spec.to_json()) == spec
+
+
+def test_spec_is_frozen_and_hashable():
+    spec = ospB(2, 0, 1, 2)
+    assert hash(spec) == hash(ospB(2, 0, 1, 2))
+    assert {spec: 1}[ospB(2, 0, 1, 2)] == 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.m1 = 3
 
 
 def test_from_json_refuses_floats():
@@ -434,6 +443,84 @@ def test_structure_constants_rebuild_every_bracket(make_basis):
             for k, c in coords.items():
                 total = total + basis.elements[k].scale(c)
             assert total == bracket
+
+
+_SCALING = (1 + SQRT2) / 3
+
+
+def _scaled(basis: Basis) -> Basis:
+    """The basis with every element multiplied by (1 + sqrt2)/3: still
+    closed, with every structure constant (1 + sqrt2)/3 times the old one."""
+    return Basis(basis.spec, [mat.scale(_SCALING) for mat in basis], basis.labels)
+
+
+def _all_constants(table: BracketTable) -> list:
+    rows = table.structure_constants
+    return [c for row in rows for coeffs in row.values() for c in coeffs.values()]
+
+
+@pytest.mark.parametrize(
+    "spec", [ospB(1, 0, 1, 0), ospD(1, 1, 1, 1), AlgebraSpec(Family.SL, 1, 0, 2, 1)]
+)
+def test_kernel_basis_constants_are_plain_ints(spec):
+    constants = _all_constants(BracketTable(kernel_basis(spec)))
+    assert constants and all(type(c) is int for c in constants)
+
+
+def test_non_integral_constants_take_the_same_path():
+    basis = _scaled(kernel_basis(ospB(1, 0, 1, 0)))
+    n = len(basis)
+    table = BracketTable(basis)
+    constants = _all_constants(table)
+    assert constants and all(type(c) is Scalar and c._d != 1 for c in constants)
+    for check, reference, cap in (
+        (verify_jacobi, jacobi_by_triples, n ** 3),
+        (verify_closure, closure_by_pairs, n * n),
+        (verify_symmetry, symmetry_by_pairs, n * n),
+    ):
+        report = check(basis, max_counterexamples=cap, table=table)
+        assert report.passed
+        assert json.dumps(report.to_json()) == json.dumps(reference(basis, cap).to_json())
+
+
+@pytest.mark.parametrize("scaled", [False, True])
+def test_doubled_bracket_fails_jacobi_on_int_and_scalar_constants(monkeypatch, scaled):
+    # Doubling [even, odd] in both orders keeps the bracket closed and
+    # graded antisymmetric, so Jacobi takes the orbit path, on plain int
+    # constants for the kernel basis and on Scalars for the scaled one.
+    basis = kernel_basis(ospB(1, 0, 1, 0))
+    basis = _scaled(basis) if scaled else basis
+    n = len(basis)
+    true_bracket = algebras.graded_bracket
+
+    def doubled(a, b):
+        bracket = true_bracket(a, b)
+        return bracket.scale(2) if {a.degree_of(), b.degree_of()} == {(0, 0), (1, 0)} else bracket
+
+    monkeypatch.setattr(algebras, "graded_bracket", doubled)
+    table = BracketTable(basis)
+    constants = _all_constants(table)
+    assert all(type(c) is (Scalar if scaled else int) for c in constants)
+    report = verify_jacobi(basis, max_counterexamples=n ** 3, table=table)
+    assert report.failed > 10
+    assert json.dumps(report.to_json()) == json.dumps(jacobi_by_triples(basis, n ** 3).to_json())
+
+
+@pytest.mark.parametrize("denominator", [1, 2])
+def test_only_basis_elements_carry_an_index(denominator):
+    # The odd elements of a kernel basis are not closed under brackets, so
+    # Jacobi runs the matrix loop; with a denominator it runs on cleared
+    # copies. Afterwards the elements are indexed and no table entry is.
+    canonical = kernel_basis(ospB(1, 0, 1, 0))
+    odd = [ix for ix, mat in enumerate(canonical) if mat.degree_of() == (1, 0)]
+    scale = Scalar(Fraction(1, denominator))
+    elements = [canonical.elements[ix].scale(scale) for ix in odd]
+    basis = Basis(canonical.spec, elements, [canonical.labels[ix] for ix in odd])
+    table = BracketTable(basis)
+    assert table.structure_constants is None
+    assert verify_jacobi(basis, table=table).passed
+    assert all(mat._index is not None for mat in basis.elements)
+    assert all(t._index is None for row in table.rows for t in row)
 
 
 def test_planted_bracket_sign_fails_jacobi_and_symmetry(monkeypatch):

@@ -219,6 +219,16 @@ def test_jacobi_work_guard(tmp_path, monkeypatch, capsys, command):
             main([command, *argv])
 
 
+def test_jacobi_guard_admits_exactly_its_limit(tmp_path, monkeypatch, capsys):
+    # ospB(1,0,1,0) has dimension 12: 12 * 13 * 14 / 6 = 364 representatives
+    monkeypatch.setattr(cli, "JACOBI_GUARD", 364)
+    code, doc = run_json(tmp_path, "check-jacobi", *_spec_argv(1, 0, 1, 0))
+    assert code == 0 and doc["summary"]["failed"] == 0
+    monkeypatch.setattr(cli, "JACOBI_GUARD", 363)
+    assert main(["check-jacobi", *_spec_argv(1, 0, 1, 0)]) == 2
+    assert "364 orbit representatives" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("where", ["missing-dir/report.json", "."])
 def test_unwritable_output_refused_before_any_check(tmp_path, monkeypatch, capsys, where):
     calls = count_kernel_basis(monkeypatch)

@@ -336,3 +336,35 @@ def test_product_kernel_accumulates_products_and_brackets(a, b):
     assert accumulated((a_entries, b)) == _dense_product(a, b) == dict((a @ b).items())
     assert accumulated((a_entries, b), (b_negated, a)) == dict(commutator(a, b).items())
     assert accumulated((a_entries, b), (b_entries, a)) == dict(anticommutator(a, b).items())
+
+
+def _homogeneous(degree):
+    positions = [
+        (i, j)
+        for i in range(1, len(S6) + 1)
+        for j in range(1, len(S6) + 1)
+        if deg_add(S6[i - 1], S6[j - 1]) == degree
+    ]
+    entries = st.dictionaries(st.sampled_from(positions), _SCALARS, max_size=10)
+    return entries.map(lambda e: GradedMatrix(S6, e))
+
+
+_DEGREES = st.sampled_from([(0, 0), (1, 0), (0, 1), (1, 1)])
+_OPERANDS = st.one_of(_SPARSE, _DEGREES.flatmap(_homogeneous))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_OPERANDS, _OPERANDS, st.booleans(), st.booleans())
+def test_graded_bracket_reads_stored_indexes(a, b, index_a, index_b):
+    # Homogeneous and inhomogeneous operands: a stored index gives the
+    # bracket built without one, in either operand slot.
+    plain = (GradedMatrix(S6, dict(a.items())), GradedMatrix(S6, dict(b.items())))
+    expected = [graded_bracket(x, y) for x, y in (plain, plain[::-1], plain[:1] * 2)]
+    for mat, index in ((a, index_a), (b, index_b)):
+        if index:
+            assert mat.indexed() is mat
+            stored = mat._index
+            assert mat.indexed()._index is stored
+    got = [graded_bracket(x, y) for x, y in ((a, b), (b, a), (a, a))]
+    assert got == expected
+    assert all(mat._index is None for mat in (*plain, *got))
