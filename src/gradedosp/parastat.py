@@ -6,11 +6,15 @@ the ospB algebras; the A-type generators live inside sl(1,0|n1,n2). Each
 relation is an outer bracket of an inner bracket equal to Kronecker-delta
 multiples of single generators, so `RELATION_TABLE` gives every family as
 `Block` rows and `verify_relations` runs them all through one loop, over
-complete index ranges and all sign tuples, on the sparse product kernel
-of `gmatrix`: an instance passes when its residual lhs - rhs is exactly
-zero. An instance count other than the closed form `declared_total` fails
-the check; `relation_reports` runs each family whose operand kinds are
-all among a spec's `generator_sets`.
+complete index ranges and all sign tuples. Inner brackets run on the
+sparse product kernel of `gmatrix`; the outer brackets of one inner
+bracket with every third generator come from one pass over its entries.
+Only an instance whose outer bracket is nonzero or whose Kronecker term
+fires is judged, passing when its residual lhs - rhs is exactly zero;
+every other instance has lhs = rhs = 0 and is counted as a pass in bulk.
+An instance count other than the closed form `declared_total` fails the
+check; `relation_reports` runs each family whose operand kinds are all
+among a spec's `generator_sets`.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
+from math import prod
 from typing import Callable, NamedTuple, Optional
 
 from .algebras import AlgebraSpec, Family, _axpy, _homogeneous_degrees
@@ -257,6 +262,51 @@ def _bracket_into(acc: dict, kind: str, x: dict, x_rows: dict, y: _Operand) -> N
     _product(acc, y.negated if kind == "[]" else y.entries, x_rows)
 
 
+def _slot3_index(kind: str, table: dict, keys: list) -> tuple[dict, dict]:
+    """The slot-3 generators z under `keys` (eps, l), indexed for the outer
+    bracket X z -/+ z X: by row {r: [(c, w, key), ...]} for X z, and by
+    column {c: [(r, +/-w, key), ...]} for z X, the sign of `kind` folded in."""
+    rows: dict = {}
+    cols: dict = {}
+    for key in keys:
+        z = table[key]
+        for (r, c), w in z.entries.items():
+            rows.setdefault(r, []).append((c, w, key))
+        for (r, c), w in (z.negated if kind == "[]" else z.entries).items():
+            cols.setdefault(c, []).append((r, w, key))
+    return rows, cols
+
+
+def _outer_brackets(x: dict, rows: dict, cols: dict) -> dict:
+    """The outer brackets of X = `x` with every indexed z in one pass over
+    X's entries: {(eps, l): entries}, each nonzero, the rest left out."""
+    out: dict = {}
+    for (i, r), v in x.items():
+        for c, w, key in rows.get(r, ()):
+            acc = out.get(key)
+            if acc is None:
+                acc = out[key] = {}
+            pos = (i, c)
+            cur = acc.get(pos)
+            s = v * w if cur is None else cur + v * w
+            if s:
+                acc[pos] = s
+            else:
+                del acc[pos]
+        for a, w, key in cols.get(i, ()):
+            acc = out.get(key)
+            if acc is None:
+                acc = out[key] = {}
+            pos = (a, r)
+            cur = acc.get(pos)
+            s = w * v if cur is None else cur + w * v
+            if s:
+                acc[pos] = s
+            else:
+                del acc[pos]
+    return {key: acc for key, acc in out.items() if acc}
+
+
 def _counterexample(signed: bool, rel: Optional[str], idx: tuple, signs: tuple, sig, acc) -> dict:
     """The instance with residual entries `acc`. Signed families name j, k, l
     and xi, eta, eps; the A families name i, j, k and fold a two-slot row's
@@ -307,13 +357,20 @@ def verify_relations(
     than `declared_total` fails the check with one coverage counterexample.
 
     Each generator's entries, negated entries and row index are built once
-    per call, and each inner bracket once per index pair and sign pair,
-    shared by every third index and sign. An instance fills one dict with
-    the outer bracket X z -/+ z X of its inner bracket X, then subtracts
-    its right-hand-side terms from that dict in place: the instance passes
-    exactly when the dict is left empty, every entry compared exactly over
-    Z[sqrt 2]. A failing dict is the residual lhs - rhs of its
-    counterexample, which the report builds only if it keeps it."""
+    per call, and each inner bracket X once per index pair and sign pair on
+    the product kernel. Per row, the slot-3 generators z are indexed once by
+    row and by column, the outer sign folded in, and one pass over X's
+    entries gives X z -/+ z X for every z, keyed by (eps, l), zero ones
+    left out. An instance is judged only when its (eps, l) is such a key or
+    one of its Kronecker terms fires (l in {j, k}, or every l when a term
+    pairs slots 0 and 1 and j = k), in (j, k, l, case) order: its
+    right-hand-side terms are subtracted from a copy of its outer bracket,
+    and it passes exactly when that dict is empty, every entry compared
+    exactly over Z[sqrt 2]. A failing dict is the residual lhs - rhs of its
+    counterexample, which the report builds only if it keeps it. Every
+    other instance has lhs = rhs = 0: a row counts |index product| x
+    |cases| instances, and those not failed are recorded as passes at once,
+    so the coverage check still sees every instance."""
     family = RelationFamily(family)
     tags = _operand_tags(family)
     kinds = [_KINDS[tag] for tag in tags]
@@ -331,38 +388,47 @@ def verify_relations(
     signed = family.sign_arity > 0
 
     report = CheckReport(f"relations-{family.value}", gens.spec.to_json(), max_counterexamples)
-    passes = 0
+    instances = failures = 0
     for block in RELATION_TABLE[family]:
         slots = [tables[tag] for tag in block.operands]
         ranges = [_index_range(sets[tag], code) for tag, code in zip(block.operands, block.ranges)]
         if not all(ranges):
             continue
+        instances += len(block.cases) * prod(map(len, ranges))
         pairs = dict.fromkeys(signs[:2] for signs, _, _ in block.cases)
+        if block.outer:
+            epsilons = dict.fromkeys(signs[2] for signs, _, _ in block.cases)
+            rows, cols = _slot3_index(block.outer, slots[2], [(e, l) for e in epsilons for l in ranges[2]])
+            every_l = any({p, q} == {0, 1} for _, _, terms in block.cases for _, p, q in terms)
         for j, k in product(ranges[0], ranges[1]):
-            inner = {}
+            lhs = {}
             for p in pairs:
                 x = slots[0][p[0], j]
                 acc: dict = {}
                 _bracket_into(acc, block.inner, x.entries, x.rows, slots[1][p[1], k])
-                inner[p] = (acc, _rows_of(acc))
-            for rest in product(*ranges[2:]):
+                lhs[p] = _outer_brackets(acc, rows, cols) if block.outer else {(): acc}
+            if not block.outer:
+                rests = [()]
+            elif j == k and every_l:
+                rests = [(l,) for l in ranges[2]]
+            else:
+                ls = {l for brackets in lhs.values() for _, l in brackets}
+                ls.update(l for l in (j, k) if l in ranges[2])
+                rests = [(l,) for l in sorted(ls)]
+            for rest in rests:
                 idx = (j, k, *rest)
                 for signs, rel, terms in block.cases:
-                    x, x_rows = inner[signs[:2]]
-                    acc = {}
-                    if x and block.outer:
-                        _bracket_into(acc, block.outer, x, x_rows, slots[2][signs[2], idx[2]])
-                    elif x:
-                        acc.update(x)
-                    for c, p, q in terms:
-                        if idx[p] == idx[q]:
-                            w = 3 - p - q
+                    acc = lhs[signs[:2]].get(signs[2:] + rest)
+                    fired = [(c, 3 - p - q) for c, p, q in terms if idx[p] == idx[q]]
+                    if fired:
+                        acc = dict(acc or ())
+                        for c, w in fired:
                             _axpy(acc, c, slots[w][signs[w], idx[w]].entries, subtract=True)
                     if not acc:
-                        passes += 1
                         continue
+                    failures += 1
                     report.record(False, lambda: _counterexample(signed, rel, idx, signs, sig, acc))
-    report.record_passes(passes)
+    report.record_passes(instances - failures)
     declared = declared_total(family, gens, partner)
     report.record_coverage(declared)
     report.details = {"declared_total": declared, "sign_arity": family.sign_arity}
@@ -381,10 +447,14 @@ def graded_bracket_consistency(
         raise ValueError("need at least one generator set")
     pool = [item for gs in gen_sets for item in gs.labelled()]
     degrees = _homogeneous_degrees(pool, "generator")
-    operands = [_Operand(mat._entries) for _, mat in pool]
+    # Each operand indexed once, on a copy: the caller's matrices stay unindexed.
+    items = [
+        (label, GradedMatrix._make(mat.signature, mat._entries).indexed(), degree, _Operand(mat._entries))
+        for (label, mat), degree in zip(pool, degrees)
+    ]
     report = CheckReport("bracket-consistency", gen_sets[0].spec.to_json(), max_counterexamples)
-    for (lx, x), dx, ox in zip(pool, degrees, operands):
-        for (ly, y), dy, oy in zip(pool, degrees, operands):
+    for lx, x, dx, ox in items:
+        for ly, y, dy, oy in items:
             actual = graded_bracket(x, y)
             acc: dict = {}
             _bracket_into(acc, "{}" if dot(dx, dy) else "[]", ox.entries, ox.rows, oy)

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import re
 
 import jsonschema
@@ -376,7 +377,58 @@ def test_planted_defect_stream_is_pinned(case):
 
 # -- the relation kernel against the plain instance loop ------------------------------
 
+def _stray(gens: GeneratorSet) -> GeneratorSet:
+    """A copy whose first creator gains a unit at the first free position of
+    its own degree, so it stays homogeneous but stops satisfying the table."""
+    first = gens.creators[0]
+    sig = first.signature
+    size = len(sig)
+    pos = next(
+        (i, j) for i in range(1, size + 1) for j in range(1, size + 1)
+        if not first.entry(i, j) and elem(sig, i, j).degree_of() == first.degree_of()
+    )
+    return dataclasses.replace(gens, creators=[first + elem(sig, *pos), *gens.creators[1:]])
+
+
+def _with_stray_terms(family: RelationFamily) -> tuple:
+    """The family's rows, each gaining two terms on every sign case that no
+    left-hand side produces: (1, 0, 1), the generator in slot 2 at every l
+    when j = k, and (1, 1, 2), the generator in slot 0 when k = l."""
+    return tuple(
+        block._replace(cases=tuple((s, rel, (*terms, (1, 0, 1), (1, 1, 2))) for s, rel, terms in block.cases))
+        for block in parastat.RELATION_TABLE[family]
+    )
+
+
+# Reference cases that run under a patched RELATION_TABLE: case name ->
+# {family: rows}. The test function takes only the case, so the autouse
+# fixture below patches the rows in for any test parametrized by it.
+_TABLE_PATCHES = {
+    "ospB2112-PF_family1-stray-term": {
+        RelationFamily.PF_FAMILY1: _with_stray_terms(RelationFamily.PF_FAMILY1),
+    },
+}
+
+
+@pytest.fixture(autouse=True)
+def _table_for_case(request, monkeypatch):
+    callspec = getattr(request.node, "callspec", None)
+    case = callspec.params.get("case") if callspec else None
+    for family, rows in _TABLE_PATCHES.get(case[0] if case else None, {}).items():
+        monkeypatch.setitem(parastat.RELATION_TABLE, family, rows)
+
+
+def _judging_defect_cases():
+    """Defects that change which instances can be nonzero, unlike the
+    planted scalings."""
+    spec = ospB(2, 1, 1, 2)
+    yield "ospB2112-FF-stray-unit", RelationFamily.FF, _stray(parafermion_ops(spec)), None
+    f, b = parafermion_ops(spec), paraboson_ops(spec)
+    yield "ospB2112-PF_family1-stray-term", RelationFamily.PF_FAMILY1, f, b
+
+
 def _reference_cases():
+    yield from _judging_defect_cases()
     for name, family, planted, partner in _planted_cases():
         yield f"{name}-planted", family, planted, partner
     for params in ((1, 1, 1, 1), (2, 1, 1, 2), (0, 2, 2, 0)):
@@ -417,6 +469,35 @@ def test_relations_use_no_matrix_products(monkeypatch):
     monkeypatch.setattr(gmatrix, "anticommutator", refused)
     outcomes = {verify_relations(family, gens, partner).passed for _, family, gens, partner in cases}
     assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("case", list(_judging_defect_cases()), ids=lambda case: case[0])
+def test_defect_cases_fail_off_the_kronecker_indices(case):
+    # The stray unit makes an outer bracket nonzero at some l outside {j, k};
+    # the stray term fails instances whose left-hand side is zero.
+    _, family, gens, partner = case
+    report = relations_by_instances(family, gens, partner, max_counterexamples=10**9)
+    indices = [ce["indices"] for ce in report.counterexamples]
+    assert any(ix["l"] not in (ix["j"], ix["k"]) for ix in indices)
+
+
+def test_relations_bracket_per_inner_pair_not_per_instance(monkeypatch):
+    # Two products per (j, k, sign pair) inner bracket, none per instance.
+    calls = []
+    product = parastat._product
+    monkeypatch.setattr(parastat, "_product", lambda *args: calls.append(1) or product(*args))
+    for _, family, gens, partner in _reference_cases():
+        sets = dict(zip(parastat._operand_tags(family), (gens, partner)))
+        inner = instances = 0
+        for block in parastat.RELATION_TABLE[family]:
+            codes = zip(block.operands, block.ranges)
+            sizes = [len(parastat._index_range(sets[tag], code)) for tag, code in codes]
+            inner += sizes[0] * sizes[1] * len({signs[:2] for signs, _, _ in block.cases})
+            instances += math.prod(sizes) * len(block.cases)
+        calls.clear()
+        report = verify_relations(family, gens, partner)
+        assert report.total == instances
+        assert len(calls) <= 2 * inner
 
 
 @pytest.mark.parametrize("cap", [0, 1, 10])
