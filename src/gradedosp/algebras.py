@@ -402,26 +402,20 @@ def expected_dim(spec: AlgebraSpec) -> int:
 
 # -- verification loops ------------------------------------------------------------
 
-def _membership_report(check: str, spec: AlgebraSpec, cases, max_counterexamples) -> CheckReport:
-    """Judge the membership residual of every (indices, matrix) case; J is
-    built once. A counterexample is the case's indices and residual."""
-    report = CheckReport(check, spec.to_json(), max_counterexamples)
-    residual_of = membership_residual(spec)
+def verify_membership(basis: Basis, max_counterexamples: int = 10) -> CheckReport:
+    """Test the defining condition of an orthosymplectic basis on every
+    spanning matrix s_ij, then on every element; J is built once. A
+    counterexample names the matrix and holds its residual."""
+    cases = [([f"s[{i},{j}]"], mat) for i, j, mat in s_matrices(basis.spec)]
+    cases += [([label], mat) for label, mat in zip(basis.labels, basis.elements)]
+    report = CheckReport("membership", basis.spec.to_json(), max_counterexamples)
+    residual_of = membership_residual(basis.spec)
     for indices, mat in cases:
         residual = residual_of(mat)
         report.record(
             _vanishes(residual), lambda: {"indices": indices, "residual": residual.to_json()}
         )
     return report
-
-
-def verify_membership(basis: Basis, max_counterexamples: int = 10) -> CheckReport:
-    """Test the defining condition of an orthosymplectic basis on every
-    spanning matrix s_ij, then on every element; a counterexample names
-    the matrix and holds its residual."""
-    cases = [([f"s[{i},{j}]"], mat) for i, j, mat in s_matrices(basis.spec)]
-    cases += [([label], mat) for label, mat in zip(basis.labels, basis.elements)]
-    return _membership_report("membership", basis.spec, cases, max_counterexamples)
 
 
 class BracketTable:
@@ -504,6 +498,23 @@ class BracketTable:
                         return None
         return constants
 
+    @cached_property
+    def antisymmetry_failures(self) -> frozenset[tuple[int, int]]:
+        """The pairs a <= b whose brackets are not graded antisymmetric,
+        T[b][a] != -(-1)^{dot(a, b)} T[a][b], or that hold an element
+        that is not homogeneous. Closure, symmetry and Jacobi read it only
+        when `structure_constants` is None; computed on first use."""
+        degrees = [mat.degree_of() for mat in self.basis.elements]
+        rows = self.rows
+        failures = set()
+        for ia, da in enumerate(degrees):
+            for ib in range(ia, len(degrees)):
+                db = degrees[ib]
+                t = rows[ia][ib]
+                if da is None or db is None or rows[ib][ia] != (t if dot(da, db) else -t):
+                    failures.add((ia, ib))
+        return frozenset(failures)
+
 
 def _table_for(basis: Basis, table: Optional[BracketTable]) -> BracketTable:
     if table is None:
@@ -523,17 +534,48 @@ def verify_closure(
     When the table's `structure_constants` gate holds, every bracket is a
     combination of the elements and the residual is linear, so when the n
     residuals of the elements all vanish, all n^2 pairs pass at once.
-    Otherwise every table entry is tested."""
+    Otherwise the table entries are tested. The residual is linear, so
+    when T[b][a] = -+T[a][b] the two residuals are equal up to sign: such a
+    pair a < b is judged once and its outcome recorded for both orders,
+    the (b, a) counterexample built from T[b][a] only when the report
+    keeps it. Every pair is graded antisymmetric when the gate holds, and
+    otherwise the pairs that are not are the table's
+    `antisymmetry_failures`. The report ends with a coverage check: n^2
+    ordered pairs."""
     table = _table_for(basis, table)
     labels = basis.labels
-    if table.structure_constants is not None:
-        residual_of = membership_residual(basis.spec)
-        if all(_vanishes(residual_of(mat)) for mat in basis.elements):
-            report = CheckReport("closure", basis.spec.to_json(), max_counterexamples)
-            report.record_passes(len(labels) ** 2)
-            return report
-    cases = (([la, lb], m) for la, row in zip(labels, table.rows) for lb, m in zip(labels, row))
-    return _membership_report("closure", basis.spec, cases, max_counterexamples)
+    n = len(labels)
+    report = CheckReport("closure", basis.spec.to_json(), max_counterexamples)
+    residual_of = membership_residual(basis.spec)
+    constants = table.structure_constants
+    if constants is not None and all(_vanishes(residual_of(mat)) for mat in basis.elements):
+        report.record_passes(n * n)
+    else:
+        asymmetric = frozenset() if constants is not None else table.antisymmetry_failures
+        rows = table.rows
+        failed_above = set()  # the failing pairs a < b, read back for (b, a)
+        for ia, row in enumerate(rows):
+            failing = []
+            for ib, mat in enumerate(row):
+                if ib < ia and (ib, ia) not in asymmetric:
+                    ok = (ib, ia) not in failed_above
+                else:
+                    ok = _vanishes(residual_of(mat))
+                    if not ok and ia < ib:
+                        failed_above.add((ia, ib))
+                if not ok:
+                    failing.append(ib)
+            report.record_passes(n - len(failing))
+            for ib in failing:
+                report.record(
+                    False,
+                    lambda: {
+                        "indices": [labels[ia], labels[ib]],
+                        "residual": residual_of(rows[ia][ib]).to_json(),
+                    },
+                )
+    report.record_coverage(n * n)
+    return report
 
 
 def _homogeneous_degrees(labelled, what: str = "basis element") -> list[Degree]:
@@ -551,13 +593,16 @@ def verify_symmetry(
     basis: Basis, max_counterexamples: int = 10, *, table: Optional[BracketTable] = None
 ) -> CheckReport:
     """Graded antisymmetry [[x,y]] = -(-1)^{dot} [[y,x]] over all pairs,
-    comparing entries of `table` (built here when not given); a
-    counterexample names the pair and holds lhs - rhs.
+    read off `table` (built here when not given); a counterexample names
+    the pair and holds lhs - rhs.
 
     When the table's `structure_constants` gate holds, C_ba = -+C_ab for
     every pair and every bracket equals its reconstruction from C, so
     every pair passes with no matrix compared. When the constants are None
-    the entries are compared pair by pair."""
+    the outcomes are the table's `antisymmetry_failures`, which compares
+    each pair a <= b once: (a, b) and (b, a) fail together, and lhs - rhs
+    is built only for a counterexample the report keeps. The report ends
+    with a coverage check: n^2 ordered pairs."""
     degrees = _homogeneous_degrees(zip(basis.labels, basis.elements))
     table = _table_for(basis, table)
     report = CheckReport("symmetry", basis.spec.to_json(), max_counterexamples)
@@ -565,16 +610,19 @@ def verify_symmetry(
     n = len(labels)
     if table.structure_constants is not None:
         report.record_passes(n * n)
-        return report
-    rows = table.rows
-    for ia in range(n):
-        for ib in range(n):
-            lhs = rows[ia][ib]
-            rhs = rows[ib][ia] if dot(degrees[ia], degrees[ib]) else -rows[ib][ia]
-            report.record(
-                lhs == rhs,
-                lambda: {"indices": [labels[ia], labels[ib]], "residual": (lhs - rhs).to_json()},
-            )
+    else:
+        rows = table.rows
+        failing = sorted({p for a, b in table.antisymmetry_failures for p in ((a, b), (b, a))})
+        report.record_passes(n * n - len(failing))
+        for ia, ib in failing:
+
+            def counterexample():
+                rhs = rows[ib][ia] if dot(degrees[ia], degrees[ib]) else -rows[ib][ia]
+                residual = rows[ia][ib] - rhs
+                return {"indices": [labels[ia], labels[ib]], "residual": residual.to_json()}
+
+            report.record(False, counterexample)
+    report.record_coverage(n * n)
     return report
 
 
@@ -594,13 +642,14 @@ def _by_matrices(
     elements: list[GradedMatrix],
     rows: list[list[GradedMatrix]],
     degrees: list[Degree],
+    asymmetric: frozenset[tuple[int, int]],
     report: CheckReport,
 ) -> list[_Failure]:
     """The matrix loop of `verify_jacobi`, run when the table's structure
     constants are None: correct for any basis, closed under brackets or
-    not. It judges every ordered triple, records the passes of each ordered
-    pair (a, b) in `report`, and returns the failures as (triple, residual
-    thunk).
+    not. Outcomes are those of judging every ordered triple; it records the
+    passes of each ordered pair (a, b) in `report`, and returns the
+    failures as (triple, residual thunk).
 
     Denominators are cleared once: the loop runs on e_a * D_a and on
     [e_a, e_b] * D_a * D_b, D_a being the lcm of the entry denominators of
@@ -610,13 +659,23 @@ def _by_matrices(
 
     X(a, b, c) = [e_a, [e_b, e_c]] is the first term of the triple
     (a, b, c) and the third of (b, a, c), so both pairs are judged at
-    a <= b from one computation of X(a, b, .) and X(b, a, .). No residual
-    is held: a thunk computes it from the unscaled elements and table,
-    which the report calls only for a counterexample it keeps."""
+    a <= b from one computation of X(a, b, .) and X(b, a, .). A pair a < b
+    not in `asymmetric` (the table's `antisymmetry_failures`) has
+    T[b][a] = -(-1)^{dot(a, b)} T[a][b]; the bracket is assumed to take
+    -T to minus itself, as any bilinear bracket does, so then
+    J(b, a, c) = -(-1)^{dot(a, b)} J(a, b, c), and (b, a, c) takes the
+    outcome of (a, b, c) with no [T[b][a], e_c] computed: 3n brackets for
+    the pair in place of 4n. A pair in `asymmetric` is judged in both
+    orders. No residual is held: a thunk computes it from the unscaled
+    elements and table, for each ordered triple on its own, which the
+    report calls only for a counterexample it keeps.
+
+    The n cleared elements, and a shallow copy of each [e_a, e_b] bracketed
+    with every element, are `indexed()`; the table entries are not."""
     original, table = elements, rows
     clear = [lcm(*(v._d for _, v in mat.items())) for mat in elements]
     if any(k != 1 for k in clear):
-        elements = [mat.scale(k) for mat, k in zip(elements, clear)]
+        elements = [mat.scale(k).indexed() for mat, k in zip(elements, clear)]
         rows = [[t.scale(ka * kb) for t, kb in zip(row, clear)] for row, ka in zip(rows, clear)]
 
     def residual(ia: int, ib: int, ic: int, odd: int) -> GradedMatrix:
@@ -631,21 +690,24 @@ def _by_matrices(
         for ib in range(ia, n):
             odd = dot(degrees[ia], degrees[ib])
             x_ab = [graded_bracket(elements[ia], t) for t in rows[ib]]
-            judged = [(ia, ib, x_ab, x_ab)]
-            if ia < ib:
-                x_ba = [graded_bracket(elements[ib], t) for t in rows[ia]]
-                judged = [(ia, ib, x_ab, x_ba), (ib, ia, x_ba, x_ab)]
+            x_ba = x_ab if ia == ib else [graded_bracket(elements[ib], t) for t in rows[ia]]
+            mirror = ia < ib and (ia, ib) not in asymmetric
+            judged = [(ia, ib, x_ab, x_ba)]
+            if ia < ib and not mirror:
+                judged.append((ib, ia, x_ba, x_ab))
             # lhs[c] = [a, [b, c]] against [[a, b], c] + (-1)^odd third[c]
             for a, b, lhs, third in judged:
-                ab = rows[a][b]
+                t_ab = rows[a][b]
+                ab = GradedMatrix._make(t_ab.signature, t_ab._entries).indexed()
                 failing = []
                 for ic, (left, t) in enumerate(zip(lhs, third)):
                     rhs = graded_bracket(ab, elements[ic])
                     rhs = rhs - t if odd else rhs + t
                     if left != rhs:
                         failing.append(ic)
-                report.record_passes(n - len(failing))
-                failures += (((a, b, ic), partial(residual, a, b, ic, odd)) for ic in failing)
+                for x, y in ((a, b), (b, a)) if mirror else ((a, b),):
+                    report.record_passes(n - len(failing))
+                    failures += (((x, y, ic), partial(residual, x, y, ic, odd)) for ic in failing)
     return failures
 
 
@@ -759,12 +821,14 @@ def verify_jacobi(
     sum_d C_bc^d C_ad = sum_d C_ab^d C_dc + (-1)^{dot(a, b)} sum_d C_ac^d C_bd,
     and judges each on its coordinate residual; each failing triple is
     expanded to its distinct orderings with residual +-R. When the
-    constants are None, `_by_matrices` judges every triple on the
-    matrices. Either way outcomes and counterexamples are those of the
-    plain triple loop: `failed` counts every failing triple, the kept
-    counterexamples are the first in lexicographic triple order, and the
-    report ends with a coverage check: the triples its instances stand for
-    must number n^3.
+    constants are None, `_by_matrices` judges the triples on the matrices,
+    (b, a, c) with (a, b, c) for each pair whose table entries are graded
+    antisymmetric (read off the table's `antisymmetry_failures`, as
+    closure and symmetry do). Either way outcomes and counterexamples are
+    those of the plain triple loop: `failed` counts every failing triple,
+    the kept counterexamples are the first in lexicographic triple order,
+    and the report ends with a coverage check: the triples its instances
+    stand for must number n^3.
 
     Runs in one thread: `workers` is accepted and has no effect, since a
     thread pool only adds overhead to pure Python under the interpreter lock."""
@@ -773,7 +837,9 @@ def verify_jacobi(
     report = CheckReport("jacobi", basis.spec.to_json(), max_counterexamples)
     constants = table.structure_constants
     if constants is None:
-        failures = _by_matrices(basis.elements, table.rows, degrees, report)
+        failures = _by_matrices(
+            basis.elements, table.rows, degrees, table.antisymmetry_failures, report
+        )
     else:
         failures = _by_orbits(basis.elements, constants, degrees, report)
     labels = basis.labels

@@ -717,42 +717,169 @@ def _rational_subset() -> Basis:
 
 
 def test_matrix_loop_matches_the_triple_loop_on_a_planted_defect(monkeypatch):
+    # The two-sided and inhomogeneous defects keep every pair graded
+    # antisymmetric and fail Jacobi, so failing triples (b, a, c) take the
+    # outcome of (a, b, c); the one-sided defect breaks one pair, which is
+    # judged in both orders. At every cap the report is the triple loop's.
     basis = _rational_subset()
     n = len(basis)
-    true_bracket = algebras.graded_bracket
+    for defect in ("one-sided", "two-sided", "inhomogeneous"):
+        with monkeypatch.context() as planted:
+            _plant_jacobi_defect(planted, basis, defect)
+            table = BracketTable(basis)
+            assert table.structure_constants is None
+            assert bool(table.antisymmetry_failures) == (defect == "one-sided")
+            reference = jacobi_by_triples(basis, max_counterexamples=n ** 3).to_json()
+            assert 10 < reference["failed"] < n ** 3
+            for cap in (0, 1, 10, n ** 3):
+                report = verify_jacobi(basis, max_counterexamples=cap, table=table)
+                expected = {**reference, "counterexamples": reference["counterexamples"][:cap]}
+                assert json.dumps(report.to_json()) == json.dumps(expected)
 
-    def doubled(a, b):
-        bracket = true_bracket(a, b)
-        return bracket.scale(2) if (a.degree_of(), b.degree_of()) == ((1, 0), (0, 1)) else bracket
 
-    monkeypatch.setattr(algebras, "graded_bracket", doubled)
-    assert BracketTable(basis).structure_constants is None
-    report = verify_jacobi(basis, max_counterexamples=n ** 3)
-    assert 0 < report.failed < n ** 3
-    reference = jacobi_by_triples(basis, max_counterexamples=n ** 3)
-    assert json.dumps(report.to_json()) == json.dumps(reference.to_json())
+def _matrix_loop_brackets(n: int, asymmetric: int) -> int:
+    """The brackets of the matrix loop past the table: X(a, b, .) and
+    X(b, a, .) for each pair a < b, with [[a, b], .] once when the pair is
+    graded antisymmetric and [[b, a], .] too for each of the `asymmetric`
+    pairs that are not; X(a, a, .) and [[a, a], .] on the diagonal."""
+    return 3 * n * n * (n - 1) // 2 + asymmetric * n + 2 * n * n
+
+
+def _count_brackets(monkeypatch) -> list:
+    """The calls of `algebras.graded_bracket` from here on."""
+    calls = []
+    bracket = algebras.graded_bracket
+    monkeypatch.setattr(algebras, "graded_bracket", lambda a, b: calls.append(1) or bracket(a, b))
+    return calls
 
 
 def test_matrix_loop_bracket_count(monkeypatch):
-    # n^2 table brackets, then X(a, b, c) and [[a, b], c] once per triple:
-    # [e_a, [e_b, e_c]] is shared by the triples (a, b, c) and (b, a, c)
+    # n^2 table brackets, then 3n per graded-antisymmetric pair a < b:
+    # [e_a, [e_b, e_c]] is shared by the triples (a, b, c) and (b, a, c),
+    # and (b, a, c) takes the outcome of (a, b, c), so [[b, a], c] is not
+    # computed. 120 brackets for n = 4, where judging both orders took 144.
     basis = _rational_subset()
     n = len(basis)
     table = BracketTable(basis)
     assert table.structure_constants is None
-    true_bracket = algebras.graded_bracket
-    calls = []
-
-    def counted(a, b):
-        calls.append(1)
-        return true_bracket(a, b)
-
-    monkeypatch.setattr(algebras, "graded_bracket", counted)
+    calls = _count_brackets(monkeypatch)
     assert verify_jacobi(basis).passed
-    assert len(calls) == n ** 2 + 2 * n ** 3
+    assert len(calls) == n ** 2 + _matrix_loop_brackets(n, 0) == 120
     calls.clear()
     assert verify_jacobi(basis, table=table).passed
-    assert len(calls) == 2 * n ** 3
+    assert len(calls) == _matrix_loop_brackets(n, 0)
+
+
+@pytest.mark.parametrize("params, asymmetric", [(None, 1), ((0, 1, 1, 0), 4)])
+def test_matrix_loop_judges_an_asymmetric_pair_in_both_orders(monkeypatch, params, asymmetric):
+    # The one-sided defect breaks graded antisymmetry on each pair of a
+    # (1,0) and a (0,1) element with a nonzero bracket: one pair of the
+    # rational subset, 4 of the 16 on the kernel basis of ospB(0,1,1,0).
+    # Each costs n brackets more.
+    basis = _rational_subset() if params is None else kernel_basis(ospB(*params))
+    n = len(basis)
+    _plant_jacobi_defect(monkeypatch, basis, "one-sided")
+    table = BracketTable(basis)
+    assert table.structure_constants is None
+    assert len(table.antisymmetry_failures) == asymmetric
+    calls = _count_brackets(monkeypatch)
+    assert verify_jacobi(basis, max_counterexamples=0, table=table).failed > 0
+    assert len(calls) == _matrix_loop_brackets(n, asymmetric)
+
+
+def test_mirroring_every_pair_or_none_is_caught(monkeypatch):
+    # Mirroring a pair that is not graded antisymmetric gives (b, a, c) the
+    # wrong outcome, which the comparison with the triple loop sees; and
+    # mirroring none gives the right report at the old 4n brackets per
+    # pair, which the bracket count sees.
+    basis = _rational_subset()
+    n = len(basis)
+    _plant_jacobi_defect(monkeypatch, basis, "one-sided")
+    reference = json.dumps(jacobi_by_triples(basis, max_counterexamples=n ** 3).to_json())
+    mirror_every = property(lambda table: frozenset())
+    mirror_none = property(lambda table: frozenset((a, b) for a in range(n) for b in range(a, n)))
+    monkeypatch.setattr(BracketTable, "antisymmetry_failures", mirror_every)
+    assert json.dumps(verify_jacobi(basis, max_counterexamples=n ** 3).to_json()) != reference
+    assert verify_symmetry(basis).passed
+    monkeypatch.setattr(BracketTable, "antisymmetry_failures", mirror_none)
+    table = BracketTable(basis)
+    calls = _count_brackets(monkeypatch)
+    report = verify_jacobi(basis, max_counterexamples=0, table=table)
+    assert report.to_json() == {**json.loads(reference), "counterexamples": []}
+    assert len(calls) == 2 * n ** 3 != _matrix_loop_brackets(n, 1)
+
+
+@pytest.mark.parametrize("hide_constants", [False, True])
+@pytest.mark.parametrize("defect", [None, "one-sided", "two-sided", "one-sided off the algebra"])
+@pytest.mark.parametrize("basis_of", ["rational subset", "matrix units"])
+def test_pair_checks_match_the_pair_loops(monkeypatch, basis_of, defect, hide_constants):
+    # Closure and symmetry read the table's `antisymmetry_failures` when the
+    # constants are None, and closure mirrors every pair when they exist.
+    # The matrix units of ospB(0,1,1,0) leave the algebra, so closure fails
+    # pairs in both orders; the one-sided defect makes their (b, a)
+    # residual twice that of (a, b). Adding the non-member e_12 to the
+    # (1,0) x (0,1) brackets in that order only fails closure on (a, b)
+    # and not on (b, a). Every report is the plain loop's.
+    if basis_of == "rational subset":
+        basis = _rational_subset()
+    else:
+        basis = _matrix_units(ospB(0, 1, 1, 0), diagonal=False)
+    n = len(basis)
+    if defect == "one-sided off the algebra":
+        true_bracket = algebras.graded_bracket
+        off = elem(basis.spec.signature(), 1, 2)
+        assert not is_member(basis.spec, off)
+
+        def planted(a, b):
+            bracket = true_bracket(a, b)
+            return bracket + off if (a.degree_of(), b.degree_of()) == _ODD_PAIR else bracket
+
+        monkeypatch.setattr(algebras, "graded_bracket", planted)
+    elif defect:
+        _plant_jacobi_defect(monkeypatch, basis, defect)
+    if hide_constants:
+        monkeypatch.setattr(BracketTable, "structure_constants", None)
+    table = BracketTable(basis)
+    checks = ((verify_closure, closure_by_pairs), (verify_symmetry, symmetry_by_pairs))
+    for check, reference in checks:
+        expected = reference(basis, n * n).to_json()
+        for cap in (0, 1, 10, n * n):
+            report = check(basis, cap, table=table)
+            want = {**expected, "counterexamples": expected["counterexamples"][:cap]}
+            assert json.dumps(report.to_json()) == json.dumps(want)
+    closure = closure_by_pairs(basis).failed
+    if basis_of == "matrix units":
+        assert closure > 10
+    else:
+        assert closure == (1 if defect == "one-sided off the algebra" else 0)
+    assert (symmetry_by_pairs(basis).failed > 0) == str(defect).startswith("one-sided")
+    computed = "antisymmetry_failures" in table.__dict__
+    assert computed == (table.structure_constants is None)
+
+
+@pytest.mark.parametrize("check", [verify_closure, verify_symmetry])
+def test_pair_checks_catch_a_dropped_mirrored_pass(monkeypatch, check):
+    # Both checks record the outcomes of mirrored pairs in bulk and end
+    # with a coverage check: one pass dropped from their counts fails the
+    # report with the coverage counterexample.
+    basis = _rational_subset()
+    n = len(basis)
+    assert check(basis).to_json()["counterexamples"] == []
+    record_passes = CheckReport.record_passes
+    dropped = []
+
+    def drop_one(report, count):
+        if count and not dropped:
+            dropped.append(1)
+            count -= 1
+        record_passes(report, count)
+
+    monkeypatch.setattr(CheckReport, "record_passes", drop_one)
+    report = check(basis)
+    assert (report.total, report.failed) == (n * n - 1, 1)
+    assert report.counterexamples == [
+        {"indices": {"enumerated": n * n - 1, "declared_total": n * n}}
+    ]
 
 
 @pytest.mark.parametrize("cap", [0, 1, 10, 10**9])

@@ -162,6 +162,27 @@ def test_bracket_table_built_at_most_once(tmp_path, monkeypatch, command, family
     assert len(tables) == builds
 
 
+@pytest.mark.parametrize("family", ["ospB", "ospD", "sl"])
+def test_report_on_a_kernel_basis_reads_no_antisymmetry_failures(tmp_path, monkeypatch, family):
+    # The kernel basis passes the structure-constant gate, so closure,
+    # symmetry and Jacobi stay on the coordinate path, and the pairwise
+    # antisymmetry comparison of the matrix path is never made.
+    tables = []
+    build = cli.BracketTable
+
+    def kept(basis):
+        tables.append(build(basis))
+        return tables[-1]
+
+    monkeypatch.setattr(cli, "BracketTable", kept)
+    argv = ["--algebra", family, "--m1", "1", "--n1", "1", "--n2", "1"]
+    code, _ = run_json(tmp_path, "report", *argv)
+    assert code == 0
+    [table] = tables
+    assert table.structure_constants is not None
+    assert "antisymmetry_failures" not in table.__dict__
+
+
 @pytest.mark.parametrize("command", ["check-relations", "report"])
 @pytest.mark.parametrize(
     "argv, builds",
