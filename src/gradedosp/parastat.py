@@ -6,12 +6,20 @@ the ospB algebras; the A-type generators live inside sl(1,0|n1,n2). Each
 relation is an outer bracket of an inner bracket equal to Kronecker-delta
 multiples of single generators, so `RELATION_TABLE` gives every family as
 `Block` rows and `verify_relations` runs them all through one loop, over
-complete index ranges and all sign tuples. Inner brackets run on the
+complete index ranges and all sign tuples. The kernel runs on integral
+cores: one content s per call, s = sqrt2 when every entry of every
+generator used is an integral multiple of sqrt2 (the parafermions and
+parabosons) and s = 1 otherwise (the A-type set), and each generator x
+enters as x / s, plain ints where integral. Inner brackets run on the
 sparse product kernel of `gmatrix`; the outer brackets of one inner
-bracket with every third generator come from one pass over its entries.
-Only an instance whose outer bracket is nonzero or whose Kronecker term
-fires is judged, passing when its residual lhs - rhs is exactly zero;
-every other instance has lhs = rhs = 0 and is counted as a pass in bulk.
+bracket with every third generator come from one pass over its entries,
+with kappa = s^2 folded into the third generators' weights, so that a
+three-slot instance compares kappa [[x, y], z] with its right-hand side,
+all on cores, at no extra cost. A failure's residual lhs - rhs is s
+times that difference, rebuilt as a Scalar matrix. Only an instance
+whose outer bracket is nonzero or whose Kronecker term fires is judged,
+passing when its residual lhs - rhs is exactly zero; every other
+instance has lhs = rhs = 0 and is counted as a pass in bulk.
 An instance count other than the closed form `declared_total` fails the
 check; `relation_reports` runs each family whose operand kinds are all
 among a spec's `generator_sets`.
@@ -29,7 +37,7 @@ from .algebras import AlgebraSpec, Family, _axpy, _homogeneous_degrees
 from .gmatrix import GradedMatrix, _product, _rows_of, elem, graded_bracket
 from .grading import dot, signature_gl
 from .report import CheckReport
-from .scalars import SQRT2
+from .scalars import SQRT2, Scalar, as_int, over_sqrt2
 
 SIGNS = (1, -1)
 _TAGS = {"parafermion": "f", "paraboson": "b", "palev": "a"}
@@ -231,19 +239,29 @@ def _index_range(gens: GeneratorSet, code: str) -> range:
     return range(1, gens.count + 1)
 
 
+def _content(matrices: list[GradedMatrix]) -> tuple[Scalar | int, int, Callable]:
+    """(s, kappa, core) for one call's generators: the content s = sqrt2 when
+    every entry of every matrix is an integral multiple of sqrt2, else s = 1;
+    kappa = s^2; core(v) = v / s, a plain int where integral, else a Scalar."""
+    if all(over_sqrt2(v) is not None for mat in matrices for _, v in mat.items()):
+        return SQRT2, 2, over_sqrt2
+    return 1, 1, as_int
+
+
 class _Operand:
-    """A factor of the relation kernel: its entries, the same entries
+    """A factor of the relation kernel: the core x / s of a generator x,
+    entry by entry through `core` (see `_content`), the same entries
     negated (the minus sign of a commutator) and its row index."""
 
     __slots__ = ("entries", "negated", "rows")
 
-    def __init__(self, entries: dict):
-        self.entries = entries
-        self.negated = {pos: -v for pos, v in entries.items()}
-        self.rows = _rows_of(entries)
+    def __init__(self, entries: dict, core: Callable):
+        self.entries = {pos: core(v) for pos, v in entries.items()}
+        self.negated = {pos: -v for pos, v in self.entries.items()}
+        self.rows = _rows_of(self.entries)
 
 
-def _generator_table(gens: GeneratorSet, signature) -> dict[tuple[int, int], _Operand]:
+def _generator_table(gens: GeneratorSet, signature, core: Callable) -> dict[tuple[int, int], _Operand]:
     """Every generator of the set as an operand, keyed by (sign, index)."""
     table = {}
     for index in range(1, gens.count + 1):
@@ -251,29 +269,30 @@ def _generator_table(gens: GeneratorSet, signature) -> dict[tuple[int, int], _Op
             mat = gens.get(index, sign)
             if mat.signature != signature:
                 raise ValueError(f"generator {gens.label(index, sign)} has another signature")
-            table[sign, index] = _Operand(mat._entries)
+            table[sign, index] = _Operand(mat._entries, core)
     return table
 
 
-def _bracket_into(acc: dict, kind: str, x: dict, x_rows: dict, y: _Operand) -> None:
-    """Add x y - y x ("[]") or x y + y x ("{}") into `acc`, x given by its
-    entries and row index."""
-    _product(acc, x, y.rows)
-    _product(acc, y.negated if kind == "[]" else y.entries, x_rows)
+def _bracket_into(acc: dict, kind: str, x: _Operand, y: _Operand) -> None:
+    """Add x y - y x ("[]") or x y + y x ("{}") into `acc`."""
+    _product(acc, x.entries, y.rows)
+    _product(acc, y.negated if kind == "[]" else y.entries, x.rows)
 
 
-def _slot3_index(kind: str, table: dict, keys: list) -> tuple[dict, dict]:
-    """The slot-3 generators z under `keys` (eps, l), indexed for the outer
-    bracket X z -/+ z X: by row {r: [(c, w, key), ...]} for X z, and by
-    column {c: [(r, +/-w, key), ...]} for z X, the sign of `kind` folded in."""
+def _slot3_index(kinds: dict, table, kappa: int) -> tuple[dict, dict]:
+    """The slot-3 operands z = table[key], for each key of `kinds`, indexed
+    for the outer bracket X z -/+ z X of kind kinds[key]: by row
+    {r: [(c, kappa w, key), ...]} for X z, and by column
+    {c: [(r, +/-kappa w, key), ...]} for z X, the sign of the kind folded
+    in. With kappa = s^2 folded into the weights, an outer bracket of cores
+    comes out times s^2, at no cost per instance."""
     rows: dict = {}
     cols: dict = {}
-    for key in keys:
-        z = table[key]
-        for (r, c), w in z.entries.items():
+    for key, kind in kinds.items():
+        for (r, c), w in table[key].entries.items():
+            w = kappa * w
             rows.setdefault(r, []).append((c, w, key))
-        for (r, c), w in (z.negated if kind == "[]" else z.entries).items():
-            cols.setdefault(c, []).append((r, w, key))
+            cols.setdefault(c, []).append((r, -w if kind == "[]" else w, key))
     return rows, cols
 
 
@@ -307,8 +326,8 @@ def _outer_brackets(x: dict, rows: dict, cols: dict) -> dict:
     return {key: acc for key, acc in out.items() if acc}
 
 
-def _counterexample(signed: bool, rel: Optional[str], idx: tuple, signs: tuple, sig, acc) -> dict:
-    """The instance with residual entries `acc`. Signed families name j, k, l
+def _counterexample(signed: bool, rel: Optional[str], idx: tuple, signs: tuple, sig, s, acc) -> dict:
+    """The instance with residual s x `acc`. Signed families name j, k, l
     and xi, eta, eps; the A families name i, j, k and fold a two-slot row's
     shared sign into the indices."""
     indices = {"rel": rel} if rel else {}
@@ -316,7 +335,8 @@ def _counterexample(signed: bool, rel: Optional[str], idx: tuple, signs: tuple, 
     if not signed and len(idx) == 2:
         indices["sign"] = signs[0]
     named = dict(zip(("xi", "eta", "eps"), signs)) if signed else {}
-    return {"indices": indices, "signs": named, "residual": GradedMatrix._make(sig, acc).to_json()}
+    residual = GradedMatrix(sig, {pos: s * v for pos, v in acc.items()})
+    return {"indices": indices, "signs": named, "residual": residual.to_json()}
 
 
 def declared_total(family: RelationFamily, gens: GeneratorSet, partner: Optional[GeneratorSet] = None) -> int:
@@ -356,18 +376,27 @@ def verify_relations(
     every admissible index tuple, every sign case. An instance count other
     than `declared_total` fails the check with one coverage counterexample.
 
-    Each generator's entries, negated entries and row index are built once
-    per call, and each inner bracket X once per index pair and sign pair on
-    the product kernel. Per row, the slot-3 generators z are indexed once by
-    row and by column, the outer sign folded in, and one pass over X's
-    entries gives X z -/+ z X for every z, keyed by (eps, l), zero ones
-    left out. An instance is judged only when its (eps, l) is such a key or
+    One content s is fixed per call, over every generator of every set the
+    family uses: s = sqrt2 when every entry is an integral multiple of
+    sqrt2, else s = 1 (see `_content`). Each generator x enters the kernel
+    as its core x / s, built once per call with its negated entries and row
+    index: plain ints where integral, Scalars otherwise, and never put into
+    a GradedMatrix. Each inner bracket X of cores is built once per index
+    pair and sign pair on the product kernel. Per row, the slot-3 cores z
+    are indexed once by row and by column, the outer sign and kappa = s^2
+    folded into the weights, and one pass over X's entries gives
+    kappa (X z -/+ z X) for every z, keyed by (eps, l), zero ones left out.
+    Since lhs = s^3 [[x, y], z] on cores and rhs = s sum c x_w on cores, a
+    three-slot instance holds exactly when kappa [[x, y], z] = sum c x_w on
+    cores; a two-slot row (the A families) compares s [x, y] with its
+    terms. An instance is judged only when its (eps, l) is such a key or
     one of its Kronecker terms fires (l in {j, k}, or every l when a term
     pairs slots 0 and 1 and j = k), in (j, k, l, case) order: its
     right-hand-side terms are subtracted from a copy of its outer bracket,
     and it passes exactly when that dict is empty, every entry compared
-    exactly over Z[sqrt 2]. A failing dict is the residual lhs - rhs of its
-    counterexample, which the report builds only if it keeps it. Every
+    exactly. A failing dict `acc` is (lhs - rhs) / s, and its
+    counterexample's residual lhs - rhs = s x acc is rebuilt through
+    `GradedMatrix` as Scalars, only when the report keeps it. Every
     other instance has lhs = rhs = 0: a row counts |index product| x
     |cases| instances, and those not failed are recorded as passes at once,
     so the coverage check still sees every instance."""
@@ -384,7 +413,8 @@ def verify_relations(
     if len(sets) > 1 and gens.spec != partner.spec:
         raise ValueError(f"{' and '.join(kinds)} sets must share one spec")
     sig = gens.spec.signature()
-    tables = {tag: _generator_table(g, sig) for tag, g in sets.items()}
+    s, kappa, core = _content([mat for g in sets.values() for mat in (*g.creators, *g.annihilators)])
+    tables = {tag: _generator_table(g, sig, core) for tag, g in sets.items()}
     signed = family.sign_arity > 0
 
     report = CheckReport(f"relations-{family.value}", gens.spec.to_json(), max_counterexamples)
@@ -398,15 +428,18 @@ def verify_relations(
         pairs = dict.fromkeys(signs[:2] for signs, _, _ in block.cases)
         if block.outer:
             epsilons = dict.fromkeys(signs[2] for signs, _, _ in block.cases)
-            rows, cols = _slot3_index(block.outer, slots[2], [(e, l) for e in epsilons for l in ranges[2]])
+            keys = [(e, l) for e in epsilons for l in ranges[2]]
+            rows, cols = _slot3_index(dict.fromkeys(keys, block.outer), slots[2], kappa)
             every_l = any({p, q} == {0, 1} for _, _, terms in block.cases for _, p, q in terms)
         for j, k in product(ranges[0], ranges[1]):
             lhs = {}
             for p in pairs:
-                x = slots[0][p[0], j]
                 acc: dict = {}
-                _bracket_into(acc, block.inner, x.entries, x.rows, slots[1][p[1], k])
-                lhs[p] = _outer_brackets(acc, rows, cols) if block.outer else {(): acc}
+                _bracket_into(acc, block.inner, slots[0][p[0], j], slots[1][p[1], k])
+                if block.outer:
+                    lhs[p] = _outer_brackets(acc, rows, cols)
+                else:
+                    lhs[p] = {(): acc if kappa == 1 else {pos: s * v for pos, v in acc.items()}}
             if not block.outer:
                 rests = [()]
             elif j == k and every_l:
@@ -427,7 +460,7 @@ def verify_relations(
                     if not acc:
                         continue
                     failures += 1
-                    report.record(False, lambda: _counterexample(signed, rel, idx, signs, sig, acc))
+                    report.record(False, lambda: _counterexample(signed, rel, idx, signs, sig, s, acc))
     report.record_passes(instances - failures)
     declared = declared_total(family, gens, partner)
     report.record_coverage(declared)
@@ -440,29 +473,42 @@ def graded_bracket_consistency(
 ) -> CheckReport:
     """For every ordered pair of generators, the graded bracket must be the
     anticommutator when the degrees' dot is 1 and the commutator when 0 —
-    certifying the bracket placements used in the relation tables. The
-    expected bracket runs on the relation kernel, with no `@`; a
-    counterexample names the pair and holds actual - expected."""
+    certifying the bracket placements used in the relation tables.
+
+    `graded_bracket` runs once per ordered pair, on the true generators.
+    The expected side runs on the relation kernel, with no `@`, on the
+    cores y / s of every generator, one content s over all the sets (see
+    `verify_relations`). The cores are indexed once per degree of x, the
+    sign of [x, y] and kappa = s^2 folded into the column weights, so one
+    pass over x's core entries gives kappa (x y -/+ y x) on cores, which is
+    x y -/+ y x itself, for every y. Passes are recorded in bulk; a failure,
+    in (x, y) order, names the pair and holds actual - expected."""
     if not gen_sets:
         raise ValueError("need at least one generator set")
     pool = [item for gs in gen_sets for item in gs.labelled()]
     degrees = _homogeneous_degrees(pool, "generator")
+    _, kappa, core = _content([mat for _, mat in pool])
+    cores = [_Operand(mat._entries, core) for _, mat in pool]
     # Each operand indexed once, on a copy: the caller's matrices stay unindexed.
-    items = [
-        (label, GradedMatrix._make(mat.signature, mat._entries).indexed(), degree, _Operand(mat._entries))
-        for (label, mat), degree in zip(pool, degrees)
-    ]
+    mats = [GradedMatrix._make(mat.signature, mat._entries).indexed() for _, mat in pool]
+    indexes = {
+        dx: _slot3_index({iy: "{}" if dot(dx, dy) else "[]" for iy, dy in enumerate(degrees)}, cores, kappa)
+        for dx in dict.fromkeys(degrees)
+    }
     report = CheckReport("bracket-consistency", gen_sets[0].spec.to_json(), max_counterexamples)
-    for lx, x, dx, ox in items:
-        for ly, y, dy, oy in items:
+    failures = 0
+    for (lx, _), x, dx, ox in zip(pool, mats, degrees, cores):
+        expected = _outer_brackets(ox.entries, *indexes[dx])
+        for iy, ((ly, _), y) in enumerate(zip(pool, mats)):
             actual = graded_bracket(x, y)
-            acc: dict = {}
-            _bracket_into(acc, "{}" if dot(dx, dy) else "[]", ox.entries, ox.rows, oy)
-            expected = GradedMatrix._make(x.signature, acc)
-            report.record(
-                actual == expected,
-                lambda: {"indices": [lx, ly], "residual": (actual - expected).to_json()},
-            )
+            want = expected.get(iy, {})
+            if actual._entries == want:
+                continue
+            failures += 1
+            report.record(False, lambda: {
+                "indices": [lx, ly], "residual": (actual - GradedMatrix(x.signature, want)).to_json(),
+            })
+    report.record_passes(len(pool) ** 2 - failures)
     return report
 
 

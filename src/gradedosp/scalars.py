@@ -228,6 +228,12 @@ def as_int(x: Scalar) -> int | Scalar:
     return x._a if x._d == 1 and not x._b else x
 
 
+def over_sqrt2(x: Scalar) -> int | None:
+    """x / sqrt2 as a plain int when x is an integral multiple of sqrt2
+    (rational part 0, denominator 1), else None."""
+    return x._b if x._d == 1 and not x._a else None
+
+
 ZERO = Scalar(0)
 ONE = Scalar(1)
 SQRT2 = Scalar(0, 1)

@@ -204,6 +204,27 @@ def relations_by_instances(family, gens, partner=None, max_counterexamples: int 
     return report
 
 
+def consistency_by_pairs(*gen_sets, max_counterexamples: int = 10) -> CheckReport:
+    """Bracket consistency checked the plain way, the reference for
+    `parastat.graded_bracket_consistency`: every ordered pair of generators
+    on its own, the actual bracket through `parastat.graded_bracket` (so a
+    planted one is seen) and the expected one by `anticommutator` when the
+    degrees' dot is 1 and `commutator` when 0, on the generators as given.
+    No cores, no index and no bulk passes."""
+    pool = [item for gens in gen_sets for item in gens.labelled()]
+    report = CheckReport("bracket-consistency", gen_sets[0].spec.to_json(), max_counterexamples)
+    for lx, x in pool:
+        for ly, y in pool:
+            actual = parastat.graded_bracket(x, y)
+            odd = dot(x.degree_of(), y.degree_of())
+            expected = anticommutator(x, y) if odd else commutator(x, y)
+            report.record(
+                actual == expected,
+                lambda: {"indices": [lx, ly], "residual": (actual - expected).to_json()},
+            )
+    return report
+
+
 def embed_middle_zero(mat: GradedMatrix, spec_d: AlgebraSpec) -> GradedMatrix:
     """Re-embed an ospD-layout matrix into the ospB layout of the same
     parameters by inserting a zero middle row and column."""

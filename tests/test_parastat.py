@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import re
+from fractions import Fraction
 
 import jsonschema
 import pytest
@@ -24,9 +25,9 @@ from gradedosp.parastat import (
     relation_reports,
     verify_relations,
 )
-from gradedosp.scalars import SQRT2
+from gradedosp.scalars import SQRT2, Scalar
 
-from helpers import dense_rank, dense_rows, relations_by_instances
+from helpers import consistency_by_pairs, dense_rank, dense_rows, relations_by_instances
 
 
 def ospB(*params):
@@ -266,17 +267,30 @@ def test_bracket_consistency_reports():
     assert report.failed == 0
 
 
-@pytest.mark.parametrize("params", [(1, 1, 1, 1), (2, 1, 1, 2)])
-def test_planted_bracket_fails_consistency(monkeypatch, tmp_path, params):
-    # Two (1,0) parabosons must anticommute; this bracket commutes them.
-    true_bracket = parastat.graded_bracket
+def _wrong_sign(bracket):
+    """Two (1,0) generators must anticommute; this bracket commutes them."""
 
-    def wrong_sign(x, y):
+    def planted(x, y):
         if x.degree_of() == y.degree_of() == (1, 0):
             return x @ y - y @ x
-        return true_bracket(x, y)
+        return bracket(x, y)
 
-    monkeypatch.setattr(parastat, "graded_bracket", wrong_sign)
+    return planted
+
+
+def _tripled(bracket):
+    """Three times the bracket of two generators of one degree."""
+
+    def planted(x, y):
+        out = bracket(x, y)
+        return out.scale(3) if x.degree_of() == y.degree_of() else out
+
+    return planted
+
+
+@pytest.mark.parametrize("params", [(1, 1, 1, 1), (2, 1, 1, 2)])
+def test_planted_bracket_fails_consistency(monkeypatch, tmp_path, params):
+    monkeypatch.setattr(parastat, "graded_bracket", _wrong_sign(parastat.graded_bracket))
     spec = ospB(*params)
     b = paraboson_ops(spec)
     report = graded_bracket_consistency(parafermion_ops(spec), b)
@@ -377,9 +391,10 @@ def test_planted_defect_stream_is_pinned(case):
 
 # -- the relation kernel against the plain instance loop ------------------------------
 
-def _stray(gens: GeneratorSet) -> GeneratorSet:
-    """A copy whose first creator gains a unit at the first free position of
-    its own degree, so it stays homogeneous but stops satisfying the table."""
+def _stray(gens: GeneratorSet, value=1) -> GeneratorSet:
+    """A copy whose first creator gains `value` (a unit by default) at the
+    first free position of its own degree, so it stays homogeneous but stops
+    satisfying the table."""
     first = gens.creators[0]
     sig = first.signature
     size = len(sig)
@@ -387,7 +402,7 @@ def _stray(gens: GeneratorSet) -> GeneratorSet:
         (i, j) for i in range(1, size + 1) for j in range(1, size + 1)
         if not first.entry(i, j) and elem(sig, i, j).degree_of() == first.degree_of()
     )
-    return dataclasses.replace(gens, creators=[first + elem(sig, *pos), *gens.creators[1:]])
+    return dataclasses.replace(gens, creators=[first + elem(sig, *pos).scale(value), *gens.creators[1:]])
 
 
 def _with_stray_terms(family: RelationFamily) -> tuple:
@@ -427,8 +442,44 @@ def _judging_defect_cases():
     yield "ospB2112-PF_family1-stray-term", RelationFamily.PF_FAMILY1, f, b
 
 
+def _scaled(gens: GeneratorSet, factor) -> GeneratorSet:
+    """A copy with every generator scaled by `factor`."""
+    return dataclasses.replace(
+        gens,
+        creators=[mat.scale(factor) for mat in gens.creators],
+        annihilators=[mat.scale(factor) for mat in gens.annihilators],
+    )
+
+
+def _content_cases():
+    """Generators whose entries are not all integral multiples of sqrt2,
+    or are so only in some sets of a call, or only after scaling."""
+    spec = ospB(2, 1, 1, 2)
+    f, b = parafermion_ops(spec), paraboson_ops(spec)
+    # The content is one per call: a stray unit in one set sets s = 1 for both.
+    for family in (RelationFamily.PF_FAMILY1, RelationFamily.PF_FAMILY2):
+        yield f"ospB2112-{family.value}-stray-unit-b", family, f, _stray(b)
+        yield f"ospB2112-{family.value}-stray-unit-f", family, _stray(f), b
+    # One paraboson creator doubled: cores +/-2 at s = sqrt2.
+    doubled = dataclasses.replace(b, creators=[b.creators[0].scale(2), *b.creators[1:]])
+    yield "ospB2112-BB_same-doubled", RelationFamily.BB_SAME, doubled, None
+    yield "ospB2112-BB_mixed-doubled", RelationFamily.BB_MIXED, doubled, None
+    yield "ospB2112-PF_family1-doubled", RelationFamily.PF_FAMILY1, f, doubled
+    # A-type generators times sqrt2: the two-slot rows run at s = sqrt2, and
+    # with a stray sqrt2 entry some of them fail.
+    a = palev_ops(2, 1)
+    for tag, gens in (("sqrt2", _scaled(a, SQRT2)), ("sqrt2-stray", _scaled(_stray(a), SQRT2))):
+        for family in (RelationFamily.A_SAME, RelationFamily.A_MIXED):
+            yield f"palev21-{family.value}-{tag}", family, gens, None
+    # One rational entry: s = 1, and the cores x / s are Scalars.
+    rational = _stray(f, Fraction(1, 2))
+    yield "ospB2112-FF-rational", RelationFamily.FF, rational, None
+    yield "ospB2112-PF_family1-rational", RelationFamily.PF_FAMILY1, rational, b
+
+
 def _reference_cases():
     yield from _judging_defect_cases()
+    yield from _content_cases()
     for name, family, planted, partner in _planted_cases():
         yield f"{name}-planted", family, planted, partner
     for params in ((1, 1, 1, 1), (2, 1, 1, 2), (0, 2, 2, 0)):
@@ -509,6 +560,86 @@ def test_relations_build_only_kept_counterexamples(monkeypatch, cap):
     report = verify_relations(family, gens, partner, max_counterexamples=cap)
     assert report.failed == PINNED_STREAMS["ospB2112-FF"][1] > cap
     assert len(report.counterexamples) == len(built) == cap
+
+
+def test_paper_sets_run_the_relation_kernel_on_plain_ints(monkeypatch):
+    # The sqrt2 content is divided out once per call and folded back into
+    # the slot-3 weights, so no instance multiplies two Scalars.
+    calls = []
+    mul = Scalar.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(Scalar, "__mul__", counted)
+    monkeypatch.setattr(Scalar, "__rmul__", counted)
+    assert SQRT2 * 2 == 2 * SQRT2 and len(calls) == 2
+    f, b = parafermion_ops(ospB(2, 1, 1, 2)), paraboson_ops(ospB(2, 1, 1, 2))
+    a = palev_ops(2, 1)
+    calls.clear()
+    reports = [
+        verify_relations(RelationFamily.FF, f),
+        verify_relations(RelationFamily.BB_SAME, b),
+        verify_relations(RelationFamily.BB_MIXED, b),
+        verify_relations(RelationFamily.PF_FAMILY1, f, b),
+        verify_relations(RelationFamily.PF_FAMILY2, f, b),
+        verify_relations(RelationFamily.A_SAME, a),
+        verify_relations(RelationFamily.A_MIXED, a),
+    ]
+    assert calls == []
+    assert all(report.passed for report in reports)
+
+
+@pytest.mark.parametrize(
+    "sets",
+    [[parafermion_ops(ospB(2, 1, 1, 2)), paraboson_ops(ospB(2, 1, 1, 2))], [palev_ops(2, 1)]],
+    ids=["ospB2112", "palev21"],
+)
+def test_consistency_brackets_each_pair_once_on_scalar_entries(monkeypatch, sets):
+    # One graded_bracket per ordered pair, on the true generators: the
+    # tracer serializes every operand, so none may hold a plain int.
+    operands = []
+    bracket = parastat.graded_bracket
+
+    def watched(x, y):
+        operands.extend((x, y))
+        return bracket(x, y)
+
+    monkeypatch.setattr(parastat, "graded_bracket", watched)
+    report = graded_bracket_consistency(*sets)
+    n = sum(2 * gens.count for gens in sets)
+    assert report.total == len(operands) // 2 == n * n
+    assert report.passed
+    assert all(isinstance(v, Scalar) for mat in operands for _, v in mat.items())
+
+
+def _consistency_cases():
+    spec = ospB(2, 1, 1, 2)
+    f, b = parafermion_ops(spec), paraboson_ops(spec)
+    small = ospB(1, 1, 1, 1)
+    sets = {
+        "ospB1111": [parafermion_ops(small), paraboson_ops(small)],
+        "ospB2112": [f, b],
+        "palev21": [palev_ops(2, 1)],
+    }
+    for name, gen_sets in sets.items():
+        for planted in (None, _wrong_sign, _tripled):
+            yield f"{name}-{planted.__name__.strip('_') if planted else 'true'}", gen_sets, planted
+    # s = 1 for the whole call, with int and with Scalar cores.
+    yield "ospB2112-stray-unit-b", [f, _stray(b)], None
+    yield "ospB2112-rational-f", [_stray(f, Fraction(1, 2)), b], None
+
+
+@pytest.mark.parametrize("case", list(_consistency_cases()), ids=lambda case: case[0])
+def test_consistency_matches_the_pair_loop(monkeypatch, case):
+    _, sets, planted = case
+    if planted:
+        monkeypatch.setattr(parastat, "graded_bracket", planted(parastat.graded_bracket))
+    for cap in (0, 1, 10, 10**9):
+        kernel = graded_bracket_consistency(*sets, max_counterexamples=cap)
+        reference = consistency_by_pairs(*sets, max_counterexamples=cap)
+        assert json.dumps(kernel.to_json()) == json.dumps(reference.to_json())
 
 
 def test_bracket_consistency_refuses_an_inhomogeneous_generator():
