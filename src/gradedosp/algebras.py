@@ -647,9 +647,12 @@ def _by_matrices(
 ) -> list[_Failure]:
     """The matrix loop of `verify_jacobi`, run when the table's structure
     constants are None: correct for any basis, closed under brackets or
-    not. Outcomes are those of judging every ordered triple; it records the
-    passes of each ordered pair (a, b) in `report`, and returns the
-    failures as (triple, residual thunk).
+    not. It walks the S3 orbit representatives p <= q <= r, as `_by_orbits`
+    does, and judges each distinct ordering (a, b, c) that `_orbit` lists
+    on the matrices: no symmetry of the Jacobiator is assumed, only that
+    of the table's pairs. Outcomes are those of judging every ordered
+    triple; it records the passes of each pair p <= q in `report`, and
+    returns the failures as (triple, residual thunk).
 
     Denominators are cleared once: the loop runs on e_a * D_a and on
     [e_a, e_b] * D_a * D_b, D_a being the lcm of the entry denominators of
@@ -657,21 +660,24 @@ def _by_matrices(
     residual comes out D_a * D_b * D_c times the true one, and is zero
     exactly when the true one is.
 
-    X(a, b, c) = [e_a, [e_b, e_c]] is the first term of the triple
-    (a, b, c) and the third of (b, a, c), so both pairs are judged at
-    a <= b from one computation of X(a, b, .) and X(b, a, .). A pair a < b
-    not in `asymmetric` (the table's `antisymmetry_failures`) has
-    T[b][a] = -(-1)^{dot(a, b)} T[a][b]; the bracket is assumed to take
-    -T to minus itself, as any bilinear bracket does, so then
-    J(b, a, c) = -(-1)^{dot(a, b)} J(a, b, c), and (b, a, c) takes the
-    outcome of (a, b, c) with no [T[b][a], e_c] computed: 3n brackets for
-    the pair in place of 4n. A pair in `asymmetric` is judged in both
-    orders. No residual is held: a thunk computes it from the unscaled
-    elements and table, for each ordered triple on its own, which the
-    report calls only for a counterexample it keeps.
+    The three terms of (a, b, c) are X(a, b, c), [[a, b], c] and
+    X(b, a, c), with X(x, y, z) = [e_x, [e_y, e_z]]; each bracket is
+    computed at most once per orbit, and no bracket is kept past its
+    orbit. A pair y < z not in `asymmetric` (the table's
+    `antisymmetry_failures`) has T[z][y] = -(-1)^{dot(y, z)} T[y][z]; the
+    bracket is assumed to take -T to minus itself, as any bilinear bracket
+    does, so X(x, z, y) is X(x, y, z) with that sign, and
+    J(b, a, c) = -(-1)^{dot(a, b)} J(a, b, c): (b, a, c) takes the outcome
+    of (a, b, c) with no [[b, a], c] computed. The loop thus makes
+    n^3 + n^2 brackets, n * n(n + 1)/2 of each kind. A pair in
+    `asymmetric` shares nothing and is judged in both orders, at 2n
+    brackets more. No residual is held: a thunk computes it from the
+    unscaled elements and table, for each ordered triple on its own, which
+    the report calls only for a counterexample it keeps.
 
-    The n cleared elements, and a shallow copy of each [e_a, e_b] bracketed
-    with every element, are `indexed()`; the table entries are not."""
+    The cleared elements, and shallow copies of the table row p while p
+    is the least index of the orbits walked, are `indexed()`; the table
+    entries are not."""
     original, table = elements, rows
     clear = [lcm(*(v._d for _, v in mat.items())) for mat in elements]
     if any(k != 1 for k in clear):
@@ -685,29 +691,52 @@ def _by_matrices(
         return graded_bracket(original[ia], table[ib][ic]) - rhs
 
     n = len(elements)
+    parity = [[dot(dx, dy) for dy in degrees] for dx in degrees]
+    # shared[y][z]: the pair is graded antisymmetric, T[z][y] = -(-1)^{dot(y, z)} T[y][z]
+    shared = [[(min(y, z), max(y, z)) not in asymmetric for z in range(n)] for y in range(n)]
+
+    def entry(y: int, z: int) -> GradedMatrix:
+        """T[y][z], read off the indexed copy of row p when y == p."""
+        return (row_p if y == p else rows[y])[z]
+
+    def inner(memo: dict, x: int, y: int, z: int) -> tuple[GradedMatrix, bool]:
+        """(M, negated) with X(x, y, z) = [e_x, T[y][z]] equal to -M when
+        negated and to M otherwise. M is kept in `memo` for the orbit, and
+        for y > z a shared pair it is X(x, z, y)."""
+        negated = False
+        if y > z and shared[y][z]:
+            y, z, negated = z, y, not parity[y][z]
+        key = (x, y, z)
+        out = memo.get(key)
+        if out is None:
+            out = memo[key] = graded_bracket(elements[x], entry(y, z))
+        return out, negated
+
     failures = []
-    for ia in range(n):
-        for ib in range(ia, n):
-            odd = dot(degrees[ia], degrees[ib])
-            x_ab = [graded_bracket(elements[ia], t) for t in rows[ib]]
-            x_ba = x_ab if ia == ib else [graded_bracket(elements[ib], t) for t in rows[ia]]
-            mirror = ia < ib and (ia, ib) not in asymmetric
-            judged = [(ia, ib, x_ab, x_ba)]
-            if ia < ib and not mirror:
-                judged.append((ib, ia, x_ba, x_ab))
-            # lhs[c] = [a, [b, c]] against [[a, b], c] + (-1)^odd third[c]
-            for a, b, lhs, third in judged:
-                t_ab = rows[a][b]
-                ab = GradedMatrix._make(t_ab.signature, t_ab._entries).indexed()
-                failing = []
-                for ic, (left, t) in enumerate(zip(lhs, third)):
-                    rhs = graded_bracket(ab, elements[ic])
-                    rhs = rhs - t if odd else rhs + t
-                    if left != rhs:
-                        failing.append(ic)
-                for x, y in ((a, b), (b, a)) if mirror else ((a, b),):
-                    report.record_passes(n - len(failing))
-                    failures += (((x, y, ic), partial(residual, x, y, ic, odd)) for ic in failing)
+    for p in range(n):
+        row_p = [GradedMatrix._make(t.signature, t._entries).indexed() for t in rows[p]]
+        for q in range(p, n):
+            passes = 0
+            for r in range(q, n):
+                memo: dict = {}
+                failed: dict = {}
+                for (a, b, c), _ in _orbit(p, q, r, degrees):
+                    odd = parity[a][b]
+                    if a > b and shared[a][b]:
+                        bad = failed[b, a, c]  # listed earlier: `_orbit` sorts its orderings
+                    else:
+                        # [a, [b, c]] against [[a, b], c] + (-1)^odd [b, [a, c]]
+                        left, flip = inner(memo, a, b, c)
+                        third, turn = inner(memo, b, a, c)
+                        rhs = graded_bracket(entry(a, b), elements[c])
+                        rhs = rhs - third if odd ^ turn else rhs + third
+                        bad = left != (-rhs if flip else rhs)
+                    failed[a, b, c] = bad
+                    if bad:
+                        failures.append(((a, b, c), partial(residual, a, b, c, odd)))
+                    else:
+                        passes += 1
+            report.record_passes(passes)
     return failures
 
 
@@ -821,14 +850,17 @@ def verify_jacobi(
     sum_d C_bc^d C_ad = sum_d C_ab^d C_dc + (-1)^{dot(a, b)} sum_d C_ac^d C_bd,
     and judges each on its coordinate residual; each failing triple is
     expanded to its distinct orderings with residual +-R. When the
-    constants are None, `_by_matrices` judges the triples on the matrices,
-    (b, a, c) with (a, b, c) for each pair whose table entries are graded
+    constants are None, `_by_matrices` walks the same representatives and
+    judges each of their distinct orderings on the matrices, assuming no
+    symmetry of J. Each bracket the orderings of a representative share
+    is computed once: when the table entries of a pair are graded
     antisymmetric (read off the table's `antisymmetry_failures`, as
-    closure and symmetry do). Either way outcomes and counterexamples are
-    those of the plain triple loop: `failed` counts every failing triple,
-    the kept counterexamples are the first in lexicographic triple order,
-    and the report ends with a coverage check: the triples its instances
-    stand for must number n^3.
+    closure and symmetry do), [e_x, [e_y, e_z]] serves both orders of
+    y, z, and (b, a, c) takes the outcome of (a, b, c). Either way outcomes
+    and counterexamples are those of the plain triple loop: `failed`
+    counts every failing triple, the kept counterexamples are the first in
+    lexicographic triple order, and the report ends with a coverage check:
+    the triples its instances stand for must number n^3.
 
     Runs in one thread: `workers` is accepted and has no effect, since a
     thread pool only adds overhead to pure Python under the interpreter lock."""

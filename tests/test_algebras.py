@@ -609,8 +609,8 @@ def _plant_jacobi_defect(monkeypatch, basis: Basis, defect: str) -> None:
 
 def _count_pairs(monkeypatch) -> list:
     """The pass counts recorded by `CheckReport.record_passes` from here on.
-    The Jacobi loops record one per pair they judge: each pair a <= b on
-    the orbit path, each ordered pair on the matrix path."""
+    Both Jacobi loops record one per pair a <= b of the orbit
+    representatives a <= b <= c they walk."""
     pairs = []
     record_passes = CheckReport.record_passes
 
@@ -644,12 +644,12 @@ def test_jacobi_orbits_match_the_triple_loop(monkeypatch, params, defect):
         report = verify_jacobi(basis, max_counterexamples=cap, table=table)
         expected = {**reference, "counterexamples": reference["counterexamples"][:cap]}
         assert json.dumps(report.to_json()) == json.dumps(expected)
-    assert len(pairs) == len(caps) * (n * (n + 1) // 2 if orbits else n * n)
+    assert len(pairs) == len(caps) * n * (n + 1) // 2
 
 
 def test_jacobi_contracts_one_pair_per_orbit_representative(monkeypatch):
-    # ospB(1,1,1,1), n = 40: the pairs a <= b on the orbit path, every
-    # ordered pair on the matrix loop, which runs when the gate refuses
+    # ospB(1,1,1,1), n = 40: the pairs a <= b, both on the orbit path and
+    # on the matrix loop, which runs when the gate refuses
     basis = kernel_basis(ospB(1, 1, 1, 1))
     pairs = _count_pairs(monkeypatch)
     assert verify_jacobi(basis).passed
@@ -657,23 +657,26 @@ def test_jacobi_contracts_one_pair_per_orbit_representative(monkeypatch):
     pairs.clear()
     _plant_jacobi_defect(monkeypatch, basis, "one-sided")
     assert verify_jacobi(basis).failed == 2240
-    assert len(pairs) == 1600
+    assert len(pairs) == 820
 
 
-@pytest.mark.parametrize("miscount", ["passes", "failures"])
+@pytest.mark.parametrize("miscount", ["passes", "failures", "orderings"])
 def test_jacobi_coverage_catches_a_miscounted_orbit(monkeypatch, miscount):
-    # Drop the representatives (a, b, b): from the passes on a clean
-    # algebra, or from the expansion of the failures under the two-sided
-    # defect. Either way fewer than n^3 triples are enumerated and the
-    # coverage check fails the report.
-    basis = kernel_basis(ospB(0, 1, 1, 0))
+    # Drop the representatives (a, b, b): on the orbit path, from the
+    # passes on a clean algebra, or from the expansion of the failures
+    # under the two-sided defect; on the matrix loop, from the orderings it
+    # lists with `_orbit`. Either way fewer than n^3 triples are enumerated
+    # and the coverage check fails the report.
+    basis = _rational_subset() if miscount == "orderings" else kernel_basis(ospB(0, 1, 1, 0))
     n = len(basis)
     if miscount == "passes":
         size = algebras._orbit_size
         dropped = lambda a, b, c: 0 if b == c else size(a, b, c)
         monkeypatch.setattr(algebras, "_orbit_size", dropped)
     else:
-        _plant_jacobi_defect(monkeypatch, basis, "two-sided")
+        if miscount == "failures":
+            _plant_jacobi_defect(monkeypatch, basis, "two-sided")
+        assert (BracketTable(basis).structure_constants is None) == (miscount == "orderings")
         orbit = algebras._orbit
         dropped = lambda a, b, c, d: [] if b == c else orbit(a, b, c, d)
         monkeypatch.setattr(algebras, "_orbit", dropped)
@@ -716,33 +719,56 @@ def _rational_subset() -> Basis:
     return Basis(canonical.spec, elements, labels)
 
 
+def _rational_sixteen() -> Basis:
+    """Sixteen homogeneous elements of ospB(1,1,1,1), four per degree: the
+    k-th of a degree is x e_k + y e_{k+4}, on the kernel elements of that
+    degree, with non-integral Q(sqrt 2) coefficients x, y and x != 0, so
+    the elements are independent. Not closed under brackets."""
+    canonical = kernel_basis(ospB(1, 1, 1, 1))
+    elements, labels = [], []
+    for degree in ((0, 0), (1, 1), (1, 0), (0, 1)):
+        group = [m for m in canonical if m.degree_of() == degree]
+        for k in range(4):
+            x = Scalar(Fraction(2 * k + 1, k + 2), Fraction(k - 2, 3))
+            y = Scalar(Fraction(k - 1, 5), Fraction(3, 2 * k + 1))
+            elements.append(group[k].scale(x) + group[k + 4].scale(y))
+            labels.append("v{}{}.{}".format(*degree, k))
+    return Basis(canonical.spec, elements, labels)
+
+
 def test_matrix_loop_matches_the_triple_loop_on_a_planted_defect(monkeypatch):
     # The two-sided and inhomogeneous defects keep every pair graded
-    # antisymmetric and fail Jacobi, so failing triples (b, a, c) take the
-    # outcome of (a, b, c); the one-sided defect breaks one pair, which is
-    # judged in both orders. At every cap the report is the triple loop's.
-    basis = _rational_subset()
-    n = len(basis)
-    for defect in ("one-sided", "two-sided", "inhomogeneous"):
-        with monkeypatch.context() as planted:
-            _plant_jacobi_defect(planted, basis, defect)
-            table = BracketTable(basis)
-            assert table.structure_constants is None
-            assert bool(table.antisymmetry_failures) == (defect == "one-sided")
-            reference = jacobi_by_triples(basis, max_counterexamples=n ** 3).to_json()
-            assert 10 < reference["failed"] < n ** 3
-            for cap in (0, 1, 10, n ** 3):
-                report = verify_jacobi(basis, max_counterexamples=cap, table=table)
-                expected = {**reference, "counterexamples": reference["counterexamples"][:cap]}
-                assert json.dumps(report.to_json()) == json.dumps(expected)
+    # antisymmetric and fail Jacobi, so [e_x, [e_z, e_y]] is read off
+    # [e_x, [e_y, e_z]] and failing triples (b, a, c) take the outcome of
+    # (a, b, c); the one-sided defect breaks the pairs of a (1,0) and a
+    # (0,1) element with a nonzero bracket, which share nothing: 1 of the
+    # rational subset, 12 of the sixteen, where some orbits hold two. The
+    # sixteen have orbits p < q < r, p = q < r, p < q = r and p = q = r.
+    # At every cap the report is the triple loop's.
+    for basis, asymmetric in ((_rational_subset(), 1), (_rational_sixteen(), 12)):
+        n = len(basis)
+        for defect in ("one-sided", "two-sided", "inhomogeneous"):
+            with monkeypatch.context() as planted:
+                _plant_jacobi_defect(planted, basis, defect)
+                table = BracketTable(basis)
+                assert table.structure_constants is None
+                broken = len(table.antisymmetry_failures)
+                assert broken == (asymmetric if defect == "one-sided" else 0)
+                reference = jacobi_by_triples(basis, max_counterexamples=n ** 3).to_json()
+                assert 10 < reference["failed"] < n ** 3
+                for cap in (0, 1, 10, n ** 3):
+                    report = verify_jacobi(basis, max_counterexamples=cap, table=table)
+                    expected = {**reference, "counterexamples": reference["counterexamples"][:cap]}
+                    assert json.dumps(report.to_json()) == json.dumps(expected)
 
 
 def _matrix_loop_brackets(n: int, asymmetric: int) -> int:
-    """The brackets of the matrix loop past the table: X(a, b, .) and
-    X(b, a, .) for each pair a < b, with [[a, b], .] once when the pair is
-    graded antisymmetric and [[b, a], .] too for each of the `asymmetric`
-    pairs that are not; X(a, a, .) and [[a, a], .] on the diagonal."""
-    return 3 * n * n * (n - 1) // 2 + asymmetric * n + 2 * n * n
+    """The brackets of the matrix loop past the table: X(x, y, z) =
+    [e_x, [e_y, e_z]] for each x and each pair y <= z, and [[a, b], c] for
+    each pair a <= b and each c, n * n(n + 1)/2 of each; each of the
+    `asymmetric` pairs y < z that are not graded antisymmetric adds
+    X(., z, y) and [[z, y], .], 2n more."""
+    return n ** 3 + n ** 2 + 2 * n * asymmetric
 
 
 def _count_brackets(monkeypatch) -> list:
@@ -754,17 +780,18 @@ def _count_brackets(monkeypatch) -> list:
 
 
 def test_matrix_loop_bracket_count(monkeypatch):
-    # n^2 table brackets, then 3n per graded-antisymmetric pair a < b:
-    # [e_a, [e_b, e_c]] is shared by the triples (a, b, c) and (b, a, c),
-    # and (b, a, c) takes the outcome of (a, b, c), so [[b, a], c] is not
-    # computed. 120 brackets for n = 4, where judging both orders took 144.
+    # n^2 table brackets, then one walk over the S3 orbits: [e_x, [e_y, e_z]]
+    # once per graded-antisymmetric pair {y, z}, the other order taking it
+    # with a sign, and [[a, b], c] once per pair a <= b, since (b, a, c)
+    # takes the outcome of (a, b, c). 96 brackets for n = 4, where the pair
+    # loop took 120 and judging both orders 144.
     basis = _rational_subset()
     n = len(basis)
     table = BracketTable(basis)
     assert table.structure_constants is None
     calls = _count_brackets(monkeypatch)
     assert verify_jacobi(basis).passed
-    assert len(calls) == n ** 2 + _matrix_loop_brackets(n, 0) == 120
+    assert len(calls) == n ** 2 + _matrix_loop_brackets(n, 0) == 96
     calls.clear()
     assert verify_jacobi(basis, table=table).passed
     assert len(calls) == _matrix_loop_brackets(n, 0)
@@ -775,7 +802,7 @@ def test_matrix_loop_judges_an_asymmetric_pair_in_both_orders(monkeypatch, param
     # The one-sided defect breaks graded antisymmetry on each pair of a
     # (1,0) and a (0,1) element with a nonzero bracket: one pair of the
     # rational subset, 4 of the 16 on the kernel basis of ospB(0,1,1,0).
-    # Each costs n brackets more.
+    # Each costs 2n brackets more: 88 and 1,968 in all.
     basis = _rational_subset() if params is None else kernel_basis(ospB(*params))
     n = len(basis)
     _plant_jacobi_defect(monkeypatch, basis, "one-sided")
@@ -784,14 +811,15 @@ def test_matrix_loop_judges_an_asymmetric_pair_in_both_orders(monkeypatch, param
     assert len(table.antisymmetry_failures) == asymmetric
     calls = _count_brackets(monkeypatch)
     assert verify_jacobi(basis, max_counterexamples=0, table=table).failed > 0
-    assert len(calls) == _matrix_loop_brackets(n, asymmetric)
+    assert len(calls) == _matrix_loop_brackets(n, asymmetric) == {1: 88, 4: 1968}[asymmetric]
 
 
 def test_mirroring_every_pair_or_none_is_caught(monkeypatch):
     # Mirroring a pair that is not graded antisymmetric gives (b, a, c) the
     # wrong outcome, which the comparison with the triple loop sees; and
-    # mirroring none gives the right report at the old 4n brackets per
-    # pair, which the bracket count sees.
+    # mirroring none gives the right report at 2n^3 brackets, every
+    # [e_a, [e_b, e_c]] and [[a, b], c] computed on its own, which the
+    # bracket count sees.
     basis = _rational_subset()
     n = len(basis)
     _plant_jacobi_defect(monkeypatch, basis, "one-sided")
