@@ -19,7 +19,6 @@ from .algebras import (
     j_matrix,
     kernel_basis,
     rank_of,
-    reduce_span,
     s_basis,
     u_matrix,
     verify_block_conditions,
@@ -64,7 +63,6 @@ __all__ = [
     "paraboson_ops",
     "parafermion_ops",
     "rank_of",
-    "reduce_span",
     "s_basis",
     "signature_gl",
     "signature_osp",

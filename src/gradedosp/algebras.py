@@ -289,14 +289,6 @@ def rank_of(matrices: Sequence[GradedMatrix]) -> int:
     return reducer.rank
 
 
-def reduce_span(matrices: Sequence[GradedMatrix]) -> list[GradedMatrix]:
-    """The deterministic independent subset: keep each input matrix that
-    increases the rank, processing in the given order."""
-    _check_common_signature(matrices)
-    reducer = SpanReducer()
-    return [mat for mat in matrices if reducer.insert(dict(mat.items()))]
-
-
 # -- the two basis constructions ------------------------------------------------
 
 def s_matrices(spec: AlgebraSpec) -> Iterator[tuple[int, int, GradedMatrix]]:
@@ -318,7 +310,8 @@ def s_matrices(spec: AlgebraSpec) -> Iterator[tuple[int, int, GradedMatrix]]:
 
 def s_basis(spec: AlgebraSpec) -> Basis:
     """The spanning matrices s_ij reduced to an independent subset in
-    lexicographic (i, j) order."""
+    lexicographic (i, j) order. No CLI path builds it: the tests keep it as
+    a construction independent of `kernel_basis` to check that one against."""
     reducer = SpanReducer()
     elements: list[GradedMatrix] = []
     labels: list[str] = []

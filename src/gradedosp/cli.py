@@ -5,10 +5,8 @@ subcommand tests its precondition on the spec and runs its own rows;
 `report` runs every row that applies, the relation suites as chosen by
 `parastat.relation_reports`. One invocation builds the kernel basis, its
 bracket table and `parastat.generator_sets` at most once each, and only
-when a row needs them. `report` and `check-jacobi` refuse a Jacobi suite
-of more than `JACOBI_GUARD` orbit representatives without `--force`: the
-n(n+1)(n+2)/6 triples a <= b <= c of n basis elements that the
-contraction runs over.
+when a row needs them. Every subcommand refuses a matrix size above
+`SIZE_GUARD` without `--force`, before any basis is built.
 
 JSON is the canonical output format; the text rendering is a lossy human
 view. Checks run in one thread and `--parallelism` has no effect, so
@@ -45,7 +43,6 @@ from .report import CheckReport
 
 TOOL = "gradedosp"
 SIZE_GUARD = 40  # largest matrix size built without --force
-JACOBI_GUARD = 10**7  # most Jacobi orbit representatives (a <= b <= c) without --force
 
 COMMANDS = ("basis", "dims", "check-osp", "check-jacobi", "check-relations", "report")
 
@@ -170,8 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument(
             "--force",
             action="store_true",
-            help=f"allow matrix sizes above {SIZE_GUARD} and Jacobi suites "
-            f"of more than {JACOBI_GUARD:,} orbit representatives",
+            help=f"allow matrix sizes above {SIZE_GUARD}",
         )
     return parser
 
@@ -290,14 +286,6 @@ def run(args) -> tuple[dict, int]:
         applies, message = PRECONDITIONS[args.command]
         if not applies(ctx):
             raise CliError(message.format(**spec.to_json()))
-    if args.command in ("report", "check-jacobi") and _has_condition(ctx) and not args.force:
-        n = expected_dim(spec)
-        representatives = n * (n + 1) * (n + 2) // 6
-        if representatives > JACOBI_GUARD:
-            raise CliError(
-                f"the Jacobi suite has {representatives:,} orbit representatives a <= b <= c, "
-                f"above the desk-scale guard of {JACOBI_GUARD:,}; pass --force to proceed"
-            )
     if args.command == "basis":
         return ctx.basis.to_json(), 0
     if args.command == "dims":

@@ -3,6 +3,7 @@ and of its integer scalar core."""
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from itertools import product
 
@@ -285,3 +286,29 @@ class FractionPair:
 
     def __hash__(self):
         return hash(self.rat) if not self.irr else hash((self.rat, self.irr))
+
+
+def assert_same_json(actual, expected) -> None:
+    """Fail unless both documents dump to the same JSON string. A mismatch
+    names the first differing path, such as
+    `counterexamples[3].residual.entries[0]`, where pytest's own diff of two
+    multi-megabyte strings would run for minutes."""
+    if json.dumps(actual) != json.dumps(expected):
+        raise AssertionError(f"JSON documents differ at {_first_difference(actual, expected, '')}")
+
+
+def _first_difference(actual, expected, path: str) -> str:
+    where = path or "<root>"
+    if isinstance(actual, dict) and isinstance(expected, dict):
+        if list(actual) != list(expected):
+            return f"{where}: keys {list(actual)} != {list(expected)}"
+        for key in actual:
+            if json.dumps(actual[key]) != json.dumps(expected[key]):
+                inner = f"{path}.{key}" if path else str(key)
+                return _first_difference(actual[key], expected[key], inner)
+    if isinstance(actual, (list, tuple)) and isinstance(expected, (list, tuple)):
+        for i, (a, e) in enumerate(zip(actual, expected)):
+            if json.dumps(a) != json.dumps(e):
+                return _first_difference(a, e, f"{path}[{i}]")
+        return f"{where}: length {len(actual)} != {len(expected)}"
+    return f"{where}: {json.dumps(actual)[:200]} != {json.dumps(expected)[:200]}"

@@ -97,6 +97,30 @@ def test_size_guard(tmp_path, capsys):
     assert doc["computed"] == 41 * 41
 
 
+class _Built(Exception):
+    """Raised in place of building a kernel basis."""
+
+
+def test_size_guard_admits_exactly_its_limit(tmp_path, monkeypatch, capsys):
+    code, doc = run_json(tmp_path, "dims", "--algebra", "gl", "--m1", "40")
+    assert code == 0 and doc["computed"] == 40 * 40
+
+    def refuse(spec):
+        raise _Built(spec)
+
+    # sl(1,0|20,19) and ospD(10,10,0,0) have matrix size 40 and reach the
+    # basis without --force; sl(1,0|20,20) has size 41 and is refused first
+    monkeypatch.setattr(cli, "kernel_basis", refuse)
+    for argv in (
+        ["--algebra", "sl", "--m1", "1", "--n1", "20", "--n2", "19"],
+        ["--algebra", "ospD", "--m1", "10", "--m2", "10"],
+    ):
+        with pytest.raises(_Built):
+            main(["report", *argv])
+    assert main(["report", "--algebra", "sl", "--m1", "1", "--n1", "20", "--n2", "20"]) == 2
+    assert "exceeds the desk-scale guard 40" in capsys.readouterr().err
+
+
 def test_unwritable_output(capsys):
     code = main(
         ["dims", "--algebra", "sl", "--m1", "1", "--n1", "1",
@@ -202,52 +226,6 @@ def test_generator_sets_built_once(tmp_path, monkeypatch, command, argv, builds)
     code, _ = run_json(tmp_path, command, *argv)
     assert code == 0
     assert calls == builds
-
-
-class _Built(Exception):
-    """Raised in place of building a kernel basis."""
-
-
-def _spec_argv(*params):
-    return ["--algebra", "ospB"] + [
-        arg for name, value in zip(("--m1", "--m2", "--n1", "--n2"), params)
-        for arg in (name, str(value))
-    ]
-
-
-@pytest.mark.parametrize("command", ["report", "check-jacobi"])
-def test_jacobi_work_guard(tmp_path, monkeypatch, capsys, command):
-    calls = count_kernel_basis(monkeypatch)
-    # ospB(4,4,3,3) has dimension 418: 12,259,940 orbit representatives
-    # a <= b <= c, n(n + 1)(n + 2)/6
-    assert main([command, *_spec_argv(4, 4, 3, 3)]) == 2
-    err = capsys.readouterr().err
-    assert "12,259,940" in err and "--force" in err
-    assert calls == []
-    code, doc = run_json(tmp_path, "check-relations", *_spec_argv(4, 4, 3, 3))
-    assert code == 0 and doc["summary"]["failed"] == 0
-
-    def refuse(spec):
-        raise _Built(spec)
-
-    # ospB(3,3,2,2) (1,750,540 representatives), ospB(3,3,3,3) (5,110,664)
-    # and --force pass the guard and reach the basis
-    monkeypatch.setattr(cli, "kernel_basis", refuse)
-    for argv in (
-        _spec_argv(3, 3, 2, 2), _spec_argv(3, 3, 3, 3), _spec_argv(4, 4, 3, 3) + ["--force"]
-    ):
-        with pytest.raises(_Built):
-            main([command, *argv])
-
-
-def test_jacobi_guard_admits_exactly_its_limit(tmp_path, monkeypatch, capsys):
-    # ospB(1,0,1,0) has dimension 12: 12 * 13 * 14 / 6 = 364 representatives
-    monkeypatch.setattr(cli, "JACOBI_GUARD", 364)
-    code, doc = run_json(tmp_path, "check-jacobi", *_spec_argv(1, 0, 1, 0))
-    assert code == 0 and doc["summary"]["failed"] == 0
-    monkeypatch.setattr(cli, "JACOBI_GUARD", 363)
-    assert main(["check-jacobi", *_spec_argv(1, 0, 1, 0)]) == 2
-    assert "364 orbit representatives" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("where", ["missing-dir/report.json", "."])
