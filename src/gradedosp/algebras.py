@@ -203,7 +203,8 @@ def is_member(spec: AlgebraSpec, mat: GradedMatrix) -> bool:
 # -- exact echelon machinery -------------------------------------------------
 
 # A sparse vector over matrix positions (i, j), whose row-major order is the
-# coordinate order; positions past the matrix, (m + 1, k), are extra tags.
+# coordinate order; positions past the matrix, (m + 1, k), are extra tags,
+# and the constraint rows of `kernel_basis` key (p, q) as (-p, -q).
 Vector = dict[tuple[int, int], Scalar]
 
 
@@ -227,9 +228,9 @@ class SpanReducer:
     """Incrementally maintained reduced echelon form of sparse vectors.
 
     Vectors are keyed by matrix position, so a matrix enters as
-    `dict(mat.items())`. Pivots are leftmost nonzero positions in row-major
-    order, normalized to 1; stored rows are mutually reduced, so processing
-    order of the pivots never matters.
+    `dict(mat.items())`. Pivots are least nonzero keys (for positions, the
+    leftmost in row-major order), normalized to 1; stored rows are mutually
+    reduced, so processing order of the pivots never matters.
     """
 
     def __init__(self):
@@ -323,9 +324,11 @@ def s_basis(spec: AlgebraSpec) -> Basis:
 
 
 def _constraint_equations(spec: AlgebraSpec) -> list[Vector]:
-    """Rows of the linear system cutting the algebra out of all matrices,
-    over matrix positions: column (p, q) is the membership residual of the
-    matrix unit e_pq, and the sl supertrace is the one row (0, 0)."""
+    """Rows of the linear system cutting the algebra out of all matrices:
+    column (-p, -q) is the membership residual of the matrix unit e_pq, and
+    the sl supertrace is the one row (0, 0). The keys are negated positions
+    so that a `SpanReducer` pivot, its row's least key, is the row's last
+    matrix position."""
     sig = spec.signature()
     m = spec.size
     residual_of = membership_residual(spec)
@@ -336,7 +339,7 @@ def _constraint_equations(spec: AlgebraSpec) -> list[Vector]:
             column = {(0, 0): residual} if isinstance(residual, Scalar) else residual
             for out, v in column.items():
                 if v:
-                    equations.setdefault(out, {})[(p, q)] = v
+                    equations.setdefault(out, {})[(-p, -q)] = v
     return [equations[out] for out in sorted(equations)]
 
 
@@ -345,35 +348,33 @@ def kernel_basis(spec: AlgebraSpec) -> Basis:
 
     Reduced echelon over matrix positions in row-major order: pivots
     normalized to 1, basis rows ordered by pivot position and labelled by
-    it — deterministic and diff-stable.
+    it — deterministic and diff-stable. One elimination solves each
+    constraint for its last position in terms of earlier free positions, so
+    the solution led by free f is 1 at f, 0 at every other free position
+    and nonzero only after f: already in reduced form.
     """
     if spec.family is Family.GL:
         raise ValueError("gl has no defining condition; kernel_basis needs sl/ospB/ospD")
     sig = spec.signature()
-    m = spec.size
     reducer = SpanReducer()
     for eq in _constraint_equations(spec):
         reducer.insert(eq)
-    pivot_set = set(reducer.pivots)
-    rref = reducer.rows_by_pivot()
-
-    canonical = SpanReducer()
-    for free in product(range(1, m + 1), repeat=2):
-        if free in pivot_set:
-            continue
-        vec: Vector = {free: ONE}
-        for row in rref:
-            coeff = row.get(free)
-            if coeff:
-                vec[min(row)] = -coeff
-        canonical.insert(vec)
-
-    elements: list[GradedMatrix] = []
-    labels: list[str] = []
-    for row in canonical.rows_by_pivot():
-        elements.append(GradedMatrix(sig, row))
-        labels.append("k[{},{}]".format(*min(row)))
-    return Basis(spec, elements, labels)
+    pivots = reducer.pivots
+    bound = set(pivots)
+    solutions: dict[tuple[int, int], Vector] = {
+        free: {free: ONE} for free in product(range(1, spec.size + 1), repeat=2)
+        if (-free[0], -free[1]) not in bound
+    }
+    # Rows by increasing pivot position, so each solution's entries come in row-major order.
+    for (p, q), row in zip(reversed(pivots), reversed(reducer.rows_by_pivot())):
+        for (fp, fq), coeff in row.items():
+            if (fp, fq) != (p, q):
+                solutions[(-fp, -fq)][(-p, -q)] = -coeff
+    return Basis(
+        spec,
+        [GradedMatrix(sig, vec) for vec in solutions.values()],
+        ["k[{},{}]".format(*free) for free in solutions],
+    )
 
 
 def expected_dim(spec: AlgebraSpec) -> int:

@@ -43,6 +43,7 @@ from helpers import (
     dense_rows,
     embed_middle_zero,
     jacobi_by_triples,
+    osp_grid,
     symmetry_by_pairs,
 )
 
@@ -373,6 +374,42 @@ def test_span_equality(params):
     assert len(sb) == len(kb)
     # the two spans coincide: adjoining one basis to the other adds no rank
     assert rank_of(sb.elements + kb.elements) == len(sb)
+
+
+def _spec_id(spec):
+    return f"{spec.family.value}({spec.m1},{spec.m2},{spec.n1},{spec.n2})"
+
+
+_OSP_GRID = osp_grid() + [
+    dataclasses.replace(spec, family=Family.OSP_D) for spec in osp_grid() if spec.size > 1
+]
+
+
+@pytest.mark.parametrize("spec", _OSP_GRID, ids=_spec_id)
+def test_kernel_basis_is_the_reduced_span_of_the_s_matrices(spec):
+    # The reduced echelon form of a span is unique, so the kernel basis must
+    # equal, entry for entry, the one an elimination of every s_ij reaches.
+    reducer = SpanReducer()
+    for _, _, mat in s_matrices(spec):
+        reducer.insert(dict(mat.items()))
+    basis = kernel_basis(spec)
+    assert [dict(x.items()) for x in basis.elements] == reducer.rows_by_pivot()
+    assert basis.labels == ["k[{},{}]".format(*pivot) for pivot in reducer.pivots]
+
+
+@pytest.mark.parametrize("params", [(1, 0, 2, 1), (2, 1, 1, 0), (1, 1, 1, 1)])
+def test_sl_kernel_basis_is_reduced(params):
+    spec = AlgebraSpec(Family.SL, *params)
+    basis = kernel_basis(spec)
+    leads = [
+        tuple(map(int, re.fullmatch(r"k\[(\d+),(\d+)\]", label).groups())) for label in basis.labels
+    ]
+    assert len(basis) == expected_dim(spec)
+    for x, lead in zip(basis.elements, leads):
+        assert is_member(spec, x)
+        assert min(pos for pos, _ in x.items()) == lead
+        assert x.entry(*lead) == ONE
+        assert not any(x.entry(*other) for other in leads if other != lead)
 
 
 def test_basis_json_shape():
