@@ -12,6 +12,7 @@ the membership residual on the matrix units. Both are exact over Q(sqrt 2).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, partial
@@ -95,7 +96,9 @@ class AlgebraSpec:
 
 @dataclass
 class Basis:
-    """Linearly independent, member-checked elements with their labels."""
+    """Elements with their labels. Nothing here checks them: independence is
+    decided by `rank_of` and the `structure_constants` gate, membership by
+    `verify_membership`."""
 
     spec: AlgebraSpec
     elements: list[GradedMatrix]
@@ -228,9 +231,10 @@ class SpanReducer:
     """Incrementally maintained reduced echelon form of sparse vectors.
 
     Vectors are keyed by matrix position, so a matrix enters as
-    `dict(mat.items())`. Pivots are least nonzero keys (for positions, the
-    leftmost in row-major order), normalized to 1; stored rows are mutually
-    reduced, so processing order of the pivots never matters.
+    `dict(mat.items())`, or by basis index for coordinate vectors, whose
+    values may be plain ints. Pivots are least nonzero keys (for positions,
+    the leftmost in row-major order), normalized to 1; stored rows are
+    mutually reduced, so processing order of the pivots never matters.
     """
 
     def __init__(self):
@@ -262,7 +266,8 @@ class SpanReducer:
         if not red:
             return False
         pivot = min(red)
-        inv = red[pivot].inv()
+        lead = red[pivot]
+        inv = lead.inv() if isinstance(lead, Scalar) else as_int(Scalar(lead).inv())
         row = {coord: val * inv for coord, val in red.items()}
         for other in self._rows:
             c = other.get(pivot)
@@ -746,6 +751,25 @@ def _add_nested(acc: dict, row_x: dict, row_y: dict, first: int, subtract: bool 
                 _axpy(acc.setdefault(ic, {}), x, vec, subtract)
 
 
+def _jacobiators(
+    constants: list[dict[int, dict[int, int | Scalar]]], ia: int, ib: int, odd: int
+) -> dict[int, dict[int, int | Scalar]]:
+    """The coordinates of J(a, b, c) = [a, [b, c]] - [[a, b], c] - (-1)^odd [b, [a, c]]
+    for every c >= b, with odd = dot(a, b), keyed by c: a c that is absent
+    or holds {} has J(a, b, c) = 0. The one contraction loop of the
+    coordinate path, shared by `_by_orbits` and `_derivation_certificate`."""
+    row_a, row_b = constants[ia], constants[ib]
+    acc: dict[int, dict[int, int | Scalar]] = {}
+    _add_nested(acc, row_a, row_b, ib)
+    # [[a, b], c] = sum_d C_ab^d [e_d, c]
+    for d, x in row_a.get(ib, {}).items():
+        for ic, vec in constants[d].items():
+            if ic >= ib:
+                _axpy(acc.setdefault(ic, {}), x, vec, subtract=True)
+    _add_nested(acc, row_b, row_a, ib, subtract=not odd)
+    return acc
+
+
 def _by_orbits(
     elements: list[GradedMatrix],
     constants: list[dict[int, dict[int, int | Scalar]]],
@@ -753,31 +777,22 @@ def _by_orbits(
     report: CheckReport,
 ) -> list[_Failure]:
     """The structure-constant loop of `verify_jacobi`, run when the table's
-    `structure_constants` gate holds: it contracts one triple a <= b <= c
-    per S3 orbit, records the passes of each pair a <= b in `report`, and
-    returns each failing representative expanded by `_orbit` to its
-    distinct orderings, as (triple, residual thunk).
+    `structure_constants` gate holds and `_derivation_certificate` does
+    not: it contracts one triple a <= b <= c per S3 orbit, records the
+    passes of each pair a <= b in `report`, and returns each failing
+    representative expanded by `_orbit` to its distinct orderings, as
+    (triple, residual thunk).
 
-    The coordinates r of the residual
-    [a, [b, c]] - [[a, b], c] - (-1)^{dot(a, b)} [b, [a, c]] of each triple
-    are summed over the basis index d, and the triple is judged on them:
-    the elements are independent, so r = 0 exactly when sum_k r_k e_k = 0.
-    The thunk builds that matrix, or its negative for an ordering whose
-    Jacobiator is minus the representative's, only for a kept counterexample."""
+    Each triple is judged on the coordinates r of its residual, from
+    `_jacobiators`: the elements are independent, so r = 0 exactly when
+    sum_k r_k e_k = 0. The thunk builds that matrix, or its negative for an
+    ordering whose Jacobiator is minus the representative's, only for a
+    kept counterexample."""
     n = len(elements)
     failures = []
-    for ia, row_a in enumerate(constants):
+    for ia in range(n):
         for ib in range(ia, n):
-            row_b = constants[ib]
-            odd = dot(degrees[ia], degrees[ib])
-            acc: dict[int, dict[int, int | Scalar]] = {}
-            _add_nested(acc, row_a, row_b, ib)
-            # [[a, b], c] = sum_d C_ab^d [e_d, c]
-            for d, x in row_a.get(ib, {}).items():
-                for ic, vec in constants[d].items():
-                    if ic >= ib:
-                        _axpy(acc.setdefault(ic, {}), x, vec, subtract=True)
-            _add_nested(acc, row_b, row_a, ib, subtract=not odd)
+            acc = _jacobiators(constants, ia, ib, dot(degrees[ia], degrees[ib]))
             # (a, b, c) for c >= b stands for its distinct orderings (index n
             # stands for any c > b). The passes are counted apart from the
             # expansion of the failures, so the coverage check sees a
@@ -794,6 +809,114 @@ def _by_orbits(
                 )
             report.record_passes(covered)
     return failures
+
+
+# A step of a generation proof: (s, None) stands for e_s, and (s, j) for
+# [e_s, v_j], v_j the vector of step j.
+_Step = tuple[int, Optional[int]]
+
+
+def _ad(row_s: dict[int, dict[int, int | Scalar]], vec: dict) -> dict:
+    """[e_s, v] = sum_d v_d [e_s, e_d] in coordinates; row_s is C[s]."""
+    out: dict = {}
+    for d, x in vec.items():
+        image = row_s.get(d)
+        if image:
+            _axpy(out, x, image)
+    return out
+
+
+def _generating_set(
+    constants: list[dict[int, dict[int, int | Scalar]]],
+) -> tuple[list[int], list[_Step]]:
+    """Basis indices S that generate the algebra under brackets, with the
+    steps that show it: the steps' vectors are independent, and when there
+    are n of them they span the algebra.
+
+    S is greedy in basis order: e_k joins S when it is not yet in the span,
+    and the span is then closed under ad_s for every s in S, breadth first,
+    in one exact echelon of coordinate vectors. A vector is a step when it
+    is independent of the steps before it; the search stops at rank n."""
+    n = len(constants)
+    span = SpanReducer()
+    generators: list[int] = []
+    steps: list[_Step] = []
+    vectors: list[dict] = []
+    queue: deque[_Step] = deque()
+
+    def add_step(step: _Step, vec: dict) -> None:
+        queue.extend((s, len(vectors)) for s in generators)
+        steps.append(step)
+        vectors.append(vec)
+
+    for k in range(n):
+        if span.rank == n:
+            break
+        unit = {k: 1}
+        if not span.insert(unit):
+            continue
+        generators.append(k)
+        queue.extend((k, j) for j in range(len(vectors)))
+        add_step((k, None), unit)
+        while queue and span.rank < n:
+            s, j = queue.popleft()
+            vec = _ad(constants[s], vectors[j])
+            if span.insert(vec):
+                add_step((s, j), vec)
+    return generators, steps
+
+
+def _generates(
+    constants: list[dict[int, dict[int, int | Scalar]]],
+    generators: list[int],
+    steps: list[_Step],
+) -> bool:
+    """Whether `steps` show that `generators` generate the algebra: every
+    step brackets with a generator only, and the step vectors, rebuilt
+    here from the constants, have rank n. Then every basis element is a
+    combination of nested brackets [s_1, [s_2, ..., s_k]] of generators."""
+    allowed = set(generators)
+    span = SpanReducer()
+    vectors: list[dict] = []
+    for s, j in steps:
+        if s not in allowed:
+            return False
+        vec = {s: 1} if j is None else _ad(constants[s], vectors[j])
+        vectors.append(vec)
+        span.insert(vec)
+    return span.rank == len(constants)
+
+
+def _derivation_certificate(
+    constants: list[dict[int, dict[int, int | Scalar]]], degrees: list[Degree]
+) -> bool:
+    """Whether the Jacobiator J vanishes on all n^3 triples, shown without
+    the orbit loop; False means only that the certificate does not apply.
+
+    J(a, ., .) = 0 says that ad_a is an eps-derivation, eps = (-1)^dot, and
+    D = {a : J(a, ., .) = 0} is a subalgebra: it is a subspace, J being
+    linear in a, and for homogeneous x, y in D,
+    ad_[x, y] = ad_x ad_y - eps(x, y) ad_y ad_x is a graded commutator of
+    eps-derivations, again one since eps is a symmetric bicharacter. So
+    J = 0 everywhere when a set S of basis elements generates the algebra
+    (`_generating_set`, re-checked by `_generates`) and J(s, b, c) = 0 for
+    every s in S and all b, c. The gate of the constants makes the bracket
+    homogeneous and graded antisymmetric, so J(a, c, b) = -eps(b, c) J(a, b, c)
+    and only c >= b is contracted, and J(s, b, .) = -eps(s, b) J(b, s, .)
+    is already checked for b < s in S. Stops at the first nonzero
+    coordinate."""
+    generators, steps = _generating_set(constants)
+    if not _generates(constants, generators, steps):
+        return False
+    members = set(generators)
+    for s in generators:
+        ds = degrees[s]
+        for b in range(len(constants)):
+            if b < s and b in members:
+                continue
+            if any(_jacobiators(constants, s, b, dot(ds, degrees[b])).values()):
+                return False
+    return True
 
 
 def _orbit_size(ia: int, ib: int, ic: int) -> int:
@@ -836,7 +959,10 @@ def verify_jacobi(
     over all ordered triples of homogeneous basis elements.
 
     The path is chosen by the `structure_constants` gate of `table` (built
-    here when not given). When it holds, the Jacobiator J is graded
+    here when not given). When it holds, `_derivation_certificate` runs
+    first: J(s, ., .) = 0 on a generating set S of basis elements makes J
+    vanish on all n^3 triples, which are then recorded as passes at once.
+    When the certificate does not hold, the Jacobiator J is still graded
     antisymmetric in all three arguments:
     J(b, a, c) = -(-1)^{dot(a, b)} J(a, b, c) and
     J(a, c, b) = -(-1)^{dot(b, c)} J(a, b, c),
@@ -862,13 +988,16 @@ def verify_jacobi(
     table = _table_for(basis, table)
     report = CheckReport("jacobi", basis.spec.to_json(), max_counterexamples)
     constants = table.structure_constants
+    labels = basis.labels
     if constants is None:
         failures = _by_matrices(
             basis.elements, table.rows, degrees, table.antisymmetry_failures, report
         )
+    elif _derivation_certificate(constants, degrees):
+        failures = []
+        report.record_passes(len(labels) ** 3)
     else:
         failures = _by_orbits(basis.elements, constants, degrees, report)
-    labels = basis.labels
     failures.sort(key=lambda failure: failure[0])
     for triple, thunk in failures:
         report.record(

@@ -686,12 +686,25 @@ def test_jacobi_orbits_match_the_triple_loop(monkeypatch, params, defect):
     assert len(pairs) == len(caps) * n * (n + 1) // 2
 
 
+def _refuse_certificate(monkeypatch) -> None:
+    """Make the derivation certificate refuse, so a clean basis whose
+    constants pass the gate runs the orbit loop."""
+    monkeypatch.setattr(algebras, "_derivation_certificate", lambda constants, degrees: False)
+
+
 def test_jacobi_contracts_one_pair_per_orbit_representative(monkeypatch):
-    # ospB(1,1,1,1), n = 40: the pairs a <= b, both on the orbit path and
-    # on the matrix loop, which runs when the gate refuses
+    # ospB(1,1,1,1), n = 40: a clean basis passes the derivation certificate,
+    # which records its n^3 passes in one call. With the certificate refused
+    # the orbit path records one count per pair a <= b, and so does the
+    # matrix loop, which runs when the gate refuses.
     basis = kernel_basis(ospB(1, 1, 1, 1))
     pairs = _count_pairs(monkeypatch)
     assert verify_jacobi(basis).passed
+    assert pairs == [40 ** 3]
+    pairs.clear()
+    with monkeypatch.context() as refused:
+        _refuse_certificate(refused)
+        assert verify_jacobi(basis).passed
     assert len(pairs) == 820
     pairs.clear()
     _plant_jacobi_defect(monkeypatch, basis, "one-sided")
@@ -702,13 +715,14 @@ def test_jacobi_contracts_one_pair_per_orbit_representative(monkeypatch):
 @pytest.mark.parametrize("miscount", ["passes", "failures", "orderings"])
 def test_jacobi_coverage_catches_a_miscounted_orbit(monkeypatch, miscount):
     # Drop the representatives (a, b, b): on the orbit path, from the
-    # passes on a clean algebra, or from the expansion of the failures
-    # under the two-sided defect; on the matrix loop, from the orderings it
-    # lists with `_orbit`. Either way fewer than n^3 triples are enumerated
-    # and the coverage check fails the report.
+    # passes on a clean algebra with the certificate refused, or from the
+    # expansion of the failures under the two-sided defect; on the matrix
+    # loop, from the orderings it lists with `_orbit`. Either way fewer than
+    # n^3 triples are enumerated and the coverage check fails the report.
     basis = _rational_subset() if miscount == "orderings" else kernel_basis(ospB(0, 1, 1, 0))
     n = len(basis)
     if miscount == "passes":
+        _refuse_certificate(monkeypatch)
         size = algebras._orbit_size
         dropped = lambda a, b, c: 0 if b == c else size(a, b, c)
         monkeypatch.setattr(algebras, "_orbit_size", dropped)
@@ -725,6 +739,146 @@ def test_jacobi_coverage_catches_a_miscounted_orbit(monkeypatch, miscount):
     assert report.counterexamples[-1] == {
         "indices": {"enumerated": report.total, "declared_total": n ** 3}
     }
+
+
+def test_jacobi_coverage_catches_a_miscounted_certificate(monkeypatch):
+    # The certificate records its n^3 passes in one call; one pass short,
+    # the coverage check fails the report. On the orbit loop every pair's
+    # count would drop by one, so the total also shows which path ran.
+    basis = kernel_basis(ospB(0, 1, 1, 0))
+    n = len(basis)
+    record_passes = CheckReport.record_passes
+    monkeypatch.setattr(
+        CheckReport, "record_passes", lambda report, count: record_passes(report, count - 1)
+    )
+    report = verify_jacobi(basis)
+    assert (report.total, report.failed) == (n ** 3 - 1, 1)
+    assert report.counterexamples == [
+        {"indices": {"enumerated": n ** 3 - 1, "declared_total": n ** 3}}
+    ]
+
+
+def _orbit_loop_passes(basis: Basis) -> bool:
+    """The orbit loop's verdict on a basis whose constants pass the gate."""
+    constants = BracketTable(basis).structure_constants
+    degrees = [mat.degree_of() for mat in basis]
+    report = CheckReport("jacobi")
+    failures = algebras._by_orbits(basis.elements, constants, degrees, report)
+    return not failures and report.total == len(basis) ** 3
+
+
+_SL_GRID = [AlgebraSpec(Family.SL, 1, 0, n1, n2) for n1 in range(3) for n2 in range(3)]
+
+
+@pytest.mark.parametrize("spec", _OSP_GRID + _SL_GRID, ids=_spec_id)
+def test_certificate_agrees_with_the_orbit_loop(spec):
+    basis = kernel_basis(spec)
+    constants = BracketTable(basis).structure_constants
+    assert constants is not None
+    degrees = [mat.degree_of() for mat in basis]
+    generators, steps = algebras._generating_set(constants)
+    assert generators == sorted(set(generators))
+    assert len(steps) == len(basis)
+    assert algebras._derivation_certificate(constants, degrees) == _orbit_loop_passes(basis)
+
+
+def test_certificate_contracts_each_needed_pair_once(monkeypatch):
+    # On ospB(2,1,1,1) the greedy generating set holds 13 of the 59
+    # elements. The certificate contracts each pair (s, b) with s in S once,
+    # for every b except b < s in S, whose J(s, b, .) is -+J(b, s, .).
+    basis = kernel_basis(ospB(2, 1, 1, 1))
+    n = len(basis)
+    constants = BracketTable(basis).structure_constants
+    generators, _ = algebras._generating_set(constants)
+    assert (len(generators), n) == (13, 59)
+    pairs = []
+    jacobiators = algebras._jacobiators
+    monkeypatch.setattr(
+        algebras, "_jacobiators", lambda *args: pairs.append(args[1:3]) or jacobiators(*args)
+    )
+    assert algebras._derivation_certificate(constants, [mat.degree_of() for mat in basis])
+    members = set(generators)
+    assert pairs == [(s, b) for s in generators for b in range(n) if not (b < s and b in members)]
+    assert len(pairs) == 13 * 59 - 13 * 12 // 2
+
+
+def _plant_in_the_constants(monkeypatch, basis: Basis, defect: str) -> None:
+    """Change the bracket of the first pair x < y of kernel basis elements
+    with a nonzero bracket, in both orders: "doubled" doubles it, "flipped"
+    negates it, and "dropped" drops its first coefficient c_k e_k (and the
+    matching term of [y, x]). The change is extended bilinearly, through the
+    coordinates on e_x and e_y, which a member of the algebra holds at their
+    pivots; it keeps the bracket closed, homogeneous and graded
+    antisymmetric, so the gate still holds and only the constants of that
+    pair change."""
+    constants = BracketTable(basis).structure_constants
+    ia, ib = next((a, b) for a, row in enumerate(constants) for b in row if a < b)
+    k = min(constants[ia][ib])
+    true_bracket = algebras.graded_bracket
+    changes = []
+    for u, v in ((ia, ib), (ib, ia)):
+        bracket = true_bracket(basis.elements[u], basis.elements[v])
+        change = {
+            "doubled": bracket,
+            "flipped": bracket.scale(-2),
+            "dropped": basis.elements[k].scale(-constants[u][v][k]),
+        }[defect]
+        pivots = [min(pos for pos, _ in basis.elements[w].items()) for w in (u, v)]
+        changes.append((*pivots, change))
+
+    def planted(a, b):
+        bracket = true_bracket(a, b)
+        for pa, pb, change in changes:
+            weight = a.entry(*pa) * b.entry(*pb)
+            if weight:
+                bracket = bracket + change.scale(weight)
+        return bracket
+
+    monkeypatch.setattr(algebras, "graded_bracket", planted)
+
+
+@pytest.mark.parametrize("defect", ["doubled", "flipped", "dropped"])
+def test_certificate_falls_back_on_a_planted_defect(monkeypatch, defect):
+    # The defect fails Jacobi, so the certificate must not hold: the orbit
+    # loop runs and the report, counterexamples included, is the triple
+    # loop's.
+    basis = kernel_basis(ospB(1, 0, 1, 0))
+    n = len(basis)
+    _plant_in_the_constants(monkeypatch, basis, defect)
+    table = BracketTable(basis)
+    constants = table.structure_constants
+    assert constants is not None
+    degrees = [mat.degree_of() for mat in basis]
+    assert not algebras._derivation_certificate(constants, degrees)
+    report = verify_jacobi(basis, max_counterexamples=n ** 3, table=table)
+    assert report.failed > 0
+    assert_same_json(report.to_json(), jacobi_by_triples(basis, n ** 3).to_json())
+
+
+@pytest.mark.parametrize("mutant", ["drop a generator", "stop the closure early"])
+def test_certificate_rechecks_generation(monkeypatch, mutant):
+    # A generating set one element short, or a closure one vector short, no
+    # longer shows that the algebra is generated: the certificate refuses
+    # and the orbit loop runs, rather than passing on the derivations alone.
+    basis = kernel_basis(ospB(1, 0, 1, 0))
+    n = len(basis)
+    generating_set = algebras._generating_set
+
+    def mutated(constants):
+        generators, steps = generating_set(constants)
+        if mutant == "drop a generator":
+            return generators[:-1], steps
+        return generators, steps[:-1]
+
+    monkeypatch.setattr(algebras, "_generating_set", mutated)
+    orbit_runs = []
+    by_orbits = algebras._by_orbits
+    monkeypatch.setattr(
+        algebras, "_by_orbits", lambda *args: orbit_runs.append(1) or by_orbits(*args)
+    )
+    report = verify_jacobi(basis)
+    assert orbit_runs == [1]
+    assert (report.total, report.failed) == (n ** 3, 0)
 
 
 @pytest.mark.parametrize("check", [verify_symmetry, verify_jacobi])
