@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, partial
-from itertools import accumulate, product
+from itertools import accumulate, permutations, product
 from math import lcm
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -446,8 +446,7 @@ class BracketTable:
         reconstruction, C_ab = -(-1)^{dot(a, b)} C_ba key for key and value
         for value, and every key d of C_ab has degree(e_d) = deg(a) + deg(b);
         None otherwise. Then the bracket is graded antisymmetric and
-        homogeneous, its Jacobiator obeys the sign rules of `_orbit`, and a
-        nonzero coordinate vector is a nonzero matrix.
+        homogeneous, and a nonzero coordinate vector is a nonzero matrix.
 
         Coordinates come from one augmented echelon of the basis: element k
         is tagged with a unit at the position (m + 1, k) past the matrix, so
@@ -456,8 +455,8 @@ class BracketTable:
         -c_k on tag k. The echelon rows and the bracket entries are read
         through `as_int`, so each c_k is a plain int when it is an integer,
         as on the kernel bases, and a Scalar otherwise; the reading, the
-        gate and Jacobi's orbit loop run on them unchanged. Computed on
-        first use."""
+        gate and Jacobi's derivation certificate run on them unchanged.
+        Computed on first use."""
         elements = self.basis.elements
         if not elements:
             return []
@@ -625,14 +624,6 @@ def verify_symmetry(
     return report
 
 
-def _combination(elements: list[GradedMatrix], coords: dict[int, int | Scalar]) -> GradedMatrix:
-    """sum_k coords[k] * elements[k]."""
-    acc: dict = {}
-    for k, c in coords.items():
-        _axpy(acc, c, elements[k])
-    return GradedMatrix(elements[0].signature, acc)
-
-
 # A failing Jacobi triple (a, b, c) and the thunk that computes its residual.
 _Failure = tuple[tuple[int, int, int], Callable[[], GradedMatrix]]
 
@@ -645,13 +636,14 @@ def _by_matrices(
     report: CheckReport,
 ) -> list[_Failure]:
     """The matrix loop of `verify_jacobi`, run when the table's structure
-    constants are None: correct for any basis, closed under brackets or
-    not. It walks the S3 orbit representatives p <= q <= r, as `_by_orbits`
-    does, and judges each distinct ordering (a, b, c) that `_orbit` lists
-    on the matrices: no symmetry of the Jacobiator is assumed, only that
-    of the table's pairs. Outcomes are those of judging every ordered
-    triple; it records the passes of each pair p <= q in `report`, and
-    returns the failures as (triple, residual thunk).
+    constants are None or the derivation certificate refuses: correct for
+    any basis, closed under brackets or not. It walks the S3 orbit
+    representatives p <= q <= r and judges each distinct ordering
+    (a, b, c) that `_orbit` lists on the matrices: no symmetry of the
+    Jacobiator is assumed, only that of the table's pairs. Outcomes are
+    those of judging every ordered triple; it records the passes of each
+    pair p <= q in `report`, and returns the failures as (triple, residual
+    thunk).
 
     Denominators are cleared once: the loop runs on e_a * D_a and on
     [e_a, e_b] * D_a * D_b, D_a being the lcm of the entry denominators of
@@ -719,7 +711,7 @@ def _by_matrices(
             for r in range(q, n):
                 memo: dict = {}
                 failed: dict = {}
-                for (a, b, c), _ in _orbit(p, q, r, degrees):
+                for a, b, c in _orbit(p, q, r):
                     odd = parity[a][b]
                     if a > b and shared[a][b]:
                         bad = failed[b, a, c]  # listed earlier: `_orbit` sorts its orderings
@@ -756,8 +748,8 @@ def _jacobiators(
 ) -> dict[int, dict[int, int | Scalar]]:
     """The coordinates of J(a, b, c) = [a, [b, c]] - [[a, b], c] - (-1)^odd [b, [a, c]]
     for every c >= b, with odd = dot(a, b), keyed by c: a c that is absent
-    or holds {} has J(a, b, c) = 0. The one contraction loop of the
-    coordinate path, shared by `_by_orbits` and `_derivation_certificate`."""
+    or holds {} has J(a, b, c) = 0. The contraction loop of
+    `_derivation_certificate`."""
     row_a, row_b = constants[ia], constants[ib]
     acc: dict[int, dict[int, int | Scalar]] = {}
     _add_nested(acc, row_a, row_b, ib)
@@ -768,47 +760,6 @@ def _jacobiators(
                 _axpy(acc.setdefault(ic, {}), x, vec, subtract=True)
     _add_nested(acc, row_b, row_a, ib, subtract=not odd)
     return acc
-
-
-def _by_orbits(
-    elements: list[GradedMatrix],
-    constants: list[dict[int, dict[int, int | Scalar]]],
-    degrees: list[Degree],
-    report: CheckReport,
-) -> list[_Failure]:
-    """The structure-constant loop of `verify_jacobi`, run when the table's
-    `structure_constants` gate holds and `_derivation_certificate` does
-    not: it contracts one triple a <= b <= c per S3 orbit, records the
-    passes of each pair a <= b in `report`, and returns each failing
-    representative expanded by `_orbit` to its distinct orderings, as
-    (triple, residual thunk).
-
-    Each triple is judged on the coordinates r of its residual, from
-    `_jacobiators`: the elements are independent, so r = 0 exactly when
-    sum_k r_k e_k = 0. The thunk builds that matrix, or its negative for an
-    ordering whose Jacobiator is minus the representative's, only for a
-    kept counterexample."""
-    n = len(elements)
-    failures = []
-    for ia in range(n):
-        for ib in range(ia, n):
-            acc = _jacobiators(constants, ia, ib, dot(degrees[ia], degrees[ib]))
-            # (a, b, c) for c >= b stands for its distinct orderings (index n
-            # stands for any c > b). The passes are counted apart from the
-            # expansion of the failures, so the coverage check sees a
-            # miscount in either.
-            covered = _orbit_size(ia, ib, ib) + (n - 1 - ib) * _orbit_size(ia, ib, n)
-            for ic, coords in acc.items():
-                if not coords:
-                    continue
-                covered -= _orbit_size(ia, ib, ic)
-                minus = {k: -v for k, v in coords.items()}
-                failures += (
-                    (triple, partial(_combination, elements, minus if negated else coords))
-                    for triple, negated in _orbit(ia, ib, ic, degrees)
-                )
-            report.record_passes(covered)
-    return failures
 
 
 # A step of a generation proof: (s, None) stands for e_s, and (s, j) for
@@ -891,7 +842,7 @@ def _derivation_certificate(
     constants: list[dict[int, dict[int, int | Scalar]]], degrees: list[Degree]
 ) -> bool:
     """Whether the Jacobiator J vanishes on all n^3 triples, shown without
-    the orbit loop; False means only that the certificate does not apply.
+    the triple loop; False means only that the certificate does not apply.
 
     J(a, ., .) = 0 says that ad_a is an eps-derivation, eps = (-1)^dot, and
     D = {a : J(a, ., .) = 0} is a subalgebra: it is a subspace, J being
@@ -919,32 +870,10 @@ def _derivation_certificate(
     return True
 
 
-def _orbit_size(ia: int, ib: int, ic: int) -> int:
-    """How many distinct orderings a triple ia <= ib <= ic has."""
-    return 1 if ia == ic else 3 if ia == ib or ib == ic else 6
-
-
-def _orbit(
-    ia: int, ib: int, ic: int, degrees: list[Degree]
-) -> list[tuple[tuple[int, int, int], bool]]:
+def _orbit(ia: int, ib: int, ic: int) -> list[tuple[int, int, int]]:
     """The distinct orderings of a triple ia <= ib <= ic, in lexicographic
-    order, each with whether its Jacobiator is minus that of (ia, ib, ic).
-    Swapping the first two arguments, or the last two, multiplies the
-    Jacobiator by -(-1)^{dot} of the two swapped elements."""
-
-    def flips(x: int, y: int) -> bool:
-        return not dot(degrees[x], degrees[y])
-
-    ab, ac, bc = flips(ia, ib), flips(ia, ic), flips(ib, ic)
-    negated = {
-        (ia, ib, ic): False,
-        (ia, ic, ib): bc,
-        (ib, ia, ic): ab,
-        (ib, ic, ia): ab ^ ac,
-        (ic, ia, ib): bc ^ ac,
-        (ic, ib, ia): ab ^ ac ^ bc,
-    }
-    return sorted(negated.items())
+    order."""
+    return sorted(set(permutations((ia, ib, ic))))
 
 
 def verify_jacobi(
@@ -958,27 +887,20 @@ def verify_jacobi(
     [a, [b, c]] = [[a, b], c] + (-1)^{dot(a, b)} [b, [a, c]]
     over all ordered triples of homogeneous basis elements.
 
-    The path is chosen by the `structure_constants` gate of `table` (built
-    here when not given). When it holds, `_derivation_certificate` runs
-    first: J(s, ., .) = 0 on a generating set S of basis elements makes J
-    vanish on all n^3 triples, which are then recorded as passes at once.
-    When the certificate does not hold, the Jacobiator J is still graded
-    antisymmetric in all three arguments:
-    J(b, a, c) = -(-1)^{dot(a, b)} J(a, b, c) and
-    J(a, c, b) = -(-1)^{dot(b, c)} J(a, b, c),
-    and `_by_orbits` contracts only the triples a <= b <= c:
-    sum_d C_bc^d C_ad = sum_d C_ab^d C_dc + (-1)^{dot(a, b)} sum_d C_ac^d C_bd,
-    and judges each on its coordinate residual; each failing triple is
-    expanded to its distinct orderings with residual +-R. When the
-    constants are None, `_by_matrices` walks the same representatives and
-    judges each of their distinct orderings on the matrices, assuming no
-    symmetry of J. Each bracket the orderings of a representative share
-    is computed once: when the table entries of a pair are graded
-    antisymmetric (read off the table's `antisymmetry_failures`, as
-    closure and symmetry do), [e_x, [e_y, e_z]] serves both orders of
-    y, z, and (b, a, c) takes the outcome of (a, b, c). Either way outcomes
-    and counterexamples are those of the plain triple loop: `failed`
-    counts every failing triple, the kept counterexamples are the first in
+    When the `structure_constants` gate of `table` (built here when not
+    given) holds, `_derivation_certificate` runs first: J(s, ., .) = 0 on a
+    generating set S of basis elements makes J vanish on all n^3 triples,
+    which are then recorded as passes at once. Otherwise, when the gate or
+    the certificate refuses, `_by_matrices` walks the S3 orbit
+    representatives a <= b <= c and judges each of their distinct orderings
+    on the matrices, assuming no symmetry of J. Each bracket the orderings
+    of a representative share is computed once: when the table entries of
+    a pair are graded antisymmetric (every pair when the gate holds, else
+    each pair not in the table's `antisymmetry_failures`, as closure and
+    symmetry read them), [e_x, [e_y, e_z]] serves both orders of y, z, and
+    (b, a, c) takes the outcome of (a, b, c). Outcomes and
+    counterexamples are those of the plain triple loop: `failed` counts
+    every failing triple, the kept counterexamples are the first in
     lexicographic triple order, and the report ends with a coverage check:
     the triples its instances stand for must number n^3.
 
@@ -989,15 +911,12 @@ def verify_jacobi(
     report = CheckReport("jacobi", basis.spec.to_json(), max_counterexamples)
     constants = table.structure_constants
     labels = basis.labels
-    if constants is None:
-        failures = _by_matrices(
-            basis.elements, table.rows, degrees, table.antisymmetry_failures, report
-        )
-    elif _derivation_certificate(constants, degrees):
+    if constants is not None and _derivation_certificate(constants, degrees):
         failures = []
         report.record_passes(len(labels) ** 3)
     else:
-        failures = _by_orbits(basis.elements, constants, degrees, report)
+        asymmetric = frozenset() if constants is not None else table.antisymmetry_failures
+        failures = _by_matrices(basis.elements, table.rows, degrees, asymmetric, report)
     failures.sort(key=lambda failure: failure[0])
     for triple, thunk in failures:
         report.record(

@@ -525,8 +525,9 @@ def test_non_integral_constants_take_the_same_path():
 @pytest.mark.parametrize("scaled", [False, True])
 def test_doubled_bracket_fails_jacobi_on_int_and_scalar_constants(monkeypatch, scaled):
     # Doubling [even, odd] in both orders keeps the bracket closed and
-    # graded antisymmetric, so Jacobi takes the orbit path, on plain int
-    # constants for the kernel basis and on Scalars for the scaled one.
+    # graded antisymmetric, so the gate holds and the certificate refuses,
+    # on plain int constants for the kernel basis and on Scalars for the
+    # scaled one.
     basis = kernel_basis(ospB(1, 0, 1, 0))
     basis = _scaled(basis) if scaled else basis
     n = len(basis)
@@ -603,20 +604,21 @@ def test_planted_sign_bracket_leaves_the_span(monkeypatch):
 @pytest.mark.parametrize("params, failures", [((0, 1, 1, 0), 120), ((1, 1, 1, 1), 2304)])
 def test_jacobi_paths_agree_on_a_planted_defect(monkeypatch, params, failures):
     # The two-sided defect stays in the algebra and passes the gate, so
-    # Jacobi takes the orbit path; with the constants hidden the matrix loop
-    # runs. `failures` is what `jacobi_by_triples` counts.
+    # the matrix loop runs when the certificate refuses; with the constants
+    # hidden it runs when the gate refuses, reading the table's
+    # `antisymmetry_failures`. `failures` is what `jacobi_by_triples` counts.
     basis = kernel_basis(ospB(*params))
     n = len(basis)
     _plant_jacobi_defect(monkeypatch, basis, "two-sided")
     assert verify_closure(basis).passed
     assert BracketTable(basis).structure_constants is not None
-    by_orbits = verify_jacobi(basis, max_counterexamples=n ** 3)
-    assert (by_orbits.total, by_orbits.failed) == (n ** 3, failures)
-    assert len(by_orbits.counterexamples) == failures
+    gated = verify_jacobi(basis, max_counterexamples=n ** 3)
+    assert (gated.total, gated.failed) == (n ** 3, failures)
+    assert len(gated.counterexamples) == failures
 
     monkeypatch.setattr(BracketTable, "structure_constants", None)
-    by_matrices = verify_jacobi(basis, max_counterexamples=n ** 3)
-    assert_same_json(by_orbits.to_json(), by_matrices.to_json())
+    ungated = verify_jacobi(basis, max_counterexamples=n ** 3)
+    assert_same_json(gated.to_json(), ungated.to_json())
 
 
 _ODD_PAIR = ((1, 0), (0, 1))
@@ -648,8 +650,8 @@ def _plant_jacobi_defect(monkeypatch, basis: Basis, defect: str) -> None:
 
 def _count_pairs(monkeypatch) -> list:
     """The pass counts recorded by `CheckReport.record_passes` from here on.
-    Both Jacobi loops record one per pair a <= b of the orbit
-    representatives a <= b <= c they walk."""
+    Jacobi's matrix loop records one per pair a <= b of the orbit
+    representatives a <= b <= c it walks."""
     pairs = []
     record_passes = CheckReport.record_passes
 
@@ -664,21 +666,22 @@ def _count_pairs(monkeypatch) -> list:
 @pytest.mark.parametrize("defect", ["two-sided", "one-sided", "inhomogeneous"])
 @pytest.mark.parametrize("params", [(0, 1, 1, 0), (1, 1, 1, 1)])
 def test_jacobi_orbits_match_the_triple_loop(monkeypatch, params, defect):
-    # The gate admits the two-sided defect only; the orbit path and the
-    # matrix loop both give the triple loop's report at every cap. On
-    # ospB(1,1,1,1) the matrix loop runs at cap n^3 only: its small caps are
-    # covered on ospB(0,1,1,0) and by `test_jacobi_builds_only_kept_counterexamples`.
+    # The gate admits the two-sided defect only, and the certificate
+    # refuses it; the matrix loop gives the triple loop's report at every
+    # cap, whether the gate holds or not. On ospB(1,1,1,1) a refused gate
+    # runs at cap n^3 only: its small caps are covered on ospB(0,1,1,0) and
+    # by `test_jacobi_builds_only_kept_counterexamples`.
     basis = kernel_basis(ospB(*params))
     n = len(basis)
     _plant_jacobi_defect(monkeypatch, basis, defect)
     table = BracketTable(basis)
     assert verify_symmetry(basis, table=table).passed == (defect != "one-sided")
-    orbits = defect == "two-sided"
-    assert (table.structure_constants is not None) == orbits
+    gated = defect == "two-sided"
+    assert (table.structure_constants is not None) == gated
     reference = jacobi_by_triples(basis, max_counterexamples=n ** 3).to_json()
     assert reference["failed"] > 10
     pairs = _count_pairs(monkeypatch)
-    caps = (0, 1, 10, n ** 3) if orbits or params == (0, 1, 1, 0) else (n ** 3,)
+    caps = (0, 1, 10, n ** 3) if gated or params == (0, 1, 1, 0) else (n ** 3,)
     for cap in caps:
         report = verify_jacobi(basis, max_counterexamples=cap, table=table)
         expected = {**reference, "counterexamples": reference["counterexamples"][:cap]}
@@ -688,15 +691,14 @@ def test_jacobi_orbits_match_the_triple_loop(monkeypatch, params, defect):
 
 def _refuse_certificate(monkeypatch) -> None:
     """Make the derivation certificate refuse, so a clean basis whose
-    constants pass the gate runs the orbit loop."""
+    constants pass the gate runs the matrix loop."""
     monkeypatch.setattr(algebras, "_derivation_certificate", lambda constants, degrees: False)
 
 
 def test_jacobi_contracts_one_pair_per_orbit_representative(monkeypatch):
     # ospB(1,1,1,1), n = 40: a clean basis passes the derivation certificate,
-    # which records its n^3 passes in one call. With the certificate refused
-    # the orbit path records one count per pair a <= b, and so does the
-    # matrix loop, which runs when the gate refuses.
+    # which records its n^3 passes in one call. The matrix loop records one
+    # count per pair a <= b, whether the certificate or the gate refuses.
     basis = kernel_basis(ospB(1, 1, 1, 1))
     pairs = _count_pairs(monkeypatch)
     assert verify_jacobi(basis).passed
@@ -714,25 +716,21 @@ def test_jacobi_contracts_one_pair_per_orbit_representative(monkeypatch):
 
 @pytest.mark.parametrize("miscount", ["passes", "failures", "orderings"])
 def test_jacobi_coverage_catches_a_miscounted_orbit(monkeypatch, miscount):
-    # Drop the representatives (a, b, b): on the orbit path, from the
-    # passes on a clean algebra with the certificate refused, or from the
-    # expansion of the failures under the two-sided defect; on the matrix
-    # loop, from the orderings it lists with `_orbit`. Either way fewer than
-    # n^3 triples are enumerated and the coverage check fails the report.
+    # Drop the orderings of the representatives (a, b, b) from `_orbit` in
+    # the matrix loop: on a clean kernel basis with the certificate refused
+    # (passes), on a kernel basis under the two-sided defect, whose gate
+    # holds (failures), and on the rational subset, whose gate refuses
+    # (orderings). Either way fewer than n^3 triples are enumerated and the
+    # coverage check fails the report.
     basis = _rational_subset() if miscount == "orderings" else kernel_basis(ospB(0, 1, 1, 0))
     n = len(basis)
     if miscount == "passes":
         _refuse_certificate(monkeypatch)
-        size = algebras._orbit_size
-        dropped = lambda a, b, c: 0 if b == c else size(a, b, c)
-        monkeypatch.setattr(algebras, "_orbit_size", dropped)
-    else:
-        if miscount == "failures":
-            _plant_jacobi_defect(monkeypatch, basis, "two-sided")
-        assert (BracketTable(basis).structure_constants is None) == (miscount == "orderings")
-        orbit = algebras._orbit
-        dropped = lambda a, b, c, d: [] if b == c else orbit(a, b, c, d)
-        monkeypatch.setattr(algebras, "_orbit", dropped)
+    if miscount == "failures":
+        _plant_jacobi_defect(monkeypatch, basis, "two-sided")
+    assert (BracketTable(basis).structure_constants is None) == (miscount == "orderings")
+    orbit = algebras._orbit
+    monkeypatch.setattr(algebras, "_orbit", lambda a, b, c: [] if b == c else orbit(a, b, c))
     report = verify_jacobi(basis, max_counterexamples=n ** 3)
     assert report.total < n ** 3
     assert report.failed == len(report.counterexamples)
@@ -743,7 +741,7 @@ def test_jacobi_coverage_catches_a_miscounted_orbit(monkeypatch, miscount):
 
 def test_jacobi_coverage_catches_a_miscounted_certificate(monkeypatch):
     # The certificate records its n^3 passes in one call; one pass short,
-    # the coverage check fails the report. On the orbit loop every pair's
+    # the coverage check fails the report. On the matrix loop every pair's
     # count would drop by one, so the total also shows which path ran.
     basis = kernel_basis(ospB(0, 1, 1, 0))
     n = len(basis)
@@ -758,13 +756,17 @@ def test_jacobi_coverage_catches_a_miscounted_certificate(monkeypatch):
     ]
 
 
-def _orbit_loop_passes(basis: Basis) -> bool:
-    """The orbit loop's verdict on a basis whose constants pass the gate."""
-    constants = BracketTable(basis).structure_constants
-    degrees = [mat.degree_of() for mat in basis]
-    report = CheckReport("jacobi")
-    failures = algebras._by_orbits(basis.elements, constants, degrees, report)
-    return not failures and report.total == len(basis) ** 3
+def _orbit_loop_passes(constants, degrees: list) -> bool:
+    """Whether the Jacobiator vanishes on every orbit representative
+    a <= b <= c, contracted in coordinates; on constants that pass the gate
+    J is graded antisymmetric in all three arguments, so that decides all
+    n^3 triples."""
+    n = len(constants)
+    return not any(
+        any(algebras._jacobiators(constants, a, b, dot(degrees[a], degrees[b])).values())
+        for a in range(n)
+        for b in range(a, n)
+    )
 
 
 _SL_GRID = [AlgebraSpec(Family.SL, 1, 0, n1, n2) for n1 in range(3) for n2 in range(3)]
@@ -779,7 +781,8 @@ def test_certificate_agrees_with_the_orbit_loop(spec):
     generators, steps = algebras._generating_set(constants)
     assert generators == sorted(set(generators))
     assert len(steps) == len(basis)
-    assert algebras._derivation_certificate(constants, degrees) == _orbit_loop_passes(basis)
+    certified = algebras._derivation_certificate(constants, degrees)
+    assert certified == _orbit_loop_passes(constants, degrees)
 
 
 def test_certificate_contracts_each_needed_pair_once(monkeypatch):
@@ -839,7 +842,7 @@ def _plant_in_the_constants(monkeypatch, basis: Basis, defect: str) -> None:
 
 @pytest.mark.parametrize("defect", ["doubled", "flipped", "dropped"])
 def test_certificate_falls_back_on_a_planted_defect(monkeypatch, defect):
-    # The defect fails Jacobi, so the certificate must not hold: the orbit
+    # The defect fails Jacobi, so the certificate must not hold: the matrix
     # loop runs and the report, counterexamples included, is the triple
     # loop's.
     basis = kernel_basis(ospB(1, 0, 1, 0))
@@ -859,7 +862,7 @@ def test_certificate_falls_back_on_a_planted_defect(monkeypatch, defect):
 def test_certificate_rechecks_generation(monkeypatch, mutant):
     # A generating set one element short, or a closure one vector short, no
     # longer shows that the algebra is generated: the certificate refuses
-    # and the orbit loop runs, rather than passing on the derivations alone.
+    # and the matrix loop runs, rather than passing on the derivations alone.
     basis = kernel_basis(ospB(1, 0, 1, 0))
     n = len(basis)
     generating_set = algebras._generating_set
@@ -871,13 +874,13 @@ def test_certificate_rechecks_generation(monkeypatch, mutant):
         return generators, steps[:-1]
 
     monkeypatch.setattr(algebras, "_generating_set", mutated)
-    orbit_runs = []
-    by_orbits = algebras._by_orbits
+    loop_runs = []
+    by_matrices = algebras._by_matrices
     monkeypatch.setattr(
-        algebras, "_by_orbits", lambda *args: orbit_runs.append(1) or by_orbits(*args)
+        algebras, "_by_matrices", lambda *args: loop_runs.append(1) or by_matrices(*args)
     )
     report = verify_jacobi(basis)
-    assert orbit_runs == [1]
+    assert loop_runs == [1]
     assert (report.total, report.failed) == (n ** 3, 0)
 
 
@@ -1007,6 +1010,39 @@ def test_matrix_loop_judges_an_asymmetric_pair_in_both_orders(monkeypatch, param
     assert len(calls) == _matrix_loop_brackets(n, asymmetric) == {1: 88, 4: 1968}[asymmetric]
 
 
+def test_refused_certificate_runs_the_matrix_loop_on_the_gated_pairs(monkeypatch):
+    # The two-sided defect passes the gate and fails the certificate. The
+    # gate makes every pair graded antisymmetric, so the matrix loop shares
+    # every pair, at n^3 + n^2 = 1,872 brackets for n = 12, and the table's
+    # `antisymmetry_failures` are never computed.
+    basis = kernel_basis(ospB(0, 1, 1, 0))
+    n = len(basis)
+    _plant_jacobi_defect(monkeypatch, basis, "two-sided")
+    table = BracketTable(basis)
+    assert table.structure_constants is not None
+    calls = _count_brackets(monkeypatch)
+    assert verify_jacobi(basis, max_counterexamples=0, table=table).failed == 120
+    assert len(calls) == _matrix_loop_brackets(n, 0) == 1872
+    assert "antisymmetry_failures" not in table.__dict__
+
+
+@pytest.mark.parametrize(
+    "triple, orderings",
+    [
+        ((2, 2, 2), [(2, 2, 2)]),
+        ((1, 1, 2), [(1, 1, 2), (1, 2, 1), (2, 1, 1)]),
+        ((1, 2, 2), [(1, 2, 2), (2, 1, 2), (2, 2, 1)]),
+        ((1, 2, 3), [(1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]),
+    ],
+    ids=["p=q=r", "p=q<r", "p<q=r", "p<q<r"],
+)
+def test_orbit_lists_each_distinct_ordering_once_in_order(triple, orderings):
+    # The matrix loop reads the outcome of (b, a, c), a > b, off (a, b, c),
+    # which must be listed before it: the orderings come in lexicographic
+    # order, each once.
+    assert algebras._orbit(*triple) == orderings
+
+
 def test_mirroring_every_pair_or_none_is_caught(monkeypatch):
     # Mirroring a pair that is not graded antisymmetric gives (b, a, c) the
     # wrong outcome, which the comparison with the triple loop sees; and
@@ -1106,12 +1142,13 @@ def test_pair_checks_catch_a_dropped_mirrored_pass(monkeypatch, check):
 @pytest.mark.parametrize("cap", [0, 1, 10, 10**9])
 @pytest.mark.parametrize("path", ["matrices", "constants", "orbits"])
 def test_jacobi_builds_only_kept_counterexamples(monkeypatch, path, cap):
-    # Under a doubled-bracket defect every path fails more than ten
+    # Under a doubled-bracket defect every basis fails more than ten
     # triples; each kept counterexample is serialized once, no other
     # residual is, and the report is the triple loop's at every cap.
     # "constants" is a closed, integral basis whose bracket fails graded
     # antisymmetry, so the gate refuses its constants: the matrix loop runs
-    # on it without rescaling.
+    # on it without rescaling. "orbits" is one whose gate holds and whose
+    # certificate refuses, so the matrix loop runs on it too.
     basis = _rational_subset() if path == "matrices" else kernel_basis(ospB(0, 1, 1, 0))
     _plant_jacobi_defect(monkeypatch, basis, "two-sided" if path == "orbits" else "one-sided")
     assert (BracketTable(basis).structure_constants is None) == (path != "orbits")
@@ -1123,24 +1160,6 @@ def test_jacobi_builds_only_kept_counterexamples(monkeypatch, path, cap):
     assert report.failed > 10
     assert len(built) == len(report.counterexamples) == min(cap, report.failed)
     assert_same_json(report.to_json(), reference.to_json())
-
-
-@pytest.mark.parametrize("cap", [0, 1, 10])
-def test_orbit_path_builds_matrices_only_for_kept_counterexamples(monkeypatch, cap):
-    # Failing representatives are judged on their coordinates; the matrix
-    # sum_k r_k e_k is built only for a counterexample the report keeps.
-    basis = kernel_basis(ospB(2, 1, 1, 1))
-    _plant_jacobi_defect(monkeypatch, basis, "two-sided")
-    table = BracketTable(basis)
-    assert table.structure_constants is not None
-    built = []
-    combination = algebras._combination
-    monkeypatch.setattr(
-        algebras, "_combination", lambda *args: built.append(1) or combination(*args)
-    )
-    report = verify_jacobi(basis, max_counterexamples=cap, table=table)
-    assert report.failed > 10
-    assert len(built) == len(report.counterexamples) == cap
 
 
 def test_dependent_basis_takes_the_matrix_path(monkeypatch):
