@@ -19,8 +19,9 @@ Position = tuple[int, int]
 class GradedMatrix:
     """Immutable-by-convention sparse matrix with a degree signature.
 
-    `_index` is None, or the pair of row indexes that `graded_bracket`
-    reads off an operand, stored once by `indexed()`."""
+    `_index` is None, or what `graded_bracket` reads off an operand,
+    stored once by `indexed()`: the two row indexes and the row and
+    column support masks."""
 
     __slots__ = ("signature", "_entries", "_index")
 
@@ -81,10 +82,20 @@ class GradedMatrix:
     def indexed(self) -> GradedMatrix:
         """Store the two row indexes `graded_bracket` builds for an operand,
         `_rows_of` for the right one and `_tagged_rows` for the left, and
-        return self. A matrix bracketed with many others, such as a basis
-        element of a bracket table, then has them built once."""
+        the row and column masks of the entries (bit i set for each row or
+        column i that holds one), and return self. A matrix bracketed with
+        many others, such as a basis element of a bracket table, then has
+        them built once, and a bracket of two indexed matrices whose
+        products cannot meet is known to be zero from the masks alone."""
         if self._index is None:
-            self._index = (_rows_of(self._entries), _tagged_rows(self.signature, self._entries))
+            entries = self._entries
+            row_mask = col_mask = 0
+            for i, j in entries:
+                row_mask |= 1 << i
+                col_mask |= 1 << j
+            self._index = (
+                _rows_of(entries), _tagged_rows(self.signature, entries), row_mask, col_mask
+            )
         return self
 
     def degree_of(self) -> Optional[Degree]:
@@ -295,7 +306,9 @@ def graded_bracket(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
     its position degrees, which agrees with splitting both operands into
     homogeneous parts and bracketing part by part. The row index of b and
     the degree-tagged row index of a are read from an operand's `indexed()`
-    store when it has one and built here otherwise.
+    store when it has one and built here otherwise. When both operands are
+    indexed and no column of either meets a row of the other, a*b and b*a
+    have no term and the bracket is zero without a product.
     """
     a._check_compatible(b)
     sig = a.signature
@@ -303,6 +316,8 @@ def graded_bracket(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
         return GradedMatrix._make(sig, {})
 
     index_a, index_b = a._index, b._index
+    if index_a and index_b and not (index_a[3] & index_b[2] or index_b[3] & index_a[2]):
+        return GradedMatrix._make(sig, {})
     acc: dict[Position, Scalar] = {}
     _product(acc, a._entries, index_b[0] if index_b else _rows_of(b._entries))
     rows_a = index_a[1] if index_a else _tagged_rows(sig, a._entries)

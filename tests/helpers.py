@@ -155,6 +155,45 @@ def symmetry_by_pairs(basis, max_counterexamples: int = 10) -> CheckReport:
     return report
 
 
+def block_conditions_by_pairs(basis, max_counterexamples: int = 10) -> CheckReport:
+    """The block conditions checked the plain way, the reference for
+    `verify_block_conditions`: every relation compares every (lhs, rhs)
+    position pair of its blocks on every element, zero entries included."""
+    spec = basis.spec
+    sig = spec.signature()
+    report = CheckReport("block-conditions", spec.to_json(), max_counterexamples)
+    details = []
+    for rel in algebras._block_relations():
+        rows, cols = algebras._block_span(spec, rel["lhs"])
+        rhs_rows, rhs_cols = algebras._block_span(spec, rel["rhs"] or rel["lhs"])
+        sign = rel["sign"]
+        holds = True
+        for label, mat in zip(basis.labels, basis.elements):
+            ok = True
+            for r, i in enumerate(rows):
+                for c, j in enumerate(cols):
+                    partner = mat.entry(rhs_rows[c], rhs_cols[r])
+                    want = partner if sign > 0 else -partner if sign else ZERO
+                    ok = ok and mat.entry(i, j) == want
+            report.record(ok, lambda: {"indices": [rel["id"], label], "residual": None})
+            holds = holds and ok
+        claimed = rel["degree_label"]
+        detail = {
+            "id": rel["id"],
+            "holds": holds,
+            "checked": len(basis.elements),
+            "malformed_source": claimed is not None,
+        }
+        if claimed is not None:
+            detail["degree_label"] = list(claimed)
+            detail["degree_label_consistent"] = (
+                not (rows and cols) or deg_add(sig[rows[0] - 1], sig[cols[0] - 1]) == claimed
+            )
+        details.append(detail)
+    report.details = {"relations": details, "basis_size": len(basis.elements)}
+    return report
+
+
 def relations_by_instances(family, gens, partner=None, max_counterexamples: int = 10) -> CheckReport:
     """The triple relations checked the plain way, the reference for
     `verify_relations`: every instance of `parastat.RELATION_TABLE` on its

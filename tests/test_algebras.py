@@ -37,6 +37,7 @@ from gradedosp.scalars import ONE, SQRT2, Scalar
 
 from helpers import (
     assert_same_json,
+    block_conditions_by_pairs,
     bruteforce_algebra_dim,
     closure_by_pairs,
     dense_rank,
@@ -668,9 +669,10 @@ def _count_pairs(monkeypatch) -> list:
 def test_jacobi_orbits_match_the_triple_loop(monkeypatch, params, defect):
     # The gate admits the two-sided defect only, and the certificate
     # refuses it; the matrix loop gives the triple loop's report at every
-    # cap, whether the gate holds or not. On ospB(1,1,1,1) a refused gate
-    # runs at cap n^3 only: its small caps are covered on ospB(0,1,1,0) and
-    # by `test_jacobi_builds_only_kept_counterexamples`.
+    # cap, whether the gate holds or not. On ospB(1,1,1,1) a held gate runs
+    # at caps 0 and n^3 and a refused gate at cap n^3 only: the caps 1 and
+    # 10 of both are covered on ospB(0,1,1,0) and by
+    # `test_jacobi_builds_only_kept_counterexamples`.
     basis = kernel_basis(ospB(*params))
     n = len(basis)
     _plant_jacobi_defect(monkeypatch, basis, defect)
@@ -681,7 +683,10 @@ def test_jacobi_orbits_match_the_triple_loop(monkeypatch, params, defect):
     reference = jacobi_by_triples(basis, max_counterexamples=n ** 3).to_json()
     assert reference["failed"] > 10
     pairs = _count_pairs(monkeypatch)
-    caps = (0, 1, 10, n ** 3) if gated or params == (0, 1, 1, 0) else (n ** 3,)
+    if params == (0, 1, 1, 0):
+        caps = (0, 1, 10, n ** 3)
+    else:
+        caps = (0, n ** 3) if gated else (n ** 3,)
     for cap in caps:
         report = verify_jacobi(basis, max_counterexamples=cap, table=table)
         expected = {**reference, "counterexamples": reference["counterexamples"][:cap]}
@@ -973,6 +978,16 @@ def _count_brackets(monkeypatch) -> list:
     bracket = algebras.graded_bracket
     monkeypatch.setattr(algebras, "graded_bracket", lambda a, b: calls.append(1) or bracket(a, b))
     return calls
+
+
+def test_table_sends_every_pair_through_the_module_bracket(monkeypatch):
+    # Most of the n^2 pairs of a kernel basis have disjoint supports, and
+    # `graded_bracket` decides them from its support masks inside the call,
+    # so a rebound `algebras.graded_bracket` still sees every pair.
+    basis = kernel_basis(ospB(1, 1, 1, 1))
+    calls = _count_brackets(monkeypatch)
+    BracketTable(basis)
+    assert len(calls) == len(basis) ** 2 == 1600
 
 
 def test_matrix_loop_bracket_count(monkeypatch):
@@ -1353,6 +1368,45 @@ def test_block_conditions_flag_a_planted_sign(monkeypatch):
     assert failing == ["a[3,3]=-a[1,1]^t"]
     assert report.failed > 0
     assert all(ce["indices"][0] == "a[3,3]=-a[1,1]^t" for ce in report.counterexamples)
+
+
+def test_block_conditions_match_the_pair_loop_on_the_grid():
+    # The nonzero walk gives the report of the loop over every position
+    # pair, on every kernel basis of the acceptance grid.
+    for spec in osp_grid():
+        basis = kernel_basis(spec)
+        expected = block_conditions_by_pairs(basis).to_json()
+        assert_same_json(verify_block_conditions(basis).to_json(), expected)
+
+
+# Planted entries on ospB(2,1,2,1) as (block, row, column) within the block.
+# a[1,1] is the rhs of a[3,3]=-a[1,1]^t and the lhs of no relation, and the
+# c blocks are the lhs of relations and the rhs of none.
+_BLOCK_DEFECTS = {
+    "rhs-only": [(("a", 1, 1), 0, 1)],
+    "lhs-only": [(("c", 1, 2), 1, 0)],
+    "skew-diagonal": [(("a", 1, 3), 1, 1)],
+    "zero-block": [(("a", 5, 5), 0, 0)],
+    "same-sign-pair": [(("a", 3, 3), 0, 1), (("a", 1, 1), 1, 0)],
+}
+
+
+@pytest.mark.parametrize("defect", sorted(_BLOCK_DEFECTS))
+def test_block_conditions_match_the_pair_loop_on_a_planted_entry(defect):
+    # A walk that read an entry in one role only would miss a relation the
+    # pair loop fails: "rhs-only" catches one that reads lhs positions only.
+    spec = ospB(2, 1, 2, 1)
+    canonical = kernel_basis(spec)
+    entries = {}
+    for block, r, c in _BLOCK_DEFECTS[defect]:
+        rows, cols = algebras._block_span(spec, block)
+        entries[(rows[r], cols[c])] = Scalar(3)
+    planted = GradedMatrix(spec.signature(), entries)
+    basis = Basis(spec, [planted, *canonical.elements], ["planted", *canonical.labels])
+    report = verify_block_conditions(basis).to_json()
+    assert report["failed"] > 0
+    assert {ce["indices"][1] for ce in report["counterexamples"]} == {"planted"}
+    assert_same_json(report, block_conditions_by_pairs(basis).to_json())
 
 
 def test_block_conditions_so3():

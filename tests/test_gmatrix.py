@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gradedosp import gmatrix
 from gradedosp.gmatrix import (
     GradedMatrix,
     _product,
@@ -368,3 +369,77 @@ def test_graded_bracket_reads_stored_indexes(a, b, index_a, index_b):
     got = [graded_bracket(x, y) for x, y in ((a, b), (b, a), (a, a))]
     assert got == expected
     assert all(mat._index is None for mat in (*plain, *got))
+
+
+def _count_products(monkeypatch) -> list:
+    """The calls of `gmatrix._product` from here on."""
+    calls = []
+    product = gmatrix._product
+    monkeypatch.setattr(gmatrix, "_product", lambda *args: calls.append(1) or product(*args))
+    return calls
+
+
+def _unindexed(mat: GradedMatrix) -> GradedMatrix:
+    return GradedMatrix(mat.signature, dict(mat.items()))
+
+
+def test_disjoint_indexed_pair_brackets_to_zero_without_a_product(monkeypatch):
+    # No column of either operand meets a row of the other, so neither
+    # a*b nor b*a has a term.
+    a = GradedMatrix(S6, {(1, 2): SQRT2, (3, 2): ONE}).indexed()
+    b = GradedMatrix(S6, {(4, 5): ONE, (6, 4): Scalar(3)}).indexed()
+    calls = _count_products(monkeypatch)
+    assert graded_bracket(a, b).is_zero()
+    assert graded_bracket(b, a).is_zero()
+    assert calls == []
+
+
+def test_disjoint_masks_still_refuse_a_signature_mismatch():
+    a = elem(S6, 1, 2).indexed()
+    b = elem(signature_gl(2, 1, 2, 2), 4, 5).indexed()
+    with pytest.raises(ValueError):
+        graded_bracket(a, b)
+
+
+@pytest.mark.parametrize(
+    "a_pos, b_pos",
+    [
+        ((1, 2), (2, 3)),  # a*b = e13, b*a structurally zero
+        ((2, 3), (1, 2)),  # a*b structurally zero, b*a = e13
+        ((1, 6), (6, 1)),  # indices 1 and m, both directions
+        ((6, 1), (1, 1)),  # a*b = e61 through index 1, b*a zero
+        ((6, 6), (1, 6)),  # a*b zero, b*a = e16 through index m
+    ],
+)
+def test_one_sided_overlap_gives_the_unindexed_bracket(monkeypatch, a_pos, b_pos):
+    a = GradedMatrix(S6, {a_pos: Scalar(2) + SQRT2}).indexed()
+    b = GradedMatrix(S6, {b_pos: Scalar(-3)}).indexed()
+    expected = graded_bracket(_unindexed(a), _unindexed(b))
+    assert not expected.is_zero()
+    calls = _count_products(monkeypatch)
+    assert graded_bracket(a, b) == expected
+    assert calls == [1]
+
+
+def test_masks_decide_every_pair_of_matrix_units_as_the_full_path():
+    # Every pair of units at indices 1, 2, m - 1 and m: the masks never
+    # drop a nonzero bracket.
+    m = len(S6)
+    ends = (1, 2, m - 1, m)
+    units = [elem(S6, i, j) for i in ends for j in ends]
+    for a in units:
+        for b in units:
+            indexed = graded_bracket(_unindexed(a).indexed(), _unindexed(b).indexed())
+            assert indexed == graded_bracket(a, b)
+
+
+@pytest.mark.parametrize("which", ["left", "right"])
+def test_mixed_indexed_pair_takes_the_full_path(monkeypatch, which):
+    # Disjoint supports, but only one operand is indexed: no mask test, so
+    # the product runs, and nothing is stored on the unindexed operand.
+    a, b = elem(S6, 1, 2), elem(S6, 4, 5)
+    (a if which == "left" else b).indexed()
+    calls = _count_products(monkeypatch)
+    assert graded_bracket(a, b).is_zero()
+    assert calls == [1]
+    assert (a._index is None) != (b._index is None)
