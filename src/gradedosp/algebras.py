@@ -424,9 +424,9 @@ class BracketTable:
 
     The brackets go through this module's `graded_bracket`, so a caller
     that rebinds that name sees every one of them. Each basis element is
-    `indexed()` first, so its row indexes and support masks are built once
-    for its 2n brackets, and a pair whose supports cannot meet is zero
-    without a product; the entries of the table are not indexed.
+    `indexed()` first, so its homogeneous parts and support masks are
+    built once for its 2n brackets, and a pair whose supports cannot meet
+    is zero without a product; the entries of the table are not indexed.
     """
 
     def __init__(self, basis: Basis):

@@ -20,8 +20,9 @@ class GradedMatrix:
     """Immutable-by-convention sparse matrix with a degree signature.
 
     `_index` is None, or what `graded_bracket` reads off an operand,
-    stored once by `indexed()`: the two row indexes and the row and
-    column support masks."""
+    stored once by `indexed()`: its homogeneous parts, each the entries,
+    negated entries and row index of one degree, and the row and column
+    support masks."""
 
     __slots__ = ("signature", "_entries", "_index")
 
@@ -80,22 +81,19 @@ class GradedMatrix:
         return not self._entries
 
     def indexed(self) -> GradedMatrix:
-        """Store the two row indexes `graded_bracket` builds for an operand,
-        `_rows_of` for the right one and `_tagged_rows` for the left, and
-        the row and column masks of the entries (bit i set for each row or
-        column i that holds one), and return self. A matrix bracketed with
-        many others, such as a basis element of a bracket table, then has
-        them built once, and a bracket of two indexed matrices whose
-        products cannot meet is known to be zero from the masks alone."""
+        """Store the homogeneous parts `graded_bracket` builds for an
+        operand, each an `_Operand`, and the row and column masks of the
+        entries (bit i set for each row or column i that holds one), and
+        return self. A matrix bracketed with many others, such as a basis
+        element of a bracket table, then has them built once, and a bracket
+        of two indexed matrices whose products cannot meet is known to be
+        zero from the masks alone."""
         if self._index is None:
-            entries = self._entries
             row_mask = col_mask = 0
-            for i, j in entries:
+            for i, j in self._entries:
                 row_mask |= 1 << i
                 col_mask |= 1 << j
-            self._index = (
-                _rows_of(entries), _tagged_rows(self.signature, entries), row_mask, col_mask
-            )
+            self._index = (_parts(self), row_mask, col_mask)
         return self
 
     def degree_of(self) -> Optional[Degree]:
@@ -256,24 +254,14 @@ def _rows_of(entries: dict[Position, Scalar]) -> Rows:
     return rows
 
 
-TaggedRows = dict[int, list[tuple[int, Scalar, Degree]]]
-
-
-def _tagged_rows(sig: Signature, entries: dict[Position, Scalar]) -> TaggedRows:
-    """The row index {i: [(j, v, degree of (i, j)), ...]} of these entries."""
-    rows: TaggedRows = {}
-    for (i, j), v in entries.items():
-        rows.setdefault(i, []).append((j, v, deg_add(sig[i - 1], sig[j - 1])))
-    return rows
-
-
 def _product(acc: dict[Position, Scalar], entries: dict[Position, Scalar], rows: Rows) -> None:
     """Add a @ b into `acc`, given the entries of a and the row index of b.
 
-    The one product loop of the package: `@`, `graded_bracket`,
-    `algebras.membership_residual` and the relation kernel of `parastat`
-    all run it. An entry that sums to zero is dropped, so `acc` holds only
-    nonzeros; a minus sign rides on `entries` negated once by the caller.
+    The one product loop of the package: `@`, `algebras.membership_residual`
+    and `_bracket_into`, which serves both `graded_bracket` and the relation
+    kernel of `parastat`, all run it. An entry that sums to zero is
+    dropped, so `acc` holds only nonzeros; a minus sign rides on `entries`
+    negated once by the caller.
     """
     for (i, j), v in entries.items():
         hits = rows.get(j)
@@ -289,6 +277,33 @@ def _product(acc: dict[Position, Scalar], entries: dict[Position, Scalar], rows:
                 acc.pop(key, None)
 
 
+class _Operand:
+    """A factor of a bracket: its entries, the same entries negated (the
+    minus sign of a commutator) and its row index."""
+
+    __slots__ = ("entries", "negated", "rows")
+
+    def __init__(self, entries: dict):
+        self.entries = entries
+        self.negated = {pos: -v for pos, v in entries.items()}
+        self.rows = _rows_of(entries)
+
+
+def _bracket_into(acc: dict, kind: str, x: _Operand, y: _Operand) -> None:
+    """Add x y - y x ("[]") or x y + y x ("{}") into `acc`."""
+    _product(acc, x.entries, y.rows)
+    _product(acc, y.negated if kind == "[]" else y.entries, x.rows)
+
+
+def _parts(mat: GradedMatrix) -> tuple[tuple[Degree, _Operand], ...]:
+    """The homogeneous parts of `mat`, as (degree, operand) pairs."""
+    sig = mat.signature
+    parts: dict[Degree, dict[Position, Scalar]] = {}
+    for (i, j), v in mat._entries.items():
+        parts.setdefault(deg_add(sig[i - 1], sig[j - 1]), {})[i, j] = v
+    return tuple((d, _Operand(entries)) for d, entries in parts.items())
+
+
 def commutator(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
     """Plain AB - BA, ignoring the grading."""
     return (a @ b) - (b @ a)
@@ -302,13 +317,13 @@ def anticommutator(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
 def graded_bracket(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
     """The bracket x*y - (-1)^{dot(dx,dy)} y*x, extended bilinearly.
 
-    Computed entrywise: each pair of entries contributes with the sign of
-    its position degrees, which agrees with splitting both operands into
-    homogeneous parts and bracketing part by part. The row index of b and
-    the degree-tagged row index of a are read from an operand's `indexed()`
-    store when it has one and built here otherwise. When both operands are
-    indexed and no column of either meets a row of the other, a*b and b*a
-    have no term and the bracket is zero without a product.
+    Each operand is split into its homogeneous parts, and each pair of
+    parts adds x*y -/+ y*x by `_bracket_into`, the sign chosen once per
+    pair by `dot` of the two part degrees. The parts are read from an
+    operand's `indexed()` store when it has one and built here otherwise.
+    When both operands are indexed and no column of either meets a row of
+    the other, a*b and b*a have no term and the bracket is zero without a
+    product.
     """
     a._check_compatible(b)
     sig = a.signature
@@ -316,26 +331,11 @@ def graded_bracket(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
         return GradedMatrix._make(sig, {})
 
     index_a, index_b = a._index, b._index
-    if index_a and index_b and not (index_a[3] & index_b[2] or index_b[3] & index_a[2]):
+    if index_a and index_b and not (index_a[2] & index_b[1] or index_b[2] & index_a[1]):
         return GradedMatrix._make(sig, {})
     acc: dict[Position, Scalar] = {}
-    _product(acc, a._entries, index_b[0] if index_b else _rows_of(b._entries))
-    rows_a = index_a[1] if index_a else _tagged_rows(sig, a._entries)
-
-    for (k, l), w in b._entries.items():
-        hits = rows_a.get(l)
-        if not hits:
-            continue
-        beta = deg_add(sig[k - 1], sig[l - 1])
-        for j2, v, alpha in hits:
-            term = w * v
-            if not dot(alpha, beta):
-                term = -term
-            key = (k, j2)
-            cur = acc.get(key)
-            s = term if cur is None else cur + term
-            if s:
-                acc[key] = s
-            else:
-                acc.pop(key, None)
+    parts_b = index_b[0] if index_b else _parts(b)
+    for da, x in index_a[0] if index_a else _parts(a):
+        for db, y in parts_b:
+            _bracket_into(acc, "{}" if dot(da, db) else "[]", x, y)
     return GradedMatrix._make(sig, acc)

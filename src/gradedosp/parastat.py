@@ -34,7 +34,7 @@ from math import prod
 from typing import Callable, NamedTuple, Optional
 
 from .algebras import AlgebraSpec, Family, _axpy, _homogeneous_degrees
-from .gmatrix import GradedMatrix, _product, _rows_of, elem, graded_bracket
+from .gmatrix import GradedMatrix, _bracket_into, _Operand, elem, graded_bracket
 from .grading import dot, signature_gl
 from .report import CheckReport
 from .scalars import SQRT2, Scalar, as_int, over_sqrt2
@@ -248,35 +248,17 @@ def _content(matrices: list[GradedMatrix]) -> tuple[Scalar | int, int, Callable]
     return 1, 1, as_int
 
 
-class _Operand:
-    """A factor of the relation kernel: the core x / s of a generator x,
-    entry by entry through `core` (see `_content`), the same entries
-    negated (the minus sign of a commutator) and its row index."""
-
-    __slots__ = ("entries", "negated", "rows")
-
-    def __init__(self, entries: dict, core: Callable):
-        self.entries = {pos: core(v) for pos, v in entries.items()}
-        self.negated = {pos: -v for pos, v in self.entries.items()}
-        self.rows = _rows_of(self.entries)
-
-
 def _generator_table(gens: GeneratorSet, signature, core: Callable) -> dict[tuple[int, int], _Operand]:
-    """Every generator of the set as an operand, keyed by (sign, index)."""
+    """Every generator of the set as the `_Operand` of its core (see
+    `_content`), keyed by (sign, index)."""
     table = {}
     for index in range(1, gens.count + 1):
         for sign in SIGNS:
             mat = gens.get(index, sign)
             if mat.signature != signature:
                 raise ValueError(f"generator {gens.label(index, sign)} has another signature")
-            table[sign, index] = _Operand(mat._entries, core)
+            table[sign, index] = _Operand({pos: core(v) for pos, v in mat.items()})
     return table
-
-
-def _bracket_into(acc: dict, kind: str, x: _Operand, y: _Operand) -> None:
-    """Add x y - y x ("[]") or x y + y x ("{}") into `acc`."""
-    _product(acc, x.entries, y.rows)
-    _product(acc, y.negated if kind == "[]" else y.entries, x.rows)
 
 
 def _slot3_index(kinds: dict, table, kappa: int) -> tuple[dict, dict]:
@@ -488,7 +470,7 @@ def graded_bracket_consistency(
     pool = [item for gs in gen_sets for item in gs.labelled()]
     degrees = _homogeneous_degrees(pool, "generator")
     _, kappa, core = _content([mat for _, mat in pool])
-    cores = [_Operand(mat._entries, core) for _, mat in pool]
+    cores = [_Operand({pos: core(v) for pos, v in mat.items()}) for _, mat in pool]
     # Each operand indexed once, on a copy: the caller's matrices stay unindexed.
     mats = [GradedMatrix._make(mat.signature, mat._entries).indexed() for _, mat in pool]
     indexes = {

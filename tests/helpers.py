@@ -94,6 +94,29 @@ def homogeneous_parts(mat: GradedMatrix) -> dict:
     return {d: GradedMatrix(sig, e) for d, e in parts.items()}
 
 
+def graded_bracket_by_entries(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
+    """The graded bracket computed the plain way, the reference for
+    `graded_bracket`: a dense accumulator and a loop over every pair of an
+    entry of a and an entry of b. A pair adds its term of a*b where the
+    inner indices meet, and its term of b*a times -(-1)^{dot} of the two
+    position degrees where they meet the other way round. No product
+    kernel, no `@` and no split into homogeneous parts."""
+    sig = a.signature
+    m = len(sig)
+    dense = [[ZERO] * (m + 1) for _ in range(m + 1)]
+    for (i, j), v in a.items():
+        alpha = deg_add(sig[i - 1], sig[j - 1])
+        for (k, l), w in b.items():
+            beta = deg_add(sig[k - 1], sig[l - 1])
+            if j == k:
+                dense[i][l] = dense[i][l] + v * w
+            if l == i:
+                term = w * v
+                dense[k][j] = dense[k][j] + term if dot(alpha, beta) else dense[k][j] - term
+    entries = {(i, j): dense[i][j] for i in range(1, m + 1) for j in range(1, m + 1) if dense[i][j]}
+    return GradedMatrix(sig, entries)
+
+
 def jacobi_by_triples(basis, max_counterexamples: int = 10) -> CheckReport:
     """The graded Jacobi identity checked the plain way, the reference for
     `verify_jacobi`: every ordered triple on its own, three outer brackets

@@ -18,7 +18,7 @@ from gradedosp.gmatrix import (
 from gradedosp.grading import deg_add, dot, signature_gl
 from gradedosp.scalars import ONE, SQRT2, ZERO, Scalar
 
-from helpers import homogeneous_parts
+from helpers import graded_bracket_by_entries, homogeneous_parts
 
 S4 = signature_gl(1, 0, 1, 1)        # degrees (0,0), (1,0), (0,1)
 S6 = signature_gl(2, 1, 2, 1)        # 6x6 test signature, all four degrees
@@ -371,6 +371,29 @@ def test_graded_bracket_reads_stored_indexes(a, b, index_a, index_b):
     assert all(mat._index is None for mat in (*plain, *got))
 
 
+@settings(max_examples=100, deadline=None)
+@given(_OPERANDS, _OPERANDS, st.booleans(), st.booleans())
+def test_graded_bracket_matches_the_entrywise_oracle(a, b, index_a, index_b):
+    # Homogeneous and inhomogeneous Q(sqrt 2) operands with denominators,
+    # each indexed or not, in both orders and against itself.
+    expected = [graded_bracket_by_entries(x, y) for x, y in ((a, b), (b, a), (a, a))]
+    if index_a:
+        a.indexed()
+    if index_b:
+        b.indexed()
+    assert [graded_bracket(x, y) for x, y in ((a, b), (b, a), (a, a))] == expected
+
+
+def test_entrywise_oracle_examples():
+    # degrees (1,0) and (0,1): dot 0, commutator; (1,0) twice: dot 1, anticommutator
+    assert graded_bracket_by_entries(elem(S4, 2, 1), elem(S4, 1, 3)) == elem(S4, 2, 3)
+    assert graded_bracket_by_entries(elem(S4, 1, 2), elem(S4, 2, 1)) == elem(S4, 1, 1) + elem(S4, 2, 2)
+    # an inhomogeneous operand: the (1,0) part anticommutes with e21, the (0,1) part commutes
+    x = elem(S4, 1, 2) + elem(S4, 1, 3).scale(SQRT2)
+    want = elem(S4, 1, 1) + elem(S4, 2, 2) - elem(S4, 2, 3).scale(SQRT2)
+    assert graded_bracket_by_entries(x, elem(S4, 2, 1)) == want == graded_bracket(x, elem(S4, 2, 1))
+
+
 def _count_products(monkeypatch) -> list:
     """The calls of `gmatrix._product` from here on."""
     calls = []
@@ -412,13 +435,15 @@ def test_disjoint_masks_still_refuse_a_signature_mismatch():
     ],
 )
 def test_one_sided_overlap_gives_the_unindexed_bracket(monkeypatch, a_pos, b_pos):
+    # One homogeneous part each: the full path runs both products of the
+    # one pair of parts, a*b and b*a, though only one of them has a term.
     a = GradedMatrix(S6, {a_pos: Scalar(2) + SQRT2}).indexed()
     b = GradedMatrix(S6, {b_pos: Scalar(-3)}).indexed()
     expected = graded_bracket(_unindexed(a), _unindexed(b))
     assert not expected.is_zero()
     calls = _count_products(monkeypatch)
     assert graded_bracket(a, b) == expected
-    assert calls == [1]
+    assert calls == [1, 1]
 
 
 def test_masks_decide_every_pair_of_matrix_units_as_the_full_path():
@@ -436,10 +461,11 @@ def test_masks_decide_every_pair_of_matrix_units_as_the_full_path():
 @pytest.mark.parametrize("which", ["left", "right"])
 def test_mixed_indexed_pair_takes_the_full_path(monkeypatch, which):
     # Disjoint supports, but only one operand is indexed: no mask test, so
-    # the product runs, and nothing is stored on the unindexed operand.
+    # both products of the one pair of parts run, and nothing is stored on
+    # the unindexed operand.
     a, b = elem(S6, 1, 2), elem(S6, 4, 5)
     (a if which == "left" else b).indexed()
     calls = _count_products(monkeypatch)
     assert graded_bracket(a, b).is_zero()
-    assert calls == [1]
+    assert calls == [1, 1]
     assert (a._index is None) != (b._index is None)
