@@ -20,7 +20,7 @@ from itertools import accumulate, permutations, product
 from math import lcm
 from typing import Callable, Iterator, Optional, Sequence
 
-from .gmatrix import GradedMatrix, _product, _rows_of, elem, graded_bracket
+from .gmatrix import GradedMatrix, _product, _rows_of, elem, graded_bracket, meeting_pairs
 from .grading import Degree, Signature, deg_add, dot, signature_gl, signature_osp
 from .report import CheckReport
 from .scalars import ONE, ZERO, Scalar, as_int
@@ -422,11 +422,14 @@ class BracketTable:
     [e_a, e_b]. Closure, symmetry and Jacobi all read it. Every zero
     bracket is stored as one shared zero matrix, which no reader mutates.
 
-    The brackets go through this module's `graded_bracket`, so a caller
-    that rebinds that name sees every one of them. Each basis element is
-    `indexed()` first, so its homogeneous parts and support masks are
-    built once for its 2n brackets, and a pair whose supports cannot meet
-    is zero without a product; the entries of the table are not indexed.
+    Only the pairs this module's `meeting_pairs` lists, those whose
+    supports meet, are bracketed, through this module's `graded_bracket`;
+    every other entry is the shared zero. A bracket built from matrix
+    products is zero on disjoint supports, so no bracket is lost. A caller
+    that rebinds `graded_bracket` to one with terms on disjoint supports
+    must also rebind `meeting_pairs` to every pair. Each basis element is
+    `indexed()` first, so its homogeneous parts are built once for all its
+    brackets; the entries of the table are not indexed.
     """
 
     def __init__(self, basis: Basis):
@@ -434,9 +437,13 @@ class BracketTable:
         elements = [mat.indexed() for mat in basis.elements]
         zero = GradedMatrix.zero(elements[0].signature) if elements else None
         self.rows = []
-        for a in elements:
-            row = [graded_bracket(a, b) for b in elements]
-            self.rows.append([zero if t.is_zero() else t for t in row])
+        for a, meeting in zip(elements, meeting_pairs(elements)):
+            row = [zero] * len(elements)
+            for b in meeting:
+                t = graded_bracket(a, elements[b])
+                if not t.is_zero():
+                    row[b] = t
+            self.rows.append(row)
 
     @cached_property
     def structure_constants(self) -> Optional[list[dict[int, dict[int, int | Scalar]]]]:

@@ -8,7 +8,7 @@ entries sit at positions of one degree.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .grading import Degree, Signature, check_degree, deg_add, dot, trace_sign
 from .scalars import ONE, ZERO, Scalar
@@ -87,7 +87,9 @@ class GradedMatrix:
         return self. A matrix bracketed with many others, such as a basis
         element of a bracket table, then has them built once, and a bracket
         of two indexed matrices whose products cannot meet is known to be
-        zero from the masks alone."""
+        zero from the masks alone. A bracket table does not even call
+        `graded_bracket` on such pairs: it brackets only those that
+        `meeting_pairs` lists."""
         if self._index is None:
             row_mask = col_mask = 0
             for i, j in self._entries:
@@ -323,7 +325,8 @@ def graded_bracket(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
     operand's `indexed()` store when it has one and built here otherwise.
     When both operands are indexed and no column of either meets a row of
     the other, a*b and b*a have no term and the bracket is zero without a
-    product.
+    product; `meeting_pairs` lists the pairs of a sequence that this test
+    does not decide.
     """
     a._check_compatible(b)
     sig = a.signature
@@ -339,3 +342,33 @@ def graded_bracket(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
         for db, y in parts_b:
             _bracket_into(acc, "{}" if dot(da, db) else "[]", x, y)
     return GradedMatrix._make(sig, acc)
+
+
+def meeting_pairs(mats: Sequence[GradedMatrix]) -> list[list[int]]:
+    """For each a, in increasing order, the b whose supports meet those of
+    a: some column of a is a row of b, or some column of b a row of a.
+    These are exactly the pairs of indexed matrices that the mask test of
+    `graded_bracket` does not decide; the bracket of every other pair is
+    zero, as a*b and b*a have no term. The matrices are indexed once by
+    the rows and once by the columns that hold their entries, so the work
+    grows with the number of meeting pairs, not with n^2."""
+    supports = []
+    by_row: dict[int, list[int]] = {}
+    by_col: dict[int, list[int]] = {}
+    for k, mat in enumerate(mats):
+        rows = {i for i, _ in mat._entries}
+        cols = {j for _, j in mat._entries}
+        supports.append((rows, cols))
+        for i in rows:
+            by_row.setdefault(i, []).append(k)
+        for j in cols:
+            by_col.setdefault(j, []).append(k)
+    pairs = []
+    for rows, cols in supports:
+        meet: set[int] = set()
+        for j in cols:
+            meet.update(by_row.get(j, ()))
+        for i in rows:
+            meet.update(by_col.get(i, ()))
+        pairs.append(sorted(meet))
+    return pairs

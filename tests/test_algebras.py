@@ -1,9 +1,11 @@
 """Algebra constructors, membership, the echelon engine, and the verifiers."""
 
 import dataclasses
+import importlib.util
 import json
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +32,7 @@ from gradedosp.algebras import (
     verify_membership,
     verify_symmetry,
 )
-from gradedosp.gmatrix import GradedMatrix, elem
+from gradedosp.gmatrix import GradedMatrix, elem, graded_bracket
 from gradedosp.grading import dot
 from gradedosp.report import CheckReport
 from gradedosp.scalars import ONE, SQRT2, Scalar
@@ -647,6 +649,16 @@ def _plant_jacobi_defect(monkeypatch, basis: Basis, defect: str) -> None:
         return bracket
 
     monkeypatch.setattr(algebras, "graded_bracket", planted)
+    if defect == "inhomogeneous":
+        _bracket_every_pair(monkeypatch)
+
+
+def _bracket_every_pair(monkeypatch) -> None:
+    """Make `BracketTable` bracket every pair, not only those whose supports
+    meet: for a planted bracket that adds terms on disjoint supports, which
+    no bracket built from matrix products does."""
+    every = lambda mats: [list(range(len(mats)))] * len(mats)
+    monkeypatch.setattr(algebras, "meeting_pairs", every)
 
 
 def _count_pairs(monkeypatch) -> list:
@@ -980,29 +992,87 @@ def _count_brackets(monkeypatch) -> list:
     return calls
 
 
-def test_table_sends_every_pair_through_the_module_bracket(monkeypatch):
-    # Most of the n^2 pairs of a kernel basis have disjoint supports, and
-    # `graded_bracket` decides them from its support masks inside the call,
-    # so a rebound `algebras.graded_bracket` still sees every pair.
+def test_table_sends_the_meeting_pairs_through_the_module_bracket(monkeypatch):
+    # Most of the n^2 pairs of a kernel basis have disjoint supports: the
+    # table brackets only the pairs `meeting_pairs` lists, in increasing b,
+    # through `algebras.graded_bracket`, 608 of the 1,600 on ospB(1,1,1,1).
+    # Every other entry, and every zero bracket of a meeting pair, is the
+    # one shared zero.
     basis = kernel_basis(ospB(1, 1, 1, 1))
-    calls = _count_brackets(monkeypatch)
-    BracketTable(basis)
-    assert len(calls) == len(basis) ** 2 == 1600
+    position = {id(mat): k for k, mat in enumerate(basis.elements)}
+    pairs = []
+    bracket = algebras.graded_bracket
+    monkeypatch.setattr(
+        algebras,
+        "graded_bracket",
+        lambda a, b: pairs.append((position[id(a)], position[id(b)])) or bracket(a, b),
+    )
+    table = BracketTable(basis)
+    meeting = algebras.meeting_pairs(basis.elements)
+    assert pairs == [(a, b) for a, row in enumerate(meeting) for b in row]
+    assert len(pairs) == 608 < len(basis) ** 2 == 1600
+    off = [t for row, hit in zip(table.rows, meeting) for b, t in enumerate(row) if b not in hit]
+    assert len(off) == 1600 - 608
+    assert off[0].is_zero() and all(t is off[0] for t in off)
+    zeros = [t for row in table.rows for t in row if t.is_zero()]
+    assert len(zeros) == 1600 - 576 and all(t is off[0] for t in zeros)
+
+
+def _user_basis(seed: int) -> Basis:
+    """The seeded user basis of the benchmark's `user-basis-rational`
+    workload, from `bench/userbasis.py`."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "userbasis.py"
+    module_spec = importlib.util.spec_from_file_location("userbasis", path)
+    module = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(module)
+    return module.generate(seed)
+
+
+def _table_cases(case: str) -> list[Basis]:
+    """The bases of one case. The kernel bases are those of the acceptance
+    grid, in the ospB, ospD and sl families; the grid's first parameters,
+    (0,0,0,0), give matrix size 0 outside ospB."""
+    if case == "kernel bases":
+        grid = osp_grid()
+        others = [
+            AlgebraSpec(family, *dataclasses.astuple(spec)[1:])
+            for family in (Family.OSP_D, Family.SL)
+            for spec in grid[1:]
+        ]
+        return [kernel_basis(spec) for spec in grid + others]
+    if case == "rational subset":
+        return [_rational_subset()]
+    if case == "matrix units":
+        return [_matrix_units(ospB(*p), diagonal=False) for p in ((0, 1, 1, 0), (1, 1, 1, 1))]
+    return [_user_basis(1)]
+
+
+@pytest.mark.parametrize("case", ["kernel bases", "rational subset", "matrix units", "user basis"])
+def test_table_equals_the_brackets_of_every_pair(case):
+    # Bracketing only the pairs whose supports meet loses no bracket: the
+    # table equals one that brackets all n^2 pairs of unindexed copies.
+    for basis in _table_cases(case):
+        copies = [GradedMatrix(mat.signature, dict(mat.items())) for mat in basis]
+        every_pair = [[graded_bracket(a, b) for b in copies] for a in copies]
+        assert BracketTable(basis).rows == every_pair
 
 
 def test_matrix_loop_bracket_count(monkeypatch):
-    # n^2 table brackets, then one walk over the S3 orbits: [e_x, [e_y, e_z]]
+    # The table's brackets, one per pair whose supports meet (15 of the
+    # n^2 = 16), then one walk over the S3 orbits: [e_x, [e_y, e_z]]
     # once per graded-antisymmetric pair {y, z}, the other order taking it
     # with a sign, and [[a, b], c] once per pair a <= b, since (b, a, c)
-    # takes the outcome of (a, b, c). 96 brackets for n = 4, where the pair
+    # takes the outcome of (a, b, c). 95 brackets for n = 4, where the pair
     # loop took 120 and judging both orders 144.
     basis = _rational_subset()
     n = len(basis)
     table = BracketTable(basis)
     assert table.structure_constants is None
+    meeting = sum(map(len, algebras.meeting_pairs(basis.elements)))
     calls = _count_brackets(monkeypatch)
     assert verify_jacobi(basis).passed
-    assert len(calls) == n ** 2 + _matrix_loop_brackets(n, 0) == 96
+    assert len(calls) == meeting + _matrix_loop_brackets(n, 0) == 95
+    assert meeting == 15
     calls.clear()
     assert verify_jacobi(basis, table=table).passed
     assert len(calls) == _matrix_loop_brackets(n, 0)
@@ -1107,6 +1177,7 @@ def test_pair_checks_match_the_pair_loops(monkeypatch, basis_of, defect, hide_co
             return bracket + off if (a.degree_of(), b.degree_of()) == _ODD_PAIR else bracket
 
         monkeypatch.setattr(algebras, "graded_bracket", planted)
+        _bracket_every_pair(monkeypatch)
     elif defect:
         _plant_jacobi_defect(monkeypatch, basis, defect)
     if hide_constants:

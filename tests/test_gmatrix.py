@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gradedosp import gmatrix
+from gradedosp.algebras import kernel_basis
 from gradedosp.gmatrix import (
     GradedMatrix,
     _product,
@@ -14,11 +15,12 @@ from gradedosp.gmatrix import (
     commutator,
     elem,
     graded_bracket,
+    meeting_pairs,
 )
 from gradedosp.grading import deg_add, dot, signature_gl
 from gradedosp.scalars import ONE, SQRT2, ZERO, Scalar
 
-from helpers import graded_bracket_by_entries, homogeneous_parts
+from helpers import graded_bracket_by_entries, homogeneous_parts, osp_grid
 
 S4 = signature_gl(1, 0, 1, 1)        # degrees (0,0), (1,0), (0,1)
 S6 = signature_gl(2, 1, 2, 1)        # 6x6 test signature, all four degrees
@@ -469,3 +471,54 @@ def test_mixed_indexed_pair_takes_the_full_path(monkeypatch, which):
     assert graded_bracket(a, b).is_zero()
     assert calls == [1, 1]
     assert (a._index is None) != (b._index is None)
+
+
+def _supports_meet(a: GradedMatrix, b: GradedMatrix) -> bool:
+    """Some column of one operand is a row of the other, read from the
+    entries."""
+    return any(j == k for (_, j), _ in a.items() for (k, _), _ in b.items()) or any(
+        j == k for (_, j), _ in b.items() for (k, _), _ in a.items()
+    )
+
+
+def _bracketed_pairs(monkeypatch, mats) -> list:
+    """The pairs of indexed copies of `mats` on which `graded_bracket`
+    runs a product, that is, which its mask test does not decide."""
+    ran = []
+    bracket_into = gmatrix._bracket_into
+    monkeypatch.setattr(gmatrix, "_bracket_into", lambda *a: ran.append(1) or bracket_into(*a))
+    copies = [_unindexed(mat).indexed() for mat in mats]
+    pairs = []
+    for ia, a in enumerate(copies):
+        for ib, b in enumerate(copies):
+            ran.clear()
+            graded_bracket(a, b)
+            if ran:
+                pairs.append((ia, ib))
+    return pairs
+
+
+def _meeting_cases(case: str) -> list:
+    """Lists of matrices: the matrix units of S6 with the zero matrix and
+    two sums of units, or the kernel basis of each spec of the acceptance
+    grid."""
+    if case == "kernel bases":
+        return [kernel_basis(spec).elements for spec in osp_grid()]
+    m = len(S6)
+    units = [elem(S6, i, j) for i in range(1, m + 1) for j in range(1, m + 1)]
+    return [[GradedMatrix(S6, {}), units[1] + units[m], units[7].scale(SQRT2) + units[-1], *units]]
+
+
+@pytest.mark.parametrize("case", ["matrix units", "kernel bases"])
+def test_meeting_pairs_are_the_pairs_the_masks_leave(monkeypatch, case):
+    # `meeting_pairs` lists, in increasing b, exactly the pairs whose
+    # supports meet, and exactly those on which `graded_bracket` of
+    # indexed operands runs a product.
+    for mats in _meeting_cases(case):
+        n = len(mats)
+        meeting = meeting_pairs(mats)
+        assert len(meeting) == n
+        pairs = [(a, b) for a, row in enumerate(meeting) for b in row]
+        brute = [(a, b) for a in range(n) for b in range(n) if _supports_meet(mats[a], mats[b])]
+        assert pairs == brute
+        assert pairs == _bracketed_pairs(monkeypatch, mats)
