@@ -429,7 +429,8 @@ class BracketTable:
     that rebinds `graded_bracket` to one with terms on disjoint supports
     must also rebind `meeting_pairs` to every pair. Each basis element is
     `indexed()` first, so its homogeneous parts are built once for all its
-    brackets; the entries of the table are not indexed.
+    brackets; the entries of the table are not indexed. `nonzero[a]` lists
+    the b with a nonzero bracket [e_a, e_b], in increasing order.
     """
 
     def __init__(self, basis: Basis):
@@ -437,13 +438,17 @@ class BracketTable:
         elements = [mat.indexed() for mat in basis.elements]
         zero = GradedMatrix.zero(elements[0].signature) if elements else None
         self.rows = []
+        self.nonzero = []
         for a, meeting in zip(elements, meeting_pairs(elements)):
             row = [zero] * len(elements)
+            hits = []
             for b in meeting:
                 t = graded_bracket(a, elements[b])
                 if not t.is_zero():
                     row[b] = t
+                    hits.append(b)
             self.rows.append(row)
+            self.nonzero.append(hits)
 
     @cached_property
     def structure_constants(self) -> Optional[list[dict[int, dict[int, int | Scalar]]]]:
@@ -464,7 +469,7 @@ class BracketTable:
         through `as_int`, so each c_k is a plain int when it is an integer,
         as on the kernel bases, and a Scalar otherwise; the reading, the
         gate and Jacobi's derivation certificate run on them unchanged.
-        Computed on first use."""
+        Only the pairs in `nonzero` are read. Computed on first use."""
         elements = self.basis.elements
         if not elements:
             return []
@@ -481,12 +486,10 @@ class BracketTable:
             for key, v in vec.items():
                 vec[key] = as_int(v)
         constants = []
-        for row in self.rows:
+        for row, hits in zip(self.rows, self.nonzero):
             coords = {}
-            for b, bracket in enumerate(row):
-                if bracket.is_zero():
-                    continue
-                red = echelon.residual({pos: as_int(v) for pos, v in bracket.items()})
+            for b in hits:
+                red = echelon.residual({pos: as_int(v) for pos, v in row[b].items()})
                 if any(i < past for i, _ in red):
                     return None
                 if red:
@@ -880,6 +883,47 @@ def _derivation_certificate(
     return True
 
 
+def _certified_span(basis: Basis) -> bool:
+    """Whether the Jacobiator vanishes on all n^3 triples of a homogeneous
+    basis because its elements lie in an algebra that satisfies the graded
+    Jacobi identity; False means only that this route does not apply.
+
+    K, the spec's kernel basis, must pass the `structure_constants` gate
+    and `_derivation_certificate`, and every element must have the spec's
+    signature and reduce to zero against an echelon of K, which is exact
+    whether or not K spans the whole algebra. Then an element of degree g
+    is a combination of the degree-g elements of K, K being homogeneous by
+    the gate, and J, trilinear on homogeneous arguments of fixed degrees,
+    vanishes on the basis since it vanishes on K^3. The one premise is that
+    the bracket is bilinear, as the matrix loop and the certificate assume.
+
+    Tried only where it replaces more work than it makes: the spec has a
+    kernel basis (not gl); n < dim, so the basis spans a proper subspace
+    (with n = dim a refusal of the basis's own gate would be K's too); and
+    K's table of at most dim^2 brackets is no larger than the n^3 + n^2 of
+    the matrix loop."""
+    spec = basis.spec
+    n = len(basis)
+    if spec.family is Family.GL:
+        return False
+    dim = expected_dim(spec)
+    if n >= dim or dim * dim > n ** 3 + n ** 2:
+        return False
+    sig = spec.signature()
+    if any(mat.signature != sig for mat in basis):
+        return False
+    algebra = kernel_basis(spec)
+    echelon = SpanReducer()
+    for mat in algebra:
+        echelon.insert(dict(mat.items()))
+    if any(echelon.residual(dict(mat.items())) for mat in basis):
+        return False
+    constants = BracketTable(algebra).structure_constants
+    return constants is not None and _derivation_certificate(
+        constants, [mat.degree_of() for mat in algebra]
+    )
+
+
 def _orbit(ia: int, ib: int, ic: int) -> list[tuple[int, int, int]]:
     """The distinct orderings of a triple ia <= ib <= ic, in lexicographic
     order."""
@@ -897,22 +941,35 @@ def verify_jacobi(
     [a, [b, c]] = [[a, b], c] + (-1)^{dot(a, b)} [b, [a, c]]
     over all ordered triples of homogeneous basis elements.
 
-    When the `structure_constants` gate of `table` (built here when not
-    given) holds, `_derivation_certificate` runs first: J(s, ., .) = 0 on a
-    generating set S of basis elements makes J vanish on all n^3 triples,
-    which are then recorded as passes at once. Otherwise, when the gate or
-    the certificate refuses, `_by_matrices` walks the S3 orbit
-    representatives a <= b <= c and judges each of their distinct orderings
-    on the matrices, assuming no symmetry of J. Each bracket the orderings
-    of a representative share is computed once: when the table entries of
-    a pair are graded antisymmetric (every pair when the gate holds, else
-    each pair not in the table's `antisymmetry_failures`, as closure and
-    symmetry read them), [e_x, [e_y, e_z]] serves both orders of y, z, and
-    (b, a, c) takes the outcome of (a, b, c). Outcomes and
-    counterexamples are those of the plain triple loop: `failed` counts
-    every failing triple, the kept counterexamples are the first in
-    lexicographic triple order, and the report ends with a coverage check:
-    the triples its instances stand for must number n^3.
+    Three rungs, each exact; the first two record all n^3 triples as
+    passes at once or decline, and never report a failure:
+    - When the `structure_constants` gate of `table` (built here when not
+      given) holds, `_derivation_certificate` runs: J(s, ., .) = 0 on a
+      generating set S of basis elements makes J vanish on all n^3 triples.
+    - When the gate refuses (the basis is not closed, dependent or
+      defective), `_certified_span` runs: when every element lies in the
+      span of the spec's kernel basis K, and K passes the gate and the
+      certificate, J vanishes on K^3. The degree-g part of a combination of
+      K's homogeneous elements takes only K's degree-g elements, so a
+      homogeneous element of degree g is a combination of those, and J,
+      trilinear on homogeneous arguments, vanishes on every triple of the
+      basis. Both rungs assume only that the bracket is bilinear, as the
+      matrix loop does. This rung is tried only for n < dim and
+      dim^2 <= n^3 + n^2, where K's table is no larger than the loop.
+    - Otherwise, when the gate or a rung refuses, `_by_matrices` walks the
+      S3 orbit representatives a <= b <= c and judges each of their
+      distinct orderings on the matrices, assuming no symmetry of J. Each
+      bracket the orderings of a representative share is computed once:
+      when the table entries of a pair are graded antisymmetric (every
+      pair when the gate holds, else each pair not in the table's
+      `antisymmetry_failures`, as closure and symmetry read them),
+      [e_x, [e_y, e_z]] serves both orders of y, z, and (b, a, c) takes
+      the outcome of (a, b, c).
+
+    Outcomes and counterexamples are those of the plain triple loop:
+    `failed` counts every failing triple, the kept counterexamples are the
+    first in lexicographic triple order, and the report ends with a
+    coverage check: the triples its instances stand for must number n^3.
 
     Runs in one thread: `workers` is accepted and has no effect, since a
     thread pool only adds overhead to pure Python under the interpreter lock."""
@@ -921,7 +978,11 @@ def verify_jacobi(
     report = CheckReport("jacobi", basis.spec.to_json(), max_counterexamples)
     constants = table.structure_constants
     labels = basis.labels
-    if constants is not None and _derivation_certificate(constants, degrees):
+    if constants is None:
+        certified = _certified_span(basis)
+    else:
+        certified = _derivation_certificate(constants, degrees)
+    if certified:
         failures = []
         report.record_passes(len(labels) ** 3)
     else:

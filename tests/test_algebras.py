@@ -550,12 +550,14 @@ def test_doubled_bracket_fails_jacobi_on_int_and_scalar_constants(monkeypatch, s
 
 
 @pytest.mark.parametrize("denominator", [1, 2])
-def test_only_basis_elements_carry_an_index(denominator):
+def test_only_basis_elements_carry_an_index(monkeypatch, denominator):
     # The odd elements of a kernel basis are not closed under brackets, so
     # Jacobi runs the matrix loop; with a denominator it runs on cleared
     # copies. Afterwards the elements are indexed and no table entry is.
     canonical = kernel_basis(ospB(1, 0, 1, 0))
     odd = [ix for ix, mat in enumerate(canonical) if mat.degree_of() == (1, 0)]
+    # They lie in the algebra, which would certify them: keep them on the loop.
+    monkeypatch.setattr(algebras, "_certified_span", lambda basis: False)
     scale = Scalar(Fraction(1, denominator))
     elements = [canonical.elements[ix].scale(scale) for ix in odd]
     basis = Basis(canonical.spec, elements, [canonical.labels[ix] for ix in odd])
@@ -891,11 +893,7 @@ def test_certificate_rechecks_generation(monkeypatch, mutant):
         return generators, steps[:-1]
 
     monkeypatch.setattr(algebras, "_generating_set", mutated)
-    loop_runs = []
-    by_matrices = algebras._by_matrices
-    monkeypatch.setattr(
-        algebras, "_by_matrices", lambda *args: loop_runs.append(1) or by_matrices(*args)
-    )
+    loop_runs = _count_loop_runs(monkeypatch)
     report = verify_jacobi(basis)
     assert loop_runs == [1]
     assert (report.total, report.failed) == (n ** 3, 0)
@@ -915,7 +913,9 @@ def test_pair_and_triple_checks_refuse_an_inhomogeneous_element(check):
 def _rational_subset() -> Basis:
     """Four homogeneous elements of ospB(1,1,1,1), one per degree, each a
     combination of two kernel elements with non-integral Q(sqrt 2)
-    coefficients: not closed under brackets, so Jacobi runs the matrix loop."""
+    coefficients: not closed under brackets, and too few for Jacobi's
+    certified span (dim^2 = 1,600 > n^3 + n^2 = 80), so Jacobi runs the
+    matrix loop."""
     canonical = kernel_basis(ospB(1, 1, 1, 1))
     coefficients = {
         (0, 0): (Scalar(Fraction(3, 7), Fraction(-2, 9)), Scalar(Fraction(-5, 4), Fraction(1, 3))),
@@ -957,7 +957,9 @@ def test_matrix_loop_matches_the_triple_loop_on_a_planted_defect(monkeypatch):
     # (0,1) element with a nonzero bracket, which share nothing: 1 of the
     # rational subset, 12 of the sixteen, where some orbits hold two. The
     # sixteen have orbits p < q < r, p = q < r, p < q = r and p = q = r.
-    # At every cap the report is the triple loop's.
+    # The sixteen lie in the algebra, but each defect makes the kernel
+    # basis refuse the gate or the certificate, so the loop runs on them
+    # too. At every cap the report is the triple loop's.
     for basis, asymmetric in ((_rational_subset(), 1), (_rational_sixteen(), 12)):
         n = len(basis)
         for defect in ("one-sided", "two-sided", "inhomogeneous"):
@@ -1016,6 +1018,7 @@ def test_table_sends_the_meeting_pairs_through_the_module_bracket(monkeypatch):
     assert off[0].is_zero() and all(t is off[0] for t in off)
     zeros = [t for row in table.rows for t in row if t.is_zero()]
     assert len(zeros) == 1600 - 576 and all(t is off[0] for t in zeros)
+    assert table.nonzero == [[b for b, t in enumerate(row) if t is not off[0]] for row in table.rows]
 
 
 def _user_basis(seed: int) -> Basis:
@@ -1268,6 +1271,140 @@ def test_dependent_basis_takes_the_matrix_path(monkeypatch):
     jacobi = verify_jacobi(basis, max_counterexamples=n ** 3, table=table)
     assert jacobi.failed > 10
     assert_same_json(jacobi.to_json(), jacobi_by_triples(basis, n ** 3).to_json())
+
+
+def _count_loop_runs(monkeypatch) -> list:
+    """The calls of `algebras._by_matrices` from here on."""
+    runs = []
+    by_matrices = algebras._by_matrices
+    monkeypatch.setattr(algebras, "_by_matrices", lambda *args: runs.append(1) or by_matrices(*args))
+    return runs
+
+
+@pytest.mark.parametrize("seed", [1, 7919])
+def test_user_basis_is_certified_by_its_algebra(monkeypatch, seed):
+    # The seeded 16 elements of ospB(1,1,1,1) are not closed, so their
+    # gate refuses; they lie in the algebra, whose kernel basis passes the
+    # gate and the certificate. Jacobi then brackets only that basis's
+    # table, its 608 meeting pairs, runs no matrix loop, and reports what
+    # the loop reports.
+    basis = _user_basis(seed)
+    table = BracketTable(basis)
+    assert table.structure_constants is None
+    runs = _count_loop_runs(monkeypatch)
+    with monkeypatch.context() as counted:
+        calls = _count_brackets(counted)
+        certified = verify_jacobi(basis, table=table)
+    assert (runs, len(calls)) == ([], 608)
+    monkeypatch.setattr(algebras, "_certified_span", lambda basis: False)
+    looped = verify_jacobi(basis, table=table)
+    assert runs == [1]
+    assert certified.passed
+    assert_same_json(certified.to_json(), looped.to_json())
+
+
+def _first_eight() -> Basis:
+    """The first eight kernel elements of ospB(0,1,1,0), of all four
+    degrees: not closed under brackets, and with dim^2 = 144 at most
+    n^3 + n^2 = 576, inside the size rule of the certified span."""
+    canonical = kernel_basis(ospB(0, 1, 1, 0))
+    return Basis(canonical.spec, canonical.elements[:8], canonical.labels[:8])
+
+
+def _plant_off_the_algebra(monkeypatch, basis: Basis) -> None:
+    """Push the first element off the algebra by adding e_11, and plant a
+    bilinear defect that vanishes on the algebra: the bracket plus
+    r(a) r(b) e_11, r the entry of the membership residual at the first
+    position where that of the pushed element is nonzero. Every bracket of
+    the kernel basis is the true one."""
+    spec = basis.spec
+    unit = elem(spec.signature(), 1, 1)
+    basis.elements[0] = basis.elements[0] + unit
+    residual_of = algebras.membership_residual(spec)
+    pos = min(pos for pos, _ in residual_of(basis.elements[0]).items())
+    true_bracket = algebras.graded_bracket
+
+    def planted(a, b):
+        weight = residual_of(a).entry(*pos) * residual_of(b).entry(*pos)
+        bracket = true_bracket(a, b)
+        return bracket + unit.scale(weight) if weight else bracket
+
+    monkeypatch.setattr(algebras, "graded_bracket", planted)
+    _bracket_every_pair(monkeypatch)
+
+
+@pytest.mark.parametrize("refusal", ["span", "gate", "certificate"])
+def test_certified_span_needs_each_of_its_conditions(monkeypatch, refusal):
+    # Each planted bilinear defect fails Jacobi on the first eight and
+    # leaves exactly one condition of the certified span unmet: an element
+    # off the algebra under a defect that vanishes on it, where the kernel
+    # basis passes both of its checks; the one-sided defect, which fails
+    # the kernel basis's gate; and the two-sided one, which passes the gate
+    # and fails the certificate. The span refuses, the matrix loop runs,
+    # and the report is the triple loop's.
+    basis = _first_eight()
+    n = len(basis)
+    if refusal == "span":
+        _plant_off_the_algebra(monkeypatch, basis)
+    else:
+        _plant_jacobi_defect(monkeypatch, basis, "one-sided" if refusal == "gate" else "two-sided")
+    canonical = kernel_basis(basis.spec)
+    constants = BracketTable(canonical).structure_constants
+    assert (constants is not None) == (refusal != "gate")
+    if constants is not None:
+        degrees = [mat.degree_of() for mat in canonical]
+        assert algebras._derivation_certificate(constants, degrees) == (refusal == "span")
+    assert all(is_member(basis.spec, mat) for mat in basis) == (refusal != "span")
+    table = BracketTable(basis)
+    assert table.structure_constants is None
+    reference = jacobi_by_triples(basis, max_counterexamples=n ** 3)
+    assert reference.failed > 10
+    runs = _count_loop_runs(monkeypatch)
+    assert not algebras._certified_span(basis)
+    report = verify_jacobi(basis, max_counterexamples=n ** 3, table=table)
+    assert runs == [1]
+    assert_same_json(report.to_json(), reference.to_json())
+
+
+def _resigned(basis: Basis) -> Basis:
+    """The basis with its entries kept and its signature changed to that of
+    gl(0,1|2,2), of the same matrix size as sl(1,0|2,2)."""
+    sig = AlgebraSpec(Family.GL, 0, 1, 2, 2).signature()
+    assert sig != basis.spec.signature()
+    elements = [GradedMatrix(sig, dict(mat.items())) for mat in basis]
+    return Basis(basis.spec, elements, basis.labels)
+
+
+@pytest.mark.parametrize(
+    "n, resign, certified",
+    [(7, False, False), (8, False, True), (8, True, False), (23, False, True), (24, False, False)],
+)
+def test_certified_span_keeps_to_its_size_rule(monkeypatch, n, resign, certified):
+    # sl(1,0|2,2) has dim 24, and dim^2 = 576 = n^3 + n^2 at n = 8: the
+    # route is tried from 8 elements up to 23, and builds the kernel basis
+    # only then. Every subset of the kernel basis lies in the algebra; one
+    # whose elements carry another signature does not.
+    canonical = kernel_basis(AlgebraSpec(Family.SL, 1, 0, 2, 2))
+    assert expected_dim(canonical.spec) == 24
+    basis = Basis(canonical.spec, canonical.elements[:n], canonical.labels[:n])
+    basis = _resigned(basis) if resign else basis
+    built = []
+    build = algebras.kernel_basis
+    monkeypatch.setattr(algebras, "kernel_basis", lambda spec: built.append(1) or build(spec))
+    assert algebras._certified_span(basis) == certified
+    assert len(built) == (8 <= n < 24 and not resign)
+
+
+def test_certified_span_declines_on_gl(monkeypatch):
+    # gl has no kernel basis: five matrix units of gl(1,0|1,1), dim 9, are
+    # inside the size rule, and Jacobi runs the matrix loop on them.
+    spec = AlgebraSpec(Family.GL, 1, 0, 1, 1)
+    units = _matrix_units(spec, diagonal=False)
+    basis = Basis(spec, units.elements[:5], units.labels[:5])
+    assert BracketTable(basis).structure_constants is None
+    runs = _count_loop_runs(monkeypatch)
+    assert verify_jacobi(basis).passed
+    assert runs == [1]
 
 
 def _planted_check(monkeypatch, check: str):
