@@ -418,37 +418,31 @@ def verify_membership(basis: Basis, max_counterexamples: int = 10) -> CheckRepor
 
 
 class BracketTable:
-    """Every graded bracket of a basis, computed once: `rows[a][b]` is
-    [e_a, e_b]. Closure, symmetry and Jacobi all read it. Every zero
-    bracket is stored as one shared zero matrix, which no reader mutates.
+    """Every nonzero graded bracket of a basis, computed once: `rows[a]` is
+    the dict {b: [e_a, e_b]}, in increasing b, and a missing b reads as
+    zero. Closure, symmetry and Jacobi all read it.
 
     Only the pairs this module's `meeting_pairs` lists, those whose
-    supports meet, are bracketed, through this module's `graded_bracket`;
-    every other entry is the shared zero. A bracket built from matrix
-    products is zero on disjoint supports, so no bracket is lost. A caller
-    that rebinds `graded_bracket` to one with terms on disjoint supports
-    must also rebind `meeting_pairs` to every pair. Each basis element is
-    `indexed()` first, so its homogeneous parts are built once for all its
-    brackets; the entries of the table are not indexed. `nonzero[a]` lists
-    the b with a nonzero bracket [e_a, e_b], in increasing order.
+    supports meet, are bracketed, through this module's `graded_bracket`.
+    A bracket built from matrix products is zero on disjoint supports, so
+    no bracket is lost. A caller that rebinds `graded_bracket` to one with
+    terms on disjoint supports must also rebind `meeting_pairs` to every
+    pair. Each basis element is `indexed()` first, so its homogeneous parts
+    are built once for all its brackets; the entries of the table are not
+    indexed.
     """
 
     def __init__(self, basis: Basis):
         self.basis = basis
         elements = [mat.indexed() for mat in basis.elements]
-        zero = GradedMatrix.zero(elements[0].signature) if elements else None
         self.rows = []
-        self.nonzero = []
         for a, meeting in zip(elements, meeting_pairs(elements)):
-            row = [zero] * len(elements)
-            hits = []
+            row = {}
             for b in meeting:
                 t = graded_bracket(a, elements[b])
                 if not t.is_zero():
                     row[b] = t
-                    hits.append(b)
             self.rows.append(row)
-            self.nonzero.append(hits)
 
     @cached_property
     def structure_constants(self) -> Optional[list[dict[int, dict[int, int | Scalar]]]]:
@@ -469,7 +463,7 @@ class BracketTable:
         through `as_int`, so each c_k is a plain int when it is an integer,
         as on the kernel bases, and a Scalar otherwise; the reading, the
         gate and Jacobi's derivation certificate run on them unchanged.
-        Only the pairs in `nonzero` are read. Computed on first use."""
+        Only the nonzero brackets are read. Computed on first use."""
         elements = self.basis.elements
         if not elements:
             return []
@@ -486,10 +480,10 @@ class BracketTable:
             for key, v in vec.items():
                 vec[key] = as_int(v)
         constants = []
-        for row, hits in zip(self.rows, self.nonzero):
+        for row in self.rows:
             coords = {}
-            for b in hits:
-                red = echelon.residual({pos: as_int(v) for pos, v in row[b].items()})
+            for b, t in row.items():
+                red = echelon.residual({pos: as_int(v) for pos, v in t.items()})
                 if any(i < past for i, _ in red):
                     return None
                 if red:
@@ -512,18 +506,25 @@ class BracketTable:
     @cached_property
     def antisymmetry_failures(self) -> frozenset[tuple[int, int]]:
         """The pairs a <= b whose brackets are not graded antisymmetric,
-        T[b][a] != -(-1)^{dot(a, b)} T[a][b], or that hold an element
-        that is not homogeneous. Closure, symmetry and Jacobi read it only
-        when `structure_constants` is None; computed on first use."""
+        T[b][a] != -(-1)^{dot(a, b)} T[a][b], or that hold an element that
+        is not homogeneous; computed on first use. Empty, with no matrix
+        compared, when the `structure_constants` gate holds, as it implies
+        graded antisymmetry; otherwise each pair with a nonzero bracket is
+        compared once, a pair of zero brackets holding."""
+        if self.structure_constants is not None:
+            return frozenset()
         degrees = [mat.degree_of() for mat in self.basis.elements]
+        mixed = [ia for ia, d in enumerate(degrees) if d is None]
+        failures = {(min(ia, ib), max(ia, ib)) for ia in mixed for ib in range(len(degrees))}
         rows = self.rows
-        failures = set()
-        for ia, da in enumerate(degrees):
-            for ib in range(ia, len(degrees)):
-                db = degrees[ib]
-                t = rows[ia][ib]
-                if da is None or db is None or rows[ib][ia] != (t if dot(da, db) else -t):
-                    failures.add((ia, ib))
+        for ia, row in enumerate(rows):
+            for ib, t in row.items():
+                pair = (ia, ib) if ia <= ib else (ib, ia)
+                if pair in failures or ib < ia and ia in rows[ib]:
+                    continue  # known, or compared from row ib
+                other = rows[ib].get(ia)
+                if other is None or other != (t if dot(degrees[ia], degrees[ib]) else -t):
+                    failures.add(pair)
         return frozenset(failures)
 
 
@@ -545,14 +546,13 @@ def verify_closure(
     When the table's `structure_constants` gate holds, every bracket is a
     combination of the elements and the residual is linear, so when the n
     residuals of the elements all vanish, all n^2 pairs pass at once.
-    Otherwise the table entries are tested. The residual is linear, so
-    when T[b][a] = -+T[a][b] the two residuals are equal up to sign: such a
-    pair a < b is judged once and its outcome recorded for both orders,
-    the (b, a) counterexample built from T[b][a] only when the report
-    keeps it. Every pair is graded antisymmetric when the gate holds, and
-    otherwise the pairs that are not are the table's
-    `antisymmetry_failures`. The report ends with a coverage check: n^2
-    ordered pairs."""
+    Otherwise the table's nonzero entries are tested, a zero bracket
+    having a zero residual. The residual is linear, so when T[b][a] =
+    -+T[a][b], a pair a < b not in the table's `antisymmetry_failures`,
+    the two residuals are equal up to sign: such a pair is judged once and
+    its outcome recorded for both orders, the (b, a) counterexample built
+    from T[b][a] only when the report keeps it. The report ends with a
+    coverage check: n^2 ordered pairs."""
     table = _table_for(basis, table)
     labels = basis.labels
     n = len(labels)
@@ -562,12 +562,12 @@ def verify_closure(
     if constants is not None and all(_vanishes(residual_of(mat)) for mat in basis.elements):
         report.record_passes(n * n)
     else:
-        asymmetric = frozenset() if constants is not None else table.antisymmetry_failures
+        asymmetric = table.antisymmetry_failures
         rows = table.rows
         failed_above = set()  # the failing pairs a < b, read back for (b, a)
         for ia, row in enumerate(rows):
             failing = []
-            for ib, mat in enumerate(row):
+            for ib, mat in row.items():
                 if ib < ia and (ib, ia) not in asymmetric:
                     ok = (ib, ia) not in failed_above
                 else:
@@ -607,32 +607,28 @@ def verify_symmetry(
     read off `table` (built here when not given); a counterexample names
     the pair and holds lhs - rhs.
 
-    When the table's `structure_constants` gate holds, C_ba = -+C_ab for
-    every pair and every bracket equals its reconstruction from C, so
-    every pair passes with no matrix compared. When the constants are None
-    the outcomes are the table's `antisymmetry_failures`, which compares
-    each pair a <= b once: (a, b) and (b, a) fail together, and lhs - rhs
-    is built only for a counterexample the report keeps. The report ends
-    with a coverage check: n^2 ordered pairs."""
+    The outcomes are the table's `antisymmetry_failures`, which compares
+    each pair a <= b once, and none when the structure-constant gate
+    holds: (a, b) and (b, a) fail together, and lhs - rhs is built only
+    for a counterexample the report keeps. The report ends with a
+    coverage check: n^2 ordered pairs."""
     degrees = _homogeneous_degrees(zip(basis.labels, basis.elements))
     table = _table_for(basis, table)
     report = CheckReport("symmetry", basis.spec.to_json(), max_counterexamples)
     labels = basis.labels
     n = len(labels)
-    if table.structure_constants is not None:
-        report.record_passes(n * n)
-    else:
-        rows = table.rows
-        failing = sorted({p for a, b in table.antisymmetry_failures for p in ((a, b), (b, a))})
-        report.record_passes(n * n - len(failing))
-        for ia, ib in failing:
+    rows = table.rows
+    failing = sorted({p for a, b in table.antisymmetry_failures for p in ((a, b), (b, a))})
+    report.record_passes(n * n - len(failing))
+    for ia, ib in failing:
 
-            def counterexample():
-                rhs = rows[ib][ia] if dot(degrees[ia], degrees[ib]) else -rows[ib][ia]
-                residual = rows[ia][ib] - rhs
-                return {"indices": [labels[ia], labels[ib]], "residual": residual.to_json()}
+        def counterexample():
+            zero = GradedMatrix.zero(basis.elements[ia].signature)
+            lhs, rhs = rows[ia].get(ib, zero), rows[ib].get(ia, zero)
+            residual = lhs - (rhs if dot(degrees[ia], degrees[ib]) else -rhs)
+            return {"indices": [labels[ia], labels[ib]], "residual": residual.to_json()}
 
-            report.record(False, counterexample)
+        report.record(False, counterexample)
     report.record_coverage(n * n)
     return report
 
@@ -641,14 +637,8 @@ def verify_symmetry(
 _Failure = tuple[tuple[int, int, int], Callable[[], GradedMatrix]]
 
 
-def _by_matrices(
-    elements: list[GradedMatrix],
-    rows: list[list[GradedMatrix]],
-    degrees: list[Degree],
-    asymmetric: frozenset[tuple[int, int]],
-    report: CheckReport,
-) -> list[_Failure]:
-    """The matrix loop of `verify_jacobi`, run when the table's structure
+def _by_matrices(table: BracketTable, degrees: list[Degree], report: CheckReport) -> list[_Failure]:
+    """The matrix loop of `verify_jacobi` on `table`, run when its structure
     constants are None or the derivation certificate refuses: correct for
     any basis, closed under brackets or not. It walks the S3 orbit
     representatives p <= q <= r and judges each distinct ordering
@@ -667,32 +657,35 @@ def _by_matrices(
     The three terms of (a, b, c) are X(a, b, c), [[a, b], c] and
     X(b, a, c), with X(x, y, z) = [e_x, [e_y, e_z]]; each bracket is
     computed at most once per orbit, and no bracket is kept past its
-    orbit. A pair y < z not in `asymmetric` (the table's
-    `antisymmetry_failures`) has T[z][y] = -(-1)^{dot(y, z)} T[y][z]; the
-    bracket is assumed to take -T to minus itself, as any bilinear bracket
-    does, so X(x, z, y) is X(x, y, z) with that sign, and
-    J(b, a, c) = -(-1)^{dot(a, b)} J(a, b, c): (b, a, c) takes the outcome
-    of (a, b, c) with no [[b, a], c] computed. The loop thus makes
-    n^3 + n^2 brackets, n * n(n + 1)/2 of each kind. A pair in
-    `asymmetric` shares nothing and is judged in both orders, at 2n
-    brackets more. No residual is held: a thunk computes it from the
+    orbit. A pair y < z not in the table's `antisymmetry_failures` has
+    T[z][y] = -(-1)^{dot(y, z)} T[y][z]; the bracket is assumed to take -T
+    to minus itself, as any bilinear bracket does, so X(x, z, y) is
+    X(x, y, z) with that sign, and J(b, a, c) = -(-1)^{dot(a, b)} J(a, b, c):
+    (b, a, c) takes the outcome of (a, b, c) with no [[b, a], c] computed.
+    The loop thus makes n^3 + n^2 brackets, n * n(n + 1)/2 of each kind. A
+    pair in `antisymmetry_failures` shares nothing and is judged in both
+    orders, at 2n brackets more. No residual is held: a thunk computes it from the
     unscaled elements and table, for each ordered triple on its own, which
     the report calls only for a counterexample it keeps.
 
-    The cleared elements, and shallow copies of the table row p while p
-    is the least index of the orbits walked, are `indexed()`; the table
-    entries are not."""
-    original, table = elements, rows
+    A missing entry of a row reads as the zero matrix. The cleared
+    elements, and shallow copies of the entries of row p while p is the
+    least index of the orbits walked, are `indexed()`; the table entries
+    are not."""
+    asymmetric = table.antisymmetry_failures
+    elements = original = table.basis.elements
+    rows = unscaled = table.rows
     clear = [lcm(*(v._d for _, v in mat.items())) for mat in elements]
     if any(k != 1 for k in clear):
         elements = [mat.scale(k).indexed() for mat, k in zip(elements, clear)]
-        rows = [[t.scale(ka * kb) for t, kb in zip(row, clear)] for row, ka in zip(rows, clear)]
+        rows = [{b: t.scale(ka * clear[b]) for b, t in row.items()} for row, ka in zip(rows, clear)]
+    zero = GradedMatrix.zero(elements[0].signature) if elements else None
 
     def residual(ia: int, ib: int, ic: int, odd: int) -> GradedMatrix:
-        rhs = graded_bracket(table[ia][ib], original[ic])
-        third = graded_bracket(original[ib], table[ia][ic])
+        rhs = graded_bracket(unscaled[ia].get(ib, zero), original[ic])
+        third = graded_bracket(original[ib], unscaled[ia].get(ic, zero))
         rhs = rhs - third if odd else rhs + third
-        return graded_bracket(original[ia], table[ib][ic]) - rhs
+        return graded_bracket(original[ia], unscaled[ib].get(ic, zero)) - rhs
 
     n = len(elements)
     parity = [[dot(dx, dy) for dy in degrees] for dx in degrees]
@@ -701,7 +694,7 @@ def _by_matrices(
 
     def entry(y: int, z: int) -> GradedMatrix:
         """T[y][z], read off the indexed copy of row p when y == p."""
-        return (row_p if y == p else rows[y])[z]
+        return (row_p if y == p else rows[y]).get(z, zero)
 
     def inner(memo: dict, x: int, y: int, z: int) -> tuple[GradedMatrix, bool]:
         """(M, negated) with X(x, y, z) = [e_x, T[y][z]] equal to -M when
@@ -718,7 +711,9 @@ def _by_matrices(
 
     failures = []
     for p in range(n):
-        row_p = [GradedMatrix._make(t.signature, t._entries).indexed() for t in rows[p]]
+        row_p = {
+            b: GradedMatrix._make(t.signature, t._entries).indexed() for b, t in rows[p].items()
+        }
         for q in range(p, n):
             passes = 0
             for r in range(q, n):
@@ -960,9 +955,9 @@ def verify_jacobi(
       S3 orbit representatives a <= b <= c and judges each of their
       distinct orderings on the matrices, assuming no symmetry of J. Each
       bracket the orderings of a representative share is computed once:
-      when the table entries of a pair are graded antisymmetric (every
-      pair when the gate holds, else each pair not in the table's
-      `antisymmetry_failures`, as closure and symmetry read them),
+      when the table entries of a pair are graded antisymmetric (each
+      pair not in the table's `antisymmetry_failures`, as closure and
+      symmetry read them),
       [e_x, [e_y, e_z]] serves both orders of y, z, and (b, a, c) takes
       the outcome of (a, b, c).
 
@@ -986,8 +981,7 @@ def verify_jacobi(
         failures = []
         report.record_passes(len(labels) ** 3)
     else:
-        asymmetric = frozenset() if constants is not None else table.antisymmetry_failures
-        failures = _by_matrices(basis.elements, table.rows, degrees, asymmetric, report)
+        failures = _by_matrices(table, degrees, report)
     failures.sort(key=lambda failure: failure[0])
     for triple, thunk in failures:
         report.record(

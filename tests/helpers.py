@@ -178,6 +178,26 @@ def symmetry_by_pairs(basis, max_counterexamples: int = 10) -> CheckReport:
     return report
 
 
+def antisymmetry_failures_by_pairs(basis) -> frozenset[tuple[int, int]]:
+    """The pairs a <= b that are not graded antisymmetric, found the plain
+    way, the reference for `BracketTable.antisymmetry_failures`: a dense
+    table of all n^2 brackets through `algebras.graded_bracket`, and each
+    of the n(n+1)/2 pairs compared, a pair that holds an element that is
+    not homogeneous failing. No gate and no sparse rows."""
+    bracket = algebras.graded_bracket
+    elements = basis.elements
+    degrees = [mat.degree_of() for mat in elements]
+    dense = [[bracket(a, b) for b in elements] for a in elements]
+    failures = set()
+    for ia, da in enumerate(degrees):
+        for ib in range(ia, len(elements)):
+            db = degrees[ib]
+            t = dense[ia][ib]
+            if da is None or db is None or dense[ib][ia] != (t if dot(da, db) else -t):
+                failures.add((ia, ib))
+    return frozenset(failures)
+
+
 def block_conditions_by_pairs(basis, max_counterexamples: int = 10) -> CheckReport:
     """The block conditions checked the plain way, the reference for
     `verify_block_conditions`: every relation compares every (lhs, rhs)

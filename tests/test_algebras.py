@@ -38,6 +38,7 @@ from gradedosp.report import CheckReport
 from gradedosp.scalars import ONE, SQRT2, Scalar
 
 from helpers import (
+    antisymmetry_failures_by_pairs,
     assert_same_json,
     block_conditions_by_pairs,
     bruteforce_algebra_dim,
@@ -474,17 +475,18 @@ def test_verify_jacobi_workers_agree():
 def test_structure_constants_rebuild_every_bracket(make_basis):
     # The Jacobi contraction is quadratic in the constants, so it cannot
     # tell C from -C; the constants are compared with the brackets here.
+    # Every pair is rebuilt, a pair missing from the table as zero.
     basis = make_basis(ospB(1, 0, 1, 0))
     table = BracketTable(basis)
     constants = table.structure_constants
+    zero = GradedMatrix.zero(basis.spec.signature())
     for a, row in enumerate(table.rows):
-        for b, bracket in enumerate(row):
-            coords = constants[a].get(b, {})
-            assert bool(coords) == (not bracket.is_zero())
-            total = GradedMatrix.zero(bracket.signature)
-            for k, c in coords.items():
+        assert row.keys() == constants[a].keys()
+        for b in range(len(basis)):
+            total = zero
+            for k, c in constants[a].get(b, {}).items():
                 total = total + basis.elements[k].scale(c)
-            assert total == bracket
+            assert total == row.get(b, zero)
 
 
 _SCALING = (1 + SQRT2) / 3
@@ -565,7 +567,8 @@ def test_only_basis_elements_carry_an_index(monkeypatch, denominator):
     assert table.structure_constants is None
     assert verify_jacobi(basis, table=table).passed
     assert all(mat._index is not None for mat in basis.elements)
-    assert all(t._index is None for row in table.rows for t in row)
+    assert any(table.rows)
+    assert all(t._index is None for row in table.rows for t in row.values())
 
 
 def test_planted_bracket_sign_fails_jacobi_and_symmetry(monkeypatch):
@@ -994,12 +997,21 @@ def _count_brackets(monkeypatch) -> list:
     return calls
 
 
+def _count_comparisons(monkeypatch) -> list:
+    """The matrix comparisons, `==` and `!=` of two `GradedMatrix`, from
+    here on."""
+    calls = []
+    equal = GradedMatrix.__eq__
+    monkeypatch.setattr(GradedMatrix, "__eq__", lambda a, b: calls.append(1) or equal(a, b))
+    return calls
+
+
 def test_table_sends_the_meeting_pairs_through_the_module_bracket(monkeypatch):
     # Most of the n^2 pairs of a kernel basis have disjoint supports: the
     # table brackets only the pairs `meeting_pairs` lists, in increasing b,
     # through `algebras.graded_bracket`, 608 of the 1,600 on ospB(1,1,1,1).
-    # Every other entry, and every zero bracket of a meeting pair, is the
-    # one shared zero.
+    # The rows hold exactly the nonzero brackets of the meeting pairs, 576
+    # of the 608, in increasing b, and no zero bracket.
     basis = kernel_basis(ospB(1, 1, 1, 1))
     position = {id(mat): k for k, mat in enumerate(basis.elements)}
     pairs = []
@@ -1013,12 +1025,11 @@ def test_table_sends_the_meeting_pairs_through_the_module_bracket(monkeypatch):
     meeting = algebras.meeting_pairs(basis.elements)
     assert pairs == [(a, b) for a, row in enumerate(meeting) for b in row]
     assert len(pairs) == 608 < len(basis) ** 2 == 1600
-    off = [t for row, hit in zip(table.rows, meeting) for b, t in enumerate(row) if b not in hit]
-    assert len(off) == 1600 - 608
-    assert off[0].is_zero() and all(t is off[0] for t in off)
-    zeros = [t for row in table.rows for t in row if t.is_zero()]
-    assert len(zeros) == 1600 - 576 and all(t is off[0] for t in zeros)
-    assert table.nonzero == [[b for b, t in enumerate(row) if t is not off[0]] for row in table.rows]
+    elements = basis.elements
+    for a, (row, hit) in enumerate(zip(table.rows, meeting)):
+        brackets = {b: graded_bracket(elements[a], elements[b]) for b in hit}
+        assert list(row.items()) == [(b, t) for b, t in brackets.items() if not t.is_zero()]
+    assert sum(map(len, table.rows)) == 576
 
 
 def _user_basis(seed: int) -> Basis:
@@ -1029,6 +1040,31 @@ def _user_basis(seed: int) -> Basis:
     module = importlib.util.module_from_spec(module_spec)
     module_spec.loader.exec_module(module)
     return module.generate(seed)
+
+
+# Two matrix units of ospB(0,1,1,0) and of ospB(1,1,1,1) whose sum y is
+# not homogeneous, for `_mixed_basis`.
+_MIXED_UNITS = {(0, 1, 1, 0): ((1, 4), (5, 3)), (1, 1, 1, 1): ((1, 8), (6, 4))}
+
+
+def _mixed_basis(params: tuple) -> Basis:
+    """The kernel basis of ospB(params) and two elements that are not
+    homogeneous: x, the sum of its first (0,0) and (1,1) elements, which
+    lies in the algebra, and y, the sum of the two `_MIXED_UNITS`, which
+    does not. Both [x, y] and [y, x] are nonzero, and their parts of one
+    degree are sums of two terms whose signs differ between the orders, so
+    the membership residual of [x, y] does not vanish and that of [y, x]
+    does."""
+    canonical = kernel_basis(ospB(*params))
+    first = {mat.degree_of(): mat for mat in reversed(canonical.elements)}
+    sig = canonical.spec.signature()
+    p, q = _MIXED_UNITS[params]
+    x = first[(0, 0)] + first[(1, 1)]
+    y = elem(sig, *p) + elem(sig, *q)
+    return Basis(canonical.spec, [*canonical, x, y], [*canonical.labels, "x", "y"])
+
+
+_TABLE_CASES = ["kernel bases", "rational subset", "matrix units", "not homogeneous", "user basis"]
 
 
 def _table_cases(case: str) -> list[Basis]:
@@ -1047,17 +1083,85 @@ def _table_cases(case: str) -> list[Basis]:
         return [_rational_subset()]
     if case == "matrix units":
         return [_matrix_units(ospB(*p), diagonal=False) for p in ((0, 1, 1, 0), (1, 1, 1, 1))]
+    if case == "not homogeneous":
+        return [_mixed_basis(params) for params in _MIXED_UNITS]
     return [_user_basis(1)]
 
 
-@pytest.mark.parametrize("case", ["kernel bases", "rational subset", "matrix units", "user basis"])
+@pytest.mark.parametrize("case", _TABLE_CASES)
 def test_table_equals_the_brackets_of_every_pair(case):
     # Bracketing only the pairs whose supports meet loses no bracket: the
-    # table equals one that brackets all n^2 pairs of unindexed copies.
+    # table's rows are the nonzero brackets, in increasing b, of all n^2
+    # pairs of unindexed copies.
     for basis in _table_cases(case):
         copies = [GradedMatrix(mat.signature, dict(mat.items())) for mat in basis]
         every_pair = [[graded_bracket(a, b) for b in copies] for a in copies]
-        assert BracketTable(basis).rows == every_pair
+        nonzero = [[(b, t) for b, t in enumerate(row) if not t.is_zero()] for row in every_pair]
+        assert [list(row.items()) for row in BracketTable(basis).rows] == nonzero
+
+
+@pytest.mark.parametrize("defect", [None, "hidden constants", "one-sided", "one order zero"])
+@pytest.mark.parametrize("case", _TABLE_CASES)
+def test_antisymmetry_failures_match_the_dense_pair_loop(monkeypatch, case, defect):
+    # The table compares only the pairs with a nonzero bracket, and none
+    # when the gate holds; the dense loop compares all n(n+1)/2 pairs.
+    # With the constants hidden the gated bases are scanned too. The
+    # one-sided defect doubles the (1,0) x (0,1) brackets, and the other
+    # makes the (0,1) x (1,0) ones zero, so that only one row holds the
+    # bracket of such a pair. Both need a (1,0) and a (0,1) element and
+    # fail some pair of each case; an element that is not homogeneous
+    # fails every pair it is in.
+    broken = 0
+    for basis in _table_cases(case):
+        degrees = {mat.degree_of() for mat in basis}
+        if defect in ("one-sided", "one order zero") and not set(_ODD_PAIR) <= degrees:
+            continue
+        with monkeypatch.context() as planted:
+            if defect == "hidden constants":
+                planted.setattr(BracketTable, "structure_constants", None)
+            elif defect == "one-sided":
+                _plant_jacobi_defect(planted, basis, defect)
+            elif defect:
+                true_bracket = algebras.graded_bracket
+
+                def one_order_zero(a, b):
+                    bracket = true_bracket(a, b)
+                    reversed_pair = (a.degree_of(), b.degree_of()) == _ODD_PAIR[::-1]
+                    return bracket.scale(0) if reversed_pair else bracket
+
+                planted.setattr(algebras, "graded_bracket", one_order_zero)
+            failures = BracketTable(basis).antisymmetry_failures
+            assert failures == antisymmetry_failures_by_pairs(basis)
+        broken += len(failures)
+    assert (broken > 0) == (defect not in (None, "hidden constants") or case == "not homogeneous")
+
+
+@pytest.mark.parametrize("params", list(_MIXED_UNITS))
+def test_closure_judges_elements_that_are_not_homogeneous_in_both_orders(params):
+    # The gate refuses a basis with an element that is not homogeneous, so
+    # closure reads the table; every pair holding x or y is among its
+    # antisymmetry failures and is judged in both orders: (x, y) fails
+    # and (y, x), a nonzero bracket, passes. The report is the pair loop's
+    # at every cap.
+    basis = _mixed_basis(params)
+    n = len(basis)
+    table = BracketTable(basis)
+    assert table.structure_constants is None
+    assert n - 2 in table.rows[n - 1]
+    expected = closure_by_pairs(basis, n * n).to_json()
+    failing = [ce["indices"] for ce in expected["counterexamples"]]
+    assert ["x", "y"] in failing and ["y", "x"] not in failing
+    for cap in (0, 1, n * n):
+        report = verify_closure(basis, cap, table=table)
+        want = {**expected, "counterexamples": expected["counterexamples"][:cap]}
+        assert_same_json(report.to_json(), want)
+
+
+@pytest.mark.parametrize("check", [verify_closure, verify_symmetry, verify_jacobi])
+def test_empty_basis_passes_with_no_instance(check):
+    # No element to take a zero matrix or a signature from.
+    report = check(Basis(ospB(1, 1, 1, 1), [], []))
+    assert (report.total, report.failed) == (0, 0)
 
 
 def test_matrix_loop_bracket_count(monkeypatch):
@@ -1101,17 +1205,20 @@ def test_matrix_loop_judges_an_asymmetric_pair_in_both_orders(monkeypatch, param
 def test_refused_certificate_runs_the_matrix_loop_on_the_gated_pairs(monkeypatch):
     # The two-sided defect passes the gate and fails the certificate. The
     # gate makes every pair graded antisymmetric, so the matrix loop shares
-    # every pair, at n^3 + n^2 = 1,872 brackets for n = 12, and the table's
-    # `antisymmetry_failures` are never computed.
+    # every pair, at n^3 + n^2 = 1,872 brackets for n = 12, and compares
+    # matrices once per ordering (a, b, c) with a <= b it judges, 936: the
+    # table's `antisymmetry_failures` are empty with no pair compared.
     basis = kernel_basis(ospB(0, 1, 1, 0))
     n = len(basis)
     _plant_jacobi_defect(monkeypatch, basis, "two-sided")
     table = BracketTable(basis)
     assert table.structure_constants is not None
     calls = _count_brackets(monkeypatch)
+    compared = _count_comparisons(monkeypatch)
     assert verify_jacobi(basis, max_counterexamples=0, table=table).failed == 120
     assert len(calls) == _matrix_loop_brackets(n, 0) == 1872
-    assert "antisymmetry_failures" not in table.__dict__
+    assert len(compared) == n * n * (n + 1) // 2 == 936
+    assert table.antisymmetry_failures == frozenset()
 
 
 @pytest.mark.parametrize(
@@ -1199,8 +1306,14 @@ def test_pair_checks_match_the_pair_loops(monkeypatch, basis_of, defect, hide_co
     else:
         assert closure == (1 if defect == "one-sided off the algebra" else 0)
     assert (symmetry_by_pairs(basis).failed > 0) == str(defect).startswith("one-sided")
-    computed = "antisymmetry_failures" in table.__dict__
-    assert computed == (table.structure_constants is None)
+    # The table compares matrices to find its antisymmetry failures exactly
+    # when the gate refuses.
+    fresh = BracketTable(basis)
+    gated = fresh.structure_constants is not None
+    compared = _count_comparisons(monkeypatch)
+    failures = fresh.antisymmetry_failures
+    assert (compared == []) == gated
+    assert failures == antisymmetry_failures_by_pairs(basis)
 
 
 @pytest.mark.parametrize("check", [verify_closure, verify_symmetry])

@@ -7,6 +7,7 @@ import pytest
 
 from gradedosp import cli, parastat
 from gradedosp.cli import REPORT_SCHEMA, main
+from gradedosp.gmatrix import GradedMatrix
 
 
 def run_json(tmp_path, *argv):
@@ -189,8 +190,9 @@ def test_bracket_table_built_at_most_once(tmp_path, monkeypatch, command, family
 @pytest.mark.parametrize("family", ["ospB", "ospD", "sl"])
 def test_report_on_a_kernel_basis_reads_no_antisymmetry_failures(tmp_path, monkeypatch, family):
     # The kernel basis passes the structure-constant gate, so closure,
-    # symmetry and Jacobi stay on the coordinate path, and the pairwise
-    # antisymmetry comparison of the matrix path is never made.
+    # symmetry and Jacobi stay on the coordinate path: the table's
+    # `antisymmetry_failures` are empty, and no two matrices are compared
+    # in the whole report, so the pairwise comparison is never made.
     tables = []
     build = cli.BracketTable
 
@@ -198,13 +200,17 @@ def test_report_on_a_kernel_basis_reads_no_antisymmetry_failures(tmp_path, monke
         tables.append(build(basis))
         return tables[-1]
 
+    compared = []
+    equal = GradedMatrix.__eq__
     monkeypatch.setattr(cli, "BracketTable", kept)
+    monkeypatch.setattr(GradedMatrix, "__eq__", lambda a, b: compared.append(1) or equal(a, b))
     argv = ["--algebra", family, "--m1", "1", "--n1", "1", "--n2", "1"]
     code, _ = run_json(tmp_path, "report", *argv)
     assert code == 0
     [table] = tables
     assert table.structure_constants is not None
-    assert "antisymmetry_failures" not in table.__dict__
+    assert table.antisymmetry_failures == frozenset()
+    assert compared == []
 
 
 @pytest.mark.parametrize("command", ["check-relations", "report"])
