@@ -739,37 +739,6 @@ def _by_matrices(table: BracketTable, degrees: list[Degree], report: CheckReport
     return failures
 
 
-def _add_nested(acc: dict, row_x: dict, row_y: dict, first: int, subtract: bool = False) -> None:
-    """acc[c] += [e_x, [e_y, e_c]] = sum_d C_yc^d C_xd for each c >= first
-    (-= with `subtract`), in coordinates; row_x and row_y are C[x], C[y]."""
-    for ic, coeffs in row_y.items():
-        if ic < first:
-            continue
-        for d, x in coeffs.items():
-            vec = row_x.get(d)
-            if vec:
-                _axpy(acc.setdefault(ic, {}), x, vec, subtract)
-
-
-def _jacobiators(
-    constants: list[dict[int, dict[int, int | Scalar]]], ia: int, ib: int, odd: int
-) -> dict[int, dict[int, int | Scalar]]:
-    """The coordinates of J(a, b, c) = [a, [b, c]] - [[a, b], c] - (-1)^odd [b, [a, c]]
-    for every c >= b, with odd = dot(a, b), keyed by c: a c that is absent
-    or holds {} has J(a, b, c) = 0. The contraction loop of
-    `_derivation_certificate`."""
-    row_a, row_b = constants[ia], constants[ib]
-    acc: dict[int, dict[int, int | Scalar]] = {}
-    _add_nested(acc, row_a, row_b, ib)
-    # [[a, b], c] = sum_d C_ab^d [e_d, c]
-    for d, x in row_a.get(ib, {}).items():
-        for ic, vec in constants[d].items():
-            if ic >= ib:
-                _axpy(acc.setdefault(ic, {}), x, vec, subtract=True)
-    _add_nested(acc, row_b, row_a, ib, subtract=not odd)
-    return acc
-
-
 # A step of a generation proof: (s, None) stands for e_s, and (s, j) for
 # [e_s, v_j], v_j the vector of step j.
 _Step = tuple[int, Optional[int]]
@@ -846,6 +815,61 @@ def _generates(
     return span.rank == len(constants)
 
 
+def _jacobi_sweep(
+    constants: list[dict[int, dict[int, int | Scalar]]],
+    index: list[list[tuple[int, int, int | Scalar]]],
+    degrees: list[Degree],
+    s: int,
+    earlier: frozenset[int],
+) -> dict[tuple[int, int, int], int | Scalar]:
+    """The coordinates of J(s, b, c) = [s, [b, c]] - [[s, b], c] - eps(s, b) [b, [s, c]]
+    for every b <= c with neither b nor c in `earlier`, keyed (b, c, e) for
+    the coordinate on e_e; eps = (-1)^dot, and a key that is absent, or
+    present with value 0, is a zero coordinate. `index[d]` lists the
+    (b, c, C_bc^d) with c >= b. Each term visits only products that can be
+    nonzero:
+    - [s, [b, c]] = sum_d C_bc^d C_sd, from `index[d]` for each d in C[s];
+    - [[s, b], c] = sum_d C_sb^d C_dc, from the row C[d] for each d in C_sb;
+    - eps(s, b) [b, [s, c]] = eps(s, b) sum_d C_sc^d C_bd, from the row C[d]
+      for each d in C_sc: the gate gives C_bd = -eps(b, d) C_db and
+      deg(d) = deg(s) + deg(c), and dot is bilinear, so the term adds
+      eps(b, c) C_sc^d C_db to J."""
+    row_s = constants[s]
+    acc: dict[tuple[int, int, int], int | Scalar] = {}
+    get = acc.get
+    for d, image in row_s.items():
+        for b, c, x in index[d]:
+            if b in earlier or c in earlier:
+                continue
+            for e, y in image.items():
+                key = (b, c, e)
+                acc[key] = get(key, 0) + x * y
+    for b, coeffs in row_s.items():
+        if b in earlier:
+            continue
+        for d, x in coeffs.items():
+            x = -x
+            for c, image in constants[d].items():
+                if c < b or c in earlier:
+                    continue
+                for e, y in image.items():
+                    key = (b, c, e)
+                    acc[key] = get(key, 0) + x * y
+    for c, coeffs in row_s.items():
+        if c in earlier:
+            continue
+        dc = degrees[c]
+        for d, x in coeffs.items():
+            for b, image in constants[d].items():
+                if b > c or b in earlier:
+                    continue
+                w = -x if dot(degrees[b], dc) else x
+                for e, y in image.items():
+                    key = (b, c, e)
+                    acc[key] = get(key, 0) + w * y
+    return acc
+
+
 def _derivation_certificate(
     constants: list[dict[int, dict[int, int | Scalar]]], degrees: list[Degree]
 ) -> bool:
@@ -859,22 +883,29 @@ def _derivation_certificate(
     eps-derivations, again one since eps is a symmetric bicharacter. So
     J = 0 everywhere when a set S of basis elements generates the algebra
     (`_generating_set`, re-checked by `_generates`) and J(s, b, c) = 0 for
-    every s in S and all b, c. The gate of the constants makes the bracket
-    homogeneous and graded antisymmetric, so J(a, c, b) = -eps(b, c) J(a, b, c)
-    and only c >= b is contracted, and J(s, b, .) = -eps(s, b) J(b, s, .)
-    is already checked for b < s in S. Stops at the first nonzero
-    coordinate."""
+    every s in S and all b, c.
+
+    One `_jacobi_sweep` per generator s, in S order, adds up J(s, b, c) for
+    all b <= c at once, through an inverse index d -> [(b, c, C_bc^d)] of
+    the constants built here for this call. The gate of the constants makes
+    the bracket homogeneous and graded antisymmetric, so J is graded
+    alternating in its three arguments: J(s, c, b) = -eps(b, c) J(s, b, c),
+    so only b <= c is contracted, and a triple whose b or c is an earlier
+    generator t is, up to sign, one of J(t, ., .), which vanished in t's
+    sweep, so it is skipped. Refuses at the first sweep that leaves a
+    nonzero coordinate."""
     generators, steps = _generating_set(constants)
     if not _generates(constants, generators, steps):
         return False
-    members = set(generators)
-    for s in generators:
-        ds = degrees[s]
-        for b in range(len(constants)):
-            if b < s and b in members:
-                continue
-            if any(_jacobiators(constants, s, b, dot(ds, degrees[b])).values()):
-                return False
+    index: list[list[tuple[int, int, int | Scalar]]] = [[] for _ in constants]
+    for b, row in enumerate(constants):
+        for c, coeffs in row.items():
+            if c >= b:
+                for d, x in coeffs.items():
+                    index[d].append((b, c, x))
+    for i, s in enumerate(generators):
+        if any(_jacobi_sweep(constants, index, degrees, s, frozenset(generators[:i])).values()):
+            return False
     return True
 
 

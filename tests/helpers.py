@@ -142,6 +142,54 @@ def jacobi_by_triples(basis, max_counterexamples: int = 10) -> CheckReport:
     return report
 
 
+def _add_nested(acc: dict, row_x: dict, row_y: dict, first: int, sign: int = 1) -> None:
+    """acc[c] += sign * [e_x, [e_y, e_c]] = sign * sum_d C_yc^d C_xd for each
+    c >= first, in coordinates; row_x and row_y are C[x], C[y]. Cancelled
+    coordinates stay in acc as zeros."""
+    for ic, coeffs in row_y.items():
+        if ic < first:
+            continue
+        out = acc.setdefault(ic, {})
+        for d, x in coeffs.items():
+            for k, v in row_x.get(d, {}).items():
+                out[k] = out.get(k, 0) + sign * x * v
+
+
+def _jacobiators(constants, ia: int, ib: int, odd: int) -> dict:
+    """The coordinates of J(a, b, c) = [a, [b, c]] - [[a, b], c] - (-1)^odd [b, [a, c]]
+    for every c >= b, with odd = dot(a, b), keyed by c: one pair (a, b) at
+    a time, every product looked up in the rows of the constants."""
+    row_a, row_b = constants[ia], constants[ib]
+    acc: dict = {}
+    _add_nested(acc, row_a, row_b, ib)
+    # [[a, b], c] = sum_d C_ab^d [e_d, c]
+    for d, x in row_a.get(ib, {}).items():
+        for ic, vec in constants[d].items():
+            if ic >= ib:
+                out = acc.setdefault(ic, {})
+                for k, v in vec.items():
+                    out[k] = out.get(k, 0) - x * v
+    _add_nested(acc, row_b, row_a, ib, 1 if odd else -1)
+    return acc
+
+
+def orbit_loop_passes(constants, degrees: list) -> bool:
+    """Whether the Jacobiator vanishes on every orbit representative
+    a <= b <= c, contracted in coordinates pair by pair, the reference for
+    `algebras._derivation_certificate`: it needs no generating set and
+    shares no code with the certificate's sweep. On constants that pass the
+    gate J is graded antisymmetric in all three arguments, so that decides
+    all n^3 triples."""
+    n = len(constants)
+    return not any(
+        v
+        for a in range(n)
+        for b in range(a, n)
+        for vec in _jacobiators(constants, a, b, dot(degrees[a], degrees[b])).values()
+        for v in vec.values()
+    )
+
+
 def closure_by_pairs(basis, max_counterexamples: int = 10) -> CheckReport:
     """Closure checked the plain way, the reference for `verify_closure` on
     an orthosymplectic basis: the membership residual of every ordered

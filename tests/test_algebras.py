@@ -5,6 +5,8 @@ import importlib.util
 import json
 import re
 from fractions import Fraction
+from functools import cache
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -33,7 +35,7 @@ from gradedosp.algebras import (
     verify_symmetry,
 )
 from gradedosp.gmatrix import GradedMatrix, elem, graded_bracket
-from gradedosp.grading import dot
+from gradedosp.grading import deg_add, dot
 from gradedosp.report import CheckReport
 from gradedosp.scalars import ONE, SQRT2, Scalar
 
@@ -47,6 +49,7 @@ from helpers import (
     dense_rows,
     embed_middle_zero,
     jacobi_by_triples,
+    orbit_loop_passes,
     osp_grid,
     symmetry_by_pairs,
 )
@@ -778,19 +781,6 @@ def test_jacobi_coverage_catches_a_miscounted_certificate(monkeypatch):
     ]
 
 
-def _orbit_loop_passes(constants, degrees: list) -> bool:
-    """Whether the Jacobiator vanishes on every orbit representative
-    a <= b <= c, contracted in coordinates; on constants that pass the gate
-    J is graded antisymmetric in all three arguments, so that decides all
-    n^3 triples."""
-    n = len(constants)
-    return not any(
-        any(algebras._jacobiators(constants, a, b, dot(degrees[a], degrees[b])).values())
-        for a in range(n)
-        for b in range(a, n)
-    )
-
-
 _SL_GRID = [AlgebraSpec(Family.SL, 1, 0, n1, n2) for n1 in range(3) for n2 in range(3)]
 
 
@@ -804,27 +794,43 @@ def test_certificate_agrees_with_the_orbit_loop(spec):
     assert generators == sorted(set(generators))
     assert len(steps) == len(basis)
     certified = algebras._derivation_certificate(constants, degrees)
-    assert certified == _orbit_loop_passes(constants, degrees)
+    assert certified == orbit_loop_passes(constants, degrees)
 
 
 def test_certificate_contracts_each_needed_pair_once(monkeypatch):
     # On ospB(2,1,1,1) the greedy generating set holds 13 of the 59
-    # elements. The certificate contracts each pair (s, b) with s in S once,
-    # for every b except b < s in S, whose J(s, b, .) is -+J(b, s, .).
+    # elements. The certificate runs one sweep per generator, in S order,
+    # and each sweep contracts every pair b <= c except those that hold an
+    # earlier generator t, whose J(s, b, c) is +-J(t, ., .): the pairs a
+    # sweep that skips nothing reaches, less exactly those.
     basis = kernel_basis(ospB(2, 1, 1, 1))
     n = len(basis)
     constants = BracketTable(basis).structure_constants
+    degrees = [mat.degree_of() for mat in basis]
     generators, _ = algebras._generating_set(constants)
     assert (len(generators), n) == (13, 59)
-    pairs = []
-    jacobiators = algebras._jacobiators
-    monkeypatch.setattr(
-        algebras, "_jacobiators", lambda *args: pairs.append(args[1:3]) or jacobiators(*args)
-    )
-    assert algebras._derivation_certificate(constants, [mat.degree_of() for mat in basis])
-    members = set(generators)
-    assert pairs == [(s, b) for s in generators for b in range(n) if not (b < s and b in members)]
-    assert len(pairs) == 13 * 59 - 13 * 12 // 2
+    sweeps = []
+    sweep = algebras._jacobi_sweep
+
+    def recorded(*args):
+        sweeps.append((args, sweep(*args)))
+        return sweeps[-1][1]
+
+    monkeypatch.setattr(algebras, "_jacobi_sweep", recorded)
+    assert algebras._derivation_certificate(constants, degrees)
+    assert [args[3:] for args, _ in sweeps] == [
+        (s, frozenset(generators[:i])) for i, s in enumerate(generators)
+    ]
+    skipped = 0
+    for (_, index, _, s, earlier), acc in sweeps:
+        full = sweep(constants, index, degrees, s, frozenset())
+        assert not any(acc.values()) and not any(full.values())
+        reached = {(b, c) for b, c, _ in full}
+        kept = {(b, c) for b, c, _ in acc}
+        assert all(b <= c for b, c in reached)
+        assert kept == {(b, c) for b, c in reached if b not in earlier and c not in earlier}
+        skipped += len(reached - kept)
+    assert skipped > 0
 
 
 def _plant_in_the_constants(monkeypatch, basis: Basis, defect: str) -> None:
@@ -878,6 +884,131 @@ def test_certificate_falls_back_on_a_planted_defect(monkeypatch, defect):
     report = verify_jacobi(basis, max_counterexamples=n ** 3, table=table)
     assert report.failed > 0
     assert_same_json(report.to_json(), jacobi_by_triples(basis, n ** 3).to_json())
+
+
+# Every ospB, ospD and sl(1,0|n1,n2) spec with parameters 0..3 and
+# 3 <= dim <= 40: the pool the differential tests below draw from. The
+# algebras of dimension 1, ospD(1,0,0,0) and ospD(0,1,0,0), are abelian and
+# have no coefficient to change.
+_SMALL_SPECS = [
+    spec
+    for spec in [
+        AlgebraSpec(family, *params)
+        for family in (Family.OSP_B, Family.OSP_D)
+        for params in product(range(4), repeat=4)
+        if family is Family.OSP_B or any(params)
+    ]
+    + [AlgebraSpec(Family.SL, 1, 0, n1, n2) for n1 in range(4) for n2 in range(4)]
+    if 3 <= expected_dim(spec) <= 40
+]
+
+
+@cache
+def _gated_constants(spec: AlgebraSpec) -> tuple[Basis, list, list]:
+    basis = kernel_basis(spec)
+    return basis, BracketTable(basis).structure_constants, [mat.degree_of() for mat in basis]
+
+
+@st.composite
+def _planted_changes(draw, max_dim: int):
+    """A spec from `_SMALL_SPECS` of dimension at most max_dim, and one
+    change of its constants, (a, b, k, delta): C_ab^k += delta. "doubled",
+    "flipped" and "dropped" act on a coefficient C_ab^k of a nonzero
+    bracket; "added" adds 1, -1, 2 or sqrt2 on any e_k of degree
+    deg(a) + deg(b); "kept" adds 0, so J vanishes and the certificate must
+    hold. The pair is a < b, or a = b with dot(a, a) odd, since then the
+    graded sign lets [e_a, e_a] change."""
+    spec = draw(st.sampled_from([spec for spec in _SMALL_SPECS if expected_dim(spec) <= max_dim]))
+    _, constants, degrees = _gated_constants(spec)
+    n = len(degrees)
+    pairs = [(a, b) for a in range(n) for b in range(a, n) if a < b or dot(degrees[a], degrees[a])]
+    kind = draw(st.sampled_from(["doubled", "flipped", "dropped", "added", "kept"]))
+    if kind == "added":
+        by_degree: dict = {}
+        for k, degree in enumerate(degrees):
+            by_degree.setdefault(degree, []).append(k)
+        a, b = draw(st.sampled_from(
+            [(a, b) for a, b in pairs if deg_add(degrees[a], degrees[b]) in by_degree]
+        ))
+        k = draw(st.sampled_from(by_degree[deg_add(degrees[a], degrees[b])]))
+        return spec, (a, b, k, draw(st.sampled_from([1, -1, 2, SQRT2])))
+    a, b = draw(st.sampled_from([(a, b) for a, b in pairs if b in constants[a]]))
+    k = draw(st.sampled_from(sorted(constants[a][b])))
+    x = constants[a][b][k]
+    return spec, (a, b, k, {"doubled": x, "flipped": -2 * x, "dropped": -x, "kept": 0}[kind])
+
+
+def _orders(change, degrees) -> list[tuple[int, int, int, object]]:
+    """The change in both orders with the graded sign, C_ba = -(-1)^dot C_ab,
+    which keeps the gate; once when a = b."""
+    a, b, k, delta = change
+    if a == b:
+        return [change]
+    return [change, (b, a, k, delta if dot(degrees[a], degrees[b]) else -delta)]
+
+
+def _with_change(constants: list, degrees: list, change) -> list:
+    planted = [dict(row) for row in constants]
+    for a, b, k, delta in _orders(change, degrees):
+        coeffs = dict(planted[a].get(b, {}))
+        coeffs[k] = coeffs.get(k, 0) + delta
+        if not coeffs[k]:
+            del coeffs[k]
+        if coeffs:
+            planted[a][b] = coeffs
+        else:
+            del planted[a][b]
+    return planted
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_planted_changes(max_dim=40))
+def test_certificate_matches_the_orbit_loop_on_a_planted_change(drawn):
+    # The sweep and the pair-by-pair orbit loop share no code; on every
+    # drawn change they must agree on whether J vanishes.
+    spec, change = drawn
+    _, constants, degrees = _gated_constants(spec)
+    planted = _with_change(constants, degrees, change)
+    assert algebras._derivation_certificate(planted, degrees) == orbit_loop_passes(planted, degrees)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(_planted_changes(max_dim=15))
+def test_refused_certificate_reports_as_the_triple_loop_on_a_planted_change(drawn):
+    # The change is planted in the bracket, extended bilinearly through the
+    # entries at the kernel elements' leading positions (1 on its own
+    # element, 0 on the others); the table then reads exactly the planted
+    # constants, and a refused certificate leaves the report to the matrix
+    # loop, which must match the plain triple loop.
+    spec, change = drawn
+    basis, constants, degrees = _gated_constants(spec)
+    planted_constants = _with_change(constants, degrees, change)
+    if algebras._derivation_certificate(planted_constants, degrees):
+        return
+    assert not orbit_loop_passes(planted_constants, degrees)
+    leads = [min(pos for pos, _ in mat.items()) for mat in basis.elements]
+    terms = [
+        (leads[a], leads[b], basis.elements[k].scale(delta))
+        for a, b, k, delta in _orders(change, degrees)
+    ]
+    true_bracket = algebras.graded_bracket
+
+    def planted(x, y):
+        bracket = true_bracket(x, y)
+        for pa, pb, term in terms:
+            weight = x.entry(*pa) * y.entry(*pb)
+            if weight:
+                bracket = bracket + term.scale(weight)
+        return bracket
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(algebras, "graded_bracket", planted)
+        _bracket_every_pair(patch)
+        table = BracketTable(basis)
+        assert table.structure_constants == planted_constants
+        report = verify_jacobi(basis, table=table)
+        assert report.failed > 0
+        assert_same_json(report.to_json(), jacobi_by_triples(basis).to_json())
 
 
 @pytest.mark.parametrize("mutant", ["drop a generator", "stop the closure early"])
