@@ -19,7 +19,6 @@ from .algebras import (
     j_matrix,
     kernel_basis,
     rank_of,
-    s_basis,
     u_matrix,
     verify_block_conditions,
     verify_closure,
@@ -63,7 +62,6 @@ __all__ = [
     "paraboson_ops",
     "parafermion_ops",
     "rank_of",
-    "s_basis",
     "signature_gl",
     "signature_osp",
     "u_matrix",

@@ -5,9 +5,9 @@ orthosymplectic families ospB = osp(2m1+1,2m2|2n1,2n2) and
 ospD = osp(2m1,2m2|2n1,2n2) cut out of the graded matrix algebra by
 A^T J + J A = 0 (graded supertranspose, fixed bilinear form J).
 
-Two independent basis constructions are provided: the spanning set s_ij
-reduced by exact echelon elimination, and the kernel, the null space of
-the membership residual on the matrix units. Both are exact over Q(sqrt 2).
+The canonical basis is the kernel, the null space of the membership
+residual on the matrix units, exact over Q(sqrt 2); the spanning matrices
+s_ij serve the membership check.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Callable, Iterator, Optional, Sequence
 from .gmatrix import GradedMatrix, _product, _rows_of, elem, graded_bracket, meeting_pairs
 from .grading import Degree, Signature, deg_add, dot, signature_gl, signature_osp
 from .report import CheckReport
-from .scalars import ONE, ZERO, Scalar, as_int
+from .scalars import Scalar
 
 
 class Family(str, Enum):
@@ -119,6 +119,29 @@ class Basis:
             ],
         }
 
+    @classmethod
+    def from_json(cls, data: dict) -> Basis:
+        """The basis that `to_json` wrote, its spec and elements rebuilt by
+        `AlgebraSpec.from_json` and `GradedMatrix.from_json`, so integral
+        entries come back as ints. A number that is not an integer, or a
+        label that is not a string, raises TypeError; a missing key, a
+        signature whose length is not the size, or an element whose
+        signature is not the spec's, raises ValueError."""
+        try:
+            spec = AlgebraSpec.from_json(data["spec"])
+            items = data["elements"]
+            labels = [item["label"] for item in items]
+            elements = [GradedMatrix.from_json(item) for item in items]
+        except KeyError as missing:
+            raise ValueError(f"basis JSON lacks the key {missing}") from None
+        if not all(type(label) is str for label in labels):
+            raise TypeError(f"basis labels must be strings: {labels}")
+        sig = spec.signature()
+        for label, mat in zip(labels, elements):
+            if mat.signature != sig:
+                raise ValueError(f"element {label} does not have the signature of the spec")
+        return cls(spec, elements, labels)
+
 
 def _require_osp(spec: AlgebraSpec, what: str) -> None:
     if spec.family not in _ORTHOSYMPLECTIC:
@@ -134,17 +157,17 @@ def j_matrix(spec: AlgebraSpec) -> GradedMatrix:
     n = spec.n1 + spec.n2
     entries: dict = {}
     for i in range(1, k + 1):
-        entries[(i, k + i)] = ONE
-        entries[(k + i, i)] = ONE
+        entries[(i, k + i)] = 1
+        entries[(k + i, i)] = 1
     if spec.family is Family.OSP_B:
         mid = 2 * k + 1
-        entries[(mid, mid)] = ONE
+        entries[(mid, mid)] = 1
         off = mid
     else:
         off = 2 * k
     for i in range(1, n + 1):
-        entries[(off + i, off + n + i)] = ONE
-        entries[(off + n + i, off + i)] = -ONE
+        entries[(off + i, off + n + i)] = 1
+        entries[(off + n + i, off + i)] = -1
     return GradedMatrix(spec.signature(), entries)
 
 
@@ -156,7 +179,7 @@ def u_matrix(spec: AlgebraSpec) -> GradedMatrix:
     entries = {}
     for i in range(1, m + 1):
         for j in range(1, m + 1):
-            entries[(i, j)] = -ONE if dot(sig[i - 1], sig[j - 1]) else ONE
+            entries[(i, j)] = -1 if dot(sig[i - 1], sig[j - 1]) else 1
     return GradedMatrix(sig, entries)
 
 
@@ -208,7 +231,7 @@ def is_member(spec: AlgebraSpec, mat: GradedMatrix) -> bool:
 # A sparse vector over matrix positions (i, j), whose row-major order is the
 # coordinate order; positions past the matrix, (m + 1, k), are extra tags,
 # and the constraint rows of `kernel_basis` key (p, q) as (-p, -q).
-Vector = dict[tuple[int, int], Scalar]
+Vector = dict[tuple[int, int], int | Scalar]
 
 
 def _axpy(out: dict, x: int | Scalar, vec, subtract: bool = False) -> None:
@@ -231,8 +254,8 @@ class SpanReducer:
     """Incrementally maintained reduced echelon form of sparse vectors.
 
     Vectors are keyed by matrix position, so a matrix enters as
-    `dict(mat.items())`, or by basis index for coordinate vectors, whose
-    values may be plain ints. Pivots are least nonzero keys (for positions,
+    `dict(mat.items())`, or by basis index for coordinate vectors; values
+    are `int | Scalar`, as matrix entries are. Pivots are least nonzero keys (for positions,
     the leftmost in row-major order), normalized to 1; stored rows are
     mutually reduced, so processing order of the pivots never matters.
     """
@@ -267,7 +290,10 @@ class SpanReducer:
             return False
         pivot = min(red)
         lead = red[pivot]
-        inv = lead.inv() if isinstance(lead, Scalar) else as_int(Scalar(lead).inv())
+        if isinstance(lead, Scalar):
+            inv = lead.inv()
+        else:
+            inv = lead if lead in (1, -1) else Scalar(lead).inv()
         row = {coord: val * inv for coord, val in red.items()}
         for other in self._rows:
             c = other.get(pivot)
@@ -314,20 +340,6 @@ def s_matrices(spec: AlgebraSpec) -> Iterator[tuple[int, int, GradedMatrix]]:
             yield i, j, GradedMatrix._make(sig, entries)
 
 
-def s_basis(spec: AlgebraSpec) -> Basis:
-    """The spanning matrices s_ij reduced to an independent subset in
-    lexicographic (i, j) order. No CLI path builds it: the tests keep it as
-    a construction independent of `kernel_basis` to check that one against."""
-    reducer = SpanReducer()
-    elements: list[GradedMatrix] = []
-    labels: list[str] = []
-    for i, j, mat in s_matrices(spec):
-        if reducer.insert(dict(mat.items())):
-            elements.append(mat)
-            labels.append(f"s[{i},{j}]")
-    return Basis(spec, elements, labels)
-
-
 def _constraint_equations(spec: AlgebraSpec) -> list[Vector]:
     """Rows of the linear system cutting the algebra out of all matrices:
     column (-p, -q) is the membership residual of the matrix unit e_pq, and
@@ -367,7 +379,7 @@ def kernel_basis(spec: AlgebraSpec) -> Basis:
     pivots = reducer.pivots
     bound = set(pivots)
     solutions: dict[tuple[int, int], Vector] = {
-        free: {free: ONE} for free in product(range(1, spec.size + 1), repeat=2)
+        free: {free: 1} for free in product(range(1, spec.size + 1), repeat=2)
         if (-free[0], -free[1]) not in bound
     }
     # Rows by increasing pivot position, so each solution's entries come in row-major order.
@@ -459,11 +471,12 @@ class BracketTable:
         is tagged with a unit at the position (m + 1, k) past the matrix, so
         a dependent element leaves a pivot on a tag. Reducing a bracket M
         against it leaves M - sum_k c_k e_k on the matrix positions and
-        -c_k on tag k. The echelon rows and the bracket entries are read
-        through `as_int`, so each c_k is a plain int when it is an integer,
-        as on the kernel bases, and a Scalar otherwise; the reading, the
-        gate and Jacobi's derivation certificate run on them unchanged.
-        Only the nonzero brackets are read. Computed on first use."""
+        -c_k on tag k. The tags are plain ints, so on a basis of int
+        entries, as on the kernel bases, the echelon rows, the brackets and
+        each c_k are plain ints as well; elsewhere a c_k may be a Scalar.
+        The reading, the gate and Jacobi's derivation certificate run on
+        either unchanged. Only the nonzero brackets are read. Computed on
+        first use."""
         elements = self.basis.elements
         if not elements:
             return []
@@ -473,17 +486,14 @@ class BracketTable:
         past = elements[0].size + 1
         echelon = SpanReducer()
         for k, mat in enumerate(elements):
-            echelon.insert({**dict(mat.items()), (past, k): ONE})
+            echelon.insert({**dict(mat.items()), (past, k): 1})
         if any(i == past for i, _ in echelon.pivots):
             return None
-        for vec in echelon._rows:
-            for key, v in vec.items():
-                vec[key] = as_int(v)
         constants = []
         for row in self.rows:
             coords = {}
             for b, t in row.items():
-                red = echelon.residual({pos: as_int(v) for pos, v in t.items()})
+                red = echelon.residual(t._entries)
                 if any(i < past for i, _ in red):
                     return None
                 if red:
@@ -650,9 +660,9 @@ def _by_matrices(table: BracketTable, degrees: list[Degree], report: CheckReport
 
     Denominators are cleared once: the loop runs on e_a * D_a and on
     [e_a, e_b] * D_a * D_b, D_a being the lcm of the entry denominators of
-    e_a, so its scalars are integral. The Jacobiator is trilinear, so a
-    residual comes out D_a * D_b * D_c times the true one, and is zero
-    exactly when the true one is.
+    e_a (an int entry has none), so its scalars are integral. The
+    Jacobiator is trilinear, so a residual comes out D_a * D_b * D_c times
+    the true one, and is zero exactly when the true one is.
 
     The three terms of (a, b, c) are X(a, b, c), [[a, b], c] and
     X(b, a, c), with X(x, y, z) = [e_x, [e_y, e_z]]; each bracket is
@@ -675,7 +685,7 @@ def _by_matrices(table: BracketTable, degrees: list[Degree], report: CheckReport
     asymmetric = table.antisymmetry_failures
     elements = original = table.basis.elements
     rows = unscaled = table.rows
-    clear = [lcm(*(v._d for _, v in mat.items())) for mat in elements]
+    clear = [lcm(*(v._d for _, v in mat.items() if type(v) is not int)) for mat in elements]
     if any(k != 1 for k in clear):
         elements = [mat.scale(k).indexed() for mat, k in zip(elements, clear)]
         rows = [{b: t.scale(ka * clear[b]) for b, t in row.items()} for row, ka in zip(rows, clear)]
@@ -1137,7 +1147,7 @@ def verify_block_conditions(basis: Basis, max_counterexamples: int = 10) -> Chec
         inverse = {q: p for p, q in forward.items()}
         touched = forward.keys() | inverse.keys()
         sign = rel["sign"]
-        signed = (lambda x: x) if sign > 0 else (lambda x: -x) if sign else (lambda x: ZERO)
+        signed = (lambda x: x) if sign > 0 else (lambda x: -x) if sign else (lambda x: 0)
         holds = True
         for label, mat in zip(basis.labels, basis.elements):
             entry = mat.entry

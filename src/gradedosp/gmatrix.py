@@ -1,9 +1,11 @@
 """Graded square matrices over Q(sqrt 2).
 
-Entries are stored sparsely (only nonzeros), semantics are dense. A matrix
-carries a signature assigning a degree to each index; the position (i, j)
-has degree d(i) + d(j), and a matrix is homogeneous when all its nonzero
-entries sit at positions of one degree.
+Entries are stored sparsely (only nonzeros), semantics are dense. An entry
+is a plain int or a Scalar: a matrix built from integers, such as a matrix
+unit, J or an integral kernel basis, holds ints, so its products run on
+int arithmetic. A matrix carries a signature assigning a degree to each
+index; the position (i, j) has degree d(i) + d(j), and a matrix is
+homogeneous when all its nonzero entries sit at positions of one degree.
 """
 
 from __future__ import annotations
@@ -11,13 +13,21 @@ from __future__ import annotations
 from typing import Iterator, Optional, Sequence
 
 from .grading import Degree, Signature, check_degree, deg_add, dot, trace_sign
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ZERO, Scalar, as_int
 
 Position = tuple[int, int]
+Entries = dict[Position, int | Scalar]
 
 
 class GradedMatrix:
     """Immutable-by-convention sparse matrix with a degree signature.
+
+    Each entry is an `int | Scalar`. The constructor and `from_json` store
+    an integral value as an int; arithmetic keeps whatever type its
+    operands give, so an integral Scalar may still sit beside ints. No
+    observable result depends on the type that holds an entry: `==` and
+    hashing agree between an int and the equal Scalar, and `to_json`
+    writes an int v as the Scalar wire form [v, 1, 0, 1].
 
     `_index` is None, or what `graded_bracket` reads off an operand,
     stored once by `indexed()`: its homogeneous parts, each the entries,
@@ -33,7 +43,7 @@ class GradedMatrix:
             raise ValueError("signature must be nonempty")
         for d in self.signature:
             check_degree(d)
-        cleaned: dict[Position, Scalar] = {}
+        cleaned: Entries = {}
         if entries:
             items = entries.items() if isinstance(entries, dict) else entries
             for (i, j), value in items:
@@ -41,15 +51,15 @@ class GradedMatrix:
                     raise TypeError(f"entry positions must be integers, got ({i!r}, {j!r})")
                 if not (1 <= i <= m and 1 <= j <= m):
                     raise IndexError(f"position ({i}, {j}) outside 1..{m}")
-                if not isinstance(value, Scalar):
-                    value = Scalar(value)
+                if type(value) is not int:
+                    value = as_int(value if isinstance(value, Scalar) else Scalar(value))
                 if value:
                     cleaned[(i, j)] = value
         self._entries = cleaned
         self._index = None
 
     @classmethod
-    def _make(cls, signature: Signature, entries: dict[Position, Scalar]) -> GradedMatrix:
+    def _make(cls, signature: Signature, entries: Entries) -> GradedMatrix:
         # Internal fast path: entries already validated and zero-pruned.
         out = object.__new__(cls)
         out.signature = signature
@@ -63,7 +73,7 @@ class GradedMatrix:
 
     @classmethod
     def identity(cls, signature: Signature) -> GradedMatrix:
-        return cls(signature, {(i, i): ONE for i in range(1, len(signature) + 1)})
+        return cls(signature, {(i, i): 1 for i in range(1, len(signature) + 1)})
 
     # -- inspection -------------------------------------------------------
 
@@ -71,10 +81,10 @@ class GradedMatrix:
     def size(self) -> int:
         return len(self.signature)
 
-    def entry(self, i: int, j: int) -> Scalar:
-        return self._entries.get((i, j), ZERO)
+    def entry(self, i: int, j: int) -> int | Scalar:
+        return self._entries.get((i, j), 0)
 
-    def items(self) -> Iterator[tuple[Position, Scalar]]:
+    def items(self) -> Iterator[tuple[Position, int | Scalar]]:
         return iter(self._entries.items())
 
     def is_zero(self) -> bool:
@@ -151,7 +161,7 @@ class GradedMatrix:
         )
 
     def scale(self, factor: Scalar | int) -> GradedMatrix:
-        if not isinstance(factor, Scalar):
+        if type(factor) is not int and not isinstance(factor, Scalar):
             factor = Scalar(factor)
         if not factor:
             return GradedMatrix._make(self.signature, {})
@@ -166,7 +176,7 @@ class GradedMatrix:
 
     def __matmul__(self, other: GradedMatrix) -> GradedMatrix:
         self._check_compatible(other)
-        acc: dict[Position, Scalar] = {}
+        acc: Entries = {}
         _product(acc, self._entries, _rows_of(other._entries))
         return GradedMatrix._make(self.signature, acc)
 
@@ -181,7 +191,7 @@ class GradedMatrix:
         index ordering, which the orthosymplectic layout needs.
         """
         sig = self.signature
-        out: dict[Position, Scalar] = {}
+        out: Entries = {}
         for (i, j), v in self._entries.items():
             g = deg_add(sig[i - 1], sig[j - 1])
             out[(j, i)] = -v if dot(g, sig[i - 1]) else v
@@ -218,7 +228,8 @@ class GradedMatrix:
             "size": self.size,
             "signature": [list(d) for d in self.signature],
             "entries": [
-                [i, j, *v.to_json()] for (i, j), v in sorted(self._entries.items())
+                [i, j, v, 1, 0, 1] if type(v) is int else [i, j, *v.to_json()]
+                for (i, j), v in sorted(self._entries.items())
             ],
         }
 
@@ -242,13 +253,13 @@ def elem(signature: Signature, i: int, j: int) -> GradedMatrix:
     m = len(signature)
     if not (1 <= i <= m and 1 <= j <= m):
         raise IndexError(f"position ({i}, {j}) outside 1..{m}")
-    return GradedMatrix._make(tuple(signature), {(i, j): ONE})
+    return GradedMatrix._make(tuple(signature), {(i, j): 1})
 
 
-Rows = dict[int, list[tuple[int, Scalar]]]
+Rows = dict[int, list[tuple[int, int | Scalar]]]
 
 
-def _rows_of(entries: dict[Position, Scalar]) -> Rows:
+def _rows_of(entries: Entries) -> Rows:
     """The row index {k: [(l, w), ...]} of the matrix with these entries."""
     rows: Rows = {}
     for (k, l), w in entries.items():
@@ -256,7 +267,7 @@ def _rows_of(entries: dict[Position, Scalar]) -> Rows:
     return rows
 
 
-def _product(acc: dict[Position, Scalar], entries: dict[Position, Scalar], rows: Rows) -> None:
+def _product(acc: Entries, entries: Entries, rows: Rows) -> None:
     """Add a @ b into `acc`, given the entries of a and the row index of b.
 
     The one product loop of the package: `@`, `algebras.membership_residual`
@@ -300,7 +311,7 @@ def _bracket_into(acc: dict, kind: str, x: _Operand, y: _Operand) -> None:
 def _parts(mat: GradedMatrix) -> tuple[tuple[Degree, _Operand], ...]:
     """The homogeneous parts of `mat`, as (degree, operand) pairs."""
     sig = mat.signature
-    parts: dict[Degree, dict[Position, Scalar]] = {}
+    parts: dict[Degree, Entries] = {}
     for (i, j), v in mat._entries.items():
         parts.setdefault(deg_add(sig[i - 1], sig[j - 1]), {})[i, j] = v
     return tuple((d, _Operand(entries)) for d, entries in parts.items())
@@ -336,7 +347,7 @@ def graded_bracket(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
     index_a, index_b = a._index, b._index
     if index_a and index_b and not (index_a[2] & index_b[1] or index_b[2] & index_a[1]):
         return GradedMatrix._make(sig, {})
-    acc: dict[Position, Scalar] = {}
+    acc: Entries = {}
     parts_b = index_b[0] if index_b else _parts(b)
     for da, x in index_a[0] if index_a else _parts(a):
         for db, y in parts_b:

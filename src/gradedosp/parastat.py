@@ -16,7 +16,7 @@ bracket with every third generator come from one pass over its entries,
 with kappa = s^2 folded into the third generators' weights, so that a
 three-slot instance compares kappa [[x, y], z] with its right-hand side,
 all on cores, at no extra cost. A failure's residual lhs - rhs is s
-times that difference, rebuilt as a Scalar matrix. Only an instance
+times that difference, rebuilt as a matrix. Only an instance
 whose outer bracket is nonzero or whose Kronecker term fires is judged,
 passing when its residual lhs - rhs is exactly zero; every other
 instance has lhs = rhs = 0 and is counted as a pass in bulk.
@@ -378,7 +378,7 @@ def verify_relations(
     and it passes exactly when that dict is empty, every entry compared
     exactly. A failing dict `acc` is (lhs - rhs) / s, and its
     counterexample's residual lhs - rhs = s x acc is rebuilt through
-    `GradedMatrix` as Scalars, only when the report keeps it. Every
+    `GradedMatrix`, only when the report keeps it. Every
     other instance has lhs = rhs = 0: a row counts |index product| x
     |cases| instances, and those not failed are recorded as passes at once,
     so the coverage check still sees every instance."""

@@ -9,7 +9,11 @@ the canonical form d > 0, gcd(a, b, d) == 1. Equal elements therefore
 have equal triples, and d == 1 exactly when both parts are integers.
 The generators and the ospB/ospD kernel bases are integral, so the
 checks run almost entirely on d == 1 operands, where +, - and * are a
-few integer operations with no gcd. Denominators arise from inv(), which
+few integer operations with no gcd. Most of those operands are not
+Scalars at all: a matrix entry is `int | Scalar` (see `gmatrix`), and the
+integral ones are plain ints, so two of them multiply and add as ints. A
+plain int operand of a Scalar's +, - or * is read as it is, with no
+Scalar built for it. Denominators arise from inv(), which
 echelon elimination calls to normalize pivots (and from user input such
 as a basis with rational coefficients); an operation on such operands
 reduces its result with one three-argument gcd, and inv() divides by the
@@ -62,6 +66,11 @@ class Scalar:
 
     def __add__(self, other: Scalar | int | Fraction) -> Scalar:
         if not isinstance(other, Scalar):
+            if type(other) is int:
+                # gcd(a + c*d, b, d) = gcd(a, b, d) = 1: still canonical.
+                out = _new(Scalar)
+                out._a, out._b, out._d = self._a + other * self._d, self._b, self._d
+                return out
             other = _coerce(other)
             if other is None:
                 return NotImplemented
@@ -78,6 +87,10 @@ class Scalar:
 
     def __sub__(self, other: Scalar | int | Fraction) -> Scalar:
         if not isinstance(other, Scalar):
+            if type(other) is int:
+                out = _new(Scalar)
+                out._a, out._b, out._d = self._a - other * self._d, self._b, self._d
+                return out
             other = _coerce(other)
             if other is None:
                 return NotImplemented
@@ -100,6 +113,12 @@ class Scalar:
 
     def __mul__(self, other: Scalar | int | Fraction) -> Scalar:
         if not isinstance(other, Scalar):
+            if type(other) is int:
+                if self._d == 1:
+                    out = _new(Scalar)
+                    out._a, out._b, out._d = self._a * other, self._b * other, 1
+                    return out
+                return _reduced(self._a * other, self._b * other, self._d)
             other = _coerce(other)
             if other is None:
                 return NotImplemented
@@ -218,19 +237,23 @@ def _coerce(value) -> Scalar | None:
     return None
 
 
-def as_int(x: Scalar) -> int | Scalar:
+def as_int(x: int | Scalar) -> int | Scalar:
     """x as a plain int when it is an integer, else x itself.
 
     Plain ints mix with Scalars under +, -, * and ==, so a loop fed these
     values runs unchanged, with int arithmetic wherever both operands are
-    integers; a GradedMatrix built from them turns them back into Scalars.
+    integers; a GradedMatrix built from them keeps them as ints.
     """
+    if type(x) is int:
+        return x
     return x._a if x._d == 1 and not x._b else x
 
 
-def over_sqrt2(x: Scalar) -> int | None:
+def over_sqrt2(x: int | Scalar) -> int | None:
     """x / sqrt2 as a plain int when x is an integral multiple of sqrt2
     (rational part 0, denominator 1), else None."""
+    if type(x) is int:
+        return None if x else 0
     return x._b if x._d == 1 and not x._a else None
 
 

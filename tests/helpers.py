@@ -8,7 +8,7 @@ from fractions import Fraction
 from itertools import product
 
 from gradedosp import algebras, parastat
-from gradedosp.algebras import AlgebraSpec, Family, j_matrix
+from gradedosp.algebras import AlgebraSpec, Basis, Family, SpanReducer, j_matrix, s_matrices
 from gradedosp.gmatrix import GradedMatrix, anticommutator, commutator, elem
 from gradedosp.grading import deg_add, dot, trace_sign
 from gradedosp.report import CheckReport
@@ -16,14 +16,23 @@ from gradedosp.scalars import ONE, ZERO, Scalar
 
 
 def dense_rows(matrices) -> list[list[Scalar]]:
+    """The matrices as dense rows of Scalars, an int entry wrapped in one."""
     rows = []
     for mat in matrices:
         m = mat.size
         row = [ZERO] * (m * m)
-        for (i, j), v in mat.items():
+        for (i, j), v in as_scalars(mat).items():
             row[(i - 1) * m + (j - 1)] = v
         rows.append(row)
     return rows
+
+
+def as_scalars(mat: GradedMatrix) -> GradedMatrix:
+    """The same matrix with each int entry wrapped as a Scalar, built by
+    `_make`, as the constructor would turn it back into an int."""
+    return GradedMatrix._make(
+        mat.signature, {pos: Scalar(v) if type(v) is int else v for pos, v in mat.items()}
+    )
 
 
 def dense_rank(rows: list[list[Scalar]]) -> int:
@@ -57,6 +66,20 @@ def dense_rank(rows: list[list[Scalar]]) -> int:
         if rank == len(work):
             break
     return rank
+
+
+def s_basis(spec: AlgebraSpec) -> Basis:
+    """The spanning matrices s_ij reduced to an independent subset in
+    lexicographic (i, j) order: a construction independent of
+    `kernel_basis`, to check that one against."""
+    reducer = SpanReducer()
+    elements: list[GradedMatrix] = []
+    labels: list[str] = []
+    for i, j, mat in s_matrices(spec):
+        if reducer.insert(dict(mat.items())):
+            elements.append(mat)
+            labels.append(f"s[{i},{j}]")
+    return Basis(spec, elements, labels)
 
 
 def bruteforce_algebra_dim(spec: AlgebraSpec) -> int:

@@ -17,7 +17,6 @@ from gradedosp.algebras import (
     is_member,
     kernel_basis,
     rank_of,
-    s_basis,
     s_matrices,
     verify_block_conditions,
     verify_jacobi,
@@ -35,7 +34,7 @@ from gradedosp.parastat import (
 )
 from gradedosp.scalars import ONE, SQRT2, ZERO, Scalar
 
-from helpers import bruteforce_algebra_dim, osp_grid
+from helpers import bruteforce_algebra_dim, osp_grid, s_basis
 
 GOLDEN = Path(__file__).parent / "golden"
 GRID = osp_grid()

@@ -25,7 +25,6 @@ from gradedosp.algebras import (
     j_matrix,
     kernel_basis,
     rank_of,
-    s_basis,
     s_matrices,
     u_matrix,
     verify_block_conditions,
@@ -41,6 +40,7 @@ from gradedosp.scalars import ONE, SQRT2, Scalar
 
 from helpers import (
     antisymmetry_failures_by_pairs,
+    as_scalars,
     assert_same_json,
     block_conditions_by_pairs,
     bruteforce_algebra_dim,
@@ -51,6 +51,7 @@ from helpers import (
     jacobi_by_triples,
     orbit_loop_passes,
     osp_grid,
+    s_basis,
     symmetry_by_pairs,
 )
 
@@ -425,6 +426,69 @@ def test_basis_json_shape():
     assert doc["spec"] == {"family": "ospB", "m1": 0, "m2": 0, "n1": 1, "n2": 0}
     assert len(doc["elements"]) == 5
     assert all("label" in e and "entries" in e for e in doc["elements"])
+
+
+@pytest.mark.parametrize(
+    "spec", [ospB(2, 1, 1, 1), ospD(2, 2, 2, 2), AlgebraSpec(Family.SL, 1, 0, 4, 4)],
+    ids=["ospB2111", "ospD2222", "sl1044"],
+)
+def test_basis_json_round_trip_on_kernel_bases(spec):
+    basis = kernel_basis(spec)
+    doc = basis.to_json()
+    back = Basis.from_json(json.loads(json.dumps(doc)))
+    assert back.to_json() == doc
+    assert back.spec == spec and back.labels == basis.labels and back.elements == basis.elements
+    assert all(type(v) is int for mat in back for _, v in mat.items())
+
+
+def test_basis_json_round_trip_on_the_user_basis():
+    basis = _user_basis(1)
+    doc = basis.to_json()
+    back = Basis.from_json(json.loads(json.dumps(doc)))
+    assert back.to_json() == doc
+    assert back.elements == basis.elements
+    assert any(type(v) is Scalar for mat in back for _, v in mat.items())
+
+
+def _spoiled_basis_json(edit: str) -> dict:
+    """The JSON of the kernel basis of ospB(1,0,0,0) with one defect."""
+    doc = kernel_basis(ospB(1, 0, 0, 0)).to_json()
+    first = doc["elements"][0]
+    if edit == "float entry":
+        first["entries"][0][2] = 1.0
+    elif edit == "float size":
+        first["size"] = 3.0
+    elif edit == "label not a string":
+        first["label"] = 7
+    elif edit == "signature length":
+        first["signature"].pop()
+    elif edit == "another signature":
+        first["signature"][0] = [1, 1]
+    else:
+        del (doc if edit in doc else doc["spec"] if edit in doc["spec"] else first)[edit]
+    return doc
+
+
+@pytest.mark.parametrize(
+    "edit, error",
+    [
+        ("float entry", TypeError),
+        ("float size", TypeError),
+        ("label not a string", TypeError),
+        ("signature length", ValueError),
+        ("another signature", ValueError),
+        ("spec", ValueError),
+        ("elements", ValueError),
+        ("family", ValueError),
+        ("n1", ValueError),
+        ("label", ValueError),
+        ("entries", ValueError),
+        ("signature", ValueError),
+    ],
+)
+def test_basis_from_json_refuses_bad_input(edit, error):
+    with pytest.raises(error):
+        Basis.from_json(_spoiled_basis_json(edit))
 
 
 # -- verifiers --------------------------------------------------------------------
@@ -1161,6 +1225,42 @@ def test_table_sends_the_meeting_pairs_through_the_module_bracket(monkeypatch):
         brackets = {b: graded_bracket(elements[a], elements[b]) for b in hit}
         assert list(row.items()) == [(b, t) for b, t in brackets.items() if not t.is_zero()]
     assert sum(map(len, table.rows)) == 576
+
+
+@st.composite
+def _rescaled_bases(draw):
+    """The kernel basis of ospB(1,1,1,1), or a subset of it of 1 to 14
+    elements, each element scaled by 1, -2, the integral Scalar 2 or
+    1/3 + sqrt2. The whole basis passes the gate; a subset takes the
+    certified span (12 elements or more) or the matrix loop."""
+    canonical = _gated_constants(ospB(1, 1, 1, 1))[0]
+    n = len(canonical)
+    if draw(st.booleans()):
+        indices = range(n)
+    else:
+        indices = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=14)))
+    factors = st.sampled_from([1, -2, Scalar(2), Scalar(Fraction(1, 3), 1)])
+    return Basis(
+        canonical.spec,
+        [canonical.elements[i].scale(draw(factors)) for i in indices],
+        [canonical.labels[i] for i in indices],
+    )
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(_rescaled_bases())
+def test_no_report_depends_on_the_type_that_holds_an_entry(basis):
+    # The basis as drawn, its int entries kept, against the same values
+    # wrapped as Scalars: equal constants and byte-identical reports.
+    wrapped = Basis(basis.spec, [as_scalars(mat) for mat in basis], list(basis.labels))
+    tables = BracketTable(basis), BracketTable(wrapped)
+    assert tables[0].structure_constants == tables[1].structure_constants
+    cap = len(basis) ** 3
+    for check in (verify_closure, verify_symmetry, verify_jacobi):
+        assert_same_json(
+            check(basis, max_counterexamples=cap, table=tables[0]).to_json(),
+            check(wrapped, max_counterexamples=cap, table=tables[1]).to_json(),
+        )
 
 
 def _user_basis(seed: int) -> Basis:

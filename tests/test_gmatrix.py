@@ -1,5 +1,6 @@
 """Graded matrices: products, brackets, transpose, supertrace."""
 
+import operator
 import random
 
 import pytest
@@ -20,7 +21,7 @@ from gradedosp.gmatrix import (
 from gradedosp.grading import deg_add, dot, signature_gl
 from gradedosp.scalars import ONE, SQRT2, ZERO, Scalar
 
-from helpers import graded_bracket_by_entries, homogeneous_parts, osp_grid
+from helpers import as_scalars, graded_bracket_by_entries, homogeneous_parts, osp_grid
 
 S4 = signature_gl(1, 0, 1, 1)        # degrees (0,0), (1,0), (0,1)
 S6 = signature_gl(2, 1, 2, 1)        # 6x6 test signature, all four degrees
@@ -307,6 +308,47 @@ _RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=9)
 _SCALARS = st.builds(Scalar, _RATIONALS, _RATIONALS)
 _POSITIONS = st.tuples(st.integers(1, len(S6)), st.integers(1, len(S6)))
 _SPARSE = st.dictionaries(_POSITIONS, _SCALARS, max_size=10).map(lambda e: GradedMatrix(S6, e))
+
+
+# Nonzero entries of three kinds, each kept as drawn by `_make`: plain ints,
+# integral Scalars and general Q(sqrt 2) Scalars.
+_MIXED_VALUES = st.one_of(
+    st.integers(-4, 4).filter(bool),
+    st.integers(-4, 4).filter(bool).map(Scalar),
+    _SCALARS.filter(bool),
+)
+_MIXED = st.dictionaries(_POSITIONS, _MIXED_VALUES, max_size=8).map(
+    lambda e: GradedMatrix._make(S6, e)
+)
+
+
+def _same(x: GradedMatrix, y: GradedMatrix) -> None:
+    assert x == y and y == x
+    assert x.to_json() == y.to_json()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_MIXED, _MIXED, st.one_of(st.integers(-3, 3), _SCALARS))
+def test_no_result_depends_on_the_type_that_holds_an_entry(a, b, factor):
+    # Every operation gives on int entries what it gives on the same values
+    # wrapped as Scalars, compared by ==, by to_json and by hash.
+    sa, sb = as_scalars(a), as_scalars(b)
+    _same(a, sa)
+    assert [hash(v) for _, v in a.items()] == [hash(v) for _, v in sa.items()]
+    assert (a == b) == (sa == sb)
+    for op in (operator.matmul, operator.add, operator.sub, graded_bracket):
+        _same(op(a, b), op(sa, sb))
+    _same(a.scale(factor), sa.scale(factor))
+    _same(a.graded_transpose(), sa.graded_transpose())
+    assert a.supertrace() == sa.supertrace()
+    assert a.supertrace().to_json() == sa.supertrace().to_json()
+    assert a.degree_of() == sa.degree_of()
+    # The constructor stores exactly the integral values as ints.
+    rebuilt = GradedMatrix(S6, sa.items())
+    _same(rebuilt, sa)
+    assert [type(v) is int for _, v in rebuilt.items()] == [
+        v._d == 1 and not v._b for _, v in sa.items()
+    ]
 
 
 def _dense_product(a: GradedMatrix, b: GradedMatrix) -> dict:

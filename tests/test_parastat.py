@@ -28,6 +28,7 @@ from gradedosp.parastat import (
 from gradedosp.scalars import SQRT2, Scalar
 
 from helpers import (
+    as_scalars,
     assert_same_json,
     consistency_by_pairs,
     dense_rank,
@@ -603,9 +604,10 @@ def test_paper_sets_run_the_relation_kernel_on_plain_ints(monkeypatch):
     [[parafermion_ops(ospB(2, 1, 1, 2)), paraboson_ops(ospB(2, 1, 1, 2))], [palev_ops(2, 1)]],
     ids=["ospB2112", "palev21"],
 )
-def test_consistency_brackets_each_pair_once_on_scalar_entries(monkeypatch, sets):
-    # One graded_bracket per ordered pair, on the true generators: the
-    # tracer serializes every operand, so none may hold a plain int.
+def test_consistency_brackets_each_pair_once_on_serializable_operands(monkeypatch, sets):
+    # One graded_bracket per ordered pair, on the true generators. The
+    # tracer serializes every operand; an int entry must serialize as the
+    # equal Scalar does.
     operands = []
     bracket = parastat.graded_bracket
 
@@ -618,7 +620,7 @@ def test_consistency_brackets_each_pair_once_on_scalar_entries(monkeypatch, sets
     n = sum(2 * gens.count for gens in sets)
     assert report.total == len(operands) // 2 == n * n
     assert report.passed
-    assert all(isinstance(v, Scalar) for mat in operands for _, v in mat.items())
+    assert all(mat.to_json() == as_scalars(mat).to_json() for mat in operands)
 
 
 def _consistency_cases():
