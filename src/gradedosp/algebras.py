@@ -20,10 +20,10 @@ from itertools import accumulate, permutations, product
 from math import lcm
 from typing import Callable, Iterator, Optional, Sequence
 
-from .gmatrix import GradedMatrix, _product, _rows_of, elem, graded_bracket, meeting_pairs
+from .gmatrix import GradedMatrix, _axpy, _product, _rows_of, elem, graded_bracket, meeting_pairs
 from .grading import Degree, Signature, deg_add, dot, signature_gl, signature_osp
 from .report import CheckReport
-from .scalars import Scalar
+from .scalars import Scalar, as_int
 
 
 class Family(str, Enum):
@@ -234,22 +234,6 @@ def is_member(spec: AlgebraSpec, mat: GradedMatrix) -> bool:
 Vector = dict[tuple[int, int], int | Scalar]
 
 
-def _axpy(out: dict, x: int | Scalar, vec, subtract: bool = False) -> None:
-    """out += x * vec in place (out -= x * vec with `subtract`), dropping
-    entries that cancel; `vec` is a sparse dict or a GradedMatrix."""
-    for key, v in vec.items():
-        p = x * v
-        cur = out.get(key)
-        if cur is not None:
-            p = cur - p if subtract else cur + p
-        elif subtract:
-            p = -p
-        if p:
-            out[key] = p
-        else:
-            out.pop(key, None)
-
-
 class SpanReducer:
     """Incrementally maintained reduced echelon form of sparse vectors.
 
@@ -280,7 +264,7 @@ class SpanReducer:
         for pivot, c in vec.items():
             rix = pivots.get(pivot)
             if rix is not None and c:
-                _axpy(out, c, self._rows[rix], subtract=True)
+                _axpy(out, -c, self._rows[rix])
         return out
 
     def insert(self, vec: Vector) -> bool:
@@ -298,7 +282,7 @@ class SpanReducer:
         for other in self._rows:
             c = other.get(pivot)
             if c:
-                _axpy(other, c, row, subtract=True)
+                _axpy(other, -c, row)
         self._pivots[pivot] = len(self._rows)
         self._rows.append(row)
         return True
@@ -336,7 +320,7 @@ def s_matrices(spec: AlgebraSpec) -> Iterator[tuple[int, int, GradedMatrix]]:
         for j in range(1, m + 1):
             entries = {(k, j): v for k, v in row_i}
             term = {(k, i): v for k, v in j_rows.get(j, [])}
-            _axpy(entries, u.entry(i, j), term, subtract=True)
+            _axpy(entries, -u.entry(i, j), term)
             yield i, j, GradedMatrix._make(sig, entries)
 
 
@@ -382,14 +366,15 @@ def kernel_basis(spec: AlgebraSpec) -> Basis:
         free: {free: 1} for free in product(range(1, spec.size + 1), repeat=2)
         if (-free[0], -free[1]) not in bound
     }
-    # Rows by increasing pivot position, so each solution's entries come in row-major order.
+    # Rows by increasing pivot position, so each solution's entries come in
+    # row-major order; a reduced row holds no zero, so neither does a solution.
     for (p, q), row in zip(reversed(pivots), reversed(reducer.rows_by_pivot())):
         for (fp, fq), coeff in row.items():
             if (fp, fq) != (p, q):
-                solutions[(-fp, -fq)][(-p, -q)] = -coeff
+                solutions[(-fp, -fq)][(-p, -q)] = as_int(-coeff)
     return Basis(
         spec,
-        [GradedMatrix(sig, vec) for vec in solutions.values()],
+        [GradedMatrix._make(sig, vec) for vec in solutions.values()],
         ["k[{},{}]".format(*free) for free in solutions],
     )
 
@@ -839,11 +824,11 @@ def _jacobi_sweep(
     (b, c, C_bc^d) with c >= b. Each term visits only products that can be
     nonzero:
     - [s, [b, c]] = sum_d C_bc^d C_sd, from `index[d]` for each d in C[s];
-    - [[s, b], c] = sum_d C_sb^d C_dc, from the row C[d] for each d in C_sb;
-    - eps(s, b) [b, [s, c]] = eps(s, b) sum_d C_sc^d C_bd, from the row C[d]
-      for each d in C_sc: the gate gives C_bd = -eps(b, d) C_db and
-      deg(d) = deg(s) + deg(c), and dot is bilinear, so the term adds
-      eps(b, c) C_sc^d C_db to J."""
+    - -[[s, b], c] = -sum_d C_sb^d C_dc and -eps(s, b) [b, [s, c]], which is
+      eps(b, c) sum_d C_sc^d C_db as the gate gives C_bd = -eps(b, d) C_db
+      and deg(d) = deg(s) + deg(c), both read C_dy for x in C[s], d in C_sx
+      and y in C[d]: one walk adds -C_sx^d C_dy to (x, y) when x <= y, and
+      eps(x, y) C_sx^d C_dy to (y, x) when y <= x."""
     row_s = constants[s]
     acc: dict[tuple[int, int, int], int | Scalar] = {}
     get = acc.get
@@ -854,29 +839,24 @@ def _jacobi_sweep(
             for e, y in image.items():
                 key = (b, c, e)
                 acc[key] = get(key, 0) + x * y
-    for b, coeffs in row_s.items():
-        if b in earlier:
+    for x, coeffs in row_s.items():
+        if x in earlier:
             continue
-        for d, x in coeffs.items():
-            x = -x
-            for c, image in constants[d].items():
-                if c < b or c in earlier:
+        dx = degrees[x]
+        for d, z in coeffs.items():
+            minus_z = -z
+            for y, image in constants[d].items():
+                if y in earlier:
                     continue
-                for e, y in image.items():
-                    key = (b, c, e)
-                    acc[key] = get(key, 0) + x * y
-    for c, coeffs in row_s.items():
-        if c in earlier:
-            continue
-        dc = degrees[c]
-        for d, x in coeffs.items():
-            for b, image in constants[d].items():
-                if b > c or b in earlier:
-                    continue
-                w = -x if dot(degrees[b], dc) else x
-                for e, y in image.items():
-                    key = (b, c, e)
-                    acc[key] = get(key, 0) + w * y
+                if y >= x:
+                    for e, v in image.items():
+                        key = (x, y, e)
+                        acc[key] = get(key, 0) + minus_z * v
+                if y <= x:
+                    w = minus_z if dot(degrees[y], dx) else z
+                    for e, v in image.items():
+                        key = (y, x, e)
+                        acc[key] = get(key, 0) + w * v
     return acc
 
 

@@ -6,6 +6,8 @@ unit, J or an integral kernel basis, holds ints, so its products run on
 int arithmetic. A matrix carries a signature assigning a degree to each
 index; the position (i, j) has degree d(i) + d(j), and a matrix is
 homogeneous when all its nonzero entries sit at positions of one degree.
+
+`_product` is the one sparse product loop of the package, `_axpy` its one add loop.
 """
 
 from __future__ import annotations
@@ -134,25 +136,13 @@ class GradedMatrix:
     def __add__(self, other: GradedMatrix) -> GradedMatrix:
         self._check_compatible(other)
         acc = dict(self._entries)
-        for pos, v in other._entries.items():
-            cur = acc.get(pos)
-            s = v if cur is None else cur + v
-            if s:
-                acc[pos] = s
-            else:
-                acc.pop(pos, None)
+        _axpy(acc, 1, other._entries)
         return GradedMatrix._make(self.signature, acc)
 
     def __sub__(self, other: GradedMatrix) -> GradedMatrix:
         self._check_compatible(other)
         acc = dict(self._entries)
-        for pos, v in other._entries.items():
-            cur = acc.get(pos)
-            s = -v if cur is None else cur - v
-            if s:
-                acc[pos] = s
-            else:
-                acc.pop(pos, None)
+        _axpy(acc, -1, other._entries)
         return GradedMatrix._make(self.signature, acc)
 
     def __neg__(self) -> GradedMatrix:
@@ -270,11 +260,11 @@ def _rows_of(entries: Entries) -> Rows:
 def _product(acc: Entries, entries: Entries, rows: Rows) -> None:
     """Add a @ b into `acc`, given the entries of a and the row index of b.
 
-    The one product loop of the package: `@`, `algebras.membership_residual`
-    and `_bracket_into`, which serves both `graded_bracket` and the relation
-    kernel of `parastat`, all run it. An entry that sums to zero is
-    dropped, so `acc` holds only nonzeros; a minus sign rides on `entries`
-    negated once by the caller.
+    The one product loop of the package, as `_axpy` is its one add loop:
+    `@`, `algebras.membership_residual` and `_bracket_into`, which serves
+    both `graded_bracket` and the relation kernel of `parastat`, all run
+    it. An entry that sums to zero is dropped, so `acc` holds only
+    nonzeros; a minus sign rides on `entries` negated once by the caller.
     """
     for (i, j), v in entries.items():
         hits = rows.get(j)
@@ -288,6 +278,18 @@ def _product(acc: Entries, entries: Entries, rows: Rows) -> None:
                 acc[key] = s
             else:
                 acc.pop(key, None)
+
+
+def _axpy(out: dict, x: int | Scalar, vec: dict) -> None:
+    """out += x * vec in place for sparse dicts, dropping entries that
+    cancel; x = -1 makes matrix `-`, and any caller subtracts by negating x."""
+    for key, v in vec.items():
+        cur = out.get(key)
+        p = x * v if cur is None else cur + x * v
+        if p:
+            out[key] = p
+        else:
+            out.pop(key, None)
 
 
 class _Operand:

@@ -33,8 +33,8 @@ from itertools import product
 from math import prod
 from typing import Callable, NamedTuple, Optional
 
-from .algebras import AlgebraSpec, Family, _axpy, _homogeneous_degrees
-from .gmatrix import GradedMatrix, _bracket_into, _Operand, elem, graded_bracket
+from .algebras import AlgebraSpec, Family, _homogeneous_degrees
+from .gmatrix import GradedMatrix, _axpy, _bracket_into, _Operand, elem, graded_bracket
 from .grading import dot, signature_gl
 from .report import CheckReport
 from .scalars import SQRT2, Scalar, as_int, over_sqrt2
@@ -438,7 +438,7 @@ def verify_relations(
                     if fired:
                         acc = dict(acc or ())
                         for c, w in fired:
-                            _axpy(acc, c, slots[w][signs[w], idx[w]].entries, subtract=True)
+                            _axpy(acc, -c, slots[w][signs[w], idx[w]].entries)
                     if not acc:
                         continue
                     failures += 1

@@ -86,22 +86,7 @@ class Scalar:
     __radd__ = __add__
 
     def __sub__(self, other: Scalar | int | Fraction) -> Scalar:
-        if not isinstance(other, Scalar):
-            if type(other) is int:
-                out = _new(Scalar)
-                out._a, out._b, out._d = self._a - other * self._d, self._b, self._d
-                return out
-            other = _coerce(other)
-            if other is None:
-                return NotImplemented
-        d, f = self._d, other._d
-        if d == 1 and f == 1:
-            out = _new(Scalar)
-            out._a, out._b, out._d = self._a - other._a, self._b - other._b, 1
-            return out
-        if d == f:
-            return _reduced(self._a - other._a, self._b - other._b, d)
-        return _reduced(self._a * f - other._a * d, self._b * f - other._b * d, d * f)
+        return self + (-other)
 
     def __rsub__(self, other: Scalar | int | Fraction) -> Scalar:
         return (-self) + other

@@ -364,6 +364,17 @@ def _dense_product(a: GradedMatrix, b: GradedMatrix) -> dict:
     return out
 
 
+def _dense_sum(a: GradedMatrix, b: GradedMatrix, op) -> dict:
+    m = a.size
+    out = {}
+    for i in range(1, m + 1):
+        for j in range(1, m + 1):
+            total = op(ZERO + a.entry(i, j), b.entry(i, j))
+            if total:
+                out[(i, j)] = total
+    return out
+
+
 @settings(max_examples=80, deadline=None)
 @given(_SPARSE, _SPARSE)
 def test_product_kernel_accumulates_products_and_brackets(a, b):
@@ -381,6 +392,10 @@ def test_product_kernel_accumulates_products_and_brackets(a, b):
     assert accumulated((a_entries, b)) == _dense_product(a, b) == dict((a @ b).items())
     assert accumulated((a_entries, b), (b_negated, a)) == dict(commutator(a, b).items())
     assert accumulated((a_entries, b), (b_entries, a)) == dict(anticommutator(a, b).items())
+    # `+` and `-` against the entrywise sums, and a - a stores no entry.
+    assert dict((a + b).items()) == _dense_sum(a, b, operator.add)
+    assert dict((a - b).items()) == _dense_sum(a, b, operator.sub)
+    assert not dict((a - a).items())
 
 
 def _homogeneous(degree):

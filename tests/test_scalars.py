@@ -126,6 +126,8 @@ def test_floats_are_refused():
         lambda: GradedMatrix(sig, {(1, 1): 0.5}),
         lambda: elem(sig, 1, 2).scale(0.5),
         lambda: Scalar(1) + 0.5,
+        lambda: Scalar(1) - 0.5,
+        lambda: 0.5 - SQRT2,
         lambda: 0.5 * SQRT2,
         lambda: Scalar(1) / 2.0,
     ):
@@ -182,6 +184,9 @@ def test_matches_the_fraction_pair_reference(p, q):
     _agrees(x, rx)
     for op in (operator.add, operator.sub, operator.mul):
         _agrees(op(x, y), op(rx, ry))
+        # A plain int or a Fraction right operand is read as that rational.
+        for other in (q[0].numerator, q[0]):
+            _agrees(op(x, other), op(rx, FractionPair(other)))
     _agrees(-x, -rx)
     assert bool(x) == bool(rx)
     assert (x == y) == (rx == ry)
