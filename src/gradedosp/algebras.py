@@ -214,11 +214,12 @@ def membership_residual(spec: AlgebraSpec) -> Callable[[GradedMatrix], object]:
 
 
 def _vanishes(residual) -> bool:
-    """Whether a membership residual vanishes: a Scalar for sl, a matrix
-    for the orthosymplectic families, None for gl."""
+    """Whether a membership residual vanishes: a matrix for the
+    orthosymplectic families, told apart by its type, the supertrace for
+    sl, None for gl."""
     if residual is None:
         return True
-    return not residual if isinstance(residual, Scalar) else residual.is_zero()
+    return residual.is_zero() if isinstance(residual, GradedMatrix) else not residual
 
 
 def is_member(spec: AlgebraSpec, mat: GradedMatrix) -> bool:
@@ -337,7 +338,7 @@ def _constraint_equations(spec: AlgebraSpec) -> list[Vector]:
     for p in range(1, m + 1):
         for q in range(1, m + 1):
             residual = residual_of(elem(sig, p, q))
-            column = {(0, 0): residual} if isinstance(residual, Scalar) else residual
+            column = residual if isinstance(residual, GradedMatrix) else {(0, 0): residual}
             for out, v in column.items():
                 if v:
                     equations.setdefault(out, {})[(-p, -q)] = v

@@ -188,7 +188,11 @@ class GradedMatrix:
         return GradedMatrix._make(sig, out)
 
     def supertrace(self) -> Scalar:
-        """Signed trace: +1 on diagonal degrees (0,0)/(1,1), -1 on the rest."""
+        """Signed trace: +1 on diagonal degrees (0,0)/(1,1), -1 on the rest.
+
+        Always a Scalar, even on int entries: it is the sl membership
+        residual, and closure and membership counterexamples call its
+        `to_json()`."""
         total = ZERO
         sig = self.signature
         for (i, j), v in self._entries.items():

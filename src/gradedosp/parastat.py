@@ -15,11 +15,12 @@ sparse product kernel of `gmatrix`; the outer brackets of one inner
 bracket with every third generator come from one pass over its entries,
 with kappa = s^2 folded into the third generators' weights, so that a
 three-slot instance compares kappa [[x, y], z] with its right-hand side,
-all on cores, at no extra cost. A failure's residual lhs - rhs is s
-times that difference, rebuilt as a matrix. Only an instance
-whose outer bracket is nonzero or whose Kronecker term fires is judged,
-passing when its residual lhs - rhs is exactly zero; every other
-instance has lhs = rhs = 0 and is counted as a pass in bulk.
+all on cores, at no extra cost. The Kronecker terms of one index pair
+(j, k) are summed into dicts of the same shape, keyed by sign pair and
+(eps, l), and one exact comparison of the two sides decides every
+instance of that pair; only where they differ are instances walked, in
+order, each a failure whose residual lhs - rhs is s times the
+difference, rebuilt as a matrix. Passes are counted in bulk.
 An instance count other than the closed form `declared_total` fails the
 check; `relation_reports` runs each family whose operand kinds are all
 among a spec's `generator_sets`.
@@ -261,6 +262,23 @@ def _generator_table(gens: GeneratorSet, signature, core: Callable) -> dict[tupl
     return table
 
 
+def _scaled_tables(family: RelationFamily, tables: dict) -> dict:
+    """For each (tag, c) of a term of the family's rows, every generator of
+    set `tag` as the entries of c times its core, keyed by (sign, index):
+    the value of that term wherever it fires alone, built once per call."""
+    scaled = {}
+    for block in RELATION_TABLE[family]:
+        for _, _, terms in block.cases:
+            for c, p, q in terms:
+                tag = block.operands[3 - p - q]
+                if (tag, c) not in scaled:
+                    scaled[tag, c] = {
+                        key: {pos: c * v for pos, v in op.entries.items()}
+                        for key, op in tables[tag].items()
+                    }
+    return scaled
+
+
 def _slot3_index(kinds: dict, table, kappa: int) -> tuple[dict, dict]:
     """The slot-3 operands z = table[key], for each key of `kinds`, indexed
     for the outer bracket X z -/+ z X of kind kinds[key]: by row
@@ -308,8 +326,12 @@ def _outer_brackets(x: dict, rows: dict, cols: dict) -> dict:
     return {key: acc for key, acc in out.items() if acc}
 
 
-def _counterexample(signed: bool, rel: Optional[str], idx: tuple, signs: tuple, sig, s, acc) -> dict:
-    """The instance with residual s x `acc`. Signed families name j, k, l
+def _counterexample(
+    signed: bool, rel: Optional[str], idx: tuple, signs: tuple, sig, s,
+    left: Optional[dict], right: Optional[dict],
+) -> dict:
+    """The instance with residual s x (`left` - `right`), either side None
+    when it has no entry. Signed families name j, k, l
     and xi, eta, eps; the A families name i, j, k and fold a two-slot row's
     shared sign into the indices."""
     indices = {"rel": rel} if rel else {}
@@ -317,6 +339,8 @@ def _counterexample(signed: bool, rel: Optional[str], idx: tuple, signs: tuple, 
     if not signed and len(idx) == 2:
         indices["sign"] = signs[0]
     named = dict(zip(("xi", "eta", "eps"), signs)) if signed else {}
+    acc = dict(left or ())
+    _axpy(acc, -1, right or {})
     residual = GradedMatrix(sig, {pos: s * v for pos, v in acc.items()})
     return {"indices": indices, "signs": named, "residual": residual.to_json()}
 
@@ -370,18 +394,24 @@ def verify_relations(
     kappa (X z -/+ z X) for every z, keyed by (eps, l), zero ones left out.
     Since lhs = s^3 [[x, y], z] on cores and rhs = s sum c x_w on cores, a
     three-slot instance holds exactly when kappa [[x, y], z] = sum c x_w on
-    cores; a two-slot row (the A families) compares s [x, y] with its
-    terms. An instance is judged only when its (eps, l) is such a key or
-    one of its Kronecker terms fires (l in {j, k}, or every l when a term
-    pairs slots 0 and 1 and j = k), in (j, k, l, case) order: its
-    right-hand-side terms are subtracted from a copy of its outer bracket,
-    and it passes exactly when that dict is empty, every entry compared
-    exactly. A failing dict `acc` is (lhs - rhs) / s, and its
-    counterexample's residual lhs - rhs = s x acc is rebuilt through
-    `GradedMatrix`, only when the report keeps it. Every
-    other instance has lhs = rhs = 0: a row counts |index product| x
-    |cases| instances, and those not failed are recorded as passes at once,
-    so the coverage check still sees every instance."""
+    cores; a two-slot row (the A families) compares s [x, y], keyed by ()
+    when nonzero, with an empty right-hand side. Per (j, k), `lhs` maps
+    each sign pair to those outer brackets, and `rhs` maps it to the sums
+    of the Kronecker terms in the same keys: a term pairing slots 0 and 2
+    fires at l = j, slots 1 and 2 at l = k, slots 0 and 1 at every l when
+    j = k. A term firing alone is the shared dict c x_w on cores, built
+    once per call (`_scaled_tables`); terms firing together are summed
+    with `_axpy`, a key whose sum cancels left out. Both sides hold only
+    nonzero entries, so `lhs == rhs` decides every instance of (j, k) at
+    once, every entry compared exactly. Otherwise the instances whose case
+    key differs fail, walked in (l, case) order, so failures and kept
+    counterexamples come in (j, k, l, case) order; a counterexample's
+    residual lhs - rhs = s x (lhs - rhs on cores) is rebuilt through
+    `GradedMatrix`, only when the report keeps it. A row counts
+    |index product| x |cases| instances, and those not failed are
+    recorded as passes at once, so the coverage check still sees every
+    instance. A row holding two cases with one sign tuple, whose terms
+    `rhs` would sum, raises ValueError."""
     family = RelationFamily(family)
     tags = _operand_tags(family)
     kinds = [_KINDS[tag] for tag in tags]
@@ -397,22 +427,31 @@ def verify_relations(
     sig = gens.spec.signature()
     s, kappa, core = _content([mat for g in sets.values() for mat in (*g.creators, *g.annihilators)])
     tables = {tag: _generator_table(g, sig, core) for tag, g in sets.items()}
+    scaled = _scaled_tables(family, tables)
     signed = family.sign_arity > 0
 
     report = CheckReport(f"relations-{family.value}", gens.spec.to_json(), max_counterexamples)
     instances = failures = 0
     for block in RELATION_TABLE[family]:
+        if len({signs for signs, _, _ in block.cases}) < len(block.cases):
+            raise ValueError(f"a {family.value} row holds two cases with one sign tuple")
         slots = [tables[tag] for tag in block.operands]
         ranges = [_index_range(sets[tag], code) for tag, code in zip(block.operands, block.ranges)]
         if not all(ranges):
             continue
         instances += len(block.cases) * prod(map(len, ranges))
         pairs = dict.fromkeys(signs[:2] for signs, _, _ in block.cases)
+        ls = ranges[2] if block.outer else range(0)
         if block.outer:
             epsilons = dict.fromkeys(signs[2] for signs, _, _ in block.cases)
-            keys = [(e, l) for e in epsilons for l in ranges[2]]
+            keys = [(e, l) for e in epsilons for l in ls]
             rows, cols = _slot3_index(dict.fromkeys(keys, block.outer), slots[2], kappa)
-            every_l = any({p, q} == {0, 1} for _, _, terms in block.cases for _, p, q in terms)
+        # Each term of each case, by the index it fires at: l = j, l = k, or every l when j = k.
+        at_j, at_k, at_all = [], [], []
+        for signs, _, terms in block.cases:
+            for c, a, b in terms:
+                rule = (signs[:2], signs[2], scaled[block.operands[3 - a - b], c])
+                (at_all if a + b == 1 else at_j if a + b == 2 else at_k).append(rule)
         for j, k in product(ranges[0], ranges[1]):
             lhs = {}
             for p in pairs:
@@ -420,29 +459,46 @@ def verify_relations(
                 _bracket_into(acc, block.inner, slots[0][p[0], j], slots[1][p[1], k])
                 if block.outer:
                     lhs[p] = _outer_brackets(acc, rows, cols)
-                else:
+                elif acc:
                     lhs[p] = {(): acc if kappa == 1 else {pos: s * v for pos, v in acc.items()}}
-            if not block.outer:
-                rests = [()]
-            elif j == k and every_l:
-                rests = [(l,) for l in ranges[2]]
-            else:
-                ls = {l for brackets in lhs.values() for _, l in brackets}
-                ls.update(l for l in (j, k) if l in ranges[2])
-                rests = [(l,) for l in sorted(ls)]
-            for rest in rests:
+                else:
+                    lhs[p] = {}
+            fires = []
+            if j in ls:
+                fires += [(p, (e, j), tab[p[1], k]) for p, e, tab in at_j]
+            if k in ls:
+                fires += [(p, (e, k), tab[p[0], j]) for p, e, tab in at_k]
+            if j == k:
+                fires += [(p, (e, l), tab[e, l]) for p, e, tab in at_all for l in ls]
+            rhs = {p: {} for p in pairs}
+            for p, key, value in fires:
+                side = rhs[p]
+                cur = side.get(key)
+                if cur is None:
+                    if value:  # a zero generator fires nothing
+                        side[key] = value
+                    continue
+                cur = dict(cur)
+                _axpy(cur, 1, value)
+                if cur:
+                    side[key] = cur
+                else:
+                    del side[key]
+            if lhs == rhs:
+                continue
+            rests = {key[1:] for p in pairs for key in lhs[p].keys() | rhs[p].keys()
+                     if lhs[p].get(key) != rhs[p].get(key)}
+            for rest in sorted(rests):
                 idx = (j, k, *rest)
-                for signs, rel, terms in block.cases:
-                    acc = lhs[signs[:2]].get(signs[2:] + rest)
-                    fired = [(c, 3 - p - q) for c, p, q in terms if idx[p] == idx[q]]
-                    if fired:
-                        acc = dict(acc or ())
-                        for c, w in fired:
-                            _axpy(acc, -c, slots[w][signs[w], idx[w]].entries)
-                    if not acc:
+                for signs, rel, _ in block.cases:
+                    p, key = signs[:2], signs[2:] + rest
+                    left, right = lhs[p].get(key), rhs[p].get(key)
+                    if left == right:
                         continue
                     failures += 1
-                    report.record(False, lambda: _counterexample(signed, rel, idx, signs, sig, s, acc))
+                    report.record(
+                        False, lambda: _counterexample(signed, rel, idx, signs, sig, s, left, right)
+                    )
     report.record_passes(instances - failures)
     declared = declared_total(family, gens, partner)
     report.record_coverage(declared)

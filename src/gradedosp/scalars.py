@@ -86,9 +86,13 @@ class Scalar:
     __radd__ = __add__
 
     def __sub__(self, other: Scalar | int | Fraction) -> Scalar:
+        if not isinstance(other, (Scalar, int, Fraction)):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other: Scalar | int | Fraction) -> Scalar:
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
         return (-self) + other
 
     def __neg__(self) -> Scalar:

@@ -215,9 +215,11 @@ def orbit_loop_passes(constants, degrees: list) -> bool:
 
 def closure_by_pairs(basis, max_counterexamples: int = 10) -> CheckReport:
     """Closure checked the plain way, the reference for `verify_closure` on
-    an orthosymplectic basis: the membership residual of every ordered
-    pair's bracket, freshly computed through `algebras.graded_bracket`, no
-    table and no structure constants."""
+    an orthosymplectic or sl basis: the membership residual of every
+    ordered pair's bracket, freshly computed through
+    `algebras.graded_bracket`, no table and no structure constants. A
+    matrix residual vanishes when it has no entry, the sl supertrace when
+    it equals 0."""
     bracket = algebras.graded_bracket
     residual_of = algebras.membership_residual(basis.spec)
     report = CheckReport("closure", basis.spec.to_json(), max_counterexamples)
@@ -226,7 +228,8 @@ def closure_by_pairs(basis, max_counterexamples: int = 10) -> CheckReport:
         for lb, b in items:
             residual = residual_of(bracket(a, b))
             report.record(
-                residual.is_zero(), lambda: {"indices": [la, lb], "residual": residual.to_json()}
+                residual.is_zero() if isinstance(residual, GradedMatrix) else residual == 0,
+                lambda: {"indices": [la, lb], "residual": residual.to_json()},
             )
     return report
 

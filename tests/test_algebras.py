@@ -676,6 +676,26 @@ def test_planted_sign_bracket_leaves_the_span(monkeypatch):
     assert BracketTable(basis).structure_constants is None
 
 
+def test_sl_closure_counterexamples_hold_the_supertrace(monkeypatch):
+    # The sl membership residual is the supertrace, a Scalar even on int
+    # entries, and a closure counterexample holds its wire form. Adding e_11
+    # to every nonzero bracket of degree (0,0) leaves sl with supertrace 1.
+    basis = kernel_basis(AlgebraSpec(Family.SL, 1, 0, 1, 1))
+    n = len(basis)
+    true_bracket = algebras.graded_bracket
+    unit = elem(basis.spec.signature(), 1, 1)
+
+    def planted(a, b):
+        bracket = true_bracket(a, b)
+        return bracket + unit if not bracket.is_zero() and bracket.degree_of() == (0, 0) else bracket
+
+    monkeypatch.setattr(algebras, "graded_bracket", planted)
+    report = verify_closure(basis, n * n)
+    assert report.failed > 0
+    assert {json.dumps(ce["residual"]) for ce in report.counterexamples} == {json.dumps(ONE.to_json())}
+    assert_same_json(report.to_json(), closure_by_pairs(basis, n * n).to_json())
+
+
 @pytest.mark.parametrize("params, failures", [((0, 1, 1, 0), 120), ((1, 1, 1, 1), 2304)])
 def test_jacobi_paths_agree_on_a_planted_defect(monkeypatch, params, failures):
     # The two-sided defect stays in the algebra and passes the gate, so

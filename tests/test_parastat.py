@@ -6,9 +6,12 @@ import json
 import math
 import re
 from fractions import Fraction
+from unittest import mock
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradedosp import gmatrix, parastat
 from gradedosp.algebras import AlgebraSpec, Family, expected_dim, is_member, rank_of
@@ -484,9 +487,18 @@ def _content_cases():
     yield "ospB2112-PF_family1-rational", RelationFamily.PF_FAMILY1, rational, b
 
 
+def _zeroed(gens: GeneratorSet) -> GeneratorSet:
+    """A copy whose first annihilator is the zero matrix."""
+    first = gens.annihilators[0]
+    return dataclasses.replace(gens, annihilators=[first - first, *gens.annihilators[1:]])
+
+
 def _reference_cases():
     yield from _judging_defect_cases()
     yield from _content_cases()
+    # A zero generator: a Kronecker term that names it adds nothing.
+    yield "ospB1111-FF-zero", RelationFamily.FF, _zeroed(parafermion_ops(ospB(1, 1, 1, 1))), None
+    yield "palev02-A_same-zero", RelationFamily.A_SAME, _zeroed(palev_ops(0, 2)), None
     for name, family, planted, partner in _planted_cases():
         yield f"{name}-planted", family, planted, partner
     for params in ((1, 1, 1, 1), (2, 1, 1, 2), (0, 2, 2, 0)):
@@ -597,6 +609,94 @@ def test_paper_sets_run_the_relation_kernel_on_plain_ints(monkeypatch):
     ]
     assert calls == []
     assert all(report.passed for report in reports)
+
+
+def test_every_row_holds_one_case_per_sign_tuple():
+    # The kernel sums the right-hand sides by sign tuple, so two cases of one
+    # row under one tuple would be judged as one.
+    for rows in parastat.RELATION_TABLE.values():
+        for row in rows:
+            signs = [case[0] for case in row.cases]
+            assert len(set(signs)) == len(signs)
+
+
+def test_a_row_repeating_a_sign_tuple_is_refused(monkeypatch):
+    # Two cases (s, t) and (s, -t) would sum to a zero right-hand side and
+    # pass wherever the left-hand side vanishes. Refused even where the row's
+    # index ranges are empty.
+    row = parastat.RELATION_TABLE[RelationFamily.BB_MIXED][0]
+    signs, rel, terms = row.cases[0]
+    opposite = tuple((-c, p, q) for c, p, q in terms)
+    repeated = row._replace(cases=(*row.cases, (signs, rel, opposite)))
+    monkeypatch.setitem(parastat.RELATION_TABLE, RelationFamily.BB_MIXED, (repeated,))
+    for params in ((0, 0, 1, 1), (0, 0, 2, 0)):
+        with pytest.raises(ValueError, match="two cases with one sign tuple"):
+            verify_relations(RelationFamily.BB_MIXED, paraboson_ops(ospB(*params)))
+
+
+_FACTORS = [-1, 2, SQRT2, -SQRT2, Scalar(Fraction(1, 2)), Scalar(1, 1), Scalar(0, Fraction(1, 2))]
+
+
+@st.composite
+def _defective_calls(draw):
+    """(family, gens, partner, rows) for a small generator set with one
+    defect: c E_pq added to one generator, one generator rescaled by an
+    element of Q(sqrt2), or one stray term in one case of one three-slot
+    row of the table (`rows` is then the family's patched rows, else None)."""
+    family = draw(st.sampled_from(RelationFamily))
+    tags = parastat._operand_tags(family)
+    if tags == ["a"]:
+        sets = [palev_ops(*draw(st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(any)))]
+    else:
+        # Parafermions need m1 + m2 > 0, parabosons n1 + n2 > 0.
+        params = draw(
+            st.tuples(*[st.integers(0, 2)] * 4).filter(
+                lambda m: ("f" not in tags or m[0] + m[1]) and ("b" not in tags or m[2] + m[3])
+            )
+        )
+        by_kind = {parastat._TAGS[gens.kind]: gens for gens in generator_sets(ospB(*params))}
+        sets = [by_kind[tag] for tag in tags]
+    defect = draw(st.sampled_from(["unit", "rescale", "term"]))
+    rows = None
+    if defect == "term":
+        rows = list(parastat.RELATION_TABLE[family])
+        at = draw(st.sampled_from([i for i, row in enumerate(rows) if row.outer]))
+        cases = list(rows[at].cases)
+        ic = draw(st.integers(0, len(cases) - 1))
+        signs, rel, terms = cases[ic]
+        term = (draw(st.sampled_from([1, -1, 2])), *draw(st.sampled_from([(0, 1), (0, 2), (1, 2)])))
+        cases[ic] = (signs, rel, (*terms, term))
+        rows[at] = rows[at]._replace(cases=tuple(cases))
+        rows = tuple(rows)
+    else:
+        iset = draw(st.integers(0, len(sets) - 1))
+        gens = sets[iset]
+        side = draw(st.sampled_from(["creators", "annihilators"]))
+        mats = list(getattr(gens, side))
+        ix = draw(st.integers(0, len(mats) - 1))
+        if defect == "unit":
+            size = gens.spec.size
+            pos = draw(st.tuples(st.integers(1, size), st.integers(1, size)))
+            mats[ix] = mats[ix] + elem(mats[ix].signature, *pos).scale(draw(st.sampled_from(_FACTORS)))
+        else:
+            mats[ix] = mats[ix].scale(draw(st.sampled_from(_FACTORS)))
+        sets[iset] = dataclasses.replace(gens, **{side: mats})
+    return family, sets[0], sets[1] if len(sets) > 1 else None, rows
+
+
+# The budget comes from the loaded hypothesis profile (see tests/conftest.py).
+@settings(deadline=None, derandomize=True)
+@given(_defective_calls())
+def test_relation_kernel_matches_the_instance_loop_on_drawn_defects(call):
+    # Byte-identical reports at caps 0, 1 and the full count: the reference
+    # keeps a prefix of its failures, so one run at the full count gives all three.
+    family, gens, partner, rows = call
+    with mock.patch.dict(parastat.RELATION_TABLE, {family: rows} if rows else {}):
+        reference = relations_by_instances(family, gens, partner, max_counterexamples=10**9).to_json()
+        for cap in (0, 1, reference["failed"]):
+            report = verify_relations(family, gens, partner, max_counterexamples=cap)
+            want = {**reference, "counterexamples": reference["counterexamples"][:cap]}
+            assert_same_json(report.to_json(), want)
 
 
 @pytest.mark.parametrize(

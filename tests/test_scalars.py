@@ -126,13 +126,15 @@ def test_floats_are_refused():
         lambda: GradedMatrix(sig, {(1, 1): 0.5}),
         lambda: elem(sig, 1, 2).scale(0.5),
         lambda: Scalar(1) + 0.5,
-        lambda: Scalar(1) - 0.5,
-        lambda: 0.5 - SQRT2,
         lambda: 0.5 * SQRT2,
         lambda: Scalar(1) / 2.0,
     ):
         with pytest.raises(TypeError):
             build()
+    # A refused subtraction names its own operator, not the addition it runs on.
+    for subtract in (lambda: Scalar(1) - 0.5, lambda: 0.5 - SQRT2):
+        with pytest.raises(TypeError, match="for -:"):
+            subtract()
 
 
 def test_integral_paths_build_no_fraction(monkeypatch):
