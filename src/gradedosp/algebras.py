@@ -125,8 +125,9 @@ class Basis:
         `AlgebraSpec.from_json` and `GradedMatrix.from_json`, so integral
         entries come back as ints. A number that is not an integer, or a
         label that is not a string, raises TypeError; a missing key, a
-        signature whose length is not the size, or an element whose
-        signature is not the spec's, raises ValueError."""
+        signature whose length is not the size, an entry position outside
+        1..size, or an element whose signature is not the spec's, raises
+        ValueError."""
         try:
             spec = AlgebraSpec.from_json(data["spec"])
             items = data["elements"]
@@ -134,6 +135,8 @@ class Basis:
             elements = [GradedMatrix.from_json(item) for item in items]
         except KeyError as missing:
             raise ValueError(f"basis JSON lacks the key {missing}") from None
+        except IndexError as outside:
+            raise ValueError(f"basis JSON has an entry {outside}") from None
         if not all(type(label) is str for label in labels):
             raise TypeError(f"basis labels must be strings: {labels}")
         sig = spec.signature()
@@ -425,14 +428,15 @@ class BracketTable:
     A bracket built from matrix products is zero on disjoint supports, so
     no bracket is lost. A caller that rebinds `graded_bracket` to one with
     terms on disjoint supports must also rebind `meeting_pairs` to every
-    pair. Each basis element is `indexed()` first, so its homogeneous parts
-    are built once for all its brackets; the entries of the table are not
-    indexed.
+    pair. `graded_bracket` indexes each basis element on its first bracket,
+    so its homogeneous parts are built once for all its brackets. The
+    table's entries are not bracketed here, so they carry no index unless
+    Jacobi's matrix loop brackets them.
     """
 
     def __init__(self, basis: Basis):
         self.basis = basis
-        elements = [mat.indexed() for mat in basis.elements]
+        elements = basis.elements
         self.rows = []
         for a, meeting in zip(elements, meeting_pairs(elements)):
             row = {}
@@ -664,16 +668,16 @@ def _by_matrices(table: BracketTable, degrees: list[Degree], report: CheckReport
     unscaled elements and table, for each ordered triple on its own, which
     the report calls only for a counterexample it keeps.
 
-    A missing entry of a row reads as the zero matrix. The cleared
-    elements, and shallow copies of the entries of row p while p is the
-    least index of the orbits walked, are `indexed()`; the table entries
-    are not."""
+    A missing entry of a row reads as the zero matrix. Each matrix the
+    loop brackets is indexed by `graded_bracket` on its first bracket, so
+    its parts are built once: a cleared copy keeps its index for the call,
+    a table entry or element for as long as the table lives."""
     asymmetric = table.antisymmetry_failures
     elements = original = table.basis.elements
     rows = unscaled = table.rows
     clear = [lcm(*(v._d for _, v in mat.items() if type(v) is not int)) for mat in elements]
     if any(k != 1 for k in clear):
-        elements = [mat.scale(k).indexed() for mat, k in zip(elements, clear)]
+        elements = [mat.scale(k) for mat, k in zip(elements, clear)]
         rows = [{b: t.scale(ka * clear[b]) for b, t in row.items()} for row, ka in zip(rows, clear)]
     zero = GradedMatrix.zero(elements[0].signature) if elements else None
 
@@ -688,10 +692,6 @@ def _by_matrices(table: BracketTable, degrees: list[Degree], report: CheckReport
     # shared[y][z]: the pair is graded antisymmetric, T[z][y] = -(-1)^{dot(y, z)} T[y][z]
     shared = [[(min(y, z), max(y, z)) not in asymmetric for z in range(n)] for y in range(n)]
 
-    def entry(y: int, z: int) -> GradedMatrix:
-        """T[y][z], read off the indexed copy of row p when y == p."""
-        return (row_p if y == p else rows[y]).get(z, zero)
-
     def inner(memo: dict, x: int, y: int, z: int) -> tuple[GradedMatrix, bool]:
         """(M, negated) with X(x, y, z) = [e_x, T[y][z]] equal to -M when
         negated and to M otherwise. M is kept in `memo` for the orbit, and
@@ -702,14 +702,11 @@ def _by_matrices(table: BracketTable, degrees: list[Degree], report: CheckReport
         key = (x, y, z)
         out = memo.get(key)
         if out is None:
-            out = memo[key] = graded_bracket(elements[x], entry(y, z))
+            out = memo[key] = graded_bracket(elements[x], rows[y].get(z, zero))
         return out, negated
 
     failures = []
     for p in range(n):
-        row_p = {
-            b: GradedMatrix._make(t.signature, t._entries).indexed() for b, t in rows[p].items()
-        }
         for q in range(p, n):
             passes = 0
             for r in range(q, n):
@@ -723,7 +720,7 @@ def _by_matrices(table: BracketTable, degrees: list[Degree], report: CheckReport
                         # [a, [b, c]] against [[a, b], c] + (-1)^odd [b, [a, c]]
                         left, flip = inner(memo, a, b, c)
                         third, turn = inner(memo, b, a, c)
-                        rhs = graded_bracket(entry(a, b), elements[c])
+                        rhs = graded_bracket(rows[a].get(b, zero), elements[c])
                         rhs = rhs - third if odd ^ turn else rhs + third
                         bad = left != (-rhs if flip else rhs)
                     failed[a, b, c] = bad

@@ -145,30 +145,28 @@ def build_parser() -> argparse.ArgumentParser:
         description="Construct graded matrix algebras and verify their identities exactly.",
     )
     parser.add_argument("--version", action="version", version=f"{TOOL} {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        sp = sub.add_parser(name)
-        sp.add_argument(
-            "--algebra",
-            required=True,
-            choices=[f.value for f in Family],
-            help="algebra family",
-        )
-        sp.add_argument("--m1", type=int, default=0)
-        sp.add_argument("--m2", type=int, default=0)
-        sp.add_argument("--n1", type=int, default=0)
-        sp.add_argument("--n2", type=int, default=0)
-        sp.add_argument(
-            "--output", type=non_empty, default=None, help="output path (default: stdout)"
-        )
-        sp.add_argument("--format", choices=("json", "text"), default="json")
-        sp.add_argument("--max-counterexamples", type=non_negative_int, default=10)
-        sp.add_argument("--parallelism", type=positive_int, default=1)
-        sp.add_argument(
-            "--force",
-            action="store_true",
-            help=f"allow matrix sizes above {SIZE_GUARD}",
-        )
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument(
+        "--algebra",
+        required=True,
+        choices=[f.value for f in Family],
+        help="algebra family",
+    )
+    parser.add_argument("--m1", type=int, default=0)
+    parser.add_argument("--m2", type=int, default=0)
+    parser.add_argument("--n1", type=int, default=0)
+    parser.add_argument("--n2", type=int, default=0)
+    parser.add_argument(
+        "--output", type=non_empty, default=None, help="output path (default: stdout)"
+    )
+    parser.add_argument("--format", choices=("json", "text"), default="json")
+    parser.add_argument("--max-counterexamples", type=non_negative_int, default=10)
+    parser.add_argument("--parallelism", type=positive_int, default=1)
+    parser.add_argument(
+        "--force",
+        action="store_true",
+        help=f"allow matrix sizes above {SIZE_GUARD}",
+    )
     return parser
 
 

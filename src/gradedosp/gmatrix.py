@@ -31,10 +31,10 @@ class GradedMatrix:
     hashing agree between an int and the equal Scalar, and `to_json`
     writes an int v as the Scalar wire form [v, 1, 0, 1].
 
-    `_index` is None, or what `graded_bracket` reads off an operand,
-    stored once by `indexed()`: its homogeneous parts, each the entries,
-    negated entries and row index of one degree, and the row and column
-    support masks."""
+    `_index` is None until the matrix is first bracketed; `graded_bracket`
+    then stores on it what it reads off an operand (see `_index_of`) and
+    reuses it from then on. So the entries of a matrix must not change
+    once it exists: nothing writes to `_entries` after construction."""
 
     __slots__ = ("signature", "_entries", "_index")
 
@@ -91,24 +91,6 @@ class GradedMatrix:
 
     def is_zero(self) -> bool:
         return not self._entries
-
-    def indexed(self) -> GradedMatrix:
-        """Store the homogeneous parts `graded_bracket` builds for an
-        operand, each an `_Operand`, and the row and column masks of the
-        entries (bit i set for each row or column i that holds one), and
-        return self. A matrix bracketed with many others, such as a basis
-        element of a bracket table, then has them built once, and a bracket
-        of two indexed matrices whose products cannot meet is known to be
-        zero from the masks alone. A bracket table does not even call
-        `graded_bracket` on such pairs: it brackets only those that
-        `meeting_pairs` lists."""
-        if self._index is None:
-            row_mask = col_mask = 0
-            for i, j in self._entries:
-                row_mask |= 1 << i
-                col_mask |= 1 << j
-            self._index = (_parts(self), row_mask, col_mask)
-        return self
 
     def degree_of(self) -> Optional[Degree]:
         """The common degree of all nonzero entries; (0,0) for the zero
@@ -314,13 +296,19 @@ def _bracket_into(acc: dict, kind: str, x: _Operand, y: _Operand) -> None:
     _product(acc, y.negated if kind == "[]" else y.entries, x.rows)
 
 
-def _parts(mat: GradedMatrix) -> tuple[tuple[Degree, _Operand], ...]:
-    """The homogeneous parts of `mat`, as (degree, operand) pairs."""
+def _index_of(mat: GradedMatrix) -> tuple:
+    """Build and store the bracket index of `mat`: its homogeneous parts,
+    as (degree, `_Operand`) pairs, and its row and column masks, ints with
+    bit i set for each row, or column, i that holds an entry."""
     sig = mat.signature
     parts: dict[Degree, Entries] = {}
+    row_mask = col_mask = 0
     for (i, j), v in mat._entries.items():
         parts.setdefault(deg_add(sig[i - 1], sig[j - 1]), {})[i, j] = v
-    return tuple((d, _Operand(entries)) for d, entries in parts.items())
+        row_mask |= 1 << i
+        col_mask |= 1 << j
+    mat._index = (tuple((d, _Operand(e)) for d, e in parts.items()), row_mask, col_mask)
+    return mat._index
 
 
 def commutator(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
@@ -338,24 +326,23 @@ def graded_bracket(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
 
     Each operand is split into its homogeneous parts, and each pair of
     parts adds x*y -/+ y*x by `_bracket_into`, the sign chosen once per
-    pair by `dot` of the two part degrees. The parts are read from an
-    operand's `indexed()` store when it has one and built here otherwise.
-    When both operands are indexed and no column of either meets a row of
-    the other, a*b and b*a have no term and the bracket is zero without a
-    product; `meeting_pairs` lists the pairs of a sequence that this test
-    does not decide.
+    pair by `dot` of the two part degrees. A nonzero operand's parts and
+    masks are built by `_index_of` the first time it is bracketed and
+    read from its `_index` after that. When no column of either operand
+    meets a row of the other, a*b and b*a have no term and the bracket is
+    zero without a product; `meeting_pairs` lists the pairs of a sequence
+    that this test does not decide.
     """
     a._check_compatible(b)
     sig = a.signature
     if not a._entries or not b._entries:
         return GradedMatrix._make(sig, {})
-
-    index_a, index_b = a._index, b._index
-    if index_a and index_b and not (index_a[2] & index_b[1] or index_b[2] & index_a[1]):
+    parts_a, rows_a, cols_a = a._index or _index_of(a)
+    parts_b, rows_b, cols_b = b._index or _index_of(b)
+    if not (cols_a & rows_b or cols_b & rows_a):
         return GradedMatrix._make(sig, {})
     acc: Entries = {}
-    parts_b = index_b[0] if index_b else _parts(b)
-    for da, x in index_a[0] if index_a else _parts(a):
+    for da, x in parts_a:
         for db, y in parts_b:
             _bracket_into(acc, "{}" if dot(da, db) else "[]", x, y)
     return GradedMatrix._make(sig, acc)
@@ -364,11 +351,11 @@ def graded_bracket(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
 def meeting_pairs(mats: Sequence[GradedMatrix]) -> list[list[int]]:
     """For each a, in increasing order, the b whose supports meet those of
     a: some column of a is a row of b, or some column of b a row of a.
-    These are exactly the pairs of indexed matrices that the mask test of
-    `graded_bracket` does not decide; the bracket of every other pair is
-    zero, as a*b and b*a have no term. The matrices are indexed once by
-    the rows and once by the columns that hold their entries, so the work
-    grows with the number of meeting pairs, not with n^2."""
+    These are exactly the pairs that the mask test of `graded_bracket`
+    does not decide; the bracket of every other pair is zero, as a*b and
+    b*a have no term. The matrices are indexed once by the rows and once
+    by the columns that hold their entries, so the work grows with the
+    number of meeting pairs, not with n^2."""
     supports = []
     by_row: dict[int, list[int]] = {}
     by_col: dict[int, list[int]] = {}

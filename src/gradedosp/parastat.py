@@ -527,17 +527,15 @@ def graded_bracket_consistency(
     degrees = _homogeneous_degrees(pool, "generator")
     _, kappa, core = _content([mat for _, mat in pool])
     cores = [_Operand({pos: core(v) for pos, v in mat.items()}) for _, mat in pool]
-    # Each operand indexed once, on a copy: the caller's matrices stay unindexed.
-    mats = [GradedMatrix._make(mat.signature, mat._entries).indexed() for _, mat in pool]
     indexes = {
         dx: _slot3_index({iy: "{}" if dot(dx, dy) else "[]" for iy, dy in enumerate(degrees)}, cores, kappa)
         for dx in dict.fromkeys(degrees)
     }
     report = CheckReport("bracket-consistency", gen_sets[0].spec.to_json(), max_counterexamples)
     failures = 0
-    for (lx, _), x, dx, ox in zip(pool, mats, degrees, cores):
+    for (lx, x), dx, ox in zip(pool, degrees, cores):
         expected = _outer_brackets(ox.entries, *indexes[dx])
-        for iy, ((ly, _), y) in enumerate(zip(pool, mats)):
+        for iy, (ly, y) in enumerate(pool):
             actual = graded_bracket(x, y)
             want = expected.get(iy, {})
             if actual._entries == want:

@@ -8,6 +8,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import product
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -464,6 +465,8 @@ def _spoiled_basis_json(edit: str) -> dict:
         first["signature"].pop()
     elif edit == "another signature":
         first["signature"][0] = [1, 1]
+    elif edit == "position outside":
+        first["entries"].append([9, 9, 1, 1, 0, 1])
     else:
         del (doc if edit in doc else doc["spec"] if edit in doc["spec"] else first)[edit]
     return doc
@@ -477,6 +480,7 @@ def _spoiled_basis_json(edit: str) -> dict:
         ("label not a string", TypeError),
         ("signature length", ValueError),
         ("another signature", ValueError),
+        ("position outside", ValueError),
         ("spec", ValueError),
         ("elements", ValueError),
         ("family", ValueError),
@@ -618,21 +622,20 @@ def test_doubled_bracket_fails_jacobi_on_int_and_scalar_constants(monkeypatch, s
     assert_same_json(report.to_json(), jacobi_by_triples(basis, n ** 3).to_json())
 
 
-@pytest.mark.parametrize("denominator", [1, 2])
-def test_only_basis_elements_carry_an_index(monkeypatch, denominator):
-    # The odd elements of a kernel basis are not closed under brackets, so
-    # Jacobi runs the matrix loop; with a denominator it runs on cleared
-    # copies. Afterwards the elements are indexed and no table entry is.
-    canonical = kernel_basis(ospB(1, 0, 1, 0))
-    odd = [ix for ix, mat in enumerate(canonical) if mat.degree_of() == (1, 0)]
-    # They lie in the algebra, which would certify them: keep them on the loop.
-    monkeypatch.setattr(algebras, "_certified_span", lambda basis: False)
-    scale = Scalar(Fraction(1, denominator))
-    elements = [canonical.elements[ix].scale(scale) for ix in odd]
-    basis = Basis(canonical.spec, elements, [canonical.labels[ix] for ix in odd])
+@pytest.mark.parametrize("spec", [ospB(1, 0, 1, 0), ospB(1, 1, 1, 1), AlgebraSpec(Family.SL, 1, 0, 2, 1)])
+def test_the_gate_path_indexes_only_the_basis_elements(monkeypatch, spec):
+    # Closure, symmetry and Jacobi share one table of a kernel basis, as in
+    # `report`: its gate holds and Jacobi never reaches the matrix loop.
+    # Each element is indexed on its first bracket, and no table entry is
+    # ever bracketed, so none holds an index.
+    def refuse(*args):
+        raise AssertionError("the matrix loop ran")
+
+    monkeypatch.setattr(algebras, "_by_matrices", refuse)
+    basis = kernel_basis(spec)
     table = BracketTable(basis)
-    assert table.structure_constants is None
-    assert verify_jacobi(basis, table=table).passed
+    for check in (verify_closure, verify_symmetry, verify_jacobi):
+        assert check(basis, table=table).failed == 0
     assert all(mat._index is not None for mat in basis.elements)
     assert any(table.rows)
     assert all(t._index is None for row in table.rows for t in row.values())
@@ -1343,7 +1346,7 @@ def _table_cases(case: str) -> list[Basis]:
 def test_table_equals_the_brackets_of_every_pair(case):
     # Bracketing only the pairs whose supports meet loses no bracket: the
     # table's rows are the nonzero brackets, in increasing b, of all n^2
-    # pairs of unindexed copies.
+    # pairs of fresh copies.
     for basis in _table_cases(case):
         copies = [GradedMatrix(mat.signature, dict(mat.items())) for mat in basis]
         every_pair = [[graded_bracket(a, b) for b in copies] for a in copies]
@@ -1613,6 +1616,63 @@ def test_jacobi_builds_only_kept_counterexamples(monkeypatch, path, cap):
     assert report.failed > 10
     assert len(built) == len(report.counterexamples) == min(cap, report.failed)
     assert_same_json(report.to_json(), reference.to_json())
+
+
+_LOOP_FACTORS = [1, -1, 2, SQRT2, -SQRT2, Scalar(Fraction(1, 2)), _SCALING, Scalar(Fraction(1, 3)) + SQRT2]
+
+
+@st.composite
+def _defective_jacobi_inputs(draw):
+    """(basis, planted bracket, whether `_certified_span` is cut off): up to
+    8 elements of the kernel basis of ospB(1,0,1,0), each rescaled by an
+    element of Q(sqrt2), some with a denominator, and one (0,0) element
+    optionally moved off the algebra by + e_11; and one bilinear defect,
+    the true bracket plus c a[p] b[q] E_rs, p and q on the basis's support,
+    in one order or in both with the graded sign."""
+    canonical = kernel_basis(ospB(1, 0, 1, 0))
+    sig = canonical.spec.signature()
+    picks = draw(st.lists(st.integers(0, len(canonical) - 1), min_size=1, max_size=8, unique=True))
+    elements = [canonical.elements[ix].scale(draw(st.sampled_from(_LOOP_FACTORS))) for ix in picks]
+    even = [k for k, mat in enumerate(elements) if mat.degree_of() == (0, 0)]
+    if even and draw(st.booleans()):
+        k = draw(st.sampled_from(even))
+        elements[k] = elements[k] + elem(sig, 1, 1)
+    basis = Basis(canonical.spec, elements, [canonical.labels[ix] for ix in picks])
+    support = sorted({pos for mat in elements for pos, _ in mat.items()})
+    p, q = draw(st.sampled_from(support)), draw(st.sampled_from(support))
+    unit = elem(sig, *draw(st.tuples(*[st.integers(1, len(sig))] * 2)))
+    c = draw(st.sampled_from(_LOOP_FACTORS))
+    degree = lambda pos: deg_add(sig[pos[0] - 1], sig[pos[1] - 1])
+    # (-1)^{dot(dp, dq)}, or 0 for a defect in one order only
+    sign = draw(st.sampled_from([0, -1 if dot(degree(p), degree(q)) else 1]))
+
+    def planted(a, b):
+        x = a.entry(*p) * b.entry(*q) - sign * b.entry(*p) * a.entry(*q)
+        return graded_bracket(a, b) + unit.scale(c * x)
+
+    return basis, planted, draw(st.booleans())
+
+
+# The budget comes from the loaded hypothesis profile (see tests/conftest.py).
+@settings(deadline=None, derandomize=True)
+@given(_defective_jacobi_inputs())
+def test_matrix_loop_matches_the_triple_loop_on_drawn_defects(call):
+    # Byte-identical Jacobi reports at caps 0, 1 and the failure count: the
+    # triple loop runs once at the full count and its counterexamples are
+    # truncated. The defect has terms on disjoint supports, so the table
+    # brackets every pair; with `_certified_span` cut off, every basis the
+    # gate or the certificate refuses reaches the matrix loop.
+    basis, planted, no_span = call
+    patches = {"graded_bracket": planted, "meeting_pairs": lambda mats: [list(range(len(mats)))] * len(mats)}
+    if no_span:
+        patches["_certified_span"] = lambda basis: False
+    with mock.patch.multiple(algebras, **patches):
+        reference = jacobi_by_triples(basis, max_counterexamples=len(basis) ** 3).to_json()
+        table = BracketTable(basis)
+        for cap in (0, 1, reference["failed"]):
+            report = verify_jacobi(basis, max_counterexamples=cap, table=table)
+            want = {**reference, "counterexamples": reference["counterexamples"][:cap]}
+            assert_same_json(report.to_json(), want)
 
 
 def test_dependent_basis_takes_the_matrix_path(monkeypatch):

@@ -413,34 +413,15 @@ _DEGREES = st.sampled_from([(0, 0), (1, 0), (0, 1), (1, 1)])
 _OPERANDS = st.one_of(_SPARSE, _DEGREES.flatmap(_homogeneous))
 
 
-@settings(max_examples=80, deadline=None)
-@given(_OPERANDS, _OPERANDS, st.booleans(), st.booleans())
-def test_graded_bracket_reads_stored_indexes(a, b, index_a, index_b):
-    # Homogeneous and inhomogeneous operands: a stored index gives the
-    # bracket built without one, in either operand slot.
-    plain = (GradedMatrix(S6, dict(a.items())), GradedMatrix(S6, dict(b.items())))
-    expected = [graded_bracket(x, y) for x, y in (plain, plain[::-1], plain[:1] * 2)]
-    for mat, index in ((a, index_a), (b, index_b)):
-        if index:
-            assert mat.indexed() is mat
-            stored = mat._index
-            assert mat.indexed()._index is stored
-    got = [graded_bracket(x, y) for x, y in ((a, b), (b, a), (a, a))]
-    assert got == expected
-    assert all(mat._index is None for mat in (*plain, *got))
-
-
 @settings(max_examples=100, deadline=None)
-@given(_OPERANDS, _OPERANDS, st.booleans(), st.booleans())
-def test_graded_bracket_matches_the_entrywise_oracle(a, b, index_a, index_b):
+@given(_OPERANDS, _OPERANDS)
+def test_graded_bracket_matches_the_entrywise_oracle(a, b):
     # Homogeneous and inhomogeneous Q(sqrt 2) operands with denominators,
-    # each indexed or not, in both orders and against itself.
+    # in both orders and against itself; the second round reads the index
+    # each operand stored on the first.
     expected = [graded_bracket_by_entries(x, y) for x, y in ((a, b), (b, a), (a, a))]
-    if index_a:
-        a.indexed()
-    if index_b:
-        b.indexed()
-    assert [graded_bracket(x, y) for x, y in ((a, b), (b, a), (a, a))] == expected
+    for _ in range(2):
+        assert [graded_bracket(x, y) for x, y in ((a, b), (b, a), (a, a))] == expected
 
 
 def test_entrywise_oracle_examples():
@@ -461,24 +442,26 @@ def _count_products(monkeypatch) -> list:
     return calls
 
 
-def _unindexed(mat: GradedMatrix) -> GradedMatrix:
+def _fresh(mat: GradedMatrix) -> GradedMatrix:
+    """A copy of `mat` that has never been bracketed."""
     return GradedMatrix(mat.signature, dict(mat.items()))
 
 
 def test_disjoint_indexed_pair_brackets_to_zero_without_a_product(monkeypatch):
     # No column of either operand meets a row of the other, so neither
-    # a*b nor b*a has a term.
-    a = GradedMatrix(S6, {(1, 2): SQRT2, (3, 2): ONE}).indexed()
-    b = GradedMatrix(S6, {(4, 5): ONE, (6, 4): Scalar(3)}).indexed()
+    # a*b nor b*a has a term, on the first bracket and after.
+    a = GradedMatrix(S6, {(1, 2): SQRT2, (3, 2): ONE})
+    b = GradedMatrix(S6, {(4, 5): ONE, (6, 4): Scalar(3)})
     calls = _count_products(monkeypatch)
     assert graded_bracket(a, b).is_zero()
     assert graded_bracket(b, a).is_zero()
     assert calls == []
+    assert a._index is not None and b._index is not None
 
 
 def test_disjoint_masks_still_refuse_a_signature_mismatch():
-    a = elem(S6, 1, 2).indexed()
-    b = elem(signature_gl(2, 1, 2, 2), 4, 5).indexed()
+    a = elem(S6, 1, 2)
+    b = elem(signature_gl(2, 1, 2, 2), 4, 5)
     with pytest.raises(ValueError):
         graded_bracket(a, b)
 
@@ -494,11 +477,11 @@ def test_disjoint_masks_still_refuse_a_signature_mismatch():
     ],
 )
 def test_one_sided_overlap_gives_the_unindexed_bracket(monkeypatch, a_pos, b_pos):
-    # One homogeneous part each: the full path runs both products of the
-    # one pair of parts, a*b and b*a, though only one of them has a term.
-    a = GradedMatrix(S6, {a_pos: Scalar(2) + SQRT2}).indexed()
-    b = GradedMatrix(S6, {b_pos: Scalar(-3)}).indexed()
-    expected = graded_bracket(_unindexed(a), _unindexed(b))
+    # One homogeneous part each: the masks meet, so both products of the
+    # one pair of parts run, a*b and b*a, though only one of them has a term.
+    a = GradedMatrix(S6, {a_pos: Scalar(2) + SQRT2})
+    b = GradedMatrix(S6, {b_pos: Scalar(-3)})
+    expected = graded_bracket_by_entries(a, b)
     assert not expected.is_zero()
     calls = _count_products(monkeypatch)
     assert graded_bracket(a, b) == expected
@@ -507,27 +490,15 @@ def test_one_sided_overlap_gives_the_unindexed_bracket(monkeypatch, a_pos, b_pos
 
 def test_masks_decide_every_pair_of_matrix_units_as_the_full_path():
     # Every pair of units at indices 1, 2, m - 1 and m: the masks never
-    # drop a nonzero bracket.
+    # drop a nonzero bracket, whether built on the first bracket of a
+    # fresh copy or read from the units' stored indexes.
     m = len(S6)
     ends = (1, 2, m - 1, m)
     units = [elem(S6, i, j) for i in ends for j in ends]
     for a in units:
         for b in units:
-            indexed = graded_bracket(_unindexed(a).indexed(), _unindexed(b).indexed())
-            assert indexed == graded_bracket(a, b)
-
-
-@pytest.mark.parametrize("which", ["left", "right"])
-def test_mixed_indexed_pair_takes_the_full_path(monkeypatch, which):
-    # Disjoint supports, but only one operand is indexed: no mask test, so
-    # both products of the one pair of parts run, and nothing is stored on
-    # the unindexed operand.
-    a, b = elem(S6, 1, 2), elem(S6, 4, 5)
-    (a if which == "left" else b).indexed()
-    calls = _count_products(monkeypatch)
-    assert graded_bracket(a, b).is_zero()
-    assert calls == [1, 1]
-    assert (a._index is None) != (b._index is None)
+            expected = graded_bracket_by_entries(a, b)
+            assert graded_bracket(_fresh(a), _fresh(b)) == graded_bracket(a, b) == expected
 
 
 def _supports_meet(a: GradedMatrix, b: GradedMatrix) -> bool:
@@ -539,12 +510,12 @@ def _supports_meet(a: GradedMatrix, b: GradedMatrix) -> bool:
 
 
 def _bracketed_pairs(monkeypatch, mats) -> list:
-    """The pairs of indexed copies of `mats` on which `graded_bracket`
+    """The pairs of fresh copies of `mats` on which `graded_bracket`
     runs a product, that is, which its mask test does not decide."""
     ran = []
     bracket_into = gmatrix._bracket_into
     monkeypatch.setattr(gmatrix, "_bracket_into", lambda *a: ran.append(1) or bracket_into(*a))
-    copies = [_unindexed(mat).indexed() for mat in mats]
+    copies = [_fresh(mat) for mat in mats]
     pairs = []
     for ia, a in enumerate(copies):
         for ib, b in enumerate(copies):
@@ -569,8 +540,8 @@ def _meeting_cases(case: str) -> list:
 @pytest.mark.parametrize("case", ["matrix units", "kernel bases"])
 def test_meeting_pairs_are_the_pairs_the_masks_leave(monkeypatch, case):
     # `meeting_pairs` lists, in increasing b, exactly the pairs whose
-    # supports meet, and exactly those on which `graded_bracket` of
-    # indexed operands runs a product.
+    # supports meet, and exactly those on which `graded_bracket` runs a
+    # product.
     for mats in _meeting_cases(case):
         n = len(mats)
         meeting = meeting_pairs(mats)
