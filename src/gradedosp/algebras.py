@@ -419,32 +419,52 @@ def verify_membership(basis: Basis, max_counterexamples: int = 10) -> CheckRepor
 
 
 class BracketTable:
-    """Every nonzero graded bracket of a basis, computed once: `rows[a]` is
-    the dict {b: [e_a, e_b]}, in increasing b, and a missing b reads as
-    zero. Closure, symmetry and Jacobi all read it.
+    """Every nonzero graded bracket of a basis: `rows[a]` is the dict
+    {b: [e_a, e_b]}, in increasing b, and a missing b reads as zero.
+    Closure, symmetry and Jacobi all read it.
 
     Only the pairs this module's `meeting_pairs` lists, those whose
     supports meet, are bracketed, through this module's `graded_bracket`.
     A bracket built from matrix products is zero on disjoint supports, so
     no bracket is lost. A caller that rebinds `graded_bracket` to one with
     terms on disjoint supports must also rebind `meeting_pairs` to every
-    pair. `graded_bracket` indexes each basis element on its first bracket,
-    so its homogeneous parts are built once for all its brackets. The
+    pair. Both are read when the table is built, with the elements, so a
+    table holds the brackets of the binding it was built under.
+
+    Each row is bracketed the first time a reader reaches it, in order,
+    and kept: `structure_constants` walks the rows and stops at its first
+    refusal, and `rows` brackets every row not reached yet.
+    `graded_bracket` indexes each basis element on its first bracket, so
+    its homogeneous parts are built once for all its brackets. The
     table's entries are not bracketed here, so they carry no index unless
-    Jacobi's matrix loop brackets them.
+    Jacobi's matrix loop brackets them, and `verify_jacobi` drops those.
     """
 
     def __init__(self, basis: Basis):
         self.basis = basis
-        elements = basis.elements
-        self.rows = []
-        for a, meeting in zip(elements, meeting_pairs(elements)):
-            row = {}
-            for b in meeting:
-                t = graded_bracket(a, elements[b])
-                if not t.is_zero():
-                    row[b] = t
-            self.rows.append(row)
+        self._elements = list(basis.elements)
+        # the meeting pairs of the rows not bracketed yet, each dropped as its row is built
+        self._pending = deque(meeting_pairs(self._elements))
+        self._bracket = graded_bracket
+        self._built: list[dict[int, GradedMatrix]] = []
+
+    def _walk(self) -> Iterator[dict[int, GradedMatrix]]:
+        """The rows in order, each bracketed the first time it is reached."""
+        built, elements, bracket = self._built, self._elements, self._bracket
+        for a, x in enumerate(elements):
+            if a == len(built):
+                row = {}
+                for b in self._pending.popleft():
+                    t = bracket(x, elements[b])
+                    if not t.is_zero():
+                        row[b] = t
+                built.append(row)
+            yield built[a]
+
+    @cached_property
+    def rows(self) -> list[dict[int, GradedMatrix]]:
+        """Every row, bracketing those no reader has reached yet."""
+        return list(self._walk())
 
     @cached_property
     def structure_constants(self) -> Optional[list[dict[int, dict[int, int | Scalar]]]]:
@@ -465,8 +485,9 @@ class BracketTable:
         entries, as on the kernel bases, the echelon rows, the brackets and
         each c_k are plain ints as well; elsewhere a c_k may be a Scalar.
         The reading, the gate and Jacobi's derivation certificate run on
-        either unchanged. Only the nonzero brackets are read. Computed on
-        first use."""
+        either unchanged. Only the nonzero brackets are read, row by row as
+        they are bracketed, and no row past the first refusal is bracketed;
+        a dependent basis brackets none. Computed on first use."""
         elements = self.basis.elements
         if not elements:
             return []
@@ -480,7 +501,7 @@ class BracketTable:
         if any(i == past for i, _ in echelon.pivots):
             return None
         constants = []
-        for row in self.rows:
+        for row in self._walk():
             coords = {}
             for b, t in row.items():
                 red = echelon.residual(t._entries)
@@ -671,7 +692,8 @@ def _by_matrices(table: BracketTable, degrees: list[Degree], report: CheckReport
     A missing entry of a row reads as the zero matrix. Each matrix the
     loop brackets is indexed by `graded_bracket` on its first bracket, so
     its parts are built once: a cleared copy keeps its index for the call,
-    a table entry or element for as long as the table lives."""
+    an element for as long as it lives, and a table entry until
+    `verify_jacobi` returns."""
     asymmetric = table.antisymmetry_failures
     elements = original = table.basis.elements
     rows = unscaled = table.rows
@@ -980,6 +1002,12 @@ def verify_jacobi(
       [e_x, [e_y, e_z]] serves both orders of y, z, and (b, a, c) takes
       the outcome of (a, b, c).
 
+    The gate brackets the table's rows as it reads them and stops at its
+    first refusal, and the certified span reads no row, so when that rung
+    holds only the rows up to the refusal are bracketed. The matrix loop
+    reads every row; the indexes its brackets leave on the table's entries
+    are dropped before this returns.
+
     Outcomes and counterexamples are those of the plain triple loop:
     `failed` counts every failing triple, the kept counterexamples are the
     first in lexicographic triple order, and the report ends with a
@@ -1006,6 +1034,11 @@ def verify_jacobi(
         report.record(
             False, lambda: {"indices": [labels[x] for x in triple], "residual": thunk().to_json()}
         )
+    if not certified:
+        # the loop and the residuals indexed the entries they bracketed
+        for row in table.rows:
+            for t in row.values():
+                t._index = None
     report.record_coverage(len(labels) ** 3)
     return report
 

@@ -641,6 +641,23 @@ def test_the_gate_path_indexes_only_the_basis_elements(monkeypatch, spec):
     assert all(t._index is None for row in table.rows for t in row.values())
 
 
+def test_the_matrix_loop_leaves_no_index_on_the_table(monkeypatch):
+    # 16 alternate elements of the kernel basis of ospB(1,1,1,1), integral
+    # and not closed, forced through the matrix loop: with no denominator
+    # to clear, the loop brackets the table's own entries, and none keeps
+    # the index it built once Jacobi returns. The elements keep theirs.
+    canonical = kernel_basis(ospB(1, 1, 1, 1))
+    basis = Basis(canonical.spec, canonical.elements[:32:2], canonical.labels[:32:2])
+    monkeypatch.setattr(algebras, "_certified_span", lambda basis: False)
+    table = BracketTable(basis)
+    assert table.structure_constants is None
+    calls = _count_brackets(monkeypatch)
+    assert verify_jacobi(basis, table=table).passed
+    assert len(calls) == _matrix_loop_brackets(len(basis), 0)
+    assert all(mat._index is not None for mat in basis.elements)
+    assert all(t._index is None for row in table.rows for t in row.values())
+
+
 def test_planted_bracket_sign_fails_jacobi_and_symmetry(monkeypatch):
     basis = kernel_basis(ospB(0, 1, 1, 0))
     n = len(basis)
@@ -1240,6 +1257,7 @@ def test_table_sends_the_meeting_pairs_through_the_module_bracket(monkeypatch):
         lambda a, b: pairs.append((position[id(a)], position[id(b)])) or bracket(a, b),
     )
     table = BracketTable(basis)
+    table.rows
     meeting = algebras.meeting_pairs(basis.elements)
     assert pairs == [(a, b) for a, row in enumerate(meeting) for b in row]
     assert len(pairs) == 608 < len(basis) ** 2 == 1600
@@ -1248,6 +1266,35 @@ def test_table_sends_the_meeting_pairs_through_the_module_bracket(monkeypatch):
         brackets = {b: graded_bracket(elements[a], elements[b]) for b in hit}
         assert list(row.items()) == [(b, t) for b, t in brackets.items() if not t.is_zero()]
     assert sum(map(len, table.rows)) == 576
+
+
+def test_table_holds_the_brackets_of_the_binding_it_was_built_under(monkeypatch):
+    # The bracket is bound when the table is built, not when a row is
+    # first read: a table built under a doubled bracket and read after the
+    # true one is restored holds the doubled brackets.
+    basis = kernel_basis(ospB(1, 0, 1, 0))
+    true_bracket = algebras.graded_bracket
+    with monkeypatch.context() as planted:
+        planted.setattr(algebras, "graded_bracket", lambda a, b: true_bracket(a, b).scale(2))
+        doubled = BracketTable(basis)
+    plain = BracketTable(basis)
+    assert any(plain.rows)
+    assert doubled.rows == [{b: t.scale(2) for b, t in row.items()} for row in plain.rows]
+
+
+def test_a_refused_gate_brackets_only_the_rows_it_reads(monkeypatch):
+    # The seed-1 user basis is not closed under brackets, and the gate
+    # refuses in its first row: the table brackets that row's meeting
+    # pairs and no other. Jacobi then certifies the basis through the
+    # kernel basis of ospB(1,1,1,1), whose table adds its 608 meeting pairs.
+    basis = _user_basis(1)
+    first_row = len(algebras.meeting_pairs(basis.elements)[0])
+    calls = _count_brackets(monkeypatch)
+    assert BracketTable(basis).structure_constants is None
+    assert len(calls) == first_row < len(basis) ** 2
+    calls.clear()
+    assert verify_jacobi(basis).passed
+    assert len(calls) == first_row + 608
 
 
 @st.composite
@@ -1351,7 +1398,9 @@ def test_table_equals_the_brackets_of_every_pair(case):
         copies = [GradedMatrix(mat.signature, dict(mat.items())) for mat in basis]
         every_pair = [[graded_bracket(a, b) for b in copies] for a in copies]
         nonzero = [[(b, t) for b, t in enumerate(row) if not t.is_zero()] for row in every_pair]
-        assert [list(row.items()) for row in BracketTable(basis).rows] == nonzero
+        table = BracketTable(basis)
+        table.structure_constants
+        assert [list(row.items()) for row in table.rows] == nonzero
 
 
 @pytest.mark.parametrize("defect", [None, "hidden constants", "one-sided", "one order zero"])

@@ -447,7 +447,7 @@ def _fresh(mat: GradedMatrix) -> GradedMatrix:
     return GradedMatrix(mat.signature, dict(mat.items()))
 
 
-def test_disjoint_indexed_pair_brackets_to_zero_without_a_product(monkeypatch):
+def test_disjoint_pair_brackets_to_zero_without_a_product(monkeypatch):
     # No column of either operand meets a row of the other, so neither
     # a*b nor b*a has a term, on the first bracket and after.
     a = GradedMatrix(S6, {(1, 2): SQRT2, (3, 2): ONE})
@@ -476,7 +476,7 @@ def test_disjoint_masks_still_refuse_a_signature_mismatch():
         ((6, 6), (1, 6)),  # a*b zero, b*a = e16 through index m
     ],
 )
-def test_one_sided_overlap_gives_the_unindexed_bracket(monkeypatch, a_pos, b_pos):
+def test_one_sided_overlap_runs_both_products(monkeypatch, a_pos, b_pos):
     # One homogeneous part each: the masks meet, so both products of the
     # one pair of parts run, a*b and b*a, though only one of them has a term.
     a = GradedMatrix(S6, {a_pos: Scalar(2) + SQRT2})
