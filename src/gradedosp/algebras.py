@@ -13,7 +13,6 @@ s_ij serve the membership check.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, partial
 from itertools import accumulate, permutations, product
@@ -36,26 +35,52 @@ class Family(str, Enum):
 _ORTHOSYMPLECTIC = (Family.OSP_B, Family.OSP_D)
 
 
-@dataclass(frozen=True)
+_PARAMS = ("m1", "m2", "n1", "n2")
+
+
 class AlgebraSpec:
-    """Family tag plus the four grading parameters."""
+    """Family tag plus the four grading parameters; immutable, compared and
+    hashed by value."""
 
-    family: Family
-    m1: int = 0
-    m2: int = 0
-    n1: int = 0
-    n2: int = 0
+    __slots__ = ("family", *_PARAMS)
 
-    def __post_init__(self):
-        object.__setattr__(self, "family", Family(self.family))
-        for name in ("m1", "m2", "n1", "n2"):
-            value = getattr(self, name)
+    def __init__(self, family: Family, m1: int = 0, m2: int = 0, n1: int = 0, n2: int = 0):
+        init = object.__setattr__
+        init(self, "family", Family(family))
+        for name, value in zip(_PARAMS, (m1, m2, n1, n2)):
             if type(value) is not int or value < 0:
                 raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+            init(self, name, value)
         if self.size < 1:
             raise ValueError(
                 f"{self.family.value}({self.m1},{self.m2},{self.n1},{self.n2}) has matrix size 0"
             )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen AlgebraSpec")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a frozen AlgebraSpec")
+
+    def _fields(self) -> tuple:
+        return (self.family, self.m1, self.m2, self.n1, self.n2)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return (self.__class__, self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            f"{self.__class__.__qualname__}(family={self.family!r}, m1={self.m1!r}, "
+            f"m2={self.m2!r}, n1={self.n1!r}, n2={self.n2!r})"
+        )
 
     @property
     def size(self) -> int:
@@ -88,21 +113,23 @@ class AlgebraSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> AlgebraSpec:
-        params = [data[name] for name in ("m1", "m2", "n1", "n2")]
+        params = [data[name] for name in _PARAMS]
         if not all(type(x) is int for x in params):
             raise TypeError(f"spec parameters must be integers: {params}")
         return cls(Family(data["family"]), *params)
 
 
-@dataclass
 class Basis:
     """Elements with their labels. Nothing here checks them: independence is
     decided by `rank_of` and the `structure_constants` gate, membership by
     `verify_membership`."""
 
-    spec: AlgebraSpec
-    elements: list[GradedMatrix]
-    labels: list[str]
+    __slots__ = ("spec", "elements", "labels")
+
+    def __init__(self, spec: AlgebraSpec, elements: list[GradedMatrix], labels: list[str]):
+        self.spec = spec
+        self.elements = elements
+        self.labels = labels
 
     def __len__(self) -> int:
         return len(self.elements)

@@ -6,7 +6,8 @@ subcommand tests its precondition on the spec and runs its own rows;
 `parastat.relation_reports`. One invocation builds the kernel basis, its
 bracket table and `parastat.generator_sets` at most once each, and only
 when a row needs them. Every subcommand refuses a matrix size above
-`SIZE_GUARD` without `--force`, before any basis is built.
+`SIZE_GUARD` without `--force`, and one above `sys.maxsize` even with it,
+before any basis is built.
 
 JSON is the canonical output format; the text rendering is a lossy human
 view. Checks run in one thread and `--parallelism` has no effect, so
@@ -19,7 +20,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -180,15 +180,17 @@ def _build_spec(args) -> AlgebraSpec:
             f"matrix size {spec.size} exceeds the desk-scale guard {SIZE_GUARD}; "
             "pass --force to proceed"
         )
+    if spec.size > sys.maxsize:
+        raise CliError(f"matrix size {spec.size} exceeds the largest index {sys.maxsize}")
     return spec
 
 
-@dataclass
 class _Context:
     """One invocation's spec and options; builds each cached part once, on first use."""
 
-    spec: AlgebraSpec
-    max_ces: int
+    def __init__(self, spec: AlgebraSpec, max_ces: int):
+        self.spec = spec
+        self.max_ces = max_ces
 
     @cached_property
     def basis(self) -> Basis:

@@ -28,7 +28,6 @@ among a spec's `generator_sets`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import product
 from math import prod
@@ -45,7 +44,6 @@ _TAGS = {"parafermion": "f", "paraboson": "b", "palev": "a"}
 _KINDS = {tag: kind for kind, tag in _TAGS.items()}
 
 
-@dataclass
 class GeneratorSet:
     """Paired creation (+) and annihilation (-) operators, two families.
 
@@ -53,11 +51,21 @@ class GeneratorSet:
     the second; the two families carry different degrees.
     """
 
-    spec: AlgebraSpec
-    kind: str  # "parafermion" | "paraboson" | "palev"
-    creators: list[GradedMatrix]
-    annihilators: list[GradedMatrix]
-    family_split: int
+    __slots__ = ("spec", "kind", "creators", "annihilators", "family_split")
+
+    def __init__(
+        self,
+        spec: AlgebraSpec,
+        kind: str,  # "parafermion" | "paraboson" | "palev"
+        creators: list[GradedMatrix],
+        annihilators: list[GradedMatrix],
+        family_split: int,
+    ):
+        self.spec = spec
+        self.kind = kind
+        self.creators = creators
+        self.annihilators = annihilators
+        self.family_split = family_split
 
     @property
     def count(self) -> int:

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 
-@dataclass
 class CheckReport:
     """Pass/fail bookkeeping for one check over many instances.
 
@@ -16,13 +14,18 @@ class CheckReport:
     callable, which is called only for a failure that is kept.
     """
 
-    check: str
-    spec: Optional[dict] = None
-    max_counterexamples: int = 10
-    total: int = 0
-    failed: int = 0
-    counterexamples: list = field(default_factory=list)
-    details: Optional[dict] = None
+    __slots__ = (
+        "check", "spec", "max_counterexamples", "total", "failed", "counterexamples", "details"
+    )
+
+    def __init__(self, check: str, spec: Optional[dict] = None, max_counterexamples: int = 10):
+        self.check = check
+        self.spec = spec
+        self.max_counterexamples = max_counterexamples
+        self.total = 0
+        self.failed = 0
+        self.counterexamples: list = []
+        self.details: Optional[dict] = None
 
     @property
     def passed(self) -> bool:

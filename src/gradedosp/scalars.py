@@ -21,15 +21,22 @@ field norm a^2 - 2*b^2.
 
 Fraction appears only at the boundary: a part given as a Fraction, the
 `rat`/`irr` properties, and the hash of a non-integral rational. The
-wire form is unchanged: [p, q, r, s] meaning p/q + (r/s)*sqrt2, each part
-in lowest terms. Floats are rejected everywhere, since no float may
-decide a check.
+`fractions` module is imported on the first of these uses, never with
+this module: a Fraction operand is recognized without importing it,
+since none can exist before `fractions` is imported. The wire form is
+unchanged: [p, q, r, s] meaning p/q + (r/s)*sqrt2, each part in lowest
+terms. Floats are rejected everywhere, since no float may decide a
+check.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import sys
 from math import gcd
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 _new = object.__new__
 
@@ -56,10 +63,14 @@ class Scalar:
 
     @property
     def rat(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self._a, self._d)
 
     @property
     def irr(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self._b, self._d)
 
     # -- ring structure -------------------------------------------------
@@ -86,12 +97,12 @@ class Scalar:
     __radd__ = __add__
 
     def __sub__(self, other: Scalar | int | Fraction) -> Scalar:
-        if not isinstance(other, (Scalar, int, Fraction)):
+        if not isinstance(other, (Scalar, int)) and not _is_fraction(other):
             return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other: Scalar | int | Fraction) -> Scalar:
-        if not isinstance(other, (int, Fraction)):
+        if not isinstance(other, int) and not _is_fraction(other):
             return NotImplemented
         return (-self) + other
 
@@ -151,7 +162,7 @@ class Scalar:
             return self._a == other._a and self._b == other._b and self._d == other._d
         if isinstance(other, int):
             return self._d == 1 and self._b == 0 and self._a == other
-        if isinstance(other, Fraction):
+        if _is_fraction(other):
             # With b == 0 the canonical a/d is in lowest terms.
             return self._b == 0 and self._a == other.numerator and self._d == other.denominator
         return NotImplemented
@@ -162,6 +173,8 @@ class Scalar:
             return hash((self._a, self._b, self._d))
         if self._d == 1:
             return hash(self._a)
+        from fractions import Fraction
+
         return hash(Fraction(self._a, self._d))
 
     # -- presentation / serialization ------------------------------------
@@ -202,7 +215,7 @@ def _ratio(value) -> tuple[int, int]:
     a float in particular, is refused."""
     if isinstance(value, int):
         return int(value), 1
-    if isinstance(value, Fraction):
+    if _is_fraction(value):
         return value.numerator, value.denominator
     raise TypeError(f"a scalar part must be an int or a Fraction, got {type(value).__name__}")
 
@@ -221,9 +234,16 @@ def _reduced(a: int, b: int, d: int) -> Scalar:
 def _coerce(value) -> Scalar | None:
     if isinstance(value, Scalar):
         return value
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, int) or _is_fraction(value):
         return Scalar(value)
     return None
+
+
+def _is_fraction(value) -> bool:
+    """Whether `value` is a Fraction, without importing `fractions`: no
+    Fraction exists before that module is."""
+    fractions = sys.modules.get("fractions")
+    return fractions is not None and isinstance(value, fractions.Fraction)
 
 
 def as_int(x: int | Scalar) -> int | Scalar:

@@ -1,6 +1,5 @@
 """Algebra constructors, membership, the echelon engine, and the verifiers."""
 
-import dataclasses
 import importlib.util
 import json
 import re
@@ -92,8 +91,17 @@ def test_spec_is_frozen_and_hashable():
     spec = ospB(2, 0, 1, 2)
     assert hash(spec) == hash(ospB(2, 0, 1, 2))
     assert {spec: 1}[ospB(2, 0, 1, 2)] == 1
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         spec.m1 = 3
+    with pytest.raises(AttributeError):
+        del spec.m1
+    assert spec == ospB(2, 0, 1, 2) and spec.m1 == 2
+
+
+def test_spec_repr_names_every_field():
+    assert repr(AlgebraSpec(Family.OSP_B, 2, 1, 1, 1)) == (
+        "AlgebraSpec(family=<Family.OSP_B: 'ospB'>, m1=2, m2=1, n1=1, n2=1)"
+    )
 
 
 def test_from_json_refuses_floats():
@@ -390,7 +398,7 @@ def _spec_id(spec):
 
 
 _OSP_GRID = osp_grid() + [
-    dataclasses.replace(spec, family=Family.OSP_D) for spec in osp_grid() if spec.size > 1
+    AlgebraSpec(Family.OSP_D, spec.m1, spec.m2, spec.n1, spec.n2) for spec in osp_grid() if spec.size > 1
 ]
 
 
@@ -1375,7 +1383,7 @@ def _table_cases(case: str) -> list[Basis]:
     if case == "kernel bases":
         grid = osp_grid()
         others = [
-            AlgebraSpec(family, *dataclasses.astuple(spec)[1:])
+            AlgebraSpec(family, spec.m1, spec.m2, spec.n1, spec.n2)
             for family in (Family.OSP_D, Family.SL)
             for spec in grid[1:]
         ]

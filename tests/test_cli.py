@@ -1,11 +1,15 @@
 """CLI behavior: exit codes, document shapes, determinism, schema validity."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
 from gradedosp import cli, parastat
+from gradedosp.algebras import AlgebraSpec
 from gradedosp.cli import REPORT_SCHEMA, main
 from gradedosp.gmatrix import GradedMatrix
 
@@ -120,6 +124,21 @@ def test_size_guard_admits_exactly_its_limit(tmp_path, monkeypatch, capsys):
             main(["report", *argv])
     assert main(["report", "--algebra", "sl", "--m1", "1", "--n1", "20", "--n2", "20"]) == 2
     assert "exceeds the desk-scale guard 40" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, family", [("report", "ospB"), ("dims", "gl")])
+def test_a_size_beyond_an_index_is_refused_even_with_force(command, family, monkeypatch, capsys):
+    # No signature of this size can be built; the refusal comes before any basis.
+    def refuse(spec):
+        raise _Built(spec)
+
+    monkeypatch.setattr(cli, "kernel_basis", refuse)
+    m1 = 10**20
+    size = AlgebraSpec(family, m1).size
+    assert main([command, "--algebra", family, "--m1", str(m1), "--force"]) == 2
+    assert capsys.readouterr().err == (
+        f"gradedosp: error: matrix size {size} exceeds the largest index {sys.maxsize}\n"
+    )
 
 
 def test_unwritable_output(capsys):
@@ -351,3 +370,31 @@ def test_report_deterministic_under_parallelism(tmp_path):
     assert main([*argv, "--parallelism", "1", "--output", str(out1)]) == 0
     assert main([*argv, "--parallelism", "3", "--output", str(out3)]) == 0
     assert out1.read_bytes() == out3.read_bytes()
+
+
+_STARTUP = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from gradedosp.cli import main
+status = main(["report", "--algebra", "ospB", "--m1", "1", "--m2", "1", "--n1", "1", "--n2", "1",
+               "--output", sys.argv[2]])
+print(sorted(set(sys.modules) & {"dataclasses", "inspect", "fractions", "decimal"}))
+sys.exit(status)
+"""
+
+
+def test_a_report_runs_on_the_standard_library_without_dataclasses_or_fractions(tmp_path):
+    # A fresh interpreter without site-packages: neither module is imported
+    # at start-up, nor deferred into the run, and the report is the golden one.
+    src = Path(cli.__file__).parents[1]
+    out = tmp_path / "report.json"
+    result = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", _STARTUP, str(src), str(out)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == "[]\n"
+    golden = Path(__file__).parent / "golden" / "report_ospB_1111.json"
+    assert out.read_bytes() == golden.read_bytes()

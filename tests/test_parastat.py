@@ -1,6 +1,5 @@
 """Generator constructions and the triple-relation verifiers."""
 
-import dataclasses
 import hashlib
 import json
 import math
@@ -344,6 +343,17 @@ def _planted(gens: GeneratorSet) -> GeneratorSet:
     )
 
 
+def _with_ops(gens: GeneratorSet, creators=None, annihilators=None) -> GeneratorSet:
+    """A copy of `gens` with `creators` or `annihilators` in place of its own."""
+    return GeneratorSet(
+        gens.spec,
+        gens.kind,
+        gens.creators if creators is None else creators,
+        gens.annihilators if annihilators is None else annihilators,
+        gens.family_split,
+    )
+
+
 def _planted_cases():
     for params in ((1, 1, 1, 1), (2, 1, 1, 2), (0, 2, 2, 0)):
         spec = ospB(*params)
@@ -412,7 +422,7 @@ def _stray(gens: GeneratorSet, value=1) -> GeneratorSet:
         (i, j) for i in range(1, size + 1) for j in range(1, size + 1)
         if not first.entry(i, j) and elem(sig, i, j).degree_of() == first.degree_of()
     )
-    return dataclasses.replace(gens, creators=[first + elem(sig, *pos).scale(value), *gens.creators[1:]])
+    return _with_ops(gens, creators=[first + elem(sig, *pos).scale(value), *gens.creators[1:]])
 
 
 def _with_stray_terms(family: RelationFamily) -> tuple:
@@ -454,7 +464,7 @@ def _judging_defect_cases():
 
 def _scaled(gens: GeneratorSet, factor) -> GeneratorSet:
     """A copy with every generator scaled by `factor`."""
-    return dataclasses.replace(
+    return _with_ops(
         gens,
         creators=[mat.scale(factor) for mat in gens.creators],
         annihilators=[mat.scale(factor) for mat in gens.annihilators],
@@ -471,7 +481,7 @@ def _content_cases():
         yield f"ospB2112-{family.value}-stray-unit-b", family, f, _stray(b)
         yield f"ospB2112-{family.value}-stray-unit-f", family, _stray(f), b
     # One paraboson creator doubled: cores +/-2 at s = sqrt2.
-    doubled = dataclasses.replace(b, creators=[b.creators[0].scale(2), *b.creators[1:]])
+    doubled = _with_ops(b, creators=[b.creators[0].scale(2), *b.creators[1:]])
     yield "ospB2112-BB_same-doubled", RelationFamily.BB_SAME, doubled, None
     yield "ospB2112-BB_mixed-doubled", RelationFamily.BB_MIXED, doubled, None
     yield "ospB2112-PF_family1-doubled", RelationFamily.PF_FAMILY1, f, doubled
@@ -490,7 +500,7 @@ def _content_cases():
 def _zeroed(gens: GeneratorSet) -> GeneratorSet:
     """A copy whose first annihilator is the zero matrix."""
     first = gens.annihilators[0]
-    return dataclasses.replace(gens, annihilators=[first - first, *gens.annihilators[1:]])
+    return _with_ops(gens, annihilators=[first - first, *gens.annihilators[1:]])
 
 
 def _reference_cases():
@@ -680,7 +690,7 @@ def _defective_calls(draw):
             mats[ix] = mats[ix] + elem(mats[ix].signature, *pos).scale(draw(st.sampled_from(_FACTORS)))
         else:
             mats[ix] = mats[ix].scale(draw(st.sampled_from(_FACTORS)))
-        sets[iset] = dataclasses.replace(gens, **{side: mats})
+        sets[iset] = _with_ops(gens, **{side: mats})
     return family, sets[0], sets[1] if len(sets) > 1 else None, rows
 
 
@@ -756,7 +766,7 @@ def test_bracket_consistency_refuses_an_inhomogeneous_generator():
     gens = parafermion_ops(ospB(0, 1, 1, 0))
     mixed = elem(gens.spec.signature(), 1, 1) + gens.creators[0]
     assert mixed.degree_of() is None
-    gens = dataclasses.replace(gens, creators=[mixed, *gens.creators[1:]])
+    gens = _with_ops(gens, creators=[mixed, *gens.creators[1:]])
     with pytest.raises(ValueError, match=re.escape("generator f1+ is not homogeneous")):
         graded_bracket_consistency(gens)
 

@@ -137,6 +137,17 @@ def test_floats_are_refused():
             subtract()
 
 
+def test_fraction_operands_at_the_boundary():
+    # `scalars` imports `fractions` on first use only; a Fraction is still
+    # read as one, on either side of a subtraction.
+    third = Fraction(1, 3)
+    x = Scalar(third, 2)
+    assert x.rat == third and type(x.rat) is Fraction and x.irr == 2
+    assert hash(Scalar(third)) == hash(third)
+    for difference, expected in ((Scalar(1) - HALF, HALF), (HALF - Scalar(1), -HALF)):
+        assert type(difference) is Scalar and difference == expected
+
+
 def test_integral_paths_build_no_fraction(monkeypatch):
     x, y = Scalar(3, -2), Scalar(-5, 7)
     built = []
