@@ -19,7 +19,7 @@ from itertools import accumulate, permutations, product
 from math import lcm
 from typing import Callable, Iterator, Optional, Sequence
 
-from .gmatrix import GradedMatrix, _axpy, _product, _rows_of, elem, graded_bracket, meeting_pairs
+from .gmatrix import GradedMatrix, _axpy, _rows_of, elem, graded_bracket, meeting_pairs
 from .grading import Degree, Signature, deg_add, dot, signature_gl, signature_osp
 from .report import CheckReport
 from .scalars import Scalar, as_int
@@ -213,12 +213,23 @@ def u_matrix(spec: AlgebraSpec) -> GradedMatrix:
     return GradedMatrix(sig, entries)
 
 
+# The parity of a two-bit int.
+_PARITY = (0, 1, 1, 0)
+
+
 def membership_residual(spec: AlgebraSpec) -> Callable[[GradedMatrix], object]:
     """The map A -> what must vanish for A to be a member: A^T J + J A for
     the orthosymplectic families, the supertrace for sl, None for gl.
 
-    The signature and J's row index are built once here, for a caller
-    testing many matrices; A^T J and J A go into one dict by `_product`.
+    The signature and two indexes of J, by row and by column, are built
+    once here, in O(m), for a caller testing many matrices. J is a signed
+    permutation matrix, with one entry in each row and each column, so an
+    entry v at (i, c) of A adds one term to A^T J, at (c, l) for J's entry
+    (i, l), and one to J A, at (k, c) for J's entry (k, i): the residual
+    takes one pass over A's entries. The graded transpose moves v to
+    (c, i) with sign (-1)^{dot(d(i) + d(c), d(i))}; with a degree coded as
+    the two-bit int 2 d_1 + d_2, that exponent is the parity of
+    d(i) & ~d(c).
     """
     sig = spec.signature()
     if spec.family is Family.GL:
@@ -227,12 +238,23 @@ def membership_residual(spec: AlgebraSpec) -> Callable[[GradedMatrix], object]:
         condition = GradedMatrix.supertrace
     else:
         j = j_matrix(spec)._entries
-        j_rows = _rows_of(j)
+        j_row = {i: (l, w) for (i, l), w in j.items()}
+        j_col = {i: (k, w) for (k, i), w in j.items()}
+        code = [0, *(2 * d1 + d2 for d1, d2 in sig)]
 
         def condition(mat: GradedMatrix) -> GradedMatrix:
             acc: dict = {}
-            _product(acc, mat.graded_transpose()._entries, j_rows)
-            _product(acc, j, _rows_of(mat._entries))
+            for (i, c), v in mat._entries.items():
+                l, w = j_row[i]
+                k, x = j_col[i]
+                t = -v if _PARITY[code[i] & ~code[c]] else v
+                for key, term in (((c, l), t * w), ((k, c), x * v)):
+                    cur = acc.get(key)
+                    s = term if cur is None else cur + term
+                    if s:
+                        acc[key] = s
+                    else:
+                        del acc[key]
             return GradedMatrix._make(sig, acc)
 
     def residual(mat: GradedMatrix):
@@ -1155,11 +1177,16 @@ def verify_block_conditions(basis: Basis, max_counterexamples: int = 10) -> Chec
     defining condition: every relation is tested on every element of the
     given basis of an ospB algebra (normally its kernel basis), and the
     per-relation outcome is reported (the conditions are linear, so
-    holding on a basis settles the whole algebra). A relation pairs each
-    lhs position with one rhs position, and a pair of zero entries holds,
-    so only an element's nonzero entries are walked: each is checked as
-    an lhs entry against its rhs partner and as an rhs entry against its
-    lhs partner.
+    holding on a basis settles the whole algebra).
+
+    A relation pairs each lhs position with one rhs position, and a pair
+    of zero entries holds. So one index, built once per call, maps each
+    position to the (relation, lhs position, rhs position, sign) pairs it
+    enters, in either role, and each element's nonzero entries are walked
+    once against it. A relation's passes are recorded at once, then its
+    failures in element order, and the report ends with a coverage check:
+    every relation on every element. An element whose signature is not
+    the spec's raises ValueError before any relation runs.
 
     The two relations whose source tokens carry a malformed degree
     subscript are flagged, and the degree the subscript claims is checked
@@ -1170,37 +1197,42 @@ def verify_block_conditions(basis: Basis, max_counterexamples: int = 10) -> Chec
     if spec.family is not Family.OSP_B:
         raise ValueError("block conditions are defined for the ospB layout only")
     sig = spec.signature()
-    report = CheckReport("block-conditions", spec.to_json(), max_counterexamples)
-    rel_details = []
-    for rel in _block_relations():
+    if any(mat.signature != sig for mat in basis.elements):
+        raise ValueError("matrix signature does not match the spec")
+    relations = _block_relations()
+    spans = []
+    pairs_at: dict[tuple[int, int], list] = {}
+    for r, rel in enumerate(relations):
         rows, cols = _block_span(spec, rel["lhs"])
         rhs_rows, rhs_cols = _block_span(spec, rel["rhs"] or rel["lhs"])
-        # Entry (r, c) of lhs against entry (c, r) of rhs, and back; an
-        # element with no entry in either block holds at once.
-        forward = {
-            (i, j): (rhs_rows[c], rhs_cols[r])
-            for r, i in enumerate(rows)
-            for c, j in enumerate(cols)
-        }
-        inverse = {q: p for p, q in forward.items()}
-        touched = forward.keys() | inverse.keys()
-        sign = rel["sign"]
-        signed = (lambda x: x) if sign > 0 else (lambda x: -x) if sign else (lambda x: 0)
-        holds = True
-        for label, mat in zip(basis.labels, basis.elements):
-            entry = mat.entry
-            ok = touched.isdisjoint(mat._entries) or all(
-                (pos not in forward or v == signed(entry(*forward[pos])))
-                and (pos not in inverse or entry(*inverse[pos]) == signed(v))
-                for pos, v in mat.items()
-            )
-            report.record(ok, lambda: {"indices": [rel["id"], label], "residual": None})
-            holds = holds and ok
+        spans.append((rows, cols))
+        # lhs entry (a, b) of the block against rhs entry (b, a)
+        for a, i in enumerate(rows):
+            for b, j in enumerate(cols):
+                lhs, rhs = (i, j), (rhs_rows[b], rhs_cols[a])
+                for pos in {lhs, rhs}:
+                    pairs_at.setdefault(pos, []).append((r, lhs, rhs, rel["sign"]))
+    failing: list[list[int]] = [[] for _ in relations]  # elements, in order
+    for e, mat in enumerate(basis.elements):
+        entries = mat._entries
+        for pos in entries:
+            for r, lhs, rhs, sign in pairs_at.get(pos, ()):
+                bad = failing[r]
+                if (not bad or bad[-1] != e) and entries.get(lhs, 0) != sign * entries.get(rhs, 0):
+                    bad.append(e)
+    n = len(basis.elements)
+    labels = basis.labels
+    report = CheckReport("block-conditions", spec.to_json(), max_counterexamples)
+    rel_details = []
+    for rel, (rows, cols), bad in zip(relations, spans, failing):
+        report.record_passes(n - len(bad))
+        for e in bad:
+            report.record(False, lambda: {"indices": [rel["id"], labels[e]], "residual": None})
         claimed = rel["degree_label"]
         detail = {
             "id": rel["id"],
-            "holds": holds,
-            "checked": len(basis.elements),
+            "holds": not bad,
+            "checked": n,
             "malformed_source": claimed is not None,
         }
         if claimed is not None:
@@ -1209,5 +1241,6 @@ def verify_block_conditions(basis: Basis, max_counterexamples: int = 10) -> Chec
                 not (rows and cols) or deg_add(sig[rows[0] - 1], sig[cols[0] - 1]) == claimed
             )
         rel_details.append(detail)
-    report.details = {"relations": rel_details, "basis_size": len(basis.elements)}
+    report.details = {"relations": rel_details, "basis_size": n}
+    report.record_coverage(len(relations) * n)
     return report

@@ -247,10 +247,12 @@ def _product(acc: Entries, entries: Entries, rows: Rows) -> None:
     """Add a @ b into `acc`, given the entries of a and the row index of b.
 
     The one product loop of the package, as `_axpy` is its one add loop:
-    `@`, `algebras.membership_residual` and `_bracket_into`, which serves
-    both `graded_bracket` and the relation kernel of `parastat`, all run
-    it. An entry that sums to zero is dropped, so `acc` holds only
-    nonzeros; a minus sign rides on `entries` negated once by the caller.
+    `@` and `_bracket_into`, which serves both `graded_bracket` and the
+    relation kernel of `parastat`, run it. Only the products with J of
+    `algebras.membership_residual` do not: J has one entry per row and
+    column, so that residual adds both in one pass of its own. An entry
+    that sums to zero is dropped, so `acc` holds only nonzeros; a minus
+    sign rides on `entries` negated once by the caller.
     """
     for (i, j), v in entries.items():
         hits = rows.get(j)

@@ -82,6 +82,15 @@ def s_basis(spec: AlgebraSpec) -> Basis:
     return Basis(spec, elements, labels)
 
 
+def membership_residual_by_transpose(spec: AlgebraSpec, mat: GradedMatrix) -> GradedMatrix:
+    """The orthosymplectic residual A^T J + J A as the definition reads,
+    by `graded_transpose` and `@`: the reference for
+    `algebras.membership_residual`. A matrix of another signature raises
+    ValueError at `@`."""
+    j = j_matrix(spec)
+    return (mat.graded_transpose() @ j) + (j @ mat)
+
+
 def bruteforce_algebra_dim(spec: AlgebraSpec) -> int:
     """dim of the defining condition's solution space, via the rank of the
     constraint map evaluated entrywise on matrix units (no kernel code)."""
@@ -98,12 +107,11 @@ def bruteforce_algebra_dim(spec: AlgebraSpec) -> int:
                     row = [ONE if trace_sign(sig[p - 1]) > 0 else -ONE]
                 images.append(row)
         return m * m - dense_rank(images)
-    j = j_matrix(spec)
-    images = []
-    for p in range(1, m + 1):
-        for q in range(1, m + 1):
-            e = elem(sig, p, q)
-            images.append((e.graded_transpose() @ j) + (j @ e))
+    images = [
+        membership_residual_by_transpose(spec, elem(sig, p, q))
+        for p in range(1, m + 1)
+        for q in range(1, m + 1)
+    ]
     return m * m - dense_rank(dense_rows(images))
 
 

@@ -49,6 +49,7 @@ from helpers import (
     dense_rows,
     embed_middle_zero,
     jacobi_by_triples,
+    membership_residual_by_transpose,
     orbit_loop_passes,
     osp_grid,
     s_basis,
@@ -193,6 +194,10 @@ def test_u_matrix_symmetric(spec):
         assert u.entry(j, i) == v
 
 
+_FRACTIONS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+_SCALARS = st.builds(Scalar, _FRACTIONS, _FRACTIONS)
+
+
 # -- membership --------------------------------------------------------------
 
 def test_is_member_paraboson_annihilator():
@@ -221,6 +226,61 @@ def test_is_member_signature_mismatch():
     spec = ospB(1, 0, 0, 0)
     with pytest.raises(ValueError):
         is_member(spec, GradedMatrix.zero(ospB(0, 0, 1, 0).signature()))
+
+
+# Entries of drawn matrices: ints, rationals and values with a sqrt2 part.
+_ENTRIES = st.one_of(
+    st.integers(-3, 3), _FRACTIONS.map(Scalar), _SCALARS, st.sampled_from([SQRT2, -SQRT2])
+)
+
+
+@st.composite
+def _osp_specs(draw):
+    family = draw(st.sampled_from([Family.OSP_B, Family.OSP_D]))
+    params = draw(st.tuples(*[st.integers(0, 2)] * 4))
+    if family is Family.OSP_D and not any(params):
+        params = (0, 0, 1, 0)  # ospD(0,0,0,0) has matrix size 0
+    return AlgebraSpec(family, *params)
+
+
+@st.composite
+def _sparse_matrices(draw, spec: AlgebraSpec):
+    """A sparse matrix of the spec's signature, rarely homogeneous, plus
+    a drawn combination of spanning matrices s_ij, so that members and
+    cancelling terms come up too."""
+    m = spec.size
+    positions = st.tuples(st.integers(1, m), st.integers(1, m))
+    mat = GradedMatrix(spec.signature(), draw(st.dictionaries(positions, _ENTRIES, max_size=6)))
+    spanning = [s for _, _, s in s_matrices(spec)]
+    for s in draw(st.lists(st.sampled_from(spanning), max_size=3)):
+        mat = mat + s.scale(draw(_ENTRIES))
+    return mat
+
+
+@st.composite
+def _residual_inputs(draw):
+    spec, other = draw(_osp_specs()), draw(_osp_specs())
+    return spec, draw(_sparse_matrices(spec)), draw(_sparse_matrices(other))
+
+
+# The budget comes from the loaded hypothesis profile (see tests/conftest.py).
+@settings(deadline=None, derandomize=True)
+@given(_residual_inputs())
+def test_membership_residual_matches_the_transpose_oracle(case):
+    # The one-pass residual against A^T J + J A built by graded_transpose
+    # and @, on drawn matrices of ospB and ospD; a matrix of another
+    # signature is refused by both.
+    spec, mat, stranger = case
+    residual_of = algebras.membership_residual(spec)
+    got = residual_of(mat)
+    want = membership_residual_by_transpose(spec, mat)
+    assert got == want
+    assert_same_json(got.to_json(), want.to_json())
+    if stranger.signature != mat.signature:
+        with pytest.raises(ValueError):
+            residual_of(stranger)
+        with pytest.raises(ValueError):
+            membership_residual_by_transpose(spec, stranger)
 
 
 # -- echelon engine ------------------------------------------------------------
@@ -252,8 +312,6 @@ def test_span_reducer_is_deterministic():
     assert r1.rows_by_pivot() == r2.rows_by_pivot()
 
 
-_FRACTIONS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
-_SCALARS = st.builds(Scalar, _FRACTIONS, _FRACTIONS)
 _SIG3 = ospB(0, 0, 1, 0).signature()
 
 
@@ -2096,6 +2154,80 @@ def test_block_conditions_match_the_pair_loop_on_a_planted_entry(defect):
     assert report["failed"] > 0
     assert {ce["indices"][1] for ce in report["counterexamples"]} == {"planted"}
     assert_same_json(report, block_conditions_by_pairs(basis).to_json())
+
+
+@cache
+def _kernel(spec: AlgebraSpec) -> Basis:
+    return kernel_basis(spec)
+
+
+_PLANTED_VALUES = [0, 1, -1, 2, SQRT2, -SQRT2, Scalar(Fraction(1, 2)), Scalar(Fraction(1, 3), 1)]
+
+
+@st.composite
+def _planted_block_bases(draw):
+    """The kernel basis of an ospB spec with parameters 0..2, with Q(sqrt2)
+    values, 0 among them, planted at drawn grid positions of drawn
+    elements."""
+    spec = ospB(*draw(st.tuples(*[st.integers(0, 2)] * 4)))
+    canonical = _kernel(spec)
+    elements = list(canonical.elements)
+    m = spec.size
+    for _ in range(draw(st.integers(1, 4)) if elements else 0):
+        k = draw(st.integers(0, len(elements) - 1))
+        pos = draw(st.tuples(st.integers(1, m), st.integers(1, m)))
+        entries = dict(elements[k].items())
+        entries[pos] = draw(st.sampled_from(_PLANTED_VALUES))
+        elements[k] = GradedMatrix(spec.signature(), entries)
+    return Basis(spec, elements, list(canonical.labels))
+
+
+# The budget comes from the loaded hypothesis profile (see tests/conftest.py).
+@settings(deadline=None, derandomize=True)
+@given(_planted_block_bases())
+def test_block_conditions_match_the_pair_loop_on_drawn_entries(basis):
+    # Byte-identical reports at caps 0, 1 and the failure count: the pair
+    # loop runs once at the full count and its counterexamples are truncated.
+    every = len(algebras._block_relations()) * len(basis)
+    reference = block_conditions_by_pairs(basis, max_counterexamples=every).to_json()
+    for cap in (0, 1, reference["failed"]):
+        report = verify_block_conditions(basis, max_counterexamples=cap)
+        want = {**reference, "counterexamples": reference["counterexamples"][:cap]}
+        assert_same_json(report.to_json(), want)
+
+
+def test_block_conditions_refuse_an_element_of_another_signature(monkeypatch):
+    # The same refusal as membership's, before any relation runs.
+    stranger = elem(ospB(1, 1, 0, 0).signature(), 5, 5)
+    basis = Basis(ospB(1, 0, 0, 0), [stranger], ["stranger"])
+    with pytest.raises(ValueError, match="matrix signature does not match the spec"):
+        verify_membership(basis)
+    relations = []
+    monkeypatch.setattr(algebras, "_block_relations", lambda: relations.append(1) or [])
+    with pytest.raises(ValueError, match="matrix signature does not match the spec"):
+        verify_block_conditions(basis)
+    assert relations == []
+
+
+def test_block_conditions_coverage_fails_when_a_pass_goes_unrecorded(monkeypatch):
+    dropped = []
+
+    class DroppingReport(CheckReport):
+        def record_passes(self, count):
+            if count and not dropped:
+                dropped.append(1)
+                count -= 1
+            super().record_passes(count)
+
+    monkeypatch.setattr(algebras, "CheckReport", DroppingReport)
+    basis = kernel_basis(ospB(1, 0, 0, 0))
+    declared = len(algebras._block_relations()) * len(basis)
+    report = verify_block_conditions(basis)
+    assert dropped and report.failed == 1
+    assert report.counterexamples == [
+        {"indices": {"enumerated": declared - 1, "declared_total": declared}}
+    ]
+    assert all(rel["holds"] for rel in report.details["relations"])
 
 
 def test_block_conditions_so3():
