@@ -20,7 +20,7 @@ from math import lcm
 from typing import Callable, Iterator, Optional, Sequence
 
 from .gmatrix import GradedMatrix, _axpy, _rows_of, elem, graded_bracket, meeting_pairs
-from .grading import Degree, Signature, deg_add, dot, signature_gl, signature_osp
+from .grading import PARITY, Degree, Signature, deg_add, dot, signature_gl, signature_osp
 from .report import CheckReport
 from .scalars import Scalar, as_int
 
@@ -213,10 +213,6 @@ def u_matrix(spec: AlgebraSpec) -> GradedMatrix:
     return GradedMatrix(sig, entries)
 
 
-# The parity of a two-bit int.
-_PARITY = (0, 1, 1, 0)
-
-
 def membership_residual(spec: AlgebraSpec) -> Callable[[GradedMatrix], object]:
     """The map A -> what must vanish for A to be a member: A^T J + J A for
     the orthosymplectic families, the supertrace for sl, None for gl.
@@ -247,7 +243,7 @@ def membership_residual(spec: AlgebraSpec) -> Callable[[GradedMatrix], object]:
             for (i, c), v in mat._entries.items():
                 l, w = j_row[i]
                 k, x = j_col[i]
-                t = -v if _PARITY[code[i] & ~code[c]] else v
+                t = -v if PARITY[code[i] & ~code[c]] else v
                 for key, term in (((c, l), t * w), ((k, c), x * v)):
                     cur = acc.get(key)
                     s = term if cur is None else cur + term
@@ -477,12 +473,17 @@ class BracketTable:
     A bracket built from matrix products is zero on disjoint supports, so
     no bracket is lost. A caller that rebinds `graded_bracket` to one with
     terms on disjoint supports must also rebind `meeting_pairs` to every
-    pair. Both are read when the table is built, with the elements, so a
-    table holds the brackets of the binding it was built under.
+    pair. Both are read when the table is built, with the elements, and
+    kept, so a table holds the brackets of the binding it was built under,
+    whenever a row is made.
 
-    Each row is bracketed the first time a reader reaches it, in order,
-    and kept: `structure_constants` walks the rows and stops at its first
-    refusal, and `rows` brackets every row not reached yet.
+    A row is bracketed when a reader reaches it and the table does not
+    hold it. `structure_constants` walks the rows in order, drops each row
+    once it has read it, and stops at its first refusal, keeping the row
+    it refused; so when the gate holds, the table holds no bracket matrix.
+    `rows`, read only off the gate path, makes every row again that is not
+    held: on a refusal in the antisymmetry pass, which runs after every
+    row has been read, that is all of them.
     `graded_bracket` indexes each basis element on its first bracket, so
     its homogeneous parts are built once for all its brackets. The
     table's entries are not bracketed here, so they carry no index unless
@@ -492,27 +493,27 @@ class BracketTable:
     def __init__(self, basis: Basis):
         self.basis = basis
         self._elements = list(basis.elements)
-        # the meeting pairs of the rows not bracketed yet, each dropped as its row is built
-        self._pending = deque(meeting_pairs(self._elements))
+        self._pairs = meeting_pairs(self._elements)
         self._bracket = graded_bracket
-        self._built: list[dict[int, GradedMatrix]] = []
+        # row a while the table holds it, None before it is made and once it is dropped
+        self._held: list[Optional[dict[int, GradedMatrix]]] = [None] * len(self._elements)
 
     def _walk(self) -> Iterator[dict[int, GradedMatrix]]:
-        """The rows in order, each bracketed the first time it is reached."""
-        built, elements, bracket = self._built, self._elements, self._bracket
-        for a, x in enumerate(elements):
-            if a == len(built):
-                row = {}
-                for b in self._pending.popleft():
+        """The rows in order, each bracketed when it is reached and not held."""
+        held, elements, bracket = self._held, self._elements, self._bracket
+        for a, (x, pairs) in enumerate(zip(elements, self._pairs)):
+            row = held[a]
+            if row is None:
+                row = held[a] = {}
+                for b in pairs:
                     t = bracket(x, elements[b])
-                    if not t.is_zero():
+                    if t._entries:
                         row[b] = t
-                built.append(row)
-            yield built[a]
+            yield row
 
     @cached_property
     def rows(self) -> list[dict[int, GradedMatrix]]:
-        """Every row, bracketing those no reader has reached yet."""
+        """Every row, bracketing those the table does not hold."""
         return list(self._walk())
 
     @cached_property
@@ -528,15 +529,21 @@ class BracketTable:
 
         Coordinates come from one augmented echelon of the basis: element k
         is tagged with a unit at the position (m + 1, k) past the matrix, so
-        a dependent element leaves a pivot on a tag. Reducing a bracket M
-        against it leaves M - sum_k c_k e_k on the matrix positions and
-        -c_k on tag k. The tags are plain ints, so on a basis of int
-        entries, as on the kernel bases, the echelon rows, the brackets and
-        each c_k are plain ints as well; elsewhere a c_k may be a Scalar.
-        The reading, the gate and Jacobi's derivation certificate run on
-        either unchanged. Only the nonzero brackets are read, row by row as
-        they are bracketed, and no row past the first refusal is bracketed;
-        a dependent basis brackets none. Computed on first use."""
+        a dependent element leaves a pivot on a tag. Each echelon row is
+        split once into its matrix part mat_p and its tags tag_p, p its
+        pivot, with mat_p = sum_k tag_p[k] e_k. The rows vanish on each
+        other's pivots, so a bracket t lies in the span exactly when
+        t = sum_p t[p] mat_p over the pivots p that t holds, and then its
+        coordinates are sum_p t[p] tag_p. The tags are plain ints, so on a
+        basis of int entries, as on the kernel bases, the echelon rows, the
+        brackets and each c_k are plain ints as well; elsewhere a c_k may
+        be a Scalar. The reading, the gate and Jacobi's derivation
+        certificate run on either unchanged. Only the nonzero brackets are
+        read, row by row as they are bracketed, each row dropped once read,
+        and no row past the first refusal is bracketed; a dependent basis
+        brackets none. The degree checks read two-bit degree codes (see
+        `grading.PARITY`), and each pair a <= b is compared once. Computed
+        on first use."""
         elements = self.basis.elements
         if not elements:
             return []
@@ -546,30 +553,51 @@ class BracketTable:
         past = elements[0].size + 1
         echelon = SpanReducer()
         for k, mat in enumerate(elements):
-            echelon.insert({**dict(mat.items()), (past, k): 1})
-        if any(i == past for i, _ in echelon.pivots):
-            return None
+            echelon.insert({**mat._entries, (past, k): 1})
+        split = {}
+        for pivot, row in zip(echelon.pivots, echelon.rows_by_pivot()):
+            if pivot[0] == past:
+                return None
+            mat_p, tag_p = split[pivot] = {}, {}
+            for (i, j), v in row.items():
+                if i == past:
+                    tag_p[j] = v
+                else:
+                    mat_p[i, j] = v
         constants = []
-        for row in self._walk():
+        held = self._held
+        for a, row in enumerate(self._walk()):
             coords = {}
             for b, t in row.items():
-                red = echelon.residual(t._entries)
-                if any(i < past for i, _ in red):
+                entries = t._entries
+                rebuilt: dict = {}
+                coeffs: dict = {}
+                for pos, c in entries.items():
+                    parts = split.get(pos)
+                    if parts is not None:
+                        _axpy(rebuilt, c, parts[0])
+                        _axpy(coeffs, c, parts[1])
+                if rebuilt != entries:
                     return None
-                if red:
-                    coords[b] = {k: -v for (_, k), v in red.items()}
+                coords[b] = coeffs
             constants.append(coords)
+            held[a] = None
+        codes = [2 * d1 + d2 for d1, d2 in degrees]
         for ia, row in enumerate(constants):
-            da = degrees[ia]
+            ca = codes[ia]
             for ib, coeffs in row.items():
                 other = constants[ib].get(ia)
-                if other is None or other.keys() != coeffs.keys():
+                if other is None:
                     return None
-                db = degrees[ib]
-                degree = deg_add(da, db)
-                odd = dot(da, db)
+                if ib < ia:
+                    continue  # compared from row ib, which holds ia
+                if other.keys() != coeffs.keys():
+                    return None
+                cb = codes[ib]
+                degree = ca ^ cb
+                odd = PARITY[ca & cb]
                 for d, x in coeffs.items():
-                    if degrees[d] != degree or other[d] != (x if odd else -x):
+                    if codes[d] != degree or other[d] != (x if odd else -x):
                         return None
         return constants
 
@@ -580,7 +608,8 @@ class BracketTable:
         is not homogeneous; computed on first use. Empty, with no matrix
         compared, when the `structure_constants` gate holds, as it implies
         graded antisymmetry; otherwise each pair with a nonzero bracket is
-        compared once, a pair of zero brackets holding."""
+        compared once, a pair of zero brackets holding, on the `rows`,
+        which makes again the rows the gate dropped."""
         if self.structure_constants is not None:
             return frozenset()
         degrees = [mat.degree_of() for mat in self.basis.elements]
@@ -598,7 +627,18 @@ class BracketTable:
         return frozenset(failures)
 
 
+def _check_signatures(basis: Basis) -> None:
+    """Refuse an element whose signature is not the spec's, as the
+    membership residual does."""
+    sig = basis.spec.signature()
+    if any(mat.signature != sig for mat in basis.elements):
+        raise ValueError("matrix signature does not match the spec")
+
+
 def _table_for(basis: Basis, table: Optional[BracketTable]) -> BracketTable:
+    """`table`, when it was built for `basis`, or a new table of it. An
+    element of another signature is refused first, before any bracket."""
+    _check_signatures(basis)
     if table is None:
         return BracketTable(basis)
     if table.basis is not basis:
@@ -680,20 +720,21 @@ def verify_symmetry(
     The outcomes are the table's `antisymmetry_failures`, which compares
     each pair a <= b once, and none when the structure-constant gate
     holds: (a, b) and (b, a) fail together, and lhs - rhs is built only
-    for a counterexample the report keeps. The report ends with a
-    coverage check: n^2 ordered pairs."""
+    for a counterexample the report keeps. The table's `rows` are read
+    only there, so when the gate holds no row is made again. The report
+    ends with a coverage check: n^2 ordered pairs."""
     degrees = _homogeneous_degrees(zip(basis.labels, basis.elements))
     table = _table_for(basis, table)
     report = CheckReport("symmetry", basis.spec.to_json(), max_counterexamples)
     labels = basis.labels
     n = len(labels)
-    rows = table.rows
     failing = sorted({p for a, b in table.antisymmetry_failures for p in ((a, b), (b, a))})
     report.record_passes(n * n - len(failing))
     for ia, ib in failing:
 
         def counterexample():
             zero = GradedMatrix.zero(basis.elements[ia].signature)
+            rows = table.rows
             lhs, rhs = rows[ia].get(ib, zero), rows[ib].get(ia, zero)
             residual = lhs - (rhs if dot(degrees[ia], degrees[ib]) else -rhs)
             return {"indices": [labels[ia], labels[ib]], "residual": residual.to_json()}
@@ -1054,8 +1095,8 @@ def verify_jacobi(
     The gate brackets the table's rows as it reads them and stops at its
     first refusal, and the certified span reads no row, so when that rung
     holds only the rows up to the refusal are bracketed. The matrix loop
-    reads every row; the indexes its brackets leave on the table's entries
-    are dropped before this returns.
+    reads every row, making again those the gate dropped; the indexes its
+    brackets leave on the table's entries are dropped before this returns.
 
     Outcomes and counterexamples are those of the plain triple loop:
     `failed` counts every failing triple, the kept counterexamples are the
@@ -1196,9 +1237,8 @@ def verify_block_conditions(basis: Basis, max_counterexamples: int = 10) -> Chec
     spec = basis.spec
     if spec.family is not Family.OSP_B:
         raise ValueError("block conditions are defined for the ospB layout only")
+    _check_signatures(basis)
     sig = spec.signature()
-    if any(mat.signature != sig for mat in basis.elements):
-        raise ValueError("matrix signature does not match the spec")
     relations = _block_relations()
     spans = []
     pairs_at: dict[tuple[int, int], list] = {}

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Iterator, Optional, Sequence
 
-from .grading import Degree, Signature, check_degree, deg_add, dot, trace_sign
+from .grading import PARITY, Degree, Signature, check_degree, deg_add, dot, trace_sign
 from .scalars import ZERO, Scalar, as_int
 
 Position = tuple[int, int]
@@ -247,8 +247,8 @@ def _product(acc: Entries, entries: Entries, rows: Rows) -> None:
     """Add a @ b into `acc`, given the entries of a and the row index of b.
 
     The one product loop of the package, as `_axpy` is its one add loop:
-    `@` and `_bracket_into`, which serves both `graded_bracket` and the
-    relation kernel of `parastat`, run it. Only the products with J of
+    `@`, `graded_bracket` and `_bracket_into`, the bracket of the relation
+    kernel of `parastat`, run it. Only the products with J of
     `algebras.membership_residual` do not: J has one entry per row and
     column, so that residual adds both in one pass of its own. An entry
     that sums to zero is dropped, so `acc` holds only nonzeros; a minus
@@ -293,15 +293,18 @@ class _Operand:
 
 
 def _bracket_into(acc: dict, kind: str, x: _Operand, y: _Operand) -> None:
-    """Add x y - y x ("[]") or x y + y x ("{}") into `acc`."""
+    """Add x y - y x ("[]") or x y + y x ("{}") into `acc`: the relation
+    kernel of `parastat`, which names the kind of each bracket it adds."""
     _product(acc, x.entries, y.rows)
     _product(acc, y.negated if kind == "[]" else y.entries, x.rows)
 
 
 def _index_of(mat: GradedMatrix) -> tuple:
     """Build and store the bracket index of `mat`: its homogeneous parts,
-    as (degree, `_Operand`) pairs, and its row and column masks, ints with
-    bit i set for each row, or column, i that holds an entry."""
+    as (code, `_Operand`) pairs, a part of degree (d1, d2) coded as the
+    two-bit int 2 d1 + d2 (see `grading.PARITY`), and its row and column
+    masks, ints with bit i set for each row, or column, i that holds an
+    entry."""
     sig = mat.signature
     parts: dict[Degree, Entries] = {}
     row_mask = col_mask = 0
@@ -309,7 +312,8 @@ def _index_of(mat: GradedMatrix) -> tuple:
         parts.setdefault(deg_add(sig[i - 1], sig[j - 1]), {})[i, j] = v
         row_mask |= 1 << i
         col_mask |= 1 << j
-    mat._index = (tuple((d, _Operand(e)) for d, e in parts.items()), row_mask, col_mask)
+    coded = tuple((2 * d1 + d2, _Operand(e)) for (d1, d2), e in parts.items())
+    mat._index = (coded, row_mask, col_mask)
     return mat._index
 
 
@@ -327,16 +331,18 @@ def graded_bracket(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
     """The bracket x*y - (-1)^{dot(dx,dy)} y*x, extended bilinearly.
 
     Each operand is split into its homogeneous parts, and each pair of
-    parts adds x*y -/+ y*x by `_bracket_into`, the sign chosen once per
-    pair by `dot` of the two part degrees. A nonzero operand's parts and
-    masks are built by `_index_of` the first time it is bracketed and
-    read from its `_index` after that. When no column of either operand
-    meets a row of the other, a*b and b*a have no term and the bracket is
-    zero without a product; `meeting_pairs` lists the pairs of a sequence
-    that this test does not decide.
+    parts runs the two products x*y and -/+ y*x by `_product`, the sign
+    read once per pair off the parts' two-bit degree codes. A nonzero
+    operand's parts and masks are built by `_index_of` the first time it
+    is bracketed and read from its `_index` after that. When no column of
+    either operand meets a row of the other, a*b and b*a have no term and
+    the bracket is zero without a product; `meeting_pairs` lists the pairs
+    of a sequence that this test does not decide. An operand that is not
+    a matrix, or a signature mismatch, raises as `@` does.
     """
-    a._check_compatible(b)
     sig = a.signature
+    if type(b) is not GradedMatrix or b.signature != sig:
+        a._check_compatible(b)
     if not a._entries or not b._entries:
         return GradedMatrix._make(sig, {})
     parts_a, rows_a, cols_a = a._index or _index_of(a)
@@ -344,9 +350,10 @@ def graded_bracket(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
     if not (cols_a & rows_b or cols_b & rows_a):
         return GradedMatrix._make(sig, {})
     acc: Entries = {}
-    for da, x in parts_a:
-        for db, y in parts_b:
-            _bracket_into(acc, "{}" if dot(da, db) else "[]", x, y)
+    for ca, x in parts_a:
+        for cb, y in parts_b:
+            _product(acc, x.entries, y.rows)
+            _product(acc, y.entries if PARITY[ca & cb] else y.negated, x.rows)
     return GradedMatrix._make(sig, acc)
 
 

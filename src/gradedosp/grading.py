@@ -33,6 +33,11 @@ def dot(a: Degree, b: Degree) -> int:
     return (a[0] & b[0]) ^ (a[1] & b[1])
 
 
+# A degree (d1, d2) coded as the two-bit int 2 d1 + d2: then deg_add is
+# the xor of two codes and dot their and's parity, PARITY[c & c'].
+PARITY = (0, 1, 1, 0)
+
+
 def trace_sign(d: Degree) -> int:
     """+1 on degrees (0,0)/(1,1), -1 on (1,0)/(0,1): the supertrace weights."""
     return 1 if d[0] == d[1] else -1

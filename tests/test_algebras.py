@@ -1,5 +1,6 @@
 """Algebra constructors, membership, the echelon engine, and the verifiers."""
 
+import gc
 import importlib.util
 import json
 import re
@@ -1351,16 +1352,105 @@ def test_table_holds_the_brackets_of_the_binding_it_was_built_under(monkeypatch)
 def test_a_refused_gate_brackets_only_the_rows_it_reads(monkeypatch):
     # The seed-1 user basis is not closed under brackets, and the gate
     # refuses in its first row: the table brackets that row's meeting
-    # pairs and no other. Jacobi then certifies the basis through the
-    # kernel basis of ospB(1,1,1,1), whose table adds its 608 meeting pairs.
+    # pairs and no other, and keeps that row, so a later `rows` makes only
+    # the other rows, 240 of the 256 pairs, every pair meeting. Jacobi then
+    # certifies the basis through the kernel basis of ospB(1,1,1,1), whose
+    # table adds its 608 meeting pairs.
     basis = _user_basis(1)
     first_row = len(algebras.meeting_pairs(basis.elements)[0])
     calls = _count_brackets(monkeypatch)
-    assert BracketTable(basis).structure_constants is None
+    table = BracketTable(basis)
+    assert table.structure_constants is None
     assert len(calls) == first_row < len(basis) ** 2
+    calls.clear()
+    table.rows
+    assert len(calls) == len(basis) ** 2 - first_row == 240
     calls.clear()
     assert verify_jacobi(basis).passed
     assert len(calls) == first_row + 608
+
+
+def _matrices_held(table: BracketTable) -> list:
+    """The matrices other than the basis elements that the table reaches
+    through its attributes and their lists, tuples, dicts and sets."""
+    elements = {id(mat) for mat in table.basis.elements}
+    seen, stack, found = set(), list(vars(table).values()), []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, GradedMatrix):
+            if id(obj) not in elements:
+                found.append(obj)
+        elif isinstance(obj, (list, tuple, dict, set, frozenset)):
+            stack.extend(gc.get_referents(obj))
+    return found
+
+
+def test_a_held_gate_drops_every_row_and_rows_remakes_them(monkeypatch):
+    # Under a doubled bracket the kernel basis of ospB(1,1,1,1) passes the
+    # gate, which drops each row once read: the table then holds no
+    # bracket matrix, and closure, symmetry and Jacobi pass on it with no
+    # bracket made again. A later `rows` makes the 608 meeting pairs again
+    # through the doubled bracket the table was built under, though
+    # `algebras.graded_bracket` is rebound to a counting one by then, and
+    # equals the rows of a fresh table built under the doubled bracket.
+    basis = kernel_basis(ospB(1, 1, 1, 1))
+    true_bracket = algebras.graded_bracket
+    made = []
+    with monkeypatch.context() as planted:
+        planted.setattr(algebras, "graded_bracket", lambda a, b: made.append(1) or true_bracket(a, b).scale(2))
+        table, fresh = BracketTable(basis), BracketTable(basis)
+    assert table.structure_constants is not None
+    assert len(made) == 608
+    assert _matrices_held(table) == []
+    made.clear()
+    calls = _count_brackets(monkeypatch)
+    for check in (verify_closure, verify_symmetry, verify_jacobi):
+        assert check(basis, table=table).passed
+    assert calls == [] and made == []
+    rows = table.rows
+    assert calls == [] and len(made) == 608
+    assert len(_matrices_held(table)) == 576
+    assert rows == fresh.rows
+    assert rows == [{b: t.scale(2) for b, t in row.items()} for row in BracketTable(basis).rows]
+
+
+def test_an_antisymmetry_refusal_makes_every_row_again(monkeypatch):
+    # The one-sided defect doubles the (1,0) x (0,1) brackets in that
+    # order only. Every bracket stays in the span, so the gate reads and
+    # drops every row and refuses only in its antisymmetry pass. Symmetry
+    # then reads the table's `antisymmetry_failures`, which makes all 608
+    # meeting pairs of the kernel basis of ospB(1,1,1,1) again: 1,216
+    # brackets in all. Closure, read next, makes none. Both reports are
+    # the pair loops'.
+    basis = kernel_basis(ospB(1, 1, 1, 1))
+    _plant_jacobi_defect(monkeypatch, basis, "one-sided")
+    calls = _count_brackets(monkeypatch)
+    table = BracketTable(basis)
+    assert table.structure_constants is None
+    assert _matrices_held(table) == []
+    assert len(calls) == 608
+    symmetry = verify_symmetry(basis, table=table)
+    assert len(calls) == 2 * 608
+    closure = verify_closure(basis, table=table)
+    assert len(calls) == 2 * 608
+    assert symmetry.failed > 0
+    assert_same_json(symmetry.to_json(), symmetry_by_pairs(basis).to_json())
+    assert_same_json(closure.to_json(), closure_by_pairs(basis).to_json())
+
+
+@pytest.mark.parametrize("check", [verify_closure, verify_symmetry, verify_jacobi])
+def test_pair_and_triple_checks_refuse_an_element_of_another_signature(monkeypatch, check):
+    # Two matrix units of ospB(1,1,0,0) in a basis of ospB(1,0,0,0): the
+    # same refusal as membership's, before any bracket is made.
+    sig = ospB(1, 1, 0, 0).signature()
+    basis = Basis(ospB(1, 0, 0, 0), [elem(sig, 5, 5), elem(sig, 1, 2)], ["e55", "e12"])
+    calls = _count_brackets(monkeypatch)
+    with pytest.raises(ValueError, match="matrix signature does not match the spec"):
+        check(basis)
+    assert calls == []
 
 
 @st.composite
@@ -1737,13 +1827,16 @@ _LOOP_FACTORS = [1, -1, 2, SQRT2, -SQRT2, Scalar(Fraction(1, 2)), _SCALING, Scal
 
 
 @st.composite
-def _defective_jacobi_inputs(draw):
+def _defective_jacobi_inputs(draw, in_span: bool = False):
     """(basis, planted bracket, whether `_certified_span` is cut off): up to
     8 elements of the kernel basis of ospB(1,0,1,0), each rescaled by an
     element of Q(sqrt2), some with a denominator, and one (0,0) element
     optionally moved off the algebra by + e_11; and one bilinear defect,
     the true bracket plus c a[p] b[q] E_rs, p and q on the basis's support,
-    in one order or in both with the graded sign."""
+    in one order or in both with the graded sign. With `in_span`, E_rs may
+    be replaced by an element of the basis, so that a defect in one order
+    keeps every bracket of a closed basis in its span and the gate
+    refuses only in its antisymmetry pass."""
     canonical = kernel_basis(ospB(1, 0, 1, 0))
     sig = canonical.spec.signature()
     picks = draw(st.lists(st.integers(0, len(canonical) - 1), min_size=1, max_size=8, unique=True))
@@ -1760,6 +1853,8 @@ def _defective_jacobi_inputs(draw):
     degree = lambda pos: deg_add(sig[pos[0] - 1], sig[pos[1] - 1])
     # (-1)^{dot(dp, dq)}, or 0 for a defect in one order only
     sign = draw(st.sampled_from([0, -1 if dot(degree(p), degree(q)) else 1]))
+    if in_span and draw(st.booleans()):
+        unit = draw(st.sampled_from(elements))
 
     def planted(a, b):
         x = a.entry(*p) * b.entry(*q) - sign * b.entry(*p) * a.entry(*q)
@@ -1788,6 +1883,29 @@ def test_matrix_loop_matches_the_triple_loop_on_drawn_defects(call):
             report = verify_jacobi(basis, max_counterexamples=cap, table=table)
             want = {**reference, "counterexamples": reference["counterexamples"][:cap]}
             assert_same_json(report.to_json(), want)
+
+
+# The budget comes from the loaded hypothesis profile (see tests/conftest.py).
+@settings(deadline=None, derandomize=True)
+@given(_defective_jacobi_inputs(in_span=True))
+def test_pair_checks_match_the_pair_loops_on_drawn_defects(call):
+    # Byte-identical closure and symmetry reports at caps 0, 1 and the
+    # failure count, and the table's antisymmetry failures equal to the
+    # dense loop's. The defect has terms on disjoint supports, so the
+    # table brackets every pair. The gate refuses in the row it cannot
+    # reduce, or after it has read and dropped every row, so the checks
+    # read rows the table kept or made again.
+    basis, planted, _ = call
+    every = lambda mats: [list(range(len(mats)))] * len(mats)
+    with mock.patch.multiple(algebras, graded_bracket=planted, meeting_pairs=every):
+        table = BracketTable(basis)
+        for check, by_pairs in ((verify_closure, closure_by_pairs), (verify_symmetry, symmetry_by_pairs)):
+            reference = by_pairs(basis, max_counterexamples=len(basis) ** 2).to_json()
+            for cap in (0, 1, reference["failed"]):
+                report = check(basis, max_counterexamples=cap, table=table)
+                want = {**reference, "counterexamples": reference["counterexamples"][:cap]}
+                assert_same_json(report.to_json(), want)
+        assert table.antisymmetry_failures == antisymmetry_failures_by_pairs(basis)
 
 
 def test_dependent_basis_takes_the_matrix_path(monkeypatch):

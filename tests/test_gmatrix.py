@@ -512,9 +512,7 @@ def _supports_meet(a: GradedMatrix, b: GradedMatrix) -> bool:
 def _bracketed_pairs(monkeypatch, mats) -> list:
     """The pairs of fresh copies of `mats` on which `graded_bracket`
     runs a product, that is, which its mask test does not decide."""
-    ran = []
-    bracket_into = gmatrix._bracket_into
-    monkeypatch.setattr(gmatrix, "_bracket_into", lambda *a: ran.append(1) or bracket_into(*a))
+    ran = _count_products(monkeypatch)
     copies = [_fresh(mat) for mat in mats]
     pairs = []
     for ia, a in enumerate(copies):
