@@ -1015,9 +1015,11 @@ def _certified_span(basis: Basis) -> bool:
     Jacobi identity; False means only that this route does not apply.
 
     K, the spec's kernel basis, must pass the `structure_constants` gate
-    and `_derivation_certificate`, and every element must have the spec's
-    signature and reduce to zero against an echelon of K, which is exact
-    whether or not K spans the whole algebra. Then an element of degree g
+    and `_derivation_certificate`, and every element must reduce to zero
+    against an echelon of K, which is exact whether or not K spans the
+    whole algebra. The caller must have refused an element whose signature
+    is not the spec's (`verify_jacobi` does, in `_table_for`): the echelon
+    compares entries only. Then an element of degree g
     is a combination of the degree-g elements of K, K being homogeneous by
     the gate, and J, trilinear on homogeneous arguments of fixed degrees,
     vanishes on the basis since it vanishes on K^3. The one premise is that
@@ -1034,9 +1036,6 @@ def _certified_span(basis: Basis) -> bool:
         return False
     dim = expected_dim(spec)
     if n >= dim or dim * dim > n ** 3 + n ** 2:
-        return False
-    sig = spec.signature()
-    if any(mat.signature != sig for mat in basis):
         return False
     algebra = kernel_basis(spec)
     echelon = SpanReducer()

@@ -24,14 +24,29 @@ difference, rebuilt as a matrix. Passes are counted in bulk.
 An instance count other than the closed form `declared_total` fails the
 check; `relation_reports` runs each family whose operand kinds are all
 among a spec's `generator_sets`.
+
+The relations hold for every index with Kronecker-delta right-hand sides,
+so permuting the indices within a family (of one set) changes no outcome
+once the generators are permuted with them. When a set of the call has a
+family of more than three indices, `_relabels` checks that exactly: every
+Kronecker term pairs two slots of one set, and for the transposition of
+each family's first two indices and its cyclic shift, a relabelling of
+matrix indices read off the generators' supports carries each x_j to
+x_sigma(j) and fixes every other generator, entry for entry. Conjugation
+by a permutation matrix keeps every product, so then each instance has
+the outcome of one in the kept ranges, the first three indices of each
+family, and the loop runs there first as a trial. A trial with no failure
+records every instance as passed; one that fails, or a refused check,
+runs the full loop, so reports are those of the full loop either way.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from functools import partial
 from itertools import product
 from math import prod
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .algebras import AlgebraSpec, Family, _homogeneous_degrees
 from .gmatrix import GradedMatrix, _axpy, _bracket_into, _Operand, elem, graded_bracket
@@ -240,12 +255,19 @@ RELATION_TABLE: dict[RelationFamily, tuple[Block, ...]] = {
 }
 
 
-def _index_range(gens: GeneratorSet, code: str) -> range:
-    if code == "1":
-        return range(1, gens.family_split + 1)
-    if code == "2":
-        return range(gens.family_split + 1, gens.count + 1)
-    return range(1, gens.count + 1)
+def _families(gens: GeneratorSet) -> tuple[range, range]:
+    return range(1, gens.family_split + 1), range(gens.family_split + 1, gens.count + 1)
+
+
+def _index_range(gens: GeneratorSet, code: str, keep: Optional[int] = None) -> Sequence[int]:
+    """The indices of one slot: "1"/"2" the first/second family, "*" both;
+    with `keep`, only the first `keep` of each family."""
+    families = _families(gens)
+    if code != "*":
+        families = families[int(code) - 1:int(code)]
+    if keep is None:
+        return range(families[0].start, families[-1].stop)
+    return [i for fam in families for i in fam[:keep]]
 
 
 def _content(matrices: list[GradedMatrix]) -> tuple[Scalar | int, int, Callable]:
@@ -380,6 +402,122 @@ def _operand_tags(family: RelationFamily) -> list[str]:
     return list(dict.fromkeys(tag for block in RELATION_TABLE[family] for tag in block.operands))
 
 
+# An instance names at most three indices, so once the indices within a
+# family may be relabelled, the first three of each family stand for all.
+_KEPT = 3
+
+
+def _relabels(rows: tuple, sets: dict, tables: dict) -> bool:
+    """Whether every permutation of the indices within one family of a set
+    in `sets` carries each instance of `rows` to one with the same outcome.
+
+    Every term of the rows must pair two slots that hold one set, so that
+    the Kronecker deltas are kept. For each family of two or more indices,
+    the transposition of its first two indices and its cyclic shift, which
+    generate every permutation of the family, are tried in turn: a matrix
+    index i goes to the index whose incidences (the generators it is a row
+    or a column of) are those of i relabelled, and that map pi must carry
+    the core of each x_j^+/- of the family to that of x_sigma(j)^+/- and
+    the core of every other generator in `tables` to itself, entry for
+    entry. That makes pi a permutation: an index it missed would be in the
+    support of some image but in no relabelled support. Conjugation by the
+    permutation matrix of pi keeps every matrix product, so it carries
+    both sides of an instance to those of the relabelled instance."""
+    if any(block.operands[p] != block.operands[q]
+           for block in rows for _, _, terms in block.cases for _, p, q in terms):
+        return False
+    cores = {(tag, key): op.entries for tag, table in tables.items() for key, op in table.items()}
+    incidences: dict = {}
+    for name, entries in cores.items():
+        for r, c in entries:
+            incidences.setdefault(r, set()).add((name, 0))
+            incidences.setdefault(c, set()).add((name, 1))
+    where = {frozenset(marks): i for i, marks in incidences.items()}
+    for tag, gens in sets.items():
+        for fam in _families(gens):
+            if len(fam) < 2:
+                continue
+            for sigma in ({fam[0]: fam[1], fam[1]: fam[0]}, dict(zip(fam, (*fam[1:], fam[0])))):
+                moved = {(t, (sign, j)): (t, (sign, sigma[j])) for t, (sign, j) in cores if t == tag and j in sigma}
+                # An index that no moved generator touches keeps its incidences, so pi fixes it.
+                pi = {}
+                for i in {i for name in moved for pos in cores[name] for i in pos}:
+                    pi[i] = where.get(frozenset((moved.get(name, name), axis) for name, axis in incidences[i]))
+                    if pi[i] is None:
+                        return False
+                if any({(pi.get(r, r), pi.get(c, c)): v for (r, c), v in entries.items()}
+                       != cores[moved.get(name, name)] for name, entries in cores.items()):
+                    return False
+    return True
+
+
+def _failures(rows: tuple, sets: dict, tables: dict, scaled: dict, s, kappa: int,
+              keep: Optional[int]) -> Iterator[tuple]:
+    """Each failing instance of `rows` as (rel, indices, signs, lhs, rhs),
+    both sides on cores and None where empty, in (row, j, k, l, case)
+    order, over every index of each slot's range, or over the first `keep`
+    of each family only (see `verify_relations`)."""
+    for block in rows:
+        slots = [tables[tag] for tag in block.operands]
+        ranges = [_index_range(sets[tag], code, keep) for tag, code in zip(block.operands, block.ranges)]
+        if not all(ranges):
+            continue
+        pairs = dict.fromkeys(signs[:2] for signs, _, _ in block.cases)
+        ls = ranges[2] if block.outer else range(0)
+        if block.outer:
+            epsilons = dict.fromkeys(signs[2] for signs, _, _ in block.cases)
+            keys = [(e, l) for e in epsilons for l in ls]
+            index = _slot3_index(dict.fromkeys(keys, block.outer), slots[2], kappa)
+        # Each term of each case, by the index it fires at: l = j, l = k, or every l when j = k.
+        at_j, at_k, at_all = [], [], []
+        for signs, _, terms in block.cases:
+            for c, a, b in terms:
+                rule = (signs[:2], signs[2], scaled[block.operands[3 - a - b], c])
+                (at_all if a + b == 1 else at_j if a + b == 2 else at_k).append(rule)
+        for j, k in product(ranges[0], ranges[1]):
+            lhs = {}
+            for p in pairs:
+                acc: dict = {}
+                _bracket_into(acc, block.inner, slots[0][p[0], j], slots[1][p[1], k])
+                if block.outer:
+                    lhs[p] = _outer_brackets(acc, *index)
+                elif acc:
+                    lhs[p] = {(): acc if kappa == 1 else {pos: s * v for pos, v in acc.items()}}
+                else:
+                    lhs[p] = {}
+            fires = []
+            if j in ls:
+                fires += [(p, (e, j), tab[p[1], k]) for p, e, tab in at_j]
+            if k in ls:
+                fires += [(p, (e, k), tab[p[0], j]) for p, e, tab in at_k]
+            if j == k:
+                fires += [(p, (e, l), tab[e, l]) for p, e, tab in at_all for l in ls]
+            rhs = {p: {} for p in pairs}
+            for p, key, value in fires:
+                side = rhs[p]
+                cur = side.get(key)
+                if cur is None:
+                    if value:  # a zero generator fires nothing
+                        side[key] = value
+                    continue
+                cur = dict(cur)
+                _axpy(cur, 1, value)
+                if cur:
+                    side[key] = cur
+                else:
+                    del side[key]
+            if lhs == rhs:
+                continue
+            rests = {key[1:] for p in pairs for key in lhs[p].keys() | rhs[p].keys()
+                     if lhs[p].get(key) != rhs[p].get(key)}
+            for rest in sorted(rests):
+                for signs, rel, _ in block.cases:
+                    p, key = signs[:2], signs[2:] + rest
+                    left, right = lhs[p].get(key), rhs[p].get(key)
+                    if left != right:
+                        yield rel, (j, k, *rest), signs, left, right
+
+
 def verify_relations(
     family: RelationFamily,
     gens: GeneratorSet,
@@ -419,7 +557,20 @@ def verify_relations(
     |index product| x |cases| instances, and those not failed are
     recorded as passes at once, so the coverage check still sees every
     instance. A row holding two cases with one sign tuple, whose terms
-    `rhs` would sum, raises ValueError."""
+    `rhs` would sum, raises ValueError.
+
+    When a set of the call has a family of more than three indices, a
+    relabelling step comes first. The relations hold for every j, k, l
+    with Kronecker-delta right-hand sides, so permuting the indices within
+    a family changes no outcome, provided the generators are permuted
+    with them by a relabelling of matrix indices; `_relabels` checks that
+    exactly. If it holds, every instance has the outcome of one whose
+    indices are among the first three of each family (an instance names
+    at most three), and the loop runs as a trial on those kept ranges
+    only. A trial with no failure records every instance as passed; at
+    its first failure it stops, and the loop runs again on the full
+    ranges, as it does when the check refuses. So the report, its counts,
+    counterexamples and order are those of the full loop."""
     family = RelationFamily(family)
     tags = _operand_tags(family)
     kinds = [_KINDS[tag] for tag in tags]
@@ -432,81 +583,28 @@ def verify_relations(
         raise ValueError(f"{family.value} relations need {' plus '.join(kinds)} generators")
     if len(sets) > 1 and gens.spec != partner.spec:
         raise ValueError(f"{' and '.join(kinds)} sets must share one spec")
+    rows = RELATION_TABLE[family]
+    if any(len({signs for signs, _, _ in block.cases}) < len(block.cases) for block in rows):
+        raise ValueError(f"a {family.value} row holds two cases with one sign tuple")
     sig = gens.spec.signature()
     s, kappa, core = _content([mat for g in sets.values() for mat in (*g.creators, *g.annihilators)])
     tables = {tag: _generator_table(g, sig, core) for tag, g in sets.items()}
-    scaled = _scaled_tables(family, tables)
+    walk = partial(_failures, rows, sets, tables, _scaled_tables(family, tables), s, kappa)
+    trimmed = (any(len(fam) > _KEPT for g in sets.values() for fam in _families(g))
+               and _relabels(rows, sets, tables))
+    # The trial on the kept ranges: a failure there runs the full loop.
+    failing = () if trimmed and next(walk(_KEPT), None) is None else walk(None)
     signed = family.sign_arity > 0
 
     report = CheckReport(f"relations-{family.value}", gens.spec.to_json(), max_counterexamples)
-    instances = failures = 0
-    for block in RELATION_TABLE[family]:
-        if len({signs for signs, _, _ in block.cases}) < len(block.cases):
-            raise ValueError(f"a {family.value} row holds two cases with one sign tuple")
-        slots = [tables[tag] for tag in block.operands]
-        ranges = [_index_range(sets[tag], code) for tag, code in zip(block.operands, block.ranges)]
-        if not all(ranges):
-            continue
-        instances += len(block.cases) * prod(map(len, ranges))
-        pairs = dict.fromkeys(signs[:2] for signs, _, _ in block.cases)
-        ls = ranges[2] if block.outer else range(0)
-        if block.outer:
-            epsilons = dict.fromkeys(signs[2] for signs, _, _ in block.cases)
-            keys = [(e, l) for e in epsilons for l in ls]
-            rows, cols = _slot3_index(dict.fromkeys(keys, block.outer), slots[2], kappa)
-        # Each term of each case, by the index it fires at: l = j, l = k, or every l when j = k.
-        at_j, at_k, at_all = [], [], []
-        for signs, _, terms in block.cases:
-            for c, a, b in terms:
-                rule = (signs[:2], signs[2], scaled[block.operands[3 - a - b], c])
-                (at_all if a + b == 1 else at_j if a + b == 2 else at_k).append(rule)
-        for j, k in product(ranges[0], ranges[1]):
-            lhs = {}
-            for p in pairs:
-                acc: dict = {}
-                _bracket_into(acc, block.inner, slots[0][p[0], j], slots[1][p[1], k])
-                if block.outer:
-                    lhs[p] = _outer_brackets(acc, rows, cols)
-                elif acc:
-                    lhs[p] = {(): acc if kappa == 1 else {pos: s * v for pos, v in acc.items()}}
-                else:
-                    lhs[p] = {}
-            fires = []
-            if j in ls:
-                fires += [(p, (e, j), tab[p[1], k]) for p, e, tab in at_j]
-            if k in ls:
-                fires += [(p, (e, k), tab[p[0], j]) for p, e, tab in at_k]
-            if j == k:
-                fires += [(p, (e, l), tab[e, l]) for p, e, tab in at_all for l in ls]
-            rhs = {p: {} for p in pairs}
-            for p, key, value in fires:
-                side = rhs[p]
-                cur = side.get(key)
-                if cur is None:
-                    if value:  # a zero generator fires nothing
-                        side[key] = value
-                    continue
-                cur = dict(cur)
-                _axpy(cur, 1, value)
-                if cur:
-                    side[key] = cur
-                else:
-                    del side[key]
-            if lhs == rhs:
-                continue
-            rests = {key[1:] for p in pairs for key in lhs[p].keys() | rhs[p].keys()
-                     if lhs[p].get(key) != rhs[p].get(key)}
-            for rest in sorted(rests):
-                idx = (j, k, *rest)
-                for signs, rel, _ in block.cases:
-                    p, key = signs[:2], signs[2:] + rest
-                    left, right = lhs[p].get(key), rhs[p].get(key)
-                    if left == right:
-                        continue
-                    failures += 1
-                    report.record(
-                        False, lambda: _counterexample(signed, rel, idx, signs, sig, s, left, right)
-                    )
+    failures = 0
+    for rel, idx, signs, left, right in failing:
+        failures += 1
+        report.record(False, lambda: _counterexample(signed, rel, idx, signs, sig, s, left, right))
+    instances = sum(
+        len(block.cases) * prod(len(_index_range(sets[tag], code)) for tag, code in zip(block.operands, block.ranges))
+        for block in rows
+    )
     report.record_passes(instances - failures)
     declared = declared_total(family, gens, partner)
     report.record_coverage(declared)

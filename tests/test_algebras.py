@@ -2040,7 +2040,9 @@ def test_certified_span_keeps_to_its_size_rule(monkeypatch, n, resign, certified
     # sl(1,0|2,2) has dim 24, and dim^2 = 576 = n^3 + n^2 at n = 8: the
     # route is tried from 8 elements up to 23, and builds the kernel basis
     # only then. Every subset of the kernel basis lies in the algebra; one
-    # whose elements carry another signature does not.
+    # whose elements carry another signature is refused by `verify_jacobi`
+    # before the route is tried, since `_certified_span` leaves the
+    # signature to its caller.
     canonical = kernel_basis(AlgebraSpec(Family.SL, 1, 0, 2, 2))
     assert expected_dim(canonical.spec) == 24
     basis = Basis(canonical.spec, canonical.elements[:n], canonical.labels[:n])
@@ -2048,7 +2050,11 @@ def test_certified_span_keeps_to_its_size_rule(monkeypatch, n, resign, certified
     built = []
     build = algebras.kernel_basis
     monkeypatch.setattr(algebras, "kernel_basis", lambda spec: built.append(1) or build(spec))
-    assert algebras._certified_span(basis) == certified
+    if resign:
+        with pytest.raises(ValueError, match="signature does not match the spec"):
+            verify_jacobi(basis)
+    else:
+        assert algebras._certified_span(basis) == certified
     assert len(built) == (8 <= n < 24 and not resign)
 
 

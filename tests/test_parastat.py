@@ -709,6 +709,231 @@ def test_relation_kernel_matches_the_instance_loop_on_drawn_defects(call):
             assert_same_json(report.to_json(), want)
 
 
+# -- the relabelling step -------------------------------------------------------------
+
+def _watch_relabelling(monkeypatch) -> list:
+    """The outcome of each relabelling check from now on, in call order."""
+    outcomes = []
+    relabels = parastat._relabels
+    monkeypatch.setattr(parastat, "_relabels", lambda *args: outcomes.append(relabels(*args)) or outcomes[-1])
+    return outcomes
+
+
+def _count_products(monkeypatch) -> list:
+    calls = []
+    product = gmatrix._product
+    monkeypatch.setattr(gmatrix, "_product", lambda *args: calls.append(1) or product(*args))
+    return calls
+
+
+def _inner_pairs(family, sets: dict, keep=None) -> int:
+    """The (j, k, sign pair) inner brackets of the family's rows, over the
+    first `keep` indices of each family (of every index when None)."""
+    def size(gens, code):
+        families = [gens.family_split, gens.count - gens.family_split]
+        chosen = families if code == "*" else [families[int(code) - 1]]
+        return sum(n if keep is None else min(n, keep) for n in chosen)
+
+    return sum(
+        size(sets[block.operands[0]], block.ranges[0]) * size(sets[block.operands[1]], block.ranges[1])
+        * len({signs[:2] for signs, _, _ in block.cases})
+        for block in parastat.RELATION_TABLE[family]
+    )
+
+
+def _family_calls(spec):
+    by_tag = {parastat._TAGS[gens.kind]: gens for gens in generator_sets(spec)}
+    for family in RelationFamily:
+        tags = parastat._operand_tags(family)
+        if all(tag in by_tag for tag in tags):
+            yield family, {tag: by_tag[tag] for tag in tags}
+
+
+@pytest.mark.parametrize(
+    "spec", [ospB(5, 5, 5, 4), AlgebraSpec(Family.SL, 1, 0, 16, 16)], ids=["ospB5554", "sl-1-0-16-16"]
+)
+def test_relations_bracket_only_the_kept_ranges_when_the_families_relabel(monkeypatch, spec):
+    # Every family has four indices or more: each call passes the
+    # relabelling check and brackets only the inner pairs of the first three
+    # indices of each family, two products each, yet counts and passes
+    # every instance.
+    outcomes = _watch_relabelling(monkeypatch)
+    calls = _count_products(monkeypatch)
+    for family, sets in _family_calls(spec):
+        calls.clear()
+        report = verify_relations(family, *sets.values())
+        assert report.passed and report.total == report.details["declared_total"]
+        assert len(calls) == 2 * _inner_pairs(family, sets, keep=3) < 2 * _inner_pairs(family, sets)
+    assert outcomes and all(outcomes)
+
+
+def test_a_set_the_relabelling_check_refuses_runs_no_trial(monkeypatch):
+    # The planted set doubles f1+ and triples f5-, so no relabelling carries
+    # the family to itself: the full loop runs once, with no trial before it.
+    gens = _planted(parafermion_ops(ospB(4, 1, 0, 0)))
+    outcomes = _watch_relabelling(monkeypatch)
+    calls = _count_products(monkeypatch)
+    report = verify_relations(RelationFamily.FF, gens)
+    assert outcomes == [False]
+    assert len(calls) == 2 * _inner_pairs(RelationFamily.FF, {"f": gens})
+    assert report.failed > 0
+
+
+def test_the_doubled_paraboson_reports_what_the_full_loop_reports(monkeypatch):
+    # The benchmark's planted defect: b1+ doubled on ospB(5,5,5,4). The
+    # check refuses every call with parabosons, and each report is that of
+    # the loop over every index, run here by raising the kept count above
+    # every family's size, so that the step never runs.
+    spec = ospB(5, 5, 5, 4)
+    f, b = parafermion_ops(spec), paraboson_ops(spec)
+    doubled = _with_ops(b, creators=[b.creators[0].scale(2), *b.creators[1:]])
+    outcomes = _watch_relabelling(monkeypatch)
+    reports = [report.to_json() for report in relation_reports([f, doubled])]
+    assert outcomes == [True, False, False, False, False]
+    monkeypatch.setattr(parastat, "_KEPT", spec.size)
+    full = [report.to_json() for report in relation_reports([f, doubled])]
+    assert len(outcomes) == 5
+    assert_same_json(reports, full)
+    assert [report["failed"] > 0 for report in full] == [False, True, True, True, True, False]
+
+
+def _cyclic(gens: GeneratorSet) -> GeneratorSet:
+    """A copy of an A-type set with one family, each a_j^+ gaining the
+    unit e_{j+1, j'+1}, j' the index after j in cyclic order: the set is
+    relabelled into itself by the cyclic shift, not by a transposition."""
+    sig = gens.creators[0].signature
+    n = gens.count
+    return _with_ops(gens, creators=[mat + elem(sig, j + 1, j % n + 2) for j, mat in enumerate(gens.creators, 1)])
+
+
+def _last_stray(gens: GeneratorSet) -> GeneratorSet:
+    """A copy whose last creator gains a unit on its own row and column
+    index, away from the supports of the first two generators: no
+    transposition of those two sees it, the cyclic shift does."""
+    last = gens.creators[-1]
+    j = gens.count
+    return _with_ops(gens, creators=[*gens.creators[:-1], last + elem(last.signature, j, j)])
+
+
+def _fixed_stray(gens: GeneratorSet) -> GeneratorSet:
+    """A copy whose last creator, alone in the second family, gains
+    j e_{j,j} for each index j of the first family: each relabelling of
+    that family still has a matching relabelling of matrix indices, but
+    it moves these entries, and so changes a creator it must fix."""
+    last = gens.creators[-1]
+    stray = sum((elem(last.signature, j, j).scale(j) for j in range(1, gens.family_split + 1)), last)
+    return _with_ops(gens, creators=[*gens.creators[:-1], stray])
+
+
+@pytest.mark.parametrize(
+    "family, gens",
+    [
+        (RelationFamily.A_SAME, _cyclic(palev_ops(5, 0))),
+        (RelationFamily.FF, _last_stray(parafermion_ops(ospB(5, 0, 0, 0)))),
+        (RelationFamily.FF, _fixed_stray(parafermion_ops(ospB(5, 1, 0, 0)))),
+    ],
+    ids=["palev50-cyclic", "ospB5000-last-stray", "ospB5100-fixed-stray"],
+)
+def test_the_relabelling_check_refuses_what_one_relabelling_breaks(monkeypatch, family, gens):
+    # Each set is refused by one condition only: the transposition, the
+    # cyclic shift, or a generator outside the family that must stay fixed.
+    # The report is the instance loop's.
+    outcomes = _watch_relabelling(monkeypatch)
+    report = verify_relations(family, gens, max_counterexamples=10**9)
+    assert outcomes == [False]
+    reference = relations_by_instances(family, gens, max_counterexamples=10**9)
+    assert reference.failed > 0
+    assert_same_json(report.to_json(), reference.to_json())
+
+
+@st.composite
+def _relabelling_calls(draw):
+    """(family, gens, partner, rows, kind) where a set of the call has a
+    family of four or five indices, so that the relabelling step runs, and
+    the other families up to two. `kind` is one of
+    - "none": the generators as built;
+    - "unit": c E_pq added to one generator of a family of two or more
+      indices, which the relabelling check refuses;
+    - "rescale": every generator of one set scaled by one element of
+      `_FACTORS`, which the check passes; the trial then fails (unless the
+      factor is -1, which every relation keeps) and the full loop runs;
+    - "term": one stray term pairing slots of two different sets in one
+      case of one three-slot row (`rows` is then the family's patched
+      rows, else None), which the check's row test refuses."""
+    kind = draw(st.sampled_from(["none", "unit", "rescale", "term"]))
+    # Only the PF families use two sets.
+    family = draw(st.sampled_from([RelationFamily.PF_FAMILY1, RelationFamily.PF_FAMILY2]
+                                  if kind == "term" else RelationFamily))
+    tags = parastat._operand_tags(family)
+    large = draw(st.integers(4, 5))
+    if tags == ["a"]:
+        sizes = [large, draw(st.integers(0, 2))]
+        sets = [palev_ops(*draw(st.permutations(sizes)))]
+    else:
+        # Parafermions need m1 + m2 > 0, parabosons n1 + n2 > 0; one of the used families is large.
+        params = list(
+            draw(
+                st.tuples(*[st.integers(0, 2)] * 4).filter(
+                    lambda m: ("f" not in tags or m[0] + m[1]) and ("b" not in tags or m[2] + m[3])
+                )
+            )
+        )
+        params[draw(st.sampled_from([i for i in range(4) if "fb"[i // 2] in tags]))] = large
+        by_kind = {parastat._TAGS[gens.kind]: gens for gens in generator_sets(ospB(*params))}
+        sets = [by_kind[tag] for tag in tags]
+    rows = None
+    movable = [i for i, gens in enumerate(sets) if any(len(fam) > 1 for fam in parastat._families(gens))]
+    iset = draw(st.sampled_from(movable) if kind == "unit" else st.integers(0, len(sets) - 1))
+    gens = sets[iset]
+    if kind == "unit":
+        fams = [fam for fam in parastat._families(gens) if len(fam) > 1]
+        ix = draw(st.sampled_from([i for fam in fams for i in fam])) - 1
+        side = draw(st.sampled_from(["creators", "annihilators"]))
+        mats = list(getattr(gens, side))
+        pos = draw(st.tuples(st.integers(1, gens.spec.size), st.integers(1, gens.spec.size)))
+        mats[ix] = mats[ix] + elem(mats[ix].signature, *pos).scale(draw(st.sampled_from(_FACTORS)))
+        sets[iset] = _with_ops(gens, **{side: mats})
+    elif kind == "rescale":
+        sets[iset] = _scaled(gens, draw(st.sampled_from(_FACTORS)))
+    elif kind == "term":
+        rows = list(parastat.RELATION_TABLE[family])
+        at = draw(st.sampled_from([i for i, row in enumerate(rows) if row.outer]))
+        ops = rows[at].operands
+        p, q = draw(st.sampled_from([(p, q) for p, q in ((0, 1), (0, 2), (1, 2)) if ops[p] != ops[q]]))
+        cases = list(rows[at].cases)
+        ic = draw(st.integers(0, len(cases) - 1))
+        signs, rel, terms = cases[ic]
+        cases[ic] = (signs, rel, (*terms, (draw(st.sampled_from([1, -1, 2])), p, q)))
+        rows[at] = rows[at]._replace(cases=tuple(cases))
+        rows = tuple(rows)
+    return family, sets[0], sets[1] if len(sets) > 1 else None, rows, kind
+
+
+# The budget comes from the loaded hypothesis profile (see tests/conftest.py).
+@settings(deadline=None, derandomize=True)
+@given(_relabelling_calls())
+def test_relabelling_step_matches_the_instance_loop_on_drawn_defects(call):
+    # Byte-identical reports at caps 0, 1 and the full count, whether the
+    # check passes (the trial then decides, and falls back on a failure)
+    # or refuses (the full loop runs at once).
+    family, gens, partner, rows, kind = call
+    outcomes = []
+    relabels = parastat._relabels
+
+    def watched(*args):
+        outcomes.append(relabels(*args))
+        return outcomes[-1]
+
+    with mock.patch.dict(parastat.RELATION_TABLE, {family: rows} if rows else {}), \
+            mock.patch.object(parastat, "_relabels", watched):
+        reference = relations_by_instances(family, gens, partner, max_counterexamples=10**9).to_json()
+        for cap in (0, 1, reference["failed"]):
+            report = verify_relations(family, gens, partner, max_counterexamples=cap)
+            want = {**reference, "counterexamples": reference["counterexamples"][:cap]}
+            assert_same_json(report.to_json(), want)
+    assert outcomes == [kind in ("none", "rescale")] * 3
+
+
 @pytest.mark.parametrize(
     "sets",
     [[parafermion_ops(ospB(2, 1, 1, 2)), paraboson_ops(ospB(2, 1, 1, 2))], [palev_ops(2, 1)]],
